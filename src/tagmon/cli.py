@@ -26,6 +26,7 @@ from .errors import BadParams, MonitorError
 from .interventions import format_notification
 from .monitoring import format_record
 from .scenario_file import (
+    InvalidScenario,
     build_scenario,
     load_scenario,
     parse_clock,
@@ -47,17 +48,12 @@ DEFAULT_DELTA = Dec4.parse("0.0050")
 
 @dataclass
 class RunConfig:
-    """Validated invocation parameters for a run or trace generation."""
+    """Validated invocation parameters for a run."""
 
     scenario: Optional[Path] = None
     out_dir: Optional[Path] = None
-    seed: int = 0
-    verbose: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.seed <= MAX_SEED:
-            raise BadParams(
-                f"seed must be a 64-bit unsigned integer: {self.seed}")
         if self.scenario is not None and not Path(self.scenario).is_file():
             raise BadParams(f"scenario file not found: {self.scenario}")
 
@@ -161,7 +157,10 @@ def cmd_validate(args) -> int:
 
 
 def execute_scenario(config, base_dir, out_dir) -> "tuple[RunResult, int]":
-    """Build a validated config, execute it and write the two log files."""
+    """Build a config, execute it and write the two log files.
+
+    An invalid config raises InvalidScenario before anything is written.
+    """
     run = build_scenario(config, base_dir)
     result = run.execute()
     out = Path(out_dir)
@@ -177,7 +176,7 @@ def execute_scenario(config, base_dir, out_dir) -> "tuple[RunResult, int]":
 
 def cmd_run(args) -> int:
     try:
-        run_config = RunConfig(args.scenario, args.out, verbose=args.verbose)
+        run_config = RunConfig(args.scenario, args.out)
     except BadParams as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
@@ -186,14 +185,13 @@ def cmd_run(args) -> int:
     except (MonitorError, OSError) as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    diagnostics = validate_scenario(config, base_dir)
-    if diagnostics:
-        for diag in diagnostics:
-            print(diag.render(str(args.scenario)), file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         result, status = execute_scenario(config, base_dir,
                                           run_config.out_dir)
+    except InvalidScenario as exc:
+        for diag in exc.diagnostics:
+            print(diag.render(str(args.scenario)), file=sys.stderr)
+        return EXIT_VALIDATION
     except MonitorError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -246,7 +244,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", type=Path)
     p.add_argument("--out", type=Path, required=True,
                    help="output directory for records.log/notifications.log")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic BAC trace")

@@ -24,9 +24,15 @@ HH:MM and become minute ticks.  An entity carries either a sentence (alcohol
 monitoring) or a curfew order; when a [schedule] section is present, sentence
 entities are evaluated per upload instead of once over [t1, t2].
 
-``parse_scenario``/``format_scenario`` round-trip structurally;
-``validate_scenario`` returns diagnostics instead of raising so a command
-line can report them all; ``build_scenario`` wires a runnable engine.
+Under a [schedule] a sentence's t1,t2 must be 0 and the tick of the last
+upload, (days-1)*1440 + the last upload time.
+
+``parse_scenario``/``format_scenario`` round-trip structurally.  Checking
+and building are one pass that loads each trace and builds each entity's run
+once: ``validate_scenario`` returns that pass's diagnostics instead of
+raising, so a command line can report them all, and ``build_scenario`` wires
+a runnable engine from the same pass or raises ``InvalidScenario`` carrying
+every diagnostic.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import MonitorError, ScenarioFormatError
-from .monitoring import Characteristics, JudgementSet, observe_family
+from .monitoring import observe_family
 from .scenarios import (
     ALCOHOL_JUDGEMENTS,
     CURFEW_JUDGEMENTS,
@@ -48,12 +54,10 @@ from .scenarios import (
     ScenarioRun,
     Sentence,
     Trigger,
-    alcohol_family,
     build_alcohol_scenario,
     build_curfew_scenario,
     build_extended_scenario,
-    curfew_family,
-    extended_alcohol_family,
+    judgement_union,
     merge_runs,
 )
 from .interventions import Action
@@ -280,41 +284,41 @@ class Diagnostic:
         return f"{path}:{self.line}: {self.message}"
 
 
-def _check_family(ent: EntityConfig, schedule: Optional[ScheduleConfig],
+class InvalidScenario(ScenarioFormatError):
+    """A parsed scenario that fails validation; carries every diagnostic."""
+
+    def __init__(self, diagnostics: List[Diagnostic]):
+        super().__init__("; ".join(f"line {d.line}: {d.message}"
+                                   for d in diagnostics))
+        self.diagnostics = diagnostics
+
+
+def _check_family(ent: EntityConfig, run: ScenarioRun,
                   diagnostics: List[Diagnostic], sig: Signature) -> None:
-    """Sampled exactly-one check over a compact probe window.
+    """Sampled exactly-one check of the entity's family over a probe window.
 
     The partition property does not depend on the window, so boundary-level
     and gap traces over a few sample points suffice; any
-    NoJudgement/AmbiguousJudgement surfaces as a diagnostic.
+    NoJudgement/AmbiguousJudgement surfaces as a diagnostic.  The probe
+    window reaches the family as cycle parameters, which take precedence
+    over the entity's own window.
     """
+    family = run.families[ent.entity]
+    chi = run.characteristics[ent.entity]
     probes = []
     if ent.sentence is not None:
         _, _, s, eps, delta = ent.sentence
         t2 = 4 * s
-        if schedule is not None:
-            family = extended_alcohol_family(sig)
-            chi = Characteristics.of(s=s, epsilon=eps, delta=delta, days=1,
-                                     status=ent.status or "green")
-            extra = {"wstart": 0, "now": t2}
-        else:
-            family = alcohol_family(sig)
-            chi = Sentence(0, t2, s, eps, delta).characteristics(
-                ent.status or "green")
-            extra = None
         for level in (Dec4(0), eps - delta, eps, eps + delta,
                       eps + delta + Dec4(1)):
             probes.append(Stream(Window(0, t2 + 1), (level,) * (t2 + 1)))
         gap = [eps] * (t2 + 1)
         gap[s] = BOTTOM
         probes.append(Stream(Window(0, t2 + 1), tuple(gap)))
+        extra = {"t1": 0, "t2": t2}
     else:
         start, end = ent.curfew
-        family = curfew_family(sig)
         night_len = 1440 - start + end
-        chi = Characteristics.of(curfew_start=start, curfew_end=end,
-                                 nights=ent.nights or 1,
-                                 status=ent.status or "compliant")
         horizon = start + night_len
         for fill in (True, False):
             probes.append(Stream(Window(start, horizon),
@@ -333,15 +337,30 @@ def _check_family(ent: EntityConfig, schedule: Optional[ScheduleConfig],
             return
 
 
-def validate_scenario(config: ScenarioConfig, base_dir,
-                      sig: Optional[Signature] = None) -> List[Diagnostic]:
-    """Semantic diagnostics: invariants, trace coverage, family soundness."""
+def _check_and_build(config: ScenarioConfig, base_dir,
+                     sig: Optional[Signature]
+                     ) -> Tuple[List[Diagnostic], List[ScenarioRun]]:
+    """The one pass over a config: diagnostics, and each sound entity's run.
+
+    Each trace is loaded and each entity's run built exactly once; the runs
+    are only complete when there are no diagnostics.
+    """
     sig = sig or BASE_SIGNATURE
     base = Path(base_dir)
     diagnostics: List[Diagnostic] = []
+    runs: List[ScenarioRun] = []
 
     if not config.entities:
         diagnostics.append(Diagnostic(0, "no entities declared"))
+
+    last_upload = schedule_diagnostic = None
+    if config.schedule is not None:
+        try:
+            last_upload = ReportSchedule(
+                config.schedule.uploads,
+                config.schedule.days).upload_ticks()[-1]
+        except MonitorError as exc:
+            schedule_diagnostic = Diagnostic(config.schedule.line, str(exc))
 
     labels: List[str] = []
     for ent in config.entities:
@@ -370,6 +389,14 @@ def validate_scenario(config: ScenarioConfig, base_dir,
                 diagnostics.append(Diagnostic(
                     ent.line, f"entity {ent.entity}: {exc}"))
                 continue
+        if (ent.sentence is not None and last_upload is not None
+                and ent.sentence[:2] != (0, last_upload)):
+            t1, t2 = ent.sentence[:2]
+            diagnostics.append(Diagnostic(
+                ent.line, f"entity {ent.entity}: under [schedule] the "
+                          f"sentence must span 0,{last_upload} (t=0 to the "
+                          f"last upload), got {t1},{t2}"))
+            continue
         if ent.trace is None:
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: missing trace"))
@@ -393,18 +420,17 @@ def validate_scenario(config: ScenarioConfig, base_dir,
                           f"expected {expected_kind!r}"))
             continue
         try:
-            _entity_run(ent, config.schedule, stream, Policy(()), sig)
+            run = _entity_run(ent, config.schedule, stream, sig)
         except MonitorError as exc:
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: {exc}"))
             continue
-        _check_family(ent, config.schedule, diagnostics, sig)
+        runs.append(run)
+        _check_family(ent, run, diagnostics, sig)
 
+    if schedule_diagnostic is not None:
+        diagnostics.append(schedule_diagnostic)
     if config.schedule is not None:
-        try:
-            ReportSchedule(config.schedule.uploads, config.schedule.days)
-        except MonitorError as exc:
-            diagnostics.append(Diagnostic(config.schedule.line, str(exc)))
         for ent in config.entities:
             if ent.curfew is not None:
                 diagnostics.append(Diagnostic(
@@ -422,63 +448,50 @@ def validate_scenario(config: ScenarioConfig, base_dir,
                 rule.line, f"rule {rule.name}: no settable field "
                            f"{rule.field_name!r} in the entity schemas"))
 
-    return diagnostics
+    return diagnostics, runs
+
+
+def validate_scenario(config: ScenarioConfig, base_dir,
+                      sig: Optional[Signature] = None) -> List[Diagnostic]:
+    """Semantic diagnostics: invariants, trace coverage, family soundness."""
+    return _check_and_build(config, base_dir, sig)[0]
 
 
 def _entity_run(ent: EntityConfig, schedule: Optional[ScheduleConfig],
-                stream: Stream, policy: Policy,
-                sig: Signature) -> ScenarioRun:
+                stream: Stream, sig: Signature) -> ScenarioRun:
     if ent.sentence is not None:
         t1, t2, s, eps, delta = ent.sentence
         if schedule is not None:
-            run = build_extended_scenario(
+            return build_extended_scenario(
                 ReportSchedule(schedule.uploads, schedule.days), s, eps,
                 delta, stream, ent.entity, ent.status or "green", sig)
-        else:
-            run = build_alcohol_scenario(Sentence(t1, t2, s, eps, delta),
-                                         ent.status or "green", stream,
-                                         ent.entity, sig)
-    else:
-        order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
-        run = build_curfew_scenario(order, ent.entity,
-                                    ent.status or "compliant", sig)
-    run.policy = policy
-    return run
+        return build_alcohol_scenario(Sentence(t1, t2, s, eps, delta),
+                                      ent.status or "green", stream,
+                                      ent.entity, sig)
+    order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
+    return build_curfew_scenario(order, ent.entity,
+                                 ent.status or "compliant", sig)
 
 
 def build_scenario(config: ScenarioConfig, base_dir,
                    sig: Optional[Signature] = None) -> ScenarioRun:
-    """Wire a validated config into a runnable engine.
+    """Validate a config and wire it into a runnable engine in one pass.
 
-    The [policy] section replaces the builders' default rules; triggers are
-    made total over the union of the entities' judgement sets.
+    Raises InvalidScenario with every diagnostic ``validate_scenario`` would
+    return.  The [policy] section replaces the builders' default rules;
+    triggers are made total over the union of the entities' judgement sets.
     """
-    sig = sig or BASE_SIGNATURE
-    base = Path(base_dir)
-    runs = []
-    for ent in config.entities:
-        _, _, stream = load_trace(base / ent.trace)
-        runs.append(_entity_run(ent, config.schedule, stream, Policy(()),
-                                sig))
+    diagnostics, runs = _check_and_build(config, base_dir, sig)
+    if diagnostics:
+        raise InvalidScenario(diagnostics)
     merged = merge_runs(runs)
-    union = _union_judgements(runs)
-    rules = tuple(
+    union = judgement_union(merged.families.values())
+    merged.policy = Policy(tuple(
         Intervention(name=rule.name,
                      trigger=Trigger(union, frozenset(rule.labels)),
                      action=Action.set_from_judgement(rule.field_name))
-        for rule in config.rules)
-    merged.policy = Policy(rules)
+        for rule in config.rules))
     return merged
-
-
-def _union_judgements(runs):
-    labels: List[str] = []
-    for run in runs:
-        for family in run.families.values():
-            for label in family.judgements:
-                if label not in labels:
-                    labels.append(label)
-    return JudgementSet(tuple(labels))
 
 
 def load_scenario(path, sig: Optional[Signature] = None):

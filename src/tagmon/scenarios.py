@@ -25,7 +25,7 @@ readings since the previous one (the first window of a run starts at t=0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import KindMismatch, MonitorError, WindowTooShort
 from .formulas import AttributeSpec
@@ -147,9 +147,11 @@ def _specs(rows, stream_name, sig) -> Tuple[AttributeSpec, ...]:
 def alcohol_family(sig: Optional[Signature] = None) -> PredicateFamily:
     """Band predicates over the sampled maximum of a BAC stream.
 
-    Thresholds lo_limit/hi_limit are derived from the sentence's epsilon and
-    delta when the templates are instantiated from an offender's
-    characteristics.  The absent predicate holds exactly when sampling the
+    The window bounds t1/t2 come either from a sentence in the offender's
+    characteristics or, for scheduled uploads, from the cycle parameters of
+    each upload; the sample interval s, epsilon and delta always come from
+    the characteristics.  Thresholds lo_limit/hi_limit are derived from
+    epsilon and delta.  The absent predicate holds exactly when sampling the
     stream touches a missed reading.
     """
     sig = sig or BASE_SIGNATURE
@@ -163,37 +165,6 @@ def alcohol_family(sig: Optional[Signature] = None) -> PredicateFamily:
         ("bac-red", RED, "max(b, t1, t2, s) > hi_limit",
          window + ("hi_limit",), False),
         ("bac-absent", ABSENT, "max(b, t1, t2, s) >= 0.0000", window, True),
-    ]
-
-    def derive(bindings):
-        out = dict(bindings)
-        out["lo_limit"] = bindings["epsilon"] - bindings["delta"]
-        out["hi_limit"] = bindings["epsilon"] + bindings["delta"]
-        return out
-
-    return PredicateFamily(name="bac-band", judgements=ALCOHOL_JUDGEMENTS,
-                           specs=_specs(rows, "b", sig), derive_params=derive)
-
-
-def extended_alcohol_family(sig: Optional[Signature] = None) -> PredicateFamily:
-    """Alcohol bands over a per-upload window [wstart, now].
-
-    wstart and now arrive as cycle parameters from the reporting schedule;
-    the sample interval and limits come from the characteristics.
-    """
-    sig = sig or BASE_SIGNATURE
-    window = ("wstart", "now", "s")
-    rows = [
-        ("bac-green", GREEN, "max(b, wstart, now, s) < lo_limit",
-         window + ("lo_limit",), False),
-        ("bac-amber", AMBER,
-         "max(b, wstart, now, s) >= lo_limit and "
-         "max(b, wstart, now, s) <= hi_limit",
-         window + ("lo_limit", "hi_limit"), False),
-        ("bac-red", RED, "max(b, wstart, now, s) > hi_limit",
-         window + ("hi_limit",), False),
-        ("bac-absent", ABSENT, "max(b, wstart, now, s) >= 0.0000", window,
-         True),
     ]
 
     def derive(bindings):
@@ -294,6 +265,16 @@ class ScenarioRun:
         return RunResult(chi, records, notifications, errors)
 
 
+def judgement_union(families: Iterable[PredicateFamily]) -> JudgementSet:
+    """Every label of the families' judgement sets, in first-seen order."""
+    labels: List[str] = []
+    for family in families:
+        for label in family.judgements:
+            if label not in labels:
+                labels.append(label)
+    return JudgementSet(tuple(labels))
+
+
 def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
     """Combine per-entity runs into one; cycles at equal times coalesce.
 
@@ -307,7 +288,6 @@ def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
     binding = BehaviourBinding()
     by_now: Dict[int, Dict[str, Mapping]] = {}
     sig = runs[0].signature
-    labels: List[str] = []
     raw_rules: List[Intervention] = []
     for run in runs:
         for entity, c in run.characteristics.items():
@@ -316,15 +296,12 @@ def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
             chi[entity] = c
             families[entity] = run.families[entity]
             binding.bind(entity, run.binding.resolve(entity, c))
-            for label in run.families[entity].judgements:
-                if label not in labels:
-                    labels.append(label)
         for rule in run.policy.rules:
             if rule not in raw_rules:
                 raw_rules.append(rule)
         for cycle in run.cycles:
             by_now.setdefault(cycle.now, {}).update(cycle.params_by_entity)
-    union = JudgementSet(tuple(labels))
+    union = judgement_union(families.values())
     rules: List[Intervention] = []
     for rule in raw_rules:
         widened = Intervention(
@@ -459,7 +436,9 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     The very first window starts at t = 0; afterwards window i is
     [upload_{i-1}, upload_i] with samples every ``interval`` minutes from the
     window start.  Windows are judged independently: a missed reading affects
-    only the upload whose window contains it.
+    only the upload whose window contains it.  Each upload's cycle parameters
+    carry its window as t1/t2 to ``alcohol_family``; the characteristics hold
+    no t1/t2 of their own.
     """
     sig = sig or BASE_SIGNATURE
     if interval < 1:
@@ -480,8 +459,8 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     cycles = []
     previous = 0
     for now in ticks:
-        cycles.append(Cycle(now, {entity: {"wstart": previous, "now": now}}))
+        cycles.append(Cycle(now, {entity: {"t1": previous, "t2": now}}))
         previous = now
     return ScenarioRun({entity: chi}, binding,
-                       {entity: extended_alcohol_family(sig)}, policy,
+                       {entity: alcohol_family(sig)}, policy,
                        tuple(cycles), sig)

@@ -1,4 +1,8 @@
+import shutil
+
 import pytest
+
+import tagmon.scenario_file
 
 from tagmon.cli import (
     EXIT_OK,
@@ -67,6 +71,49 @@ def test_rerun_is_byte_identical(scenarios_dir, tmp_path):
                      "--out", str(out)]) == EXIT_OK
     for name in ("records.log", "notifications.log"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+MIXED_TEXT = """\
+[entity PID-1]
+sentence = 0,720,30,0.0200,0.0050
+trace = alcohol_dry.trace
+
+[entity PID-2]
+sentence = 0,720,30,0.0200,0.0050
+trace = alcohol_spike.trace
+
+[entity PID-9]
+curfew = 19:00,07:00
+nights = 7
+trace = curfew_presence.trace
+"""
+
+
+def test_run_loads_and_builds_each_entity_once(scenarios_dir, tmp_path,
+                                               monkeypatch, capsys):
+    calls = []
+
+    def count(name):
+        original = getattr(tagmon.scenario_file, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tagmon.scenario_file, name, counted)
+
+    for name in ("load_trace", "build_alcohol_scenario",
+                 "build_extended_scenario", "build_curfew_scenario"):
+        count(name)
+    for trace in ("alcohol_dry", "alcohol_spike", "curfew_presence"):
+        shutil.copy(scenarios_dir / "traces" / f"{trace}.trace", tmp_path)
+    scenario = tmp_path / "mixed.scenario"
+    scenario.write_text(MIXED_TEXT)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert sorted(calls) == ["build_alcohol_scenario"] * 2 + [
+        "build_curfew_scenario"] + ["load_trace"] * 3
+    assert len((out / "records.log").read_text().splitlines()) == 1 + 1 + 7
 
 
 def test_run_rejects_invalid_scenario(tmp_path, capsys):
@@ -154,3 +201,50 @@ def test_run_summary_from_result_counts():
     rendered = summary.render()
     assert "entity A: cycles=2 green=1 red=1" in rendered
     assert "first violation: t=420" in rendered
+
+
+# -- scheduled uploads through the command line -------------------------------
+
+SCHEDULED_TEXT = """\
+[entity PID-3]
+sentence = 0,2820,60,0.0200,0.0050
+status = green
+trace = gap.trace
+
+[schedule]
+uploads = 07:00,15:00,23:00
+days = 2
+
+[policy]
+rule = record-breach: on amber,red,absent set status
+"""
+
+SCHEDULED_RECORDS = """\
+420|PID-3|bac-band|green|s=60;epsilon=0.0200;delta=0.0050;days=2;status=green
+900|PID-3|bac-band|green|s=60;epsilon=0.0200;delta=0.0050;days=2;status=green
+1380|PID-3|bac-band|green|s=60;epsilon=0.0200;delta=0.0050;days=2;status=green
+1860|PID-3|bac-band|absent|s=60;epsilon=0.0200;delta=0.0050;days=2;\
+status=green
+2340|PID-3|bac-band|green|s=60;epsilon=0.0200;delta=0.0050;days=2;\
+status=absent
+2820|PID-3|bac-band|green|s=60;epsilon=0.0200;delta=0.0050;days=2;\
+status=absent
+"""
+
+SCHEDULED_NOTIFICATIONS = \
+    "1860|PID-3|record-breach|absent|status=green->absent\n"
+
+
+def test_run_scheduled_scenario_golden_logs(tmp_path, capsys):
+    # the gap [1500, 1560] lies inside the upload window [1380, 1860] only
+    assert main(["gen-trace", "--kind", "gap", "--minutes", "2820",
+                 "--seed", "7", "--gap", "1500", "1560",
+                 "--out", str(tmp_path / "gap.trace")]) == EXIT_OK
+    scenario = tmp_path / "sched.scenario"
+    scenario.write_text(SCHEDULED_TEXT)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert (out / "records.log").read_bytes() == \
+        SCHEDULED_RECORDS.encode("ascii")
+    assert (out / "notifications.log").read_bytes() == \
+        SCHEDULED_NOTIFICATIONS.encode("ascii")

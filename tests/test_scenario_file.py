@@ -4,6 +4,7 @@ from tagmon.errors import ScenarioFormatError
 from tagmon.scenario_file import (
     Diagnostic,
     EntityConfig,
+    InvalidScenario,
     RuleConfig,
     ScenarioConfig,
     ScheduleConfig,
@@ -160,6 +161,45 @@ def test_validate_status_outside_judgements(tmp_path):
     bad = ALCOHOL_TEXT.replace("status = green", "status = compliant")
     diagnostics = validate_scenario(parse_scenario(bad), tmp_path)
     assert any("'compliant' not in" in d.message for d in diagnostics)
+
+
+SCHEDULED_TEXT = """\
+[entity PID-7]
+sentence = {span},60,0.0200,0.0050
+status = green
+trace = traces/dry.trace
+
+[schedule]
+uploads = 07:00,15:00,23:00
+days = 2
+"""
+
+
+@pytest.mark.parametrize("span", ["900,5", "0,2760", "60,2820"])
+def test_validate_schedule_sentence_span(tmp_path, span):
+    # under [schedule] t1,t2 must be 0 and the last upload, 1440 + 23:00
+    write_dry_trace(tmp_path, minutes=2820)
+    good = parse_scenario(SCHEDULED_TEXT.format(span="0,2820"))
+    assert validate_scenario(good, tmp_path) == []
+    bad = parse_scenario(SCHEDULED_TEXT.format(span=span))
+    diagnostics = validate_scenario(bad, tmp_path)
+    assert len(diagnostics) == 1
+    assert diagnostics[0].line == 1  # the entity's section header
+    assert "must span 0,2820" in diagnostics[0].message
+    assert f"got {span}" in diagnostics[0].message
+
+
+def test_build_scenario_raises_every_diagnostic(tmp_path):
+    write_dry_trace(tmp_path)
+    bad = (ALCOHOL_TEXT.replace("status = green", "status = compliant")
+           .replace("on amber,red,absent", "on amber,purple"))
+    config = parse_scenario(bad)
+    diagnostics = validate_scenario(config, tmp_path)
+    assert len(diagnostics) > 1
+    with pytest.raises(InvalidScenario) as err:
+        build_scenario(config, tmp_path)
+    assert isinstance(err.value, ScenarioFormatError)
+    assert err.value.diagnostics == diagnostics
 
 
 def test_build_scenario_runs(tmp_path):

@@ -302,6 +302,36 @@ def test_extended_windows_are_independent_after_gap():
         "absent", "green", "green", "green", "green", "green"]
 
 
+def test_extended_windows_agree_with_compliance_judgement():
+    rng = random.Random(606)
+    seen = set()
+    for _ in range(20):
+        s = rng.randint(1, 60)
+        uploads = tuple(sorted(rng.sample(range(s, 1440, s), 3)))
+        schedule = ReportSchedule(uploads, rng.randint(1, 3))
+        ticks = schedule.upload_ticks()
+        ceiling = rng.choice((150, 251, 300))  # mostly green/amber/red
+        values = [Dec4(rng.randrange(0, ceiling))
+                  for _ in range(ticks[-1] + 1)]
+        for _ in range(rng.randint(0, 3)):  # NA runs of 1..s readings
+            start = rng.randrange(len(values))
+            for t in range(start, min(start + rng.randint(1, s),
+                                      len(values))):
+                values[t] = BOTTOM
+        trace = Stream.of(0, values)
+        result = build_extended_scenario(schedule, s, EPS, DELTA,
+                                         trace).execute()
+        assert not result.errors
+        previous = 0
+        for now, rec in zip(ticks, result.records, strict=True):
+            assert rec.evaluated_at == now
+            assert rec.judgement == compliance_judgement(
+                Sentence(previous, now, s, EPS, DELTA), trace)
+            seen.add(rec.judgement)
+            previous = now
+    assert seen == set(ALCOHOL_JUDGEMENTS)
+
+
 # -- mixed scenarios ---------------------------------------------------------------
 
 def test_merge_runs_mixes_entity_types():
