@@ -47,18 +47,6 @@ DEFAULT_DELTA = Dec4.parse("0.0050")
 
 
 @dataclass
-class RunConfig:
-    """Validated invocation parameters for a run."""
-
-    scenario: Optional[Path] = None
-    out_dir: Optional[Path] = None
-
-    def __post_init__(self):
-        if self.scenario is not None and not Path(self.scenario).is_file():
-            raise BadParams(f"scenario file not found: {self.scenario}")
-
-
-@dataclass
 class RunSummary:
     """Per-entity judgement counts plus the headline numbers of a run."""
 
@@ -138,16 +126,22 @@ def gen_gap(minutes: int, seed: int, gap_start: int, gap_end: int) -> Stream:
 
 # -- commands -------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def _load(path):
+    """``load_scenario``, or None after reporting why the file is unusable."""
     try:
-        config, base_dir = load_scenario(args.scenario)
+        return load_scenario(path)
     except OSError as exc:
-        print(f"{args.scenario}: {exc.strerror or 'unreadable'}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        print(f"{path}: {exc.strerror or 'unreadable'}", file=sys.stderr)
     except MonitorError as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
+        print(f"{path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(args) -> int:
+    loaded = _load(args.scenario)
+    if loaded is None:
         return EXIT_VALIDATION
+    config, base_dir = loaded
     diagnostics = validate_scenario(config, base_dir)
     for diag in diagnostics:
         print(diag.render(str(args.scenario)), file=sys.stderr)
@@ -175,19 +169,12 @@ def execute_scenario(config, base_dir, out_dir) -> "tuple[RunResult, int]":
 
 
 def cmd_run(args) -> int:
-    try:
-        run_config = RunConfig(args.scenario, args.out)
-    except BadParams as exc:
-        print(str(exc), file=sys.stderr)
+    loaded = _load(args.scenario)
+    if loaded is None:
         return EXIT_VALIDATION
+    config, base_dir = loaded
     try:
-        config, base_dir = load_scenario(run_config.scenario)
-    except (MonitorError, OSError) as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        result, status = execute_scenario(config, base_dir,
-                                          run_config.out_dir)
+        result, status = execute_scenario(config, base_dir, args.out)
     except InvalidScenario as exc:
         for diag in exc.diagnostics:
             print(diag.render(str(args.scenario)), file=sys.stderr)

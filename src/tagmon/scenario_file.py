@@ -33,6 +33,12 @@ once: ``validate_scenario`` returns that pass's diagnostics instead of
 raising, so a command line can report them all, and ``build_scenario`` wires
 a runnable engine from the same pass or raises ``InvalidScenario`` carrying
 every diagnostic.
+
+Validation checks the scenario, not the engine: the predicate families are
+fixed code, so their partition property (exactly one judgement holds) is
+property-tested and enforced by ``observe_family`` on every observation, not
+probed per entity here.  A non-ASCII byte in a scenario or trace file is a
+format error on its line.
 """
 
 from __future__ import annotations
@@ -43,7 +49,10 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import MonitorError, ScenarioFormatError
-from .monitoring import observe_family
+from .monitoring import JudgementSet
+# Re-exported, not called here: perfbench/tracer.py wraps it under this
+# module's name.
+from .monitoring import observe_family  # noqa: F401
 from .scenarios import (
     ALCOHOL_JUDGEMENTS,
     CURFEW_JUDGEMENTS,
@@ -61,8 +70,8 @@ from .scenarios import (
     merge_runs,
 )
 from .interventions import Action
-from .streams import BASE_SIGNATURE, Signature, Stream, Window, load_trace
-from .values import BOTTOM, Dec4
+from .streams import Stream, load_trace, read_ascii
+from .values import Dec4
 
 _SECTION_RE = re.compile(r"\[(entity\s+([A-Za-z][A-Za-z0-9_-]*)"
                          r"|schedule|policy)\]\Z")
@@ -293,59 +302,13 @@ class InvalidScenario(ScenarioFormatError):
         self.diagnostics = diagnostics
 
 
-def _check_family(ent: EntityConfig, run: ScenarioRun,
-                  diagnostics: List[Diagnostic], sig: Signature) -> None:
-    """Sampled exactly-one check of the entity's family over a probe window.
-
-    The partition property does not depend on the window, so boundary-level
-    and gap traces over a few sample points suffice; any
-    NoJudgement/AmbiguousJudgement surfaces as a diagnostic.  The probe
-    window reaches the family as cycle parameters, which take precedence
-    over the entity's own window.
-    """
-    family = run.families[ent.entity]
-    chi = run.characteristics[ent.entity]
-    probes = []
-    if ent.sentence is not None:
-        _, _, s, eps, delta = ent.sentence
-        t2 = 4 * s
-        for level in (Dec4(0), eps - delta, eps, eps + delta,
-                      eps + delta + Dec4(1)):
-            probes.append(Stream(Window(0, t2 + 1), (level,) * (t2 + 1)))
-        gap = [eps] * (t2 + 1)
-        gap[s] = BOTTOM
-        probes.append(Stream(Window(0, t2 + 1), tuple(gap)))
-        extra = {"t1": 0, "t2": t2}
-    else:
-        start, end = ent.curfew
-        night_len = 1440 - start + end
-        horizon = start + night_len
-        for fill in (True, False):
-            probes.append(Stream(Window(start, horizon),
-                                 (fill,) * night_len))
-        gap = [True] * night_len
-        gap[0] = BOTTOM
-        probes.append(Stream(Window(start, horizon), tuple(gap)))
-        extra = {"wstart": start, "wend": horizon - 1}
-    for probe in probes:
-        try:
-            observe_family(family, ent.entity, chi, probe, sig, extra)
-        except MonitorError as exc:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: predicate family check "
-                          f"failed: {exc}"))
-            return
-
-
-def _check_and_build(config: ScenarioConfig, base_dir,
-                     sig: Optional[Signature]
+def _check_and_build(config: ScenarioConfig, base_dir
                      ) -> Tuple[List[Diagnostic], List[ScenarioRun]]:
     """The one pass over a config: diagnostics, and each sound entity's run.
 
     Each trace is loaded and each entity's run built exactly once; the runs
     are only complete when there are no diagnostics.
     """
-    sig = sig or BASE_SIGNATURE
     base = Path(base_dir)
     diagnostics: List[Diagnostic] = []
     runs: List[ScenarioRun] = []
@@ -362,7 +325,7 @@ def _check_and_build(config: ScenarioConfig, base_dir,
         except MonitorError as exc:
             schedule_diagnostic = Diagnostic(config.schedule.line, str(exc))
 
-    labels: List[str] = []
+    judgement_sets: List[JudgementSet] = []
     for ent in config.entities:
         if (ent.sentence is None) == (ent.curfew is None):
             diagnostics.append(Diagnostic(
@@ -371,13 +334,14 @@ def _check_and_build(config: ScenarioConfig, base_dir,
             continue
         judgements = (ALCOHOL_JUDGEMENTS if ent.sentence is not None
                       else CURFEW_JUDGEMENTS)
-        for label in judgements:
-            if label not in labels:
-                labels.append(label)
+        judgement_sets.append(judgements)
         if ent.status is not None and ent.status not in judgements:
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: status {ent.status!r} not "
                           f"in {judgements.labels}"))
+            # build with the kind's default status so that the entity's
+            # other faults are still found, and this one reported once
+            ent = replace(ent, status=None)
         if ent.curfew is not None and ent.nights is None:
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: curfew needs nights"))
@@ -420,13 +384,12 @@ def _check_and_build(config: ScenarioConfig, base_dir,
                           f"expected {expected_kind!r}"))
             continue
         try:
-            run = _entity_run(ent, config.schedule, stream, sig)
+            run = _entity_run(ent, config.schedule, stream)
         except MonitorError as exc:
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: {exc}"))
             continue
         runs.append(run)
-        _check_family(ent, run, diagnostics, sig)
 
     if schedule_diagnostic is not None:
         diagnostics.append(schedule_diagnostic)
@@ -437,6 +400,7 @@ def _check_and_build(config: ScenarioConfig, base_dir,
                     ent.line, f"entity {ent.entity}: [schedule] applies to "
                               "sentence entities only"))
 
+    labels = judgement_union(judgement_sets) if judgement_sets else ()
     for rule in config.rules:
         unknown = [lb for lb in rule.labels if lb not in labels]
         if unknown:
@@ -451,41 +415,45 @@ def _check_and_build(config: ScenarioConfig, base_dir,
     return diagnostics, runs
 
 
-def validate_scenario(config: ScenarioConfig, base_dir,
-                      sig: Optional[Signature] = None) -> List[Diagnostic]:
-    """Semantic diagnostics: invariants, trace coverage, family soundness."""
-    return _check_and_build(config, base_dir, sig)[0]
+def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
+    """Semantic diagnostics of a parsed scenario.
+
+    Checks each entity's kind, status, sentence or curfew terms and trace
+    (present, readable, of the right kind and covering every cycle), the
+    [schedule] section, and that each [policy] rule names known labels and a
+    settable field.  The predicate families are fixed code whose partition
+    property is tested, not probed here.
+    """
+    return _check_and_build(config, base_dir)[0]
 
 
 def _entity_run(ent: EntityConfig, schedule: Optional[ScheduleConfig],
-                stream: Stream, sig: Signature) -> ScenarioRun:
+                stream: Stream) -> ScenarioRun:
     if ent.sentence is not None:
         t1, t2, s, eps, delta = ent.sentence
         if schedule is not None:
             return build_extended_scenario(
                 ReportSchedule(schedule.uploads, schedule.days), s, eps,
-                delta, stream, ent.entity, ent.status or "green", sig)
+                delta, stream, ent.entity, ent.status or "green")
         return build_alcohol_scenario(Sentence(t1, t2, s, eps, delta),
                                       ent.status or "green", stream,
-                                      ent.entity, sig)
+                                      ent.entity)
     order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
-    return build_curfew_scenario(order, ent.entity,
-                                 ent.status or "compliant", sig)
+    return build_curfew_scenario(order, ent.entity, ent.status or "compliant")
 
 
-def build_scenario(config: ScenarioConfig, base_dir,
-                   sig: Optional[Signature] = None) -> ScenarioRun:
+def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:
     """Validate a config and wire it into a runnable engine in one pass.
 
     Raises InvalidScenario with every diagnostic ``validate_scenario`` would
     return.  The [policy] section replaces the builders' default rules;
     triggers are made total over the union of the entities' judgement sets.
     """
-    diagnostics, runs = _check_and_build(config, base_dir, sig)
+    diagnostics, runs = _check_and_build(config, base_dir)
     if diagnostics:
         raise InvalidScenario(diagnostics)
     merged = merge_runs(runs)
-    union = judgement_union(merged.families.values())
+    union = judgement_union(f.judgements for f in merged.families.values())
     merged.policy = Policy(tuple(
         Intervention(name=rule.name,
                      trigger=Trigger(union, frozenset(rule.labels)),
@@ -494,9 +462,7 @@ def build_scenario(config: ScenarioConfig, base_dir,
     return merged
 
 
-def load_scenario(path, sig: Optional[Signature] = None):
+def load_scenario(path):
     """Parse a scenario file; returns (config, base_dir for trace paths)."""
     p = Path(path)
-    with open(p, "r", encoding="ascii") as fh:
-        config = parse_scenario(fh.read())
-    return config, p.parent
+    return parse_scenario(read_ascii(p, ScenarioFormatError)), p.parent

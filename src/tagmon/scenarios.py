@@ -24,6 +24,7 @@ readings since the previous one (the first window of a run starts at t=0).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -46,7 +47,7 @@ from .monitoring import (
     Record,
 )
 from .parser import parse_formula
-from .streams import BASE_SIGNATURE, Signature, Stream
+from .streams import Stream
 from .values import BOTTOM, Dec4
 
 MINUTES_PER_DAY = 1440
@@ -133,18 +134,23 @@ def compliance_judgement(sigma: Sentence, b: Stream) -> str:
 
 
 # -- predicate families -------------------------------------------------------
+#
+# Each family is parsed once per process and shared by every entity of its
+# kind: it is frozen, and everything entity-specific reaches it as bindings
+# from the characteristics or the cycle parameters.
 
-def _specs(rows, stream_name, sig) -> Tuple[AttributeSpec, ...]:
+def _specs(rows, stream_name) -> Tuple[AttributeSpec, ...]:
     out = []
     for name, label, text, params, undef in rows:
         out.append(AttributeSpec(
-            name=name, label=label, template=parse_formula(text, sig),
+            name=name, label=label, template=parse_formula(text),
             params=params, stream_name=stream_name,
             matches_undefined=undef))
     return tuple(out)
 
 
-def alcohol_family(sig: Optional[Signature] = None) -> PredicateFamily:
+@functools.cache
+def alcohol_family() -> PredicateFamily:
     """Band predicates over the sampled maximum of a BAC stream.
 
     The window bounds t1/t2 come either from a sentence in the offender's
@@ -154,7 +160,6 @@ def alcohol_family(sig: Optional[Signature] = None) -> PredicateFamily:
     epsilon and delta.  The absent predicate holds exactly when sampling the
     stream touches a missed reading.
     """
-    sig = sig or BASE_SIGNATURE
     window = ("t1", "t2", "s")
     rows = [
         ("bac-green", GREEN, "max(b, t1, t2, s) < lo_limit",
@@ -174,10 +179,11 @@ def alcohol_family(sig: Optional[Signature] = None) -> PredicateFamily:
         return out
 
     return PredicateFamily(name="bac-band", judgements=ALCOHOL_JUDGEMENTS,
-                           specs=_specs(rows, "b", sig), derive_params=derive)
+                           specs=_specs(rows, "b"), derive_params=derive)
 
 
-def curfew_family(sig: Optional[Signature] = None) -> PredicateFamily:
+@functools.cache
+def curfew_family() -> PredicateFamily:
     """Night-presence predicates over a boolean in-range stream.
 
     The night window [wstart, wend] arrives as cycle parameters.  A night is
@@ -185,7 +191,6 @@ def curfew_family(sig: Optional[Signature] = None) -> PredicateFamily:
     shows a definite absence, and a signal gap (missed reading) anywhere in
     the window is judged absent-signal.
     """
-    sig = sig or BASE_SIGNATURE
     rows = [
         ("night-presence", COMPLIANT,
          "forall k in wstart .. wend : presence[k] = true",
@@ -199,7 +204,7 @@ def curfew_family(sig: Optional[Signature] = None) -> PredicateFamily:
     ]
     return PredicateFamily(name="curfew-presence",
                            judgements=CURFEW_JUDGEMENTS,
-                           specs=_specs(rows, "presence", sig))
+                           specs=_specs(rows, "presence"))
 
 
 def breach_policy(judgements: JudgementSet, fires_on, rule_name: str,
@@ -246,7 +251,6 @@ class ScenarioRun:
     families: Dict[str, PredicateFamily]
     policy: Policy
     cycles: Tuple[Cycle, ...]
-    signature: Signature = BASE_SIGNATURE
 
     def execute(self) -> RunResult:
         chi = dict(self.characteristics)
@@ -256,8 +260,8 @@ class ScenarioRun:
         for cycle in sorted(self.cycles, key=lambda c: c.now):
             result: CycleResult = run_cycle(
                 cycle.entities, chi, self.binding, self.families,
-                self.policy, cycle.now, self.signature,
-                cycle.params_by_entity)
+                self.policy, cycle.now,
+                params_by_entity=cycle.params_by_entity)
             chi = result.characteristics
             records.extend(result.records)
             notifications.extend(result.notifications)
@@ -265,11 +269,11 @@ class ScenarioRun:
         return RunResult(chi, records, notifications, errors)
 
 
-def judgement_union(families: Iterable[PredicateFamily]) -> JudgementSet:
-    """Every label of the families' judgement sets, in first-seen order."""
+def judgement_union(sets: Iterable[JudgementSet]) -> JudgementSet:
+    """Every label of the judgement sets, in first-seen order."""
     labels: List[str] = []
-    for family in families:
-        for label in family.judgements:
+    for judgements in sets:
+        for label in judgements:
             if label not in labels:
                 labels.append(label)
     return JudgementSet(tuple(labels))
@@ -287,7 +291,6 @@ def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
     families: Dict[str, PredicateFamily] = {}
     binding = BehaviourBinding()
     by_now: Dict[int, Dict[str, Mapping]] = {}
-    sig = runs[0].signature
     raw_rules: List[Intervention] = []
     for run in runs:
         for entity, c in run.characteristics.items():
@@ -301,7 +304,7 @@ def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
                 raw_rules.append(rule)
         for cycle in run.cycles:
             by_now.setdefault(cycle.now, {}).update(cycle.params_by_entity)
-    union = judgement_union(families.values())
+    union = judgement_union(f.judgements for f in families.values())
     rules: List[Intervention] = []
     for rule in raw_rules:
         widened = Intervention(
@@ -312,15 +315,13 @@ def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
         if widened not in rules:
             rules.append(widened)
     cycles = tuple(Cycle(now, by_now[now]) for now in sorted(by_now))
-    return ScenarioRun(chi, binding, families, Policy(tuple(rules)),
-                       cycles, sig)
+    return ScenarioRun(chi, binding, families, Policy(tuple(rules)), cycles)
 
 
 def build_alcohol_scenario(sigma: Sentence, initial_status: str,
-                           trace: Stream, entity: str = "PID-1",
-                           sig: Optional[Signature] = None) -> ScenarioRun:
+                           trace: Stream, entity: str = "PID-1"
+                           ) -> ScenarioRun:
     """Single reporting window over [t1, t2], evaluated at t2."""
-    sig = sig or BASE_SIGNATURE
     if trace.window.start > sigma.t1 or trace.window.horizon <= sigma.t2:
         raise WindowTooShort(
             f"trace window [{trace.window.start}, {trace.window.horizon}) "
@@ -330,8 +331,8 @@ def build_alcohol_scenario(sigma: Sentence, initial_status: str,
     policy = breach_policy(ALCOHOL_JUDGEMENTS, (AMBER, RED, ABSENT),
                            "record-breach")
     cycles = (Cycle(sigma.t2, {entity: {}}),)
-    return ScenarioRun({entity: chi}, binding, {entity: alcohol_family(sig)},
-                       policy, cycles, sig)
+    return ScenarioRun({entity: chi}, binding, {entity: alcohol_family()},
+                       policy, cycles)
 
 
 @dataclass(frozen=True)
@@ -377,10 +378,8 @@ class CurfewOrder:
 
 
 def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
-                          initial_status: str = COMPLIANT,
-                          sig: Optional[Signature] = None) -> ScenarioRun:
+                          initial_status: str = COMPLIANT) -> ScenarioRun:
     """One cycle per night, evaluated at the morning report tick."""
-    sig = sig or BASE_SIGNATURE
     last_start, last_end = order.night_window(order.nights)
     first_start, _ = order.night_window(1)
     w = order.presence.window
@@ -398,8 +397,7 @@ def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
         cycles.append(Cycle(order.report_tick(night),
                             {entity: {"wstart": wstart, "wend": wend}}))
     return ScenarioRun({entity: chi}, binding,
-                       {entity: curfew_family(sig)}, policy, tuple(cycles),
-                       sig)
+                       {entity: curfew_family()}, policy, tuple(cycles))
 
 
 @dataclass(frozen=True)
@@ -429,8 +427,7 @@ class ReportSchedule:
 def build_extended_scenario(schedule: ReportSchedule, interval: int,
                             epsilon: Dec4, delta: Dec4, trace: Stream,
                             entity: str = "PID-1",
-                            initial_status: str = GREEN,
-                            sig: Optional[Signature] = None) -> ScenarioRun:
+                            initial_status: str = GREEN) -> ScenarioRun:
     """Scheduled uploads: each covers the readings since the previous upload.
 
     The very first window starts at t = 0; afterwards window i is
@@ -440,7 +437,6 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     carry its window as t1/t2 to ``alcohol_family``; the characteristics hold
     no t1/t2 of their own.
     """
-    sig = sig or BASE_SIGNATURE
     if interval < 1:
         raise KindMismatch(f"sample interval must be positive: {interval}")
     if not Dec4(0) < delta < epsilon:
@@ -462,5 +458,4 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
         cycles.append(Cycle(now, {entity: {"t1": previous, "t2": now}}))
         previous = now
     return ScenarioRun({entity: chi}, binding,
-                       {entity: alcohol_family(sig)}, policy,
-                       tuple(cycles), sig)
+                       {entity: alcohol_family()}, policy, tuple(cycles))

@@ -388,6 +388,18 @@ def save_trace(path, stream: Stream, stream_id: str, kind: str):
         fh.write(format_trace(stream, stream_id, kind))
 
 
+def read_ascii(path, error) -> str:
+    """A text file's content; a non-ASCII byte raises ``error(message, line)``
+    with the 1-based line of the byte, counted as the parsers count lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("ascii")
+        raise error(f"non-ASCII byte 0x{data[exc.start]:02x}",
+                    len((before + "x").splitlines())) from None
+
+
 def load_trace(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_trace(fh.read())
+    return parse_trace(read_ascii(path, TraceFormatError))

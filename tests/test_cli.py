@@ -124,6 +124,45 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_missing_scenario_is_reported_alike(tmp_path, capsys, command):
+    scenario = tmp_path / "nope.scenario"
+    out = tmp_path / "out"
+    argv = [command, str(scenario)] + (["--out", str(out)]
+                                       if command == "run" else [])
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"{scenario}: No such file or directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("bad_file", ["scenario", "trace"])
+def test_non_ascii_byte_is_a_line_diagnostic(scenarios_dir, tmp_path, capsys,
+                                             command, bad_file):
+    trace = (scenarios_dir / "traces" / "alcohol_dry.trace").read_bytes()
+    comment = b"# ok\n"
+    if bad_file == "trace":
+        lines = trace.split(b"\n")
+        lines[3] += b"\xe9"  # line 4 of the trace
+        trace = b"\n".join(lines)
+    else:
+        comment = b"# caf\xc3\xa9\n"  # line 3 of the scenario
+    (tmp_path / "dry.trace").write_bytes(trace)
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_bytes(b"[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
+                         + comment + b"trace = dry.trace\n")
+    out = tmp_path / "out"
+    argv = [command, str(scenario)] + (["--out", str(out)]
+                                       if command == "run" else [])
+    assert main(argv) == EXIT_VALIDATION
+    expected = (f"{scenario}:1: entity A: line 4: non-ASCII byte 0xe9"
+                if bad_file == "trace"
+                else f"{scenario}: line 3: non-ASCII byte 0xc3")
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists()
+
+
 # -- trace generation -----------------------------------------------------------
 
 def test_gen_dry_is_seeded_and_below_green_threshold(tmp_path):

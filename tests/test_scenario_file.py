@@ -1,4 +1,9 @@
+import shutil
+
 import pytest
+
+import tagmon.monitoring
+import tagmon.scenario_file
 
 from tagmon.errors import ScenarioFormatError
 from tagmon.scenario_file import (
@@ -154,6 +159,83 @@ def test_validate_unknown_rule_labels(tmp_path):
     bad = ALCOHOL_TEXT.replace("on amber,red,absent", "on amber,purple")
     diagnostics = validate_scenario(parse_scenario(bad), tmp_path)
     assert any("purple" in d.message for d in diagnostics)
+
+
+BAD_STATUS_TEXT = """\
+[entity PID-7]
+sentence = 0,720,30,0.0200,0.0050
+status = purple
+trace = traces/dry.trace
+
+[entity PID-9]
+curfew = 19:00,07:00
+nights = 1
+status = green
+trace = traces/presence.trace
+"""
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_validate_reports_a_bad_status_once(tmp_path, short):
+    # the entity is still built, with its kind's default status, so a
+    # too-short trace is reported as well
+    write_dry_trace(tmp_path, minutes=500 if short else 720)
+    save_trace(tmp_path / "traces" / "presence.trace",
+               Stream.of(0, [True] * (1800 if short else 1861)), "presence",
+               "boolean")
+    diagnostics = validate_scenario(parse_scenario(BAD_STATUS_TEXT), tmp_path)
+    messages = [(d.line, d.message) for d in diagnostics]
+    status_lines = [
+        (1, "entity PID-7: status 'purple' not in "
+            "('green', 'amber', 'red', 'absent')"),
+        (6, "entity PID-9: status 'green' not in "
+            "('compliant', 'violation', 'absent-signal')")]
+    if not short:
+        assert messages == status_lines
+        return
+    assert [messages[0], messages[2]] == status_lines
+    assert messages[1][0] == 1 and "does not cover" in messages[1][1]
+    assert messages[3][0] == 6 and "does not cover" in messages[3][1]
+    assert len(messages) == 4
+
+
+def test_validate_evaluates_no_formula(scenarios_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(tagmon.scenario_file, "observe_family")
+    counted(tagmon.monitoring, "eval_formula")
+    for trace in ("alcohol_dry", "alcohol_spike", "curfew_presence"):
+        shutil.copy(scenarios_dir / "traces" / f"{trace}.trace", tmp_path)
+    config = parse_scenario("""\
+[entity PID-1]
+sentence = 0,720,30,0.0200,0.0050
+trace = alcohol_dry.trace
+
+[entity PID-2]
+sentence = 0,720,30,0.0200,0.0050
+trace = alcohol_spike.trace
+
+[entity PID-9]
+curfew = 19:00,07:00
+nights = 7
+trace = curfew_presence.trace
+
+[policy]
+rule = breach: on red,violation set status
+""")
+    assert validate_scenario(config, tmp_path) == []
+    assert calls == []
+    assert len(build_scenario(config, tmp_path).execute().records) == 9
+    assert calls.count("eval_formula") > 0
 
 
 def test_validate_status_outside_judgements(tmp_path):

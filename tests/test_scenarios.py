@@ -3,16 +3,20 @@ import random
 import pytest
 
 from tagmon.errors import KindMismatch, WindowTooShort
+from tagmon.monitoring import Characteristics, observe_family
 from tagmon.scenarios import (
     ALCOHOL_JUDGEMENTS,
     CURFEW_JUDGEMENTS,
     CurfewOrder,
     ReportSchedule,
     Sentence,
+    alcohol_family,
     build_alcohol_scenario,
     build_curfew_scenario,
     build_extended_scenario,
     compliance_judgement,
+    curfew_family,
+    judgement_union,
     merge_runs,
     sample_count,
     sample_times,
@@ -352,3 +356,97 @@ def test_merge_runs_mixes_entity_types():
     assert result.characteristics["PID-9"].get("status") == "violation"
     labels = set(ALCOHOL_JUDGEMENTS) | set(CURFEW_JUDGEMENTS)
     assert set(merged.policy.rules[0].trigger.domain.labels) == labels
+
+
+def test_judgement_union_keeps_first_seen_order():
+    union = judgement_union((CURFEW_JUDGEMENTS, ALCOHOL_JUDGEMENTS,
+                             CURFEW_JUDGEMENTS))
+    assert union.labels == CURFEW_JUDGEMENTS.labels + ALCOHOL_JUDGEMENTS.labels
+
+
+# -- predicate family partition ----------------------------------------------------
+#
+# Scenario validation does not probe the families per entity; these seeded
+# property tests, together with observe_family's exactly-one check on every
+# real observation, carry the partition guarantee.
+
+def test_alcohol_family_partitions_like_compliance_judgement():
+    rng = random.Random(41)
+    family = alcohol_family()
+    seen = set()
+    for _ in range(60):
+        s = rng.randint(1, 60)
+        delta = Dec4(rng.randint(1, 300))
+        eps = delta + Dec4(rng.randint(1, 500))
+        t1 = rng.randint(0, 100)
+        t2 = t1 + rng.randint(s, 4 * s)
+        sigma = Sentence(t1, t2, s, eps, delta)
+        length = t2 + 1
+        traces = [[level] * length
+                  for level in (Dec4(0), eps - delta, eps, eps + delta,
+                                eps + delta + Dec4(rng.randint(1, 500)))]
+        gap = [eps] * length
+        gap[t1 + s] = BOTTOM
+        traces.append(gap)
+        for _ in range(3):
+            values = [Dec4(rng.randrange(0, 2 * (eps + delta).raw))
+                      for _ in range(length)]
+            for _ in range(rng.randint(0, 2)):
+                values[rng.randrange(length)] = BOTTOM
+            traces.append(values)
+        chi = sigma.characteristics()
+        for values in traces:
+            trace = Stream.of(0, values)
+            got = observe_family(family, "PID-1", chi, trace)
+            assert got == compliance_judgement(sigma, trace)
+            seen.add(got)
+    assert seen == set(ALCOHOL_JUDGEMENTS)
+
+
+def first_non_true_oracle(values):
+    for v in values:
+        if v is BOTTOM:
+            return "absent-signal"
+        if v is False:
+            return "violation"
+    return "compliant"
+
+
+def test_curfew_family_partitions_like_first_non_true_minute():
+    rng = random.Random(43)
+    family = curfew_family()
+    seen = set()
+    for _ in range(25):
+        end = rng.randrange(0, 1439)
+        start = rng.randrange(end + 1, 1440)  # wraps midnight once
+        night = rng.randint(1, 3)
+        length = 1440 - start + end
+        wstart = (night - 1) * 1440 + start
+        chi = Characteristics.of(curfew_start=start, curfew_end=end,
+                                 nights=night, status="compliant")
+        edge = rng.choice((False, BOTTOM))
+        nights = [[True] * length, [False] * length,
+                  [edge] + [True] * (length - 1),
+                  [True] * (length - 1) + [edge]]
+        for _ in range(3):
+            values = [True] * length
+            for _ in range(rng.randint(0, 3)):
+                values[rng.randrange(length)] = rng.choice((False, BOTTOM))
+            nights.append(values)
+        for values in nights:
+            presence = Stream(Window(wstart, wstart + length), tuple(values))
+            got = observe_family(family, "PID-9", chi, presence,
+                                 extra_params={"wstart": wstart,
+                                               "wend": wstart + length - 1})
+            assert got == first_non_true_oracle(values)
+            seen.add(got)
+    assert seen == set(CURFEW_JUDGEMENTS)
+
+
+def test_entities_of_one_kind_share_one_family():
+    a = build_alcohol_scenario(WORKED_SIGMA, "green", full_trace(), "PID-1")
+    b = build_extended_scenario(ReportSchedule((420,), 1), 60, EPS, DELTA,
+                                full_trace(), "PID-2")
+    assert a.families["PID-1"] is b.families["PID-2"] is alcohol_family()
+    c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-9")
+    assert c.families["PID-9"] is curfew_family()
