@@ -6,7 +6,8 @@
                      [--spike-at T --spike-value V] [--gap A B] --out <file>
 
 A run executes every monitoring cycle in time order over recorded traces and
-writes records.log and notifications.log to the output directory.  Outputs
+writes records.log and notifications.log to the output directory, replacing
+both or, if writing fails, neither.  Outputs
 are deterministic: rerunning the same scenario and traces reproduces the
 files byte for byte.
 
@@ -16,16 +17,18 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from .errors import BadParams, MonitorError
+from .errors import BadParams, MonitorError, ScenarioFormatError
 from .interventions import format_notification
 from .monitoring import format_record
 from .scenario_file import (
+    Diagnostic,
     InvalidScenario,
     build_scenario,
     load_scenario,
@@ -132,8 +135,9 @@ def _load(path):
         return load_scenario(path)
     except OSError as exc:
         print(f"{path}: {exc.strerror or 'unreadable'}", file=sys.stderr)
-    except MonitorError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
+    except ScenarioFormatError as exc:
+        print(Diagnostic(exc.line, exc.message).render(str(path)),
+              file=sys.stderr)
     return None
 
 
@@ -150,20 +154,43 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if diagnostics else EXIT_OK
 
 
+def _write_logs(out_dir, texts: Dict[str, str]) -> None:
+    """Write each named log into ``out_dir``, replacing all or none of them.
+
+    Every text goes to a temporary file in the directory first; the files are
+    moved into place only once all are written.  On failure the temporary
+    files are removed and the previous logs are left as they were.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        for name, text in texts.items():
+            temp = out / f".{name}.{os.getpid()}.tmp"
+            written.append((temp, out / name))
+            temp.write_text(text, encoding="ascii")
+        for temp, final in written:
+            os.replace(temp, final)
+    except BaseException:
+        for temp, _ in written:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def execute_scenario(config, base_dir, out_dir) -> "tuple[RunResult, int]":
     """Build a config, execute it and write the two log files.
 
-    An invalid config raises InvalidScenario before anything is written.
+    An invalid config raises InvalidScenario before anything is written; a
+    failed write raises OSError and leaves the previous logs intact.
     """
     run = build_scenario(config, base_dir)
     result = run.execute()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    record_text = "".join(format_record(r) + "\n" for r in result.records)
-    note_text = "".join(format_notification(n) + "\n"
-                        for n in result.notifications)
-    (out / "records.log").write_text(record_text, encoding="ascii")
-    (out / "notifications.log").write_text(note_text, encoding="ascii")
+    _write_logs(out_dir, {
+        "records.log": "".join(format_record(r) + "\n"
+                               for r in result.records),
+        "notifications.log": "".join(format_notification(n) + "\n"
+                                     for n in result.notifications),
+    })
     status = EXIT_RUNTIME if result.errors else EXIT_OK
     return result, status
 
@@ -181,6 +208,10 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     except MonitorError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"run failed: {args.out}: {exc.strerror or 'unwritable'}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     for entity, exc in result.errors:
         print(f"cycle error for {entity}: {exc}", file=sys.stderr)

@@ -10,6 +10,19 @@ class MonitorError(Exception):
     """Base class for all errors raised by tagmon."""
 
 
+class FileFormatError(MonitorError):
+    """Malformed input file; ``line`` is the fault's 1-based line, 0 if none.
+
+    ``message`` and ``line`` are kept apart so that a caller can put the
+    file's name in front of the line without parsing ``str(exc)``.
+    """
+
+    def __init__(self, message, line=0):
+        super().__init__(f"line {line}: {message}" if line else message)
+        self.message = message
+        self.line = line
+
+
 # -- stream algebra ---------------------------------------------------------
 
 class OutOfWindow(MonitorError):
@@ -40,12 +53,8 @@ class BottomEncountered(MonitorError):
     """A test or quantifier touched an undefined reading."""
 
 
-class TraceFormatError(MonitorError):
+class TraceFormatError(FileFormatError):
     """Malformed trace file."""
-
-    def __init__(self, message, line=0):
-        super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
 
 
 # -- attribute formulas -----------------------------------------------------
@@ -112,12 +121,8 @@ class WindowTooShort(MonitorError):
     """Behaviour stream does not cover the interval to be tested."""
 
 
-class ScenarioFormatError(MonitorError):
+class ScenarioFormatError(FileFormatError):
     """Malformed scenario file."""
-
-    def __init__(self, message, line=0):
-        super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
 
 
 class BadParams(MonitorError):

@@ -16,7 +16,7 @@ scenario's missing-data judgement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -28,7 +28,7 @@ from .errors import (
     UnboundIdentifier,
     UnknownSymbol,
 )
-from .streams import BASE_SIGNATURE, Signature, Stream
+from .streams import BASE_SIGNATURE, Stream, check_arity
 from .values import BOTTOM, CarrierValue, compare, format_value, is_carrier
 
 # -- terms --------------------------------------------------------------------
@@ -120,17 +120,15 @@ class Environment:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _lookup(name: str, env: Environment, sig: Signature):
+def _lookup(name: str, env: Environment):
     if name in env.variables:
         return env.variables[name]
     if name in env.streams:
         return env.streams[name]
-    if name in sig.constants:
-        return sig.constants[name]
     raise UnboundIdentifier(f"unbound identifier {name!r}")
 
 
-def _sampled_reduce(op: str, args, sig: Signature):
+def _sampled_reduce(op: str, args):
     if len(args) != 4:
         raise ArityMismatch(
             f"sampled {op} takes (stream, start, end, step), got {len(args)} "
@@ -149,49 +147,45 @@ def _sampled_reduce(op: str, args, sig: Signature):
     samples = [stream.at(t1 + k * s) for k in range(count + 1)]
     if any(v is BOTTOM for v in samples):
         return BOTTOM
-    return sig.operation(op).fn(*samples) if len(samples) > 1 else samples[0]
+    if len(samples) == 1:
+        return samples[0]
+    return BASE_SIGNATURE.operation(op).fn(*samples)
 
 
-def eval_term(term: Term, env: Environment,
-              sig: Optional[Signature] = None):
+def eval_term(term: Term, env: Environment):
     """Value of a term; returns BOTTOM if any reading involved is undefined.
 
     A bare identifier bound to a stream evaluates to the stream itself, which
     is only consumable as the first argument of ``max``/``min``.
     """
-    sig = sig or BASE_SIGNATURE
     if isinstance(term, Lit):
         return term.value
     if isinstance(term, Var):
-        return _lookup(term.name, env, sig)
+        return _lookup(term.name, env)
     if isinstance(term, StreamAt):
-        bound = _lookup(term.stream, env, sig)
+        bound = _lookup(term.stream, env)
         if not isinstance(bound, Stream):
             raise KindError(f"{term.stream!r} is not bound to a stream")
-        idx = eval_term(term.index, env, sig)
+        idx = eval_term(term.index, env)
         if idx is BOTTOM:
             return BOTTOM
         if isinstance(idx, bool) or not isinstance(idx, int):
             raise KindError(f"stream index must be an integer, got {idx!r}")
         return bound.at(idx)
     if isinstance(term, Apply):
-        if term.op not in sig.operations:
+        if term.op not in BASE_SIGNATURE.operations:
             raise UnknownSymbol(f"unknown operation {term.op!r}")
-        args = [eval_term(a, env, sig) for a in term.args]
+        args = [eval_term(a, env) for a in term.args]
         if args and isinstance(args[0], Stream):
             if term.op in ("max", "min"):
-                return _sampled_reduce(term.op, args, sig)
+                return _sampled_reduce(term.op, args)
             raise KindError(
                 f"stream argument is only valid in sampled max/min, "
                 f"not {term.op!r}")
         if any(isinstance(a, Stream) for a in args):
             raise KindError(f"stream used as a plain value in {term.op!r}")
-        op = sig.operation(term.op)
-        if op.arity is not None and op.arity != len(args):
-            raise ArityMismatch(
-                f"{term.op} expects {op.arity} arguments, got {len(args)}")
-        if op.arity is None and len(args) < 2:
-            raise ArityMismatch(f"{term.op} needs at least 2 arguments")
+        op = BASE_SIGNATURE.operation(term.op)
+        check_arity(op, len(args))
         if any(a is BOTTOM for a in args):
             return BOTTOM
         try:
@@ -201,8 +195,8 @@ def eval_term(term: Term, env: Environment,
     raise KindError(f"not a term: {term!r}")
 
 
-def _int_bound(term: Term, env: Environment, sig: Signature) -> int:
-    v = eval_term(term, env, sig)
+def _int_bound(term: Term, env: Environment) -> int:
+    v = eval_term(term, env)
     if v is BOTTOM:
         raise BottomEncountered("quantifier bound is undefined")
     if isinstance(v, bool) or not isinstance(v, int):
@@ -210,8 +204,8 @@ def _int_bound(term: Term, env: Environment, sig: Signature) -> int:
     return v
 
 
-def _atom_value(term: Term, env: Environment, sig: Signature):
-    v = eval_term(term, env, sig)
+def _atom_value(term: Term, env: Environment):
+    v = eval_term(term, env)
     if v is BOTTOM:
         raise BottomEncountered("test touched an undefined reading")
     if isinstance(v, Stream):
@@ -219,54 +213,49 @@ def _atom_value(term: Term, env: Environment, sig: Signature):
     return v
 
 
-def eval_formula(formula: Formula, env: Environment,
-                 sig: Optional[Signature] = None) -> bool:
+def eval_formula(formula: Formula, env: Environment) -> bool:
     """Tarskian evaluation; quantifiers range over their inclusive bounds."""
-    sig = sig or BASE_SIGNATURE
     if isinstance(formula, BoolLit):
         return formula.value
     if isinstance(formula, Cmp):
-        lhs = _atom_value(formula.lhs, env, sig)
-        rhs = _atom_value(formula.rhs, env, sig)
+        lhs = _atom_value(formula.lhs, env)
+        rhs = _atom_value(formula.rhs, env)
         try:
             return compare(formula.op, lhs, rhs)
         except KindMismatch as exc:
             raise KindError(str(exc)) from None
     if isinstance(formula, TestApp):
-        if formula.name not in sig.tests:
+        if formula.name not in BASE_SIGNATURE.tests:
             raise UnknownSymbol(f"unknown test {formula.name!r}")
-        ts = sig.test(formula.name)
-        args = [_atom_value(a, env, sig) for a in formula.args]
-        if ts.arity is not None and ts.arity != len(args):
-            raise ArityMismatch(
-                f"{formula.name} expects {ts.arity} arguments, "
-                f"got {len(args)}")
+        ts = BASE_SIGNATURE.test(formula.name)
+        args = [_atom_value(a, env) for a in formula.args]
+        check_arity(ts, len(args))
         try:
             return bool(ts.fn(*args))
         except KindMismatch as exc:
             raise KindError(str(exc)) from None
     if isinstance(formula, Not):
-        return not eval_formula(formula.body, env, sig)
+        return not eval_formula(formula.body, env)
     if isinstance(formula, And):
-        return (eval_formula(formula.lhs, env, sig)
-                and eval_formula(formula.rhs, env, sig))
+        return (eval_formula(formula.lhs, env)
+                and eval_formula(formula.rhs, env))
     if isinstance(formula, Or):
-        return (eval_formula(formula.lhs, env, sig)
-                or eval_formula(formula.rhs, env, sig))
+        return (eval_formula(formula.lhs, env)
+                or eval_formula(formula.rhs, env))
     if isinstance(formula, Quant):
-        lo = _int_bound(formula.lo, env, sig)
-        hi = _int_bound(formula.hi, env, sig)
+        lo = _int_bound(formula.lo, env)
+        hi = _int_bound(formula.hi, env)
         scope = dict(env.variables)
         inner = Environment(scope, env.streams)
         if formula.quantifier == "forall":
             for k in range(lo, hi + 1):
                 scope[formula.var] = k
-                if not eval_formula(formula.body, inner, sig):
+                if not eval_formula(formula.body, inner):
                     return False
             return True
         for k in range(lo, hi + 1):
             scope[formula.var] = k
-            if eval_formula(formula.body, inner, sig):
+            if eval_formula(formula.body, inner):
                 return True
         return False
     raise KindError(f"not a formula: {formula!r}")
@@ -401,10 +390,6 @@ _CMP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=",
              "gt": ">", "ge": ">="}
 _INFIX = {"add": (" + ", 1), "sub": (" - ", 1),
           "mul": (" * ", 2), "div": (" / ", 2)}
-
-
-def print_term(term: Term) -> str:
-    return _pt(term, 0)
 
 
 def _pt(t: Term, req: int) -> str:

@@ -26,7 +26,6 @@ from .monitoring import (
     Record,
     monitor,
 )
-from .streams import Signature
 from .values import CarrierValue, format_value, is_carrier
 
 TAXONOMY = ("access-control", "permission", "penalty", "incentive",
@@ -178,7 +177,6 @@ def run_cycle(entities: Sequence[str],
               families: Mapping[str, PredicateFamily],
               policy: Policy,
               now: int,
-              sig: Optional[Signature] = None,
               params_by_entity: Optional[Mapping[str, Mapping]] = None
               ) -> CycleResult:
     """Monitor the given entities at one time point and apply the policy.
@@ -195,7 +193,7 @@ def run_cycle(entities: Sequence[str],
         extra = params_by_entity.get(entity) if params_by_entity else None
         try:
             rec = monitor(entity, updated[entity], families[entity],
-                          binding, now, sig, extra)
+                          binding, now, extra)
             _, chi, notes = apply_policy(rec, policy)
         except MonitorError as exc:
             errors.append((entity, exc))

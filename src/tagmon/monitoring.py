@@ -25,7 +25,7 @@ from .errors import (
     UnknownField,
 )
 from .formulas import AttributeSpec, Environment, eval_formula, instantiate
-from .streams import Signature, Stream
+from .streams import Stream
 from .values import CarrierValue, format_value, is_carrier
 
 
@@ -222,20 +222,18 @@ def behaviour_of(entity: str, chi: Characteristics,
     return binding.resolve(entity, chi)
 
 
-def observe_uniform(spec: AttributeSpec, a: Stream,
-                    sig: Optional[Signature] = None) -> bool:
+def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
     """Evaluate a closed (parameter-free) attribute over one behaviour."""
     formula = instantiate(spec, {})
     env = Environment({}, {spec.stream_name: a})
-    return eval_formula(formula, env, sig)
+    return eval_formula(formula, env)
 
 
-def _spec_holds(spec: AttributeSpec, bindings, a: Stream,
-                sig: Optional[Signature]) -> bool:
+def _spec_holds(spec: AttributeSpec, bindings, a: Stream) -> bool:
     formula = instantiate(spec, bindings)
     env = Environment({}, {spec.stream_name: a})
     try:
-        value = eval_formula(formula, env, sig)
+        value = eval_formula(formula, env)
     except BottomEncountered:
         return spec.matches_undefined
     return False if spec.matches_undefined else value
@@ -243,7 +241,6 @@ def _spec_holds(spec: AttributeSpec, bindings, a: Stream,
 
 def observe_family(family: PredicateFamily, entity: str,
                    chi: Characteristics, a: Stream,
-                   sig: Optional[Signature] = None,
                    extra_params: Optional[Mapping] = None) -> str:
     """Judgement label whose predicate holds; every predicate is checked.
 
@@ -253,7 +250,7 @@ def observe_family(family: PredicateFamily, entity: str,
     """
     bindings = family.bindings_for(entity, chi, extra_params)
     holders = [spec.label for spec in family.specs
-               if _spec_holds(spec, bindings, a, sig)]
+               if _spec_holds(spec, bindings, a)]
     if not holders:
         raise NoJudgement(
             f"family {family.name}: no predicate holds for {entity!r}")
@@ -266,11 +263,10 @@ def observe_family(family: PredicateFamily, entity: str,
 
 def monitor(entity: str, chi: Characteristics, family: PredicateFamily,
             binding: BehaviourBinding, now: int,
-            sig: Optional[Signature] = None,
             extra_params: Optional[Mapping] = None) -> Record:
     """Observe one entity and produce its record; inputs are left untouched."""
     a = behaviour_of(entity, chi, binding)
-    judgement = observe_family(family, entity, chi, a, sig, extra_params)
+    judgement = observe_family(family, entity, chi, a, extra_params)
     return Record(entity=entity, characteristics=chi, attribute=family.name,
                   judgement=judgement, evaluated_at=now)
 

@@ -18,16 +18,16 @@ possible.  Numbers with a decimal point are fixed-point values with at most
 four fractional digits.  ``#`` starts a comment; attribute files hold one
 formula per line.
 
-Call syntax is checked against the signature: an identifier applied to
-arguments must be a declared operation (term position) or test (formula
-position).  Bare identifiers are variables, template parameters, constants or
-stream names, resolved at evaluation time.
+Call syntax is checked against ``BASE_SIGNATURE``, the one signature of the
+formula language: an identifier applied to arguments must be a declared
+operation (term position) or test (formula position).  Bare identifiers are
+variables, template parameters or stream names, resolved at evaluation time.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import FormulaSyntaxError, KindError, UnknownSymbol
 from .formulas import (
@@ -45,7 +45,7 @@ from .formulas import (
     Term,
     Var,
 )
-from .streams import BASE_SIGNATURE, Signature
+from .streams import BASE_SIGNATURE
 from .values import Dec4
 
 _KEYWORDS = {"true", "false", "not", "and", "or", "forall", "exists", "in"}
@@ -100,9 +100,8 @@ def _number(text: str, pos: int):
 
 
 class _Parser:
-    def __init__(self, tokens, sig: Signature):
+    def __init__(self, tokens):
         self.tokens = tokens
-        self.sig = sig
         self.i = 0
 
     def peek(self, ahead=0):
@@ -173,7 +172,7 @@ class _Parser:
     def atom(self) -> Formula:
         tok = self.peek()
         # test call: declared test symbol applied at formula level
-        if (tok[0] == "ident" and tok[1] in self.sig.tests
+        if (tok[0] == "ident" and tok[1] in BASE_SIGNATURE.tests
                 and self.peek(1)[0] == "("):
             self.next()
             self.expect("(")
@@ -247,10 +246,10 @@ class _Parser:
         if tok[0] == "ident":
             name = tok[1]
             if self.peek()[0] == "(":
-                if name in self.sig.tests:
+                if name in BASE_SIGNATURE.tests:
                     raise FormulaSyntaxError(
                         f"test {name!r} used in term position", tok[2])
-                if name not in self.sig.operations:
+                if name not in BASE_SIGNATURE.operations:
                     raise UnknownSymbol(
                         f"unknown operation {name!r} (at position {tok[2]})")
                 self.next()
@@ -265,10 +264,9 @@ class _Parser:
             f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
 
 
-def parse_formula(text: str, sig: Optional[Signature] = None) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse one formula; raises FormulaSyntaxError/UnknownSymbol/KindError."""
-    sig = sig or BASE_SIGNATURE
-    p = _Parser(tokenize(text), sig)
+    p = _Parser(tokenize(text))
     f = p.formula()
     tok = p.peek()
     if tok[0] != "end":
@@ -276,9 +274,8 @@ def parse_formula(text: str, sig: Optional[Signature] = None) -> Formula:
     return f
 
 
-def parse_term(text: str, sig: Optional[Signature] = None) -> Term:
-    sig = sig or BASE_SIGNATURE
-    p = _Parser(tokenize(text), sig)
+def parse_term(text: str) -> Term:
+    p = _Parser(tokenize(text))
     t = p.term()
     tok = p.peek()
     if tok[0] != "end":
@@ -286,12 +283,11 @@ def parse_term(text: str, sig: Optional[Signature] = None) -> Term:
     return t
 
 
-def parse_attribute_file(text: str,
-                         sig: Optional[Signature] = None) -> List[Formula]:
+def parse_attribute_file(text: str) -> List[Formula]:
     """One formula per non-blank line; '#' starts a comment."""
     out = []
     for line in text.splitlines():
         stripped = line.split("#", 1)[0].strip()
         if stripped:
-            out.append(parse_formula(stripped, sig))
+            out.append(parse_formula(stripped))
     return out

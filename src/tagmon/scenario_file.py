@@ -38,7 +38,8 @@ Validation checks the scenario, not the engine: the predicate families are
 fixed code, so their partition property (exactly one judgement holds) is
 property-tested and enforced by ``observe_family`` on every observation, not
 probed per entity here.  A non-ASCII byte in a scenario or trace file is a
-format error on its line.
+format error on its line; a fault in an entity's trace, or a trace that
+cannot be read, is a diagnostic on the entity's line that names the trace.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import MonitorError, ScenarioFormatError
+from .errors import MonitorError, ScenarioFormatError, TraceFormatError
 from .monitoring import JudgementSet
 # Re-exported, not called here: perfbench/tracer.py wraps it under this
 # module's name.
@@ -320,8 +321,7 @@ def _check_and_build(config: ScenarioConfig, base_dir
     if config.schedule is not None:
         try:
             last_upload = ReportSchedule(
-                config.schedule.uploads,
-                config.schedule.days).upload_ticks()[-1]
+                config.schedule.uploads, config.schedule.days).last_upload
         except MonitorError as exc:
             schedule_diagnostic = Diagnostic(config.schedule.line, str(exc))
 
@@ -366,16 +366,22 @@ def _check_and_build(config: ScenarioConfig, base_dir
                 ent.line, f"entity {ent.entity}: missing trace"))
             continue
         trace_path = base / ent.trace
-        if not trace_path.is_file():
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: trace file not found: "
-                          f"{ent.trace}"))
-            continue
         try:
+            if not trace_path.is_file():
+                diagnostics.append(Diagnostic(
+                    ent.line, f"entity {ent.entity}: trace file not found: "
+                              f"{ent.trace}"))
+                continue
             _, kind, stream = load_trace(trace_path)
-        except MonitorError as exc:
+        except OSError as exc:
             diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: {exc}"))
+                ent.line, f"entity {ent.entity}: cannot read trace "
+                          f"{ent.trace}: {exc.strerror or 'unreadable'}"))
+            continue
+        except TraceFormatError as exc:
+            diagnostics.append(Diagnostic(
+                ent.line, f"entity {ent.entity}: {ent.trace}:{exc.line}: "
+                          f"{exc.message}"))
             continue
         expected_kind = "decimal" if ent.sentence is not None else "boolean"
         if kind != expected_kind:

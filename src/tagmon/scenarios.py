@@ -419,6 +419,11 @@ class ReportSchedule:
         if self.days < 1:
             raise KindMismatch(f"need at least one day, got {self.days}")
 
+    @property
+    def last_upload(self) -> int:
+        """Tick of the last upload, without listing the others."""
+        return (self.days - 1) * MINUTES_PER_DAY + self.uploads[-1]
+
     def upload_ticks(self) -> List[int]:
         return [day * MINUTES_PER_DAY + u
                 for day in range(self.days) for u in self.uploads]
@@ -442,11 +447,11 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     if not Dec4(0) < delta < epsilon:
         raise KindMismatch(
             f"need 0 < delta < epsilon, got delta={delta}, epsilon={epsilon}")
-    ticks = schedule.upload_ticks()
-    if trace.window.start > 0 or trace.window.horizon <= ticks[-1]:
+    # the trace bounds the number of upload ticks listed below
+    if trace.window.start > 0 or trace.window.horizon <= schedule.last_upload:
         raise WindowTooShort(
             f"trace window [{trace.window.start}, {trace.window.horizon}) "
-            f"does not cover [0, {ticks[-1]}]")
+            f"does not cover [0, {schedule.last_upload}]")
     chi = Characteristics.of(s=interval, epsilon=epsilon, delta=delta,
                              days=schedule.days, status=initial_status)
     binding = BehaviourBinding().bind(entity, trace)
@@ -454,7 +459,7 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
                            "record-breach")
     cycles = []
     previous = 0
-    for now in ticks:
+    for now in schedule.upload_ticks():
         cycles.append(Cycle(now, {entity: {"t1": previous, "t2": now}}))
         previous = now
     return ScenarioRun({entity: chi}, binding,

@@ -125,21 +125,14 @@ class Relation:
 
 @dataclass(frozen=True)
 class Signature:
-    """Symbols usable in formulas and liftings over a data algebra.
+    """Operation and test symbols usable in formulas and liftings over a data
+    algebra; symbol names are unique across operations and tests."""
 
-    Symbol names are unique across constants, operations and tests; label
-    sets declare the finite alphabets label values are drawn from.
-    """
-
-    label_sets: Mapping[str, tuple] = field(default_factory=dict)
-    constants: Mapping[str, CarrierValue] = field(default_factory=dict)
     operations: Mapping[str, Operation] = field(default_factory=dict)
     tests: Mapping[str, Relation] = field(default_factory=dict)
 
     def __post_init__(self):
-        names = (list(self.constants) + list(self.operations)
-                 + list(self.tests))
-        dupes = {n for n in names if names.count(n) > 1}
+        dupes = set(self.operations) & set(self.tests)
         if dupes:
             raise KindMismatch(f"duplicate signature symbols: {sorted(dupes)}")
         for op in self.operations.values():
@@ -154,15 +147,6 @@ class Signature:
 
     def test(self, name: str) -> Relation:
         return self.tests[name]
-
-    def extended(self, *, label_sets=None, constants=None, operations=None,
-                 tests=None) -> "Signature":
-        return Signature(
-            {**self.label_sets, **(label_sets or {})},
-            {**self.constants, **(constants or {})},
-            {**self.operations, **(operations or {})},
-            {**self.tests, **(tests or {})},
-        )
 
 
 def base_signature() -> Signature:
@@ -210,7 +194,8 @@ def _common_window(streams: Sequence[Stream]) -> Window:
     return w
 
 
-def _check_arity(symbol, nargs: int):
+def check_arity(symbol, nargs: int):
+    """Raise ArityMismatch unless ``nargs`` fits the symbol's arity."""
     if symbol.arity is None:
         if nargs < 2:
             raise ArityMismatch(
@@ -222,7 +207,7 @@ def _check_arity(symbol, nargs: int):
 
 def lift_op(op: Operation, args: Sequence[Stream]) -> Stream:
     """Pointwise lifting of an operation; BOTTOM at t anywhere gives BOTTOM."""
-    _check_arity(op, len(args))
+    check_arity(op, len(args))
     w = _common_window(args)
     out = []
     for i in range(w.length):
@@ -233,7 +218,7 @@ def lift_op(op: Operation, args: Sequence[Stream]) -> Stream:
 
 def lift_test(ts: Relation, args: Sequence[Stream]) -> Stream:
     """Pointwise lifting of a test to a boolean-valued stream."""
-    _check_arity(ts, len(args))
+    check_arity(ts, len(args))
     w = _common_window(args)
     out = []
     for i in range(w.length):
@@ -285,7 +270,7 @@ def insert(a: Stream, t: int, x: CarrierValue) -> Stream:
 # -- value-returning quantified tests ----------------------------------------
 
 def _tested_rows(ts: Relation, t: int, args: Sequence[Stream]):
-    _check_arity(ts, len(args))
+    check_arity(ts, len(args))
     w = _common_window(args)
     if t > w.horizon:
         raise OutOfWindow(f"t={t} beyond window horizon {w.horizon}")

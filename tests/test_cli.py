@@ -1,11 +1,15 @@
+import errno
+import pathlib
 import shutil
 
 import pytest
 
 import tagmon.scenario_file
+import tagmon.streams
 
 from tagmon.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     RunSummary,
     gen_dry,
@@ -137,14 +141,17 @@ def test_missing_scenario_is_reported_alike(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("bad_file", ["scenario", "trace"])
+@pytest.mark.parametrize("bad_file", ["scenario", "trace", "tick"])
 def test_non_ascii_byte_is_a_line_diagnostic(scenarios_dir, tmp_path, capsys,
                                              command, bad_file):
     trace = (scenarios_dir / "traces" / "alcohol_dry.trace").read_bytes()
     comment = b"# ok\n"
-    if bad_file == "trace":
+    if bad_file in ("trace", "tick"):
         lines = trace.split(b"\n")
-        lines[3] += b"\xe9"  # line 4 of the trace
+        if bad_file == "trace":
+            lines[3] += b"\xe9"  # line 4 of the trace
+        else:
+            lines[3] = b"x" + lines[3]  # tick "x2" on line 4
         trace = b"\n".join(lines)
     else:
         comment = b"# caf\xc3\xa9\n"  # line 3 of the scenario
@@ -156,11 +163,92 @@ def test_non_ascii_byte_is_a_line_diagnostic(scenarios_dir, tmp_path, capsys,
     argv = [command, str(scenario)] + (["--out", str(out)]
                                        if command == "run" else [])
     assert main(argv) == EXIT_VALIDATION
-    expected = (f"{scenario}:1: entity A: line 4: non-ASCII byte 0xe9"
-                if bad_file == "trace"
-                else f"{scenario}: line 3: non-ASCII byte 0xc3")
+    expected = {
+        "trace": f"{scenario}:1: entity A: dry.trace:4: non-ASCII byte 0xe9",
+        "tick": f"{scenario}:1: entity A: dry.trace:4: non-integer tick 'x2'",
+        "scenario": f"{scenario}:3: non-ASCII byte 0xc3",
+    }[bad_file]
     assert capsys.readouterr().err == expected + "\n"
     assert not out.exists()
+
+
+def _argv(command, scenario, out):
+    return [command, str(scenario)] + (["--out", str(out)]
+                                       if command == "run" else [])
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_over_long_trace_path_is_a_diagnostic(tmp_path, capsys, command):
+    trace = "t" * 5000
+    scenario = tmp_path / "long.scenario"
+    scenario.write_text("[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
+                        f"trace = {trace}\n")
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"{scenario}:1: entity A: cannot read trace {trace}: "
+        "File name too long\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_trace_is_a_diagnostic(scenarios_dir, tmp_path, capsys,
+                                          monkeypatch, command):
+    # root reads a mode-000 file, so the refusal is injected instead
+    def refuse(path, error):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    monkeypatch.setattr(tagmon.streams, "read_ascii", refuse)
+    shutil.copy(scenarios_dir / "traces" / "alcohol_dry.trace", tmp_path)
+    scenario = tmp_path / "locked.scenario"
+    scenario.write_text("[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
+                        "trace = alcohol_dry.trace\n")
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"{scenario}:1: entity A: cannot read trace alcohol_dry.trace: "
+        "Permission denied\n")
+    assert not out.exists()
+
+
+def test_run_into_a_file_is_a_runtime_failure(scenarios_dir, tmp_path,
+                                              capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["run", str(scenarios_dir / "alcohol_dry.scenario"),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == f"run failed: {out}: File exists\n"
+    assert captured.out == ""
+    assert out.read_text() == "not a directory\n"
+
+
+def test_failed_log_write_keeps_the_previous_logs(scenarios_dir, tmp_path,
+                                                  capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = {"records.log": "old records\n",
+                "notifications.log": "old notifications\n"}
+    for name, text in previous.items():
+        (out / name).write_text(text)
+    original = pathlib.Path.write_text
+    writes = []
+
+    def second_write_fails(self, data, *args, **kwargs):
+        writes.append(self.name)
+        if len(writes) < 2:
+            return original(self, data, *args, **kwargs)
+        original(self, data[:10], *args, **kwargs)  # a partial file
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", second_write_fails)
+    assert main(["run", str(scenarios_dir / "alcohol_spike.scenario"),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    monkeypatch.undo()
+    assert len(writes) == 2
+    assert capsys.readouterr().err == \
+        f"run failed: {out}: No space left on device\n"
+    assert {p.name: p.read_text() for p in out.iterdir()} == previous
 
 
 # -- trace generation -----------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 import tagmon.monitoring
 import tagmon.scenario_file
+import tagmon.scenarios
 
 from tagmon.errors import ScenarioFormatError
 from tagmon.scenario_file import (
@@ -269,6 +270,23 @@ def test_validate_schedule_sentence_span(tmp_path, span):
     assert diagnostics[0].line == 1  # the entity's section header
     assert "must span 0,2820" in diagnostics[0].message
     assert f"got {span}" in diagnostics[0].message
+
+
+def test_validate_schedule_coverage_lists_no_upload(tmp_path, monkeypatch):
+    # a million days over a 721-tick trace: the span rule and the coverage
+    # check need only the last upload, never the list of 3 million ticks
+    def refuse(self):
+        raise AssertionError("upload ticks listed before coverage")
+
+    monkeypatch.setattr(tagmon.scenarios.ReportSchedule, "upload_ticks",
+                        refuse)
+    write_dry_trace(tmp_path, minutes=720)
+    last = 999_999 * 1440 + 23 * 60
+    text = (SCHEDULED_TEXT.format(span=f"0,{last}")
+            .replace("days = 2", "days = 1000000"))
+    diagnostics = validate_scenario(parse_scenario(text), tmp_path)
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, f"entity PID-7: trace window [0, 721) does not cover [0, {last}]")]
 
 
 def test_build_scenario_raises_every_diagnostic(tmp_path):
