@@ -44,6 +44,8 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 MAX_SEED = 2 ** 64 - 1
+# 1000 days of minutes; a generated trace is built in memory before writing
+MAX_MINUTES = 1_440_000
 
 DEFAULT_EPSILON = Dec4.parse("0.0200")
 DEFAULT_DELTA = Dec4.parse("0.0050")
@@ -91,6 +93,9 @@ def gen_dry(minutes: int, seed: int,
     """Readings drawn uniformly below epsilon - delta over [0, minutes]."""
     if minutes < 1:
         raise BadParams(f"minutes must be positive, got {minutes}")
+    if minutes > MAX_MINUTES:
+        raise BadParams(
+            f"minutes must be at most {MAX_MINUTES}, got {minutes}")
     if not 0 <= seed <= MAX_SEED:
         raise BadParams(f"seed must be a 64-bit unsigned integer: {seed}")
     ceiling = ceiling or (DEFAULT_EPSILON - DEFAULT_DELTA)
@@ -244,6 +249,10 @@ def cmd_gen_trace(args) -> int:
     except MonitorError as exc:
         print(f"gen-trace failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"gen-trace failed: {args.out}: {exc.strerror or 'unwritable'}",
+              file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"wrote {args.out} ({stream.window.length} readings)")
     return EXIT_OK
 

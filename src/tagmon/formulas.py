@@ -10,7 +10,7 @@ readings at t1, t1+s, ..., up to t2).
 Undefined readings are strict: a BOTTOM anywhere inside a term makes the term
 BOTTOM, and an atomic test over BOTTOM raises BottomEncountered rather than
 inventing a truth value.  The monitoring layer routes that exception to the
-scenario's missing-data judgement.
+predicate family's one label for undefined data.
 """
 
 from __future__ import annotations
@@ -354,9 +354,7 @@ class AttributeSpec:
 
     ``params`` are the identifiers substituted at instantiation time;
     ``stream_name`` is the identifier the behaviour stream is bound to during
-    observation.  A spec with ``matches_undefined`` set holds exactly when
-    evaluating its formula touches an undefined reading; this is how a
-    missing-data judgement is expressed without a three-valued logic.
+    observation.
     """
 
     name: str
@@ -364,7 +362,6 @@ class AttributeSpec:
     template: Formula
     params: Tuple[str, ...] = ()
     stream_name: str = "b"
-    matches_undefined: bool = False
 
 
 def instantiate(spec: AttributeSpec,

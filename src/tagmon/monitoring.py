@@ -2,9 +2,12 @@
 
 An entity's characteristics parameterise both its behaviour stream and the
 attributes observed over it.  Observation of a predicate family evaluates one
-closed formula per judgement label and demands that exactly one of them
+closed formula per judgement label and demands that exactly one label
 holds; anything else means the family was mis-specified and is reported
-loudly instead of being masked by evaluation order.
+loudly instead of being masked by evaluation order.  A family may name one
+label for undefined data: it holds when some formula touched a missed
+reading, which is how a missing-data judgement is expressed without a
+three-valued logic.
 
 Everything here is pure: monitoring never mutates characteristics or streams,
 so records are audit-stable snapshots.  The only mutation in the whole engine
@@ -14,7 +17,7 @@ happens downstream, in the intervention layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AmbiguousJudgement,
@@ -26,7 +29,7 @@ from .errors import (
 )
 from .formulas import AttributeSpec, Environment, eval_formula, instantiate
 from .streams import Stream
-from .values import CarrierValue, format_value, is_carrier
+from .values import format_value, is_carrier
 
 
 @dataclass(frozen=True)
@@ -137,24 +140,28 @@ class Characteristics:
 
 @dataclass(frozen=True)
 class PredicateFamily:
-    """One attribute template per judgement label, evaluated together.
+    """One attribute template per defined judgement label, evaluated together.
 
-    ``derive_params`` may extend the bindings drawn from an entity's
-    characteristics with computed values (a threshold built from a limit and
-    an error margin, say) before templates are instantiated.
+    ``undefined``, if set, is the label that holds when evaluating any of the
+    templates raises BottomEncountered; the spec labels plus ``undefined``
+    are exactly the judgements.  Templates are instantiated from the flattened
+    characteristics plus the cycle parameters.
     """
 
     name: str
     judgements: JudgementSet
     specs: Tuple[AttributeSpec, ...]
-    derive_params: Optional[Callable[[dict], dict]] = None
+    undefined: Optional[str] = None
 
     def __post_init__(self):
-        spec_labels = [s.label for s in self.specs]
-        if sorted(spec_labels) != sorted(self.judgements.labels):
+        labels = [s.label for s in self.specs]
+        if self.undefined is not None:
+            labels.append(self.undefined)
+        if sorted(labels) != sorted(self.judgements.labels):
             raise KindMismatch(
-                f"family {self.name}: specs cover {sorted(spec_labels)}, "
-                f"judgements are {sorted(self.judgements.labels)}")
+                f"family {self.name}: specs and undefined cover "
+                f"{sorted(labels)}, judgements are "
+                f"{sorted(self.judgements.labels)}")
         stream_names = {s.stream_name for s in self.specs}
         if len(stream_names) != 1:
             raise KindMismatch(
@@ -164,15 +171,6 @@ class PredicateFamily:
     @property
     def stream_name(self) -> str:
         return self.specs[0].stream_name
-
-    def bindings_for(self, entity: str, chi: Characteristics,
-                     extra: Optional[Mapping[str, CarrierValue]] = None) -> dict:
-        bindings = chi.flatten()
-        if extra:
-            bindings.update(extra)
-        if self.derive_params is not None:
-            bindings = self.derive_params(bindings)
-        return bindings
 
 
 @dataclass(frozen=True)
@@ -229,28 +227,32 @@ def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
     return eval_formula(formula, env)
 
 
-def _spec_holds(spec: AttributeSpec, bindings, a: Stream) -> bool:
-    formula = instantiate(spec, bindings)
-    env = Environment({}, {spec.stream_name: a})
-    try:
-        value = eval_formula(formula, env)
-    except BottomEncountered:
-        return spec.matches_undefined
-    return False if spec.matches_undefined else value
-
-
 def observe_family(family: PredicateFamily, entity: str,
                    chi: Characteristics, a: Stream,
                    extra_params: Optional[Mapping] = None) -> str:
-    """Judgement label whose predicate holds; every predicate is checked.
+    """Judgement label that holds; every predicate is checked.
 
-    All labels are evaluated even after a hit so that coverage and
-    disjointness violations surface as NoJudgement/AmbiguousJudgement instead
-    of being hidden by declaration order.
+    Every template is evaluated, even after a hit or a BOTTOM, so that
+    coverage and disjointness violations surface as
+    NoJudgement/AmbiguousJudgement instead of being hidden by declaration
+    order.  A template that touches a missed reading does not hold; if any
+    did, the family's ``undefined`` label holds.
     """
-    bindings = family.bindings_for(entity, chi, extra_params)
-    holders = [spec.label for spec in family.specs
-               if _spec_holds(spec, bindings, a)]
+    bindings = chi.flatten()
+    if extra_params:
+        bindings.update(extra_params)
+    env = Environment({}, {family.stream_name: a})
+    holders = []
+    bottom = False
+    for spec in family.specs:
+        formula = instantiate(spec, bindings)
+        try:
+            if eval_formula(formula, env):
+                holders.append(spec.label)
+        except BottomEncountered:
+            bottom = True
+    if bottom and family.undefined is not None:
+        holders.append(family.undefined)
     if not holders:
         raise NoJudgement(
             f"family {family.name}: no predicate holds for {entity!r}")

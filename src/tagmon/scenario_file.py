@@ -287,10 +287,14 @@ def format_scenario(config: ScenarioConfig) -> str:
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """A fault on a 1-based line of a scenario; line 0 means the whole file."""
+
     line: int
     message: str
 
     def render(self, path: str) -> str:
+        if self.line == 0:
+            return f"{path}: {self.message}"
         return f"{path}:{self.line}: {self.message}"
 
 
@@ -298,8 +302,9 @@ class InvalidScenario(ScenarioFormatError):
     """A parsed scenario that fails validation; carries every diagnostic."""
 
     def __init__(self, diagnostics: List[Diagnostic]):
-        super().__init__("; ".join(f"line {d.line}: {d.message}"
-                                   for d in diagnostics))
+        super().__init__("; ".join(
+            f"line {d.line}: {d.message}" if d.line else d.message
+            for d in diagnostics))
         self.diagnostics = diagnostics
 
 
@@ -317,13 +322,13 @@ def _check_and_build(config: ScenarioConfig, base_dir
     if not config.entities:
         diagnostics.append(Diagnostic(0, "no entities declared"))
 
-    last_upload = schedule_diagnostic = None
+    schedule = schedule_error = None
     if config.schedule is not None:
         try:
-            last_upload = ReportSchedule(
-                config.schedule.uploads, config.schedule.days).last_upload
+            schedule = ReportSchedule(config.schedule.uploads,
+                                      config.schedule.days)
         except MonitorError as exc:
-            schedule_diagnostic = Diagnostic(config.schedule.line, str(exc))
+            schedule_error = exc
 
     judgement_sets: List[JudgementSet] = []
     for ent in config.entities:
@@ -346,20 +351,21 @@ def _check_and_build(config: ScenarioConfig, base_dir
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: curfew needs nights"))
             continue
+        sentence = None
         if ent.sentence is not None and config.schedule is None:
             try:
-                Sentence(*ent.sentence)
+                sentence = Sentence(*ent.sentence)
             except MonitorError as exc:
                 diagnostics.append(Diagnostic(
                     ent.line, f"entity {ent.entity}: {exc}"))
                 continue
-        if (ent.sentence is not None and last_upload is not None
-                and ent.sentence[:2] != (0, last_upload)):
+        if (ent.sentence is not None and schedule is not None
+                and ent.sentence[:2] != (0, schedule.last_upload)):
             t1, t2 = ent.sentence[:2]
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: under [schedule] the "
-                          f"sentence must span 0,{last_upload} (t=0 to the "
-                          f"last upload), got {t1},{t2}"))
+                          f"sentence must span 0,{schedule.last_upload} "
+                          f"(t=0 to the last upload), got {t1},{t2}"))
             continue
         if ent.trace is None:
             diagnostics.append(Diagnostic(
@@ -389,16 +395,22 @@ def _check_and_build(config: ScenarioConfig, base_dir
                 ent.line, f"entity {ent.entity}: trace kind {kind!r}, "
                           f"expected {expected_kind!r}"))
             continue
+        if ent.sentence is not None and schedule_error is not None:
+            # the schedule's fault is also each sentence entity's
+            diagnostics.append(Diagnostic(
+                ent.line, f"entity {ent.entity}: {schedule_error}"))
+            continue
         try:
-            run = _entity_run(ent, config.schedule, stream)
+            run = _entity_run(ent, schedule, sentence, stream)
         except MonitorError as exc:
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: {exc}"))
             continue
         runs.append(run)
 
-    if schedule_diagnostic is not None:
-        diagnostics.append(schedule_diagnostic)
+    if schedule_error is not None:
+        diagnostics.append(Diagnostic(config.schedule.line,
+                                      str(schedule_error)))
     if config.schedule is not None:
         for ent in config.entities:
             if ent.curfew is not None:
@@ -433,17 +445,16 @@ def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
     return _check_and_build(config, base_dir)[0]
 
 
-def _entity_run(ent: EntityConfig, schedule: Optional[ScheduleConfig],
-                stream: Stream) -> ScenarioRun:
+def _entity_run(ent: EntityConfig, schedule: Optional[ReportSchedule],
+                sentence: Optional[Sentence], stream: Stream) -> ScenarioRun:
+    """An entity's run from the schedule or sentence built by the caller."""
+    if sentence is not None:
+        return build_alcohol_scenario(sentence, ent.status or "green",
+                                      stream, ent.entity)
     if ent.sentence is not None:
-        t1, t2, s, eps, delta = ent.sentence
-        if schedule is not None:
-            return build_extended_scenario(
-                ReportSchedule(schedule.uploads, schedule.days), s, eps,
-                delta, stream, ent.entity, ent.status or "green")
-        return build_alcohol_scenario(Sentence(t1, t2, s, eps, delta),
-                                      ent.status or "green", stream,
-                                      ent.entity)
+        _, _, s, eps, delta = ent.sentence
+        return build_extended_scenario(schedule, s, eps, delta, stream,
+                                       ent.entity, ent.status or "green")
     order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
     return build_curfew_scenario(order, ent.entity, ent.status or "compliant")
 

@@ -13,8 +13,8 @@ reading against a limit ``epsilon`` with error margin ``delta``:
 The amber band is closed so the four judgements partition every trace; values
 between sample points are invisible by construction.  ``compliance_judgement``
 computes the classification directly; the predicate families used by the
-monitoring engine express the same bands as parsed formulas, so each route
-checks the other.
+monitoring engine express the three bands as parsed formulas and name
+``absent`` as the label for undefined data, so each route checks the other.
 
 The curfew scenario judges one night per cycle: an offender must be in range
 every minute of the wrapped 19:00-07:00 window.  The extended alcohol
@@ -140,13 +140,10 @@ def compliance_judgement(sigma: Sentence, b: Stream) -> str:
 # from the characteristics or the cycle parameters.
 
 def _specs(rows, stream_name) -> Tuple[AttributeSpec, ...]:
-    out = []
-    for name, label, text, params, undef in rows:
-        out.append(AttributeSpec(
-            name=name, label=label, template=parse_formula(text),
-            params=params, stream_name=stream_name,
-            matches_undefined=undef))
-    return tuple(out)
+    return tuple(AttributeSpec(name=name, label=label,
+                               template=parse_formula(text), params=params,
+                               stream_name=stream_name)
+                 for name, label, text, params in rows)
 
 
 @functools.cache
@@ -156,30 +153,21 @@ def alcohol_family() -> PredicateFamily:
     The window bounds t1/t2 come either from a sentence in the offender's
     characteristics or, for scheduled uploads, from the cycle parameters of
     each upload; the sample interval s, epsilon and delta always come from
-    the characteristics.  Thresholds lo_limit/hi_limit are derived from
-    epsilon and delta.  The absent predicate holds exactly when sampling the
-    stream touches a missed reading.
+    the characteristics.  The band thresholds epsilon - delta and
+    epsilon + delta are computed in the formulas.  Every band formula reads
+    the sampled maximum, so a missed sample makes each of them touch BOTTOM,
+    and the family's undefined label is absent.
     """
-    window = ("t1", "t2", "s")
+    params = ("t1", "t2", "s", "epsilon", "delta")
     rows = [
-        ("bac-green", GREEN, "max(b, t1, t2, s) < lo_limit",
-         window + ("lo_limit",), False),
+        ("bac-green", GREEN, "max(b, t1, t2, s) < epsilon - delta", params),
         ("bac-amber", AMBER,
-         "max(b, t1, t2, s) >= lo_limit and max(b, t1, t2, s) <= hi_limit",
-         window + ("lo_limit", "hi_limit"), False),
-        ("bac-red", RED, "max(b, t1, t2, s) > hi_limit",
-         window + ("hi_limit",), False),
-        ("bac-absent", ABSENT, "max(b, t1, t2, s) >= 0.0000", window, True),
+         "max(b, t1, t2, s) >= epsilon - delta"
+         " and max(b, t1, t2, s) <= epsilon + delta", params),
+        ("bac-red", RED, "max(b, t1, t2, s) > epsilon + delta", params),
     ]
-
-    def derive(bindings):
-        out = dict(bindings)
-        out["lo_limit"] = bindings["epsilon"] - bindings["delta"]
-        out["hi_limit"] = bindings["epsilon"] + bindings["delta"]
-        return out
-
     return PredicateFamily(name="bac-band", judgements=ALCOHOL_JUDGEMENTS,
-                           specs=_specs(rows, "b"), derive_params=derive)
+                           specs=_specs(rows, "b"), undefined=ABSENT)
 
 
 @functools.cache
@@ -187,24 +175,22 @@ def curfew_family() -> PredicateFamily:
     """Night-presence predicates over a boolean in-range stream.
 
     The night window [wstart, wend] arrives as cycle parameters.  A night is
-    compliant when every minute shows presence, a violation when some minute
-    shows a definite absence, and a signal gap (missed reading) anywhere in
-    the window is judged absent-signal.
+    compliant when every minute shows presence and a violation when some
+    minute shows a definite absence.  Both scans stop at the first minute
+    that is not a presence, so a signal gap (missed reading) there makes
+    both touch BOTTOM, and the family's undefined label is absent-signal.
     """
+    window = ("wstart", "wend")
     rows = [
         ("night-presence", COMPLIANT,
-         "forall k in wstart .. wend : presence[k] = true",
-         ("wstart", "wend"), False),
+         "forall k in wstart .. wend : presence[k] = true", window),
         ("night-absence", VIOLATION,
-         "exists k in wstart .. wend : presence[k] = false",
-         ("wstart", "wend"), False),
-        ("night-signal-gap", ABSENT_SIGNAL,
-         "forall k in wstart .. wend : presence[k] = true",
-         ("wstart", "wend"), True),
+         "exists k in wstart .. wend : presence[k] = false", window),
     ]
     return PredicateFamily(name="curfew-presence",
                            judgements=CURFEW_JUDGEMENTS,
-                           specs=_specs(rows, "presence"))
+                           specs=_specs(rows, "presence"),
+                           undefined=ABSENT_SIGNAL)
 
 
 def breach_policy(judgements: JudgementSet, fires_on, rule_name: str,

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+import tagmon.cli
 import tagmon.scenario_file
 import tagmon.streams
 
@@ -11,6 +12,7 @@ from tagmon.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
+    MAX_MINUTES,
     RunSummary,
     gen_dry,
     gen_gap,
@@ -211,6 +213,16 @@ def test_unreadable_trace_is_a_diagnostic(scenarios_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_scenario_wide_fault_has_no_line(tmp_path, capsys, command):
+    scenario = tmp_path / "empty.scenario"
+    scenario.write_text("")
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"{scenario}: no entities declared\n"
+    assert not out.exists()
+
+
 def test_run_into_a_file_is_a_runtime_failure(scenarios_dir, tmp_path,
                                               capsys):
     out = tmp_path / "taken"
@@ -304,6 +316,39 @@ def test_gen_trace_bad_params(tmp_path, capsys):
         gen_dry(0, 0)
     with pytest.raises(BadParams):
         gen_dry(720, -1)
+
+
+def test_gen_trace_into_a_missing_directory_is_a_runtime_failure(tmp_path,
+                                                                   capsys):
+    out = tmp_path / "missing" / "x.trace"
+    assert main(["gen-trace", "--kind", "dry", "--minutes", "10",
+                 "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"gen-trace failed: {out}: No such file or directory\n")
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("kind", ["dry", "spike", "gap"])
+def test_gen_trace_rejects_too_many_minutes(tmp_path, capsys, monkeypatch,
+                                            kind):
+    # the bound is checked before any reading is drawn
+    def refuse(seed):
+        raise AssertionError("readings drawn for an over-long trace")
+
+    monkeypatch.setattr(tagmon.cli.random, "Random", refuse)
+    out = tmp_path / "x.trace"
+    extra = {"dry": [], "spike": ["--spike-at", "0", "--spike-value", "0.0300"],
+             "gap": ["--gap", "0", "1"]}[kind]
+    assert main(["gen-trace", "--kind", kind, "--minutes", "100000000000",
+                 "--out", str(out)] + extra) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "gen-trace failed: minutes must be at most 1440000, "
+        "got 100000000000\n")
+    assert not out.exists()
+    with pytest.raises(BadParams):
+        gen_dry(MAX_MINUTES + 1, 0)
 
 
 def test_run_summary_from_result_counts():

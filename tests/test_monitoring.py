@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import tagmon.monitoring
+
 from tagmon.errors import (
     AmbiguousJudgement,
     BottomEncountered,
@@ -23,7 +25,12 @@ from tagmon.monitoring import (
     observe_uniform,
 )
 from tagmon.parser import parse_formula
-from tagmon.scenarios import Sentence, alcohol_family, compliance_judgement
+from tagmon.scenarios import (
+    Sentence,
+    alcohol_family,
+    compliance_judgement,
+    curfew_family,
+)
 from tagmon.streams import Stream, save_trace
 from tagmon.values import BOTTOM, Dec4
 
@@ -136,6 +143,75 @@ def test_family_label_coverage_is_validated():
         PredicateFamily(
             "short", JudgementSet(("yes", "no")),
             (AttributeSpec("a", "yes", parse_formula("true")),))
+
+
+GAP_SPEC = AttributeSpec("probe", "no",
+                         parse_formula("max(b, 0, 120, 30) < 0.0000"))
+
+
+@pytest.mark.parametrize("bottom_first", [True, False])
+def test_undefined_label_is_checked_against_every_spec(bottom_first):
+    # a spec that touches BOTTOM does not stop the others from being checked
+    specs = (GAP_SPEC, AttributeSpec("a", "yes", parse_formula("true")))
+    family = PredicateFamily(
+        "careless", JudgementSet(("yes", "no", "gap")),
+        specs if bottom_first else specs[::-1], undefined="gap")
+    chi = Characteristics.of(status="green")
+    assert observe_family(family, "e", chi, bac_trace()) == "yes"
+    with pytest.raises(AmbiguousJudgement):
+        observe_family(family, "e", chi, bac_trace(gap_at=60))
+
+
+def test_family_without_undefined_label_has_no_judgement_for_a_gap():
+    specs = (
+        AttributeSpec("low", "low",
+                      parse_formula("max(b, 0, 120, 30) < 0.0200")),
+        AttributeSpec("high", "high",
+                      parse_formula("max(b, 0, 120, 30) >= 0.0200")),
+    )
+    family = PredicateFamily("split", JudgementSet(("low", "high")), specs)
+    chi = Characteristics.of(status="green")
+    assert observe_family(family, "e", chi, bac_trace()) == "low"
+    with pytest.raises(NoJudgement):
+        observe_family(family, "e", chi, bac_trace(gap_at=60))
+
+
+@pytest.mark.parametrize("undefined", ["gap", "no"])
+def test_family_rejects_an_undefined_label_outside_or_taken(undefined):
+    # "gap" is not a judgement; "no" already belongs to a spec
+    specs = (AttributeSpec("a", "yes", parse_formula("true")), GAP_SPEC)
+    with pytest.raises(KindMismatch):
+        PredicateFamily("bad", JudgementSet(("yes", "no")), specs,
+                        undefined=undefined)
+
+
+def test_each_spec_is_evaluated_once_per_observation(monkeypatch):
+    calls = []
+    original = tagmon.monitoring.eval_formula
+
+    def counted(formula, env):
+        calls.append(formula)
+        return original(formula, env)
+
+    monkeypatch.setattr(tagmon.monitoring, "eval_formula", counted)
+    alcohol = SIGMA.characteristics("green")
+    for trace, label in [(bac_trace(), "green"),
+                         (bac_trace(peak_at=30, peak=Dec4(200)), "amber"),
+                         (bac_trace(peak_at=30, peak=Dec4(300)), "red"),
+                         (bac_trace(gap_at=60), "absent")]:
+        calls.clear()
+        assert observe_family(alcohol_family(), "e", alcohol, trace) == label
+        assert len(calls) == 3
+    curfew = Characteristics.of(status="compliant")
+    window = {"wstart": 0, "wend": 9}
+    for values, label in [([True] * 10, "compliant"),
+                          ([True, False] + [True] * 8, "violation"),
+                          ([True, BOTTOM] + [True] * 8, "absent-signal")]:
+        calls.clear()
+        assert observe_family(curfew_family(), "e", curfew,
+                              Stream.of(0, values),
+                              extra_params=window) == label
+        assert len(calls) == 2
 
 
 def test_monitor_produces_stable_records():

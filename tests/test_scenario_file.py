@@ -289,6 +289,46 @@ def test_validate_schedule_coverage_lists_no_upload(tmp_path, monkeypatch):
         (1, f"entity PID-7: trace window [0, 721) does not cover [0, {last}]")]
 
 
+def _count_constructions(monkeypatch, name):
+    built = []
+    original = getattr(tagmon.scenario_file, name)
+
+    def counted(*args, **kwargs):
+        built.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tagmon.scenario_file, name, counted)
+    return built
+
+
+def test_build_makes_each_sentence_and_schedule_once(tmp_path, monkeypatch):
+    sentences = _count_constructions(monkeypatch, "Sentence")
+    schedules = _count_constructions(monkeypatch, "ReportSchedule")
+    write_dry_trace(tmp_path, minutes=2820)
+    second = ALCOHOL_TEXT.split("[policy]")[0].replace("PID-7", "PID-8")
+    build_scenario(parse_scenario(ALCOHOL_TEXT + second), tmp_path)
+    assert (len(sentences), len(schedules)) == (2, 0)
+    sentences.clear()
+    scheduled = SCHEDULED_TEXT.format(span="0,2820")
+    build_scenario(parse_scenario(
+        scheduled + scheduled.split("[schedule]")[0].replace("PID-7", "PID-8")),
+        tmp_path)
+    assert (len(sentences), len(schedules)) == (0, 1)
+
+
+def test_invalid_schedule_is_reported_for_each_sentence_entity(tmp_path):
+    write_dry_trace(tmp_path, minutes=2820)
+    scheduled = SCHEDULED_TEXT.format(span="0,2820").replace("days = 2",
+                                                             "days = 0")
+    text = scheduled + scheduled.split("[schedule]")[0].replace("PID-7",
+                                                                "PID-8")
+    diagnostics = validate_scenario(parse_scenario(text), tmp_path)
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "entity PID-7: need at least one day, got 0"),
+        (9, "entity PID-8: need at least one day, got 0"),
+        (6, "need at least one day, got 0")]
+
+
 def test_build_scenario_raises_every_diagnostic(tmp_path):
     write_dry_trace(tmp_path)
     bad = (ALCOHOL_TEXT.replace("status = green", "status = compliant")
@@ -322,3 +362,14 @@ def test_build_scenario_without_policy_section(tmp_path):
 
 def test_diagnostic_render():
     assert Diagnostic(3, "boom").render("x.scenario") == "x.scenario:3: boom"
+
+
+def test_scenario_wide_diagnostic_has_no_line(tmp_path):
+    assert Diagnostic(0, "boom").render("x.scenario") == "x.scenario: boom"
+    with pytest.raises(InvalidScenario) as err:
+        build_scenario(parse_scenario("[policy]\nrule = r: on red set x\n"),
+                       tmp_path)
+    assert str(err.value) == (
+        "no entities declared; line 2: rule r: labels ['red'] match no "
+        "entity's judgements; line 2: rule r: no settable field 'x' in the "
+        "entity schemas")
