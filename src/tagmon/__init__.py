@@ -22,7 +22,6 @@ from .interventions import (
     Notification,
     Policy,
     Trigger,
-    apply_intervention,
     apply_policy,
     run_cycle,
 )

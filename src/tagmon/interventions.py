@@ -134,15 +134,6 @@ class Notification:
     after: Characteristics
 
 
-def apply_intervention(rec: Record,
-                       intervention: Intervention) -> Tuple[str, Characteristics]:
-    """Apply one rule to a record: act on fire, identity otherwise."""
-    if intervention.trigger.fires(rec.judgement):
-        return rec.entity, intervention.action.apply(rec.characteristics,
-                                                     rec.judgement)
-    return rec.entity, rec.characteristics
-
-
 def apply_policy(rec: Record, policy: Policy
                  ) -> Tuple[str, Characteristics, List[Notification]]:
     """Apply every rule in order, threading characteristics through.

@@ -185,39 +185,27 @@ class Record:
 
 
 class BehaviourBinding:
-    """Assignment of behaviour streams to (entity, characteristics) pairs.
+    """Assignment of one behaviour stream to each entity.
 
-    Recorded traces are usually bound per entity regardless of the current
-    characteristics; a characteristics-specific binding takes precedence when
-    present, which is how a feedback loop that genuinely changes behaviour
-    would be wired in.
+    A recorded trace is bound to its entity whatever the entity's current
+    characteristics, so an intervention changes what the next cycle judges
+    only through the characteristics the attributes read, never through the
+    stream.
     """
 
     def __init__(self):
-        self._by_chi = {}
-        self._default = {}
+        self._streams = {}
 
     def bind(self, entity: str, stream: Stream) -> "BehaviourBinding":
-        self._default[entity] = stream
+        self._streams[entity] = stream
         return self
 
-    def bind_for(self, entity: str, chi: Characteristics,
-                 stream: Stream) -> "BehaviourBinding":
-        self._by_chi[(entity, chi)] = stream
-        return self
-
-    def resolve(self, entity: str, chi: Characteristics) -> Stream:
-        key = (entity, chi)
-        if key in self._by_chi:
-            return self._by_chi[key]
-        if entity in self._default:
-            return self._default[entity]
-        raise UnboundBehaviour(f"no behaviour bound for entity {entity!r}")
-
-
-def behaviour_of(entity: str, chi: Characteristics,
-                 binding: BehaviourBinding) -> Stream:
-    return binding.resolve(entity, chi)
+    def resolve(self, entity: str) -> Stream:
+        try:
+            return self._streams[entity]
+        except KeyError:
+            raise UnboundBehaviour(
+                f"no behaviour bound for entity {entity!r}") from None
 
 
 def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
@@ -266,9 +254,13 @@ def observe_family(family: PredicateFamily, entity: str,
 def monitor(entity: str, chi: Characteristics, family: PredicateFamily,
             binding: BehaviourBinding, now: int,
             extra_params: Optional[Mapping] = None) -> Record:
-    """Observe one entity and produce its record; inputs are left untouched."""
-    a = behaviour_of(entity, chi, binding)
-    judgement = observe_family(family, entity, chi, a, extra_params)
+    """Observe one entity over its bound stream and produce its record.
+
+    The characteristics parameterise the family's attributes and are copied
+    into the record as they stand; inputs are left untouched.
+    """
+    judgement = observe_family(family, entity, chi, binding.resolve(entity),
+                               extra_params)
     return Record(entity=entity, characteristics=chi, attribute=family.name,
                   judgement=judgement, evaluated_at=now)
 

@@ -309,11 +309,14 @@ class InvalidScenario(ScenarioFormatError):
 
 
 def _check_and_build(config: ScenarioConfig, base_dir
-                     ) -> Tuple[List[Diagnostic], List[ScenarioRun]]:
-    """The one pass over a config: diagnostics, and each sound entity's run.
+                     ) -> Tuple[List[Diagnostic], List[ScenarioRun],
+                                JudgementSet]:
+    """The one pass over a config: diagnostics, each sound entity's run and
+    the union of the entities' judgement sets that the rules are checked
+    against.
 
     Each trace is loaded and each entity's run built exactly once; the runs
-    are only complete when there are no diagnostics.
+    and the union are only complete when there are no diagnostics.
     """
     base = Path(base_dir)
     diagnostics: List[Diagnostic] = []
@@ -351,6 +354,10 @@ def _check_and_build(config: ScenarioConfig, base_dir
             diagnostics.append(Diagnostic(
                 ent.line, f"entity {ent.entity}: curfew needs nights"))
             continue
+        if ent.sentence is not None and ent.nights is not None:
+            diagnostics.append(Diagnostic(
+                ent.line, f"entity {ent.entity}: nights applies to curfew "
+                          "entities only"))
         sentence = None
         if ent.sentence is not None and config.schedule is None:
             try:
@@ -430,7 +437,7 @@ def _check_and_build(config: ScenarioConfig, base_dir
                 rule.line, f"rule {rule.name}: no settable field "
                            f"{rule.field_name!r} in the entity schemas"))
 
-    return diagnostics, runs
+    return diagnostics, runs, labels
 
 
 def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
@@ -463,20 +470,18 @@ def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:
     """Validate a config and wire it into a runnable engine in one pass.
 
     Raises InvalidScenario with every diagnostic ``validate_scenario`` would
-    return.  The [policy] section replaces the builders' default rules;
-    triggers are made total over the union of the entities' judgement sets.
+    return.  The [policy] section is the run's whole policy: its rules apply
+    in file order, each trigger is total over the union of the entities'
+    judgement sets, and without the section no rule fires.
     """
-    diagnostics, runs = _check_and_build(config, base_dir)
+    diagnostics, runs, labels = _check_and_build(config, base_dir)
     if diagnostics:
         raise InvalidScenario(diagnostics)
-    merged = merge_runs(runs)
-    union = judgement_union(f.judgements for f in merged.families.values())
-    merged.policy = Policy(tuple(
+    return merge_runs(runs, Policy(tuple(
         Intervention(name=rule.name,
-                     trigger=Trigger(union, frozenset(rule.labels)),
+                     trigger=Trigger(labels, frozenset(rule.labels)),
                      action=Action.set_from_judgement(rule.field_name))
-        for rule in config.rules))
-    return merged
+        for rule in config.rules)))
 
 
 def load_scenario(path):

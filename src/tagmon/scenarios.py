@@ -20,6 +20,11 @@ The curfew scenario judges one night per cycle: an offender must be in range
 every minute of the wrapped 19:00-07:00 window.  The extended alcohol
 scenario evaluates at scheduled daily upload times, each upload covering the
 readings since the previous one (the first window of a run starts at t=0).
+
+Each builder returns a one-entity run under its kind's default policy,
+``ALCOHOL_POLICY`` or ``CURFEW_POLICY``, which records a breach judgement as
+the entity's status.  ``merge_runs`` combines such runs under the one policy
+it is given; a scenario file passes its ``[policy]`` section there.
 """
 
 from __future__ import annotations
@@ -193,15 +198,16 @@ def curfew_family() -> PredicateFamily:
                            undefined=ABSENT_SIGNAL)
 
 
-def breach_policy(judgements: JudgementSet, fires_on, rule_name: str,
-                  tag: str = "penalty") -> Policy:
-    """Single rule: on the given judgements, record the judgement as the
-    entity's status."""
-    return Policy((Intervention(
-        name=rule_name,
-        trigger=Trigger(judgements, frozenset(fires_on)),
-        action=Action.set_from_judgement("status"),
-        tag=tag),))
+# Default policies of the builders, shared like the families: on a breach,
+# record the judgement as the entity's status.
+ALCOHOL_POLICY = Policy((Intervention(
+    "record-breach",
+    Trigger(ALCOHOL_JUDGEMENTS, frozenset((AMBER, RED, ABSENT))),
+    Action.set_from_judgement("status")),))
+CURFEW_POLICY = Policy((Intervention(
+    "curfew-breach",
+    Trigger(CURFEW_JUDGEMENTS, frozenset((VIOLATION, ABSENT_SIGNAL))),
+    Action.set_from_judgement("status")),))
 
 
 # -- configured runs ----------------------------------------------------------
@@ -227,7 +233,7 @@ class RunResult:
     errors: List[Tuple[str, MonitorError]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioRun:
     """A fully wired engine run: entities, behaviours, attribute families,
     policy and the evaluation schedule."""
@@ -265,11 +271,14 @@ def judgement_union(sets: Iterable[JudgementSet]) -> JudgementSet:
     return JudgementSet(tuple(labels))
 
 
-def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
-    """Combine per-entity runs into one; cycles at equal times coalesce.
+def merge_runs(runs: List[ScenarioRun], policy: Policy) -> ScenarioRun:
+    """Combine per-entity runs into one under ``policy``; cycles at equal
+    times coalesce.
 
-    The merged scenario judges over the union of the runs' judgement sets,
-    so every trigger is rebuilt to be total on that union.
+    ``policy`` is the merged run's whole policy and the runs' own policies
+    are not consulted.  Its triggers should be total on every judgement the
+    merged families give, which a trigger over ``judgement_union`` of them
+    is; any other judgement is a cycle error for its entity.
     """
     if not runs:
         raise KindMismatch("nothing to merge")
@@ -277,31 +286,17 @@ def merge_runs(runs: List[ScenarioRun]) -> ScenarioRun:
     families: Dict[str, PredicateFamily] = {}
     binding = BehaviourBinding()
     by_now: Dict[int, Dict[str, Mapping]] = {}
-    raw_rules: List[Intervention] = []
     for run in runs:
         for entity, c in run.characteristics.items():
             if entity in chi:
                 raise KindMismatch(f"duplicate entity {entity!r}")
             chi[entity] = c
             families[entity] = run.families[entity]
-            binding.bind(entity, run.binding.resolve(entity, c))
-        for rule in run.policy.rules:
-            if rule not in raw_rules:
-                raw_rules.append(rule)
+            binding.bind(entity, run.binding.resolve(entity))
         for cycle in run.cycles:
             by_now.setdefault(cycle.now, {}).update(cycle.params_by_entity)
-    union = judgement_union(f.judgements for f in families.values())
-    rules: List[Intervention] = []
-    for rule in raw_rules:
-        widened = Intervention(
-            name=rule.name,
-            trigger=Trigger(union, rule.trigger.fires_on),
-            action=rule.action, tag=rule.tag,
-            notify_always=rule.notify_always)
-        if widened not in rules:
-            rules.append(widened)
     cycles = tuple(Cycle(now, by_now[now]) for now in sorted(by_now))
-    return ScenarioRun(chi, binding, families, Policy(tuple(rules)), cycles)
+    return ScenarioRun(chi, binding, families, policy, cycles)
 
 
 def build_alcohol_scenario(sigma: Sentence, initial_status: str,
@@ -314,11 +309,9 @@ def build_alcohol_scenario(sigma: Sentence, initial_status: str,
             f"does not cover [{sigma.t1}, {sigma.t2}]")
     chi = sigma.characteristics(initial_status)
     binding = BehaviourBinding().bind(entity, trace)
-    policy = breach_policy(ALCOHOL_JUDGEMENTS, (AMBER, RED, ABSENT),
-                           "record-breach")
     cycles = (Cycle(sigma.t2, {entity: {}}),)
     return ScenarioRun({entity: chi}, binding, {entity: alcohol_family()},
-                       policy, cycles)
+                       ALCOHOL_POLICY, cycles)
 
 
 @dataclass(frozen=True)
@@ -375,15 +368,13 @@ def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
             f"[{first_start}, {last_end}]")
     chi = order.characteristics(initial_status)
     binding = BehaviourBinding().bind(entity, order.presence)
-    policy = breach_policy(CURFEW_JUDGEMENTS, (VIOLATION, ABSENT_SIGNAL),
-                           "curfew-breach")
     cycles = []
     for night in range(1, order.nights + 1):
         wstart, wend = order.night_window(night)
         cycles.append(Cycle(order.report_tick(night),
                             {entity: {"wstart": wstart, "wend": wend}}))
     return ScenarioRun({entity: chi}, binding,
-                       {entity: curfew_family()}, policy, tuple(cycles))
+                       {entity: curfew_family()}, CURFEW_POLICY, tuple(cycles))
 
 
 @dataclass(frozen=True)
@@ -441,12 +432,11 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     chi = Characteristics.of(s=interval, epsilon=epsilon, delta=delta,
                              days=schedule.days, status=initial_status)
     binding = BehaviourBinding().bind(entity, trace)
-    policy = breach_policy(ALCOHOL_JUDGEMENTS, (AMBER, RED, ABSENT),
-                           "record-breach")
     cycles = []
     previous = 0
     for now in schedule.upload_ticks():
         cycles.append(Cycle(now, {entity: {"t1": previous, "t2": now}}))
         previous = now
     return ScenarioRun({entity: chi}, binding,
-                       {entity: alcohol_family()}, policy, tuple(cycles))
+                       {entity: alcohol_family()}, ALCOHOL_POLICY,
+                       tuple(cycles))

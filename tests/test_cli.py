@@ -24,13 +24,16 @@ from tagmon.streams import load_trace
 from tagmon.values import Dec4
 
 
-def test_validate_ok_and_failure(scenarios_dir, capsys):
+def test_validate_ok_and_failure(scenarios_dir, tmp_path, capsys):
     assert main(["validate", str(scenarios_dir / "alcohol_dry.scenario")]) \
         == EXIT_OK
     assert main(["validate", str(scenarios_dir / "nope.scenario")]) \
         == EXIT_VALIDATION
-    # extended scenario ships without its (large) trace: must fail cleanly
-    code = main(["validate", str(scenarios_dir / "extended_dry.scenario")])
+    # the extended scenario without its (large, generated) trace must fail
+    # cleanly; a copy is validated, since the trace may have been generated
+    # beside the shipped file
+    extended = shutil.copy(scenarios_dir / "extended_dry.scenario", tmp_path)
+    code = main(["validate", str(extended)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "trace file not found" in err
@@ -210,6 +213,21 @@ def test_unreadable_trace_is_a_diagnostic(scenarios_dir, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"{scenario}:1: entity A: cannot read trace alcohol_dry.trace: "
         "Permission denied\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_nights_on_a_sentence_entity_is_a_diagnostic(scenarios_dir, tmp_path,
+                                                     capsys, command):
+    shutil.copy(scenarios_dir / "traces" / "alcohol_dry.trace", tmp_path)
+    scenario = tmp_path / "nights.scenario"
+    scenario.write_text("# a sentence has no nights\n[entity A]\n"
+                        "sentence = 0,720,30,0.0200,0.0050\nnights = 7\n"
+                        "trace = alcohol_dry.trace\n")
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"{scenario}:2: entity A: nights applies to curfew entities only\n")
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ from tagmon.interventions import (
     Intervention,
     Policy,
     Trigger,
-    apply_intervention,
     apply_policy,
     format_notification,
     run_cycle,
@@ -85,14 +84,14 @@ def test_intervention_tag_must_be_in_taxonomy():
 
 def test_apply_intervention_green_is_identity():
     rule = status_rule()
-    entity, chi = apply_intervention(record("green"), rule)
+    entity, chi, _ = apply_policy(record("green"), Policy((rule,)))
     assert entity == "PID-7"
     assert chi.get("status") == "green"
     assert chi == record("green").characteristics
 
 
 def test_apply_intervention_red_updates_status():
-    entity, chi = apply_intervention(record("red"), status_rule())
+    entity, chi, _ = apply_policy(record("red"), Policy((status_rule(),)))
     assert chi.get("status") == "red"
 
 
@@ -100,14 +99,14 @@ def test_apply_intervention_never_firing_trigger_is_identity():
     rule = Intervention("noop", Trigger(JS, frozenset()),
                         Action.set_from_judgement("status"), tag="penalty")
     for judgement in JS:
-        _, chi = apply_intervention(record(judgement), rule)
+        _, chi, _ = apply_policy(record(judgement), Policy((rule,)))
         assert chi == record(judgement).characteristics
 
 
 def test_apply_policy_singleton_equals_single_rule():
     rule = status_rule()
     rec = record("red")
-    _, chi_single = apply_intervention(rec, rule)
+    chi_single = rule.action.apply(rec.characteristics, rec.judgement)
     _, chi_policy, notes = apply_policy(rec, Policy((rule,)))
     assert chi_policy == chi_single
     assert [n.rule for n in notes] == ["record-breach"]

@@ -18,7 +18,6 @@ from tagmon.monitoring import (
     Characteristics,
     JudgementSet,
     PredicateFamily,
-    behaviour_of,
     format_record,
     monitor,
     observe_family,
@@ -88,16 +87,11 @@ def test_behaviour_binding_resolution(tmp_path):
     save_trace(path, trace, "b", "decimal")
     from tagmon.streams import load_trace
     _, _, loaded = load_trace(path)
-    chi = SIGMA.characteristics("green")
     binding = BehaviourBinding().bind("PID-7", loaded)
-    assert behaviour_of("PID-7", chi, binding) == trace
-    assert behaviour_of("PID-7", chi, binding) == behaviour_of(
-        "PID-7", chi, binding)
+    assert binding.resolve("PID-7") == trace
+    assert binding.resolve("PID-7") == binding.resolve("PID-7")
     with pytest.raises(UnboundBehaviour):
-        behaviour_of("PID-8", chi, binding)
-    special = bac_trace(level=Dec4(90))
-    binding.bind_for("PID-7", chi, special)
-    assert behaviour_of("PID-7", chi, binding) == special
+        binding.resolve("PID-8")
 
 
 def test_observe_uniform():

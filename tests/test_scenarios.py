@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tagmon.errors import KindMismatch, WindowTooShort
+from tagmon.interventions import Action, Intervention, Policy, Trigger
 from tagmon.monitoring import Characteristics, observe_family
 from tagmon.scenarios import (
     ALCOHOL_JUDGEMENTS,
@@ -344,7 +345,12 @@ def test_merge_runs_mixes_entity_types():
         "PID-7")
     curfew = build_curfew_scenario(
         CurfewOrder(presence_trace(absence=(4440, 4500)), 7), "PID-9")
-    merged = merge_runs([alcohol, curfew])
+    union = judgement_union((ALCOHOL_JUDGEMENTS, CURFEW_JUDGEMENTS))
+    breach = Intervention(
+        "breach", Trigger(union, frozenset(("amber", "red", "absent",
+                                            "violation", "absent-signal"))),
+        Action.set_from_judgement("status"))
+    merged = merge_runs([alcohol, curfew], Policy((breach,)))
     result = merged.execute()
     assert not result.errors
     by_entity = {}
