@@ -19,10 +19,11 @@
     [policy]
     rule = record-breach: on amber,red,absent set status
 
-Unknown section names and keys are rejected at parse time.  Clock times use
-HH:MM and become minute ticks.  An entity carries either a sentence (alcohol
-monitoring) or a curfew order; when a [schedule] section is present, sentence
-entities are evaluated per upload instead of once over [t1, t2].
+Unknown section names and keys, and a second [schedule] or [policy] section,
+are rejected at parse time.  Clock times use HH:MM and become minute ticks.
+An entity carries either a sentence (alcohol monitoring) or a curfew order;
+when a [schedule] section is present, sentence entities are evaluated per
+upload instead of once over [t1, t2].
 
 Under a [schedule] a sentence's t1,t2 must be 0 and the tick of the last
 upload, (days-1)*1440 + the last upload time.
@@ -149,6 +150,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     entities: List[EntityConfig] = []
     schedule: Optional[ScheduleConfig] = None
     rules: List[RuleConfig] = []
+    has_policy = False
     section = None  # None | ("entity", index) | "schedule" | "policy"
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,6 +176,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 schedule = ScheduleConfig((), 0, line=lineno)
                 section = "schedule"
             else:
+                if has_policy:
+                    raise ScenarioFormatError("duplicate [policy] section",
+                                              lineno)
+                has_policy = True
                 section = "policy"
             continue
         key, sep, value = (p.strip() for p in line.partition("="))
@@ -426,7 +432,12 @@ def _check_and_build(config: ScenarioConfig, base_dir
                               "sentence entities only"))
 
     labels = judgement_union(judgement_sets) if judgement_sets else ()
+    names = set()
     for rule in config.rules:
+        if rule.name in names:
+            diagnostics.append(Diagnostic(
+                rule.line, f"rule {rule.name}: duplicate rule name"))
+        names.add(rule.name)
         unknown = [lb for lb in rule.labels if lb not in labels]
         if unknown:
             diagnostics.append(Diagnostic(
@@ -445,9 +456,10 @@ def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
 
     Checks each entity's kind, status, sentence or curfew terms and trace
     (present, readable, of the right kind and covering every cycle), the
-    [schedule] section, and that each [policy] rule names known labels and a
-    settable field.  The predicate families are fixed code whose partition
-    property is tested, not probed here.
+    [schedule] section, and that each [policy] rule has a name no earlier
+    rule has and names known labels and a settable field.  The predicate
+    families are fixed code whose partition property is tested, not probed
+    here.
     """
     return _check_and_build(config, base_dir)[0]
 

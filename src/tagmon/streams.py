@@ -11,13 +11,20 @@ value-returning ones (eval at a tick, bounded forall/exists over a tested
 prefix).  Undefined readings propagate strictly through lifted operations and
 abort quantified tests with BottomEncountered, so a missed reading can never
 silently pass for a truth value.
+
+Storage is not part of the algebra.  A decimal trace read from a file is kept
+as a column of raw Dec4 units (``array('q')``) with a byte per tick marking
+NA, and a boolean trace as one byte code per tick (false, true or NA); ``at``
+boxes the one reading it returns.  Streams built from values, and integer
+and label traces, keep a tuple of carrier values.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -30,9 +37,12 @@ from .errors import (
     WindowMismatch,
 )
 from .values import (
+    BOOLEAN,
     BOTTOM,
+    DECIMAL,
     KINDS,
     CarrierValue,
+    Dec4,
     add_values,
     compare,
     div_values,
@@ -75,32 +85,131 @@ class Window:
         return range(self.start, self.horizon)
 
 
-@dataclass(frozen=True)
 class Stream:
-    """Total assignment of carrier values over a window."""
+    """Total assignment of carrier values over a window.
 
-    window: Window
-    values: tuple
+    ``Stream(window, values)`` and ``Stream.of`` keep the readings as a
+    tuple, checked value by value.  ``parse_trace`` keeps a decimal or
+    boolean trace as a column instead (``_Decimals``, ``_Booleans``), checked
+    by the parser.  Either way ``at`` returns one boxed carrier value,
+    ``values`` boxes every reading into a tuple, and equality and hashing go
+    by the window and the readings, not the storage.
+    """
 
-    def __post_init__(self):
-        if len(self.values) != self.window.length:
+    __slots__ = ("window", "_readings")
+
+    def __init__(self, window: Window, values: Sequence[CarrierValue]):
+        values = tuple(values)
+        if len(values) != window.length:
             raise WindowMismatch(
-                f"{len(self.values)} values for a window of length "
-                f"{self.window.length}")
-        for v in self.values:
+                f"{len(values)} values for a window of length "
+                f"{window.length}")
+        for v in values:
             if not is_carrier(v):
                 raise KindMismatch(f"not a carrier value: {v!r}")
+        self.window = window
+        self._readings = values
 
     @classmethod
     def of(cls, start: int, values: Sequence[CarrierValue]) -> "Stream":
         return cls(Window(start, start + len(values)), tuple(values))
 
+    @property
+    def values(self) -> tuple:
+        return self._readings
+
     def at(self, t: int) -> CarrierValue:
         """The stored value at tick t (the algebra's evaluation function)."""
-        if t not in self.window:
-            raise OutOfWindow(f"t={t} outside window "
-                              f"[{self.window.start}, {self.window.horizon})")
-        return self.values[t - self.window.start]
+        # the column subclasses repeat this check inline: a read is one
+        # Python call, which the formula evaluator makes per quantifier step
+        w = self.window
+        if not w.start <= t < w.horizon:
+            raise _outside(w, t)
+        return self._readings[t - w.start]
+
+    def __eq__(self, other):
+        if not isinstance(other, Stream):
+            return NotImplemented
+        return self.window == other.window and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.window, self.values))
+
+    def __repr__(self):
+        return f"Stream(window={self.window!r}, values={self.values!r})"
+
+
+def _outside(w: Window, t: int) -> OutOfWindow:
+    return OutOfWindow(f"t={t} outside window [{w.start}, {w.horizon})")
+
+
+class _Decimals(Stream):
+    """A decimal trace: raw Dec4 units in an ``array('q')``, 0 where a set
+    byte of ``missing`` marks NA.
+
+    ``parse_trace`` fills it through ``extend``.  Units beyond int64 turn
+    the array into a list, so every reading a trace can hold still loads.
+    """
+
+    __slots__ = ("_missing",)
+
+    def __init__(self, window: Window):
+        self.window = window
+        self._readings = array("q")
+        self._missing = bytearray()
+
+    def extend(self, texts: List[str]):
+        """Append readings written as ``-?<digits>.<4 digits>`` or NA."""
+        self._missing.extend(map("NA".__eq__, texts))
+        units = ",".join(texts).replace(".", "").replace("NA", "0").split(",")
+        try:
+            self._readings.extend(array("q", map(int, units)))
+        except OverflowError:
+            self._readings = list(self._readings)
+            self._readings.extend(map(int, units))
+
+    @property
+    def values(self) -> tuple:
+        return tuple(BOTTOM if gone else Dec4(unit)
+                     for unit, gone in zip(self._readings, self._missing))
+
+    def at(self, t: int) -> CarrierValue:
+        w = self.window
+        if not w.start <= t < w.horizon:
+            raise _outside(w, t)
+        i = t - w.start
+        return BOTTOM if self._missing[i] else Dec4(self._readings[i])
+
+
+_BOOLEAN_CODES = {"false": 0, "true": 1, "NA": 2}
+_BOOLEAN_BOXES = (False, True, BOTTOM)
+
+
+class _Booleans(Stream):
+    """A boolean trace: one byte code per tick, 0 false, 1 true, 2 NA.
+
+    ``parse_trace`` fills it through ``extend``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, window: Window):
+        self.window = window
+        self._readings = bytearray()
+
+    def extend(self, texts: List[str]):
+        """Append readings written as true, false or NA."""
+        self._readings.extend(map(_BOOLEAN_CODES.__getitem__, texts))
+
+    @property
+    def values(self) -> tuple:
+        return tuple(map(_BOOLEAN_BOXES.__getitem__, self._readings))
+
+    def at(self, t: int) -> CarrierValue:
+        w = self.window
+        if not w.start <= t < w.horizon:
+            raise _outside(w, t)
+        return _BOOLEAN_BOXES[self._readings[t - w.start]]
 
 
 # -- signatures --------------------------------------------------------------
@@ -259,8 +368,7 @@ def merge(a: Stream, b: Stream) -> Stream:
 def insert(a: Stream, t: int, x: CarrierValue) -> Stream:
     """Replace the reading at tick t, leaving every other tick unchanged."""
     if t not in a.window:
-        raise OutOfWindow(f"t={t} outside window "
-                          f"[{a.window.start}, {a.window.horizon})")
+        raise _outside(a.window, t)
     if not is_carrier(x):
         raise KindMismatch(f"not a carrier value: {x!r}")
     i = t - a.window.start
@@ -304,6 +412,13 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _STRICT_DEC_RE = re.compile(r"-?\d+\.\d{4}\Z")
+_CHUNK_LINES = 1024
+# value lines that need no per-line check besides their ticks' order; the
+# patterns are compiled (and cached by ``re``) when a trace is first read
+_PLAIN_LINES = {
+    kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
+    for kind, reading in ((DECIMAL, r"(?:-?[0-9]+\.[0-9]{4}|NA)"),
+                          (BOOLEAN, r"(?:true|false|NA)"))}
 
 
 def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
@@ -319,7 +434,15 @@ def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
 
 
 def parse_trace(text: str):
-    """Parse trace text; returns (stream_id, kind, Stream)."""
+    """Parse trace text; returns (stream_id, kind, Stream).
+
+    The value lines are read in chunks of at most ``_CHUNK_LINES``.  A chunk
+    of plain lines (ticks in order in ASCII digits, readings spelt
+    ``-?<digits>.<4 digits>``, true, false or NA) is checked by one match and
+    converted in bulk; any other chunk goes through the per-line checks,
+    which word every fault.  A decimal or boolean trace is stored as a
+    column, an integer or label trace as a tuple.
+    """
     lines = text.splitlines()
     if not lines:
         raise TraceFormatError("empty trace", 1)
@@ -341,9 +464,44 @@ def parse_trace(text: str):
     if len(lines) - 1 != horizon - start:
         raise TraceFormatError(
             f"expected {horizon - start} value lines, got {len(lines) - 1}", 1)
-    values = []
-    expected_t = start
-    for i, line in enumerate(lines[1:], start=2):
+    window = Window(start, horizon)
+    columns = {DECIMAL: _Decimals, BOOLEAN: _Booleans}
+    stream = columns[kind](window) if kind in columns else []
+    for first in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[first:first + _CHUNK_LINES]
+        tick = start + first - 1
+        texts = _plain_readings(kind, chunk, tick)
+        if texts is None:
+            texts = _checked_readings(kind, chunk, tick, first + 1)
+        stream.extend(texts)
+    if isinstance(stream, list):
+        stream = Stream(window, [
+            BOTTOM if text == "NA" else parse_value(text, kind)
+            for text in stream])
+    return stream_id, kind, stream
+
+
+def _plain_readings(kind: str, lines: List[str], tick: int):
+    """The reading texts of value lines from ``tick`` on, when every line is
+    plain; None when any line needs ``_checked_readings``."""
+    pattern = _PLAIN_LINES.get(kind)
+    if pattern is None:
+        return None
+    block = "\n".join(lines)
+    if not re.fullmatch(pattern, block):
+        return None
+    cells = block.replace("\n", ",").split(",")
+    if cells[0::2] != list(map(str, range(tick, tick + len(lines)))):
+        return None
+    return cells[1::2]
+
+
+def _checked_readings(kind: str, lines: List[str], expected_t: int,
+                      lineno: int) -> List[str]:
+    """Check value lines one by one from file line ``lineno`` on; returns
+    each reading's canonical text or raises the first line's fault."""
+    texts = []
+    for i, line in enumerate(lines, start=lineno):
         tick_s, sep, value_s = line.partition(",")
         if not sep:
             raise TraceFormatError("expected '<t>,<value>'", i)
@@ -356,16 +514,16 @@ def parse_trace(text: str):
                 f"tick {t} out of order (expected {expected_t})", i)
         expected_t += 1
         if value_s == "NA":
-            values.append(BOTTOM)
+            texts.append("NA")
             continue
-        if kind == "decimal" and not _STRICT_DEC_RE.match(value_s):
+        if kind == DECIMAL and not _STRICT_DEC_RE.match(value_s):
             raise TraceFormatError(
                 f"decimal {value_s!r} must have exactly 4 fractional digits", i)
         try:
-            values.append(parse_value(value_s, kind))
+            texts.append(format_value(parse_value(value_s, kind)))
         except KindMismatch as exc:
             raise TraceFormatError(str(exc), i) from None
-    return stream_id, kind, Stream(Window(start, horizon), tuple(values))
+    return texts
 
 
 def save_trace(path, stream: Stream, stream_id: str, kind: str):

@@ -9,7 +9,9 @@ the evaluator under test.
 from __future__ import annotations
 
 import random
+import re
 
+from tagmon.errors import KindMismatch, TraceFormatError
 from tagmon.formulas import (
     And,
     Apply,
@@ -23,7 +25,7 @@ from tagmon.formulas import (
     Var,
 )
 from tagmon.streams import Stream, Window
-from tagmon.values import BOTTOM
+from tagmon.values import BOTTOM, KINDS, parse_value
 
 _CMP_FN = {
     "eq": lambda a, b: a == b,
@@ -106,6 +108,66 @@ def band_oracle(sample_raws, eps_raw, delta_raw):
     if peak > eps_raw + delta_raw:
         return "red"
     return "amber"
+
+
+# -- trace files ----------------------------------------------------------------
+
+_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+_STRICT_DEC_RE = re.compile(r"-?\d+\.\d{4}\Z")
+
+
+def reference_parse_trace(text: str):
+    """Parse trace text line by line; returns (stream_id, kind, Stream).
+
+    The per-line trace parser as it stood before traces were read in
+    chunks: every value line is checked and boxed on its own.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise TraceFormatError("empty trace", 1)
+    head = lines[0].split(" ")
+    if len(head) != 5 or head[0] != "trace":
+        raise TraceFormatError("bad header, expected "
+                               "'trace <id> <kind> <start> <horizon>'", 1)
+    _, stream_id, kind, start_s, horizon_s = head
+    if not _ID_RE.match(stream_id):
+        raise TraceFormatError(f"malformed stream id {stream_id!r}", 1)
+    if kind not in KINDS:
+        raise TraceFormatError(f"unknown stream kind {kind!r}", 1)
+    try:
+        start, horizon = int(start_s, 10), int(horizon_s, 10)
+    except ValueError:
+        raise TraceFormatError("non-integer window bounds", 1) from None
+    if start < 0 or start >= horizon:
+        raise TraceFormatError(f"bad window [{start}, {horizon})", 1)
+    if len(lines) - 1 != horizon - start:
+        raise TraceFormatError(
+            f"expected {horizon - start} value lines, got {len(lines) - 1}", 1)
+    values = []
+    expected_t = start
+    for i, line in enumerate(lines[1:], start=2):
+        tick_s, sep, value_s = line.partition(",")
+        if not sep:
+            raise TraceFormatError("expected '<t>,<value>'", i)
+        try:
+            t = int(tick_s, 10)
+        except ValueError:
+            raise TraceFormatError(f"non-integer tick {tick_s!r}", i) from None
+        if t != expected_t:
+            raise TraceFormatError(
+                f"tick {t} out of order (expected {expected_t})", i)
+        expected_t += 1
+        if value_s == "NA":
+            values.append(BOTTOM)
+            continue
+        if kind == "decimal" and not _STRICT_DEC_RE.match(value_s):
+            raise TraceFormatError(
+                f"decimal {value_s!r} must have exactly 4 fractional digits", i)
+        try:
+            values.append(parse_value(value_s, kind))
+        except KindMismatch as exc:
+            raise TraceFormatError(str(exc), i) from None
+    return stream_id, kind, Stream(Window(start, horizon), tuple(values))
 
 
 # -- random generation ---------------------------------------------------------

@@ -232,6 +232,25 @@ def test_nights_on_a_sentence_entity_is_a_diagnostic(scenarios_dir, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("second, message", [
+    ("[policy]\nrule = b: on red set status\n",
+     "6: duplicate [policy] section"),
+    ("rule = a: on amber set status\n", "6: rule a: duplicate rule name"),
+])
+def test_a_rule_is_named_once_in_one_policy(scenarios_dir, tmp_path, capsys,
+                                            command, second, message):
+    shutil.copy(scenarios_dir / "traces" / "alcohol_spike.trace", tmp_path)
+    scenario = tmp_path / "twice.scenario"
+    scenario.write_text("[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
+                        "trace = alcohol_spike.trace\n[policy]\n"
+                        "rule = a: on red set status\n" + second)
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"{scenario}:{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_scenario_wide_fault_has_no_line(tmp_path, capsys, command):
     scenario = tmp_path / "empty.scenario"
     scenario.write_text("")

@@ -94,6 +94,8 @@ days = 100
     ("[entity A]\nsentence = 1,2,3\n", "sentence needs"),
     ("[policy]\nrule = broken\n", "bad rule"),
     ("[schedule]\nuploads = 9am\n", "bad clock time"),
+    ("[policy]\nrule = a: on red set status\n\n[policy]\n",
+     "line 4: duplicate [policy] section"),
 ])
 def test_parse_rejects_bad_input(mutation, fragment):
     with pytest.raises(ScenarioFormatError) as err:
@@ -160,6 +162,14 @@ def test_validate_unknown_rule_labels(tmp_path):
     bad = ALCOHOL_TEXT.replace("on amber,red,absent", "on amber,purple")
     diagnostics = validate_scenario(parse_scenario(bad), tmp_path)
     assert any("purple" in d.message for d in diagnostics)
+
+
+def test_validate_repeated_rule_name(tmp_path):
+    write_dry_trace(tmp_path)
+    text = ALCOHOL_TEXT + "rule = b: on red set status\n" \
+                          "rule = record-breach: on red set status\n"
+    assert validate_scenario(parse_scenario(text), tmp_path) == [
+        Diagnostic(10, "rule record-breach: duplicate rule name")]
 
 
 BAD_STATUS_TEXT = """\
