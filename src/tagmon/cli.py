@@ -227,7 +227,10 @@ def cmd_run(args) -> int:
 def tick(text: str) -> int:
     """Minute tick, given either as an integer or as an HH:MM clock time."""
     if ":" in text:
-        return parse_clock(text)
+        try:
+            return parse_clock(text)
+        except ScenarioFormatError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
     return int(text, 10)
 
 

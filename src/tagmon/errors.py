@@ -84,7 +84,7 @@ class BoundNotInteger(MonitorError):
 
 
 class MissingParameter(MonitorError):
-    """Attribute template instantiated without all of its parameters."""
+    """Attribute template evaluated without all of its parameters bound."""
 
 
 class DivisionByZero(MonitorError):

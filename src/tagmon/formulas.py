@@ -261,90 +261,6 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
     raise KindError(f"not a formula: {formula!r}")
 
 
-# -- structural helpers -------------------------------------------------------
-
-
-def free_names(formula: Formula) -> frozenset:
-    """Identifiers not bound by any enclosing quantifier.
-
-    Stream ids referenced through ``name[...]`` accesses are included; the
-    caller decides which names the evaluation environment will provide.
-    """
-    out = set()
-
-    def walk_term(t, bound):
-        if isinstance(t, Var):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, Apply):
-            for a in t.args:
-                walk_term(a, bound)
-        elif isinstance(t, StreamAt):
-            if t.stream not in bound:
-                out.add(t.stream)
-            walk_term(t.index, bound)
-
-    def walk(f, bound):
-        if isinstance(f, Cmp):
-            walk_term(f.lhs, bound)
-            walk_term(f.rhs, bound)
-        elif isinstance(f, TestApp):
-            for a in f.args:
-                walk_term(a, bound)
-        elif isinstance(f, Not):
-            walk(f.body, bound)
-        elif isinstance(f, (And, Or)):
-            walk(f.lhs, bound)
-            walk(f.rhs, bound)
-        elif isinstance(f, Quant):
-            walk_term(f.lo, bound)
-            walk_term(f.hi, bound)
-            walk(f.body, bound | {f.var})
-
-    walk(formula, frozenset())
-    return frozenset(out)
-
-
-def substitute(formula: Formula, mapping: Mapping[str, CarrierValue]):
-    """Replace free identifiers by literal values.
-
-    Substituted values are literals, so no capture is possible; occurrences
-    shadowed by a quantifier of the same name are left alone.
-    """
-
-    def sub_term(t, blocked):
-        if isinstance(t, Var):
-            if t.name in mapping and t.name not in blocked:
-                return Lit(mapping[t.name])
-            return t
-        if isinstance(t, Apply):
-            return Apply(t.op, tuple(sub_term(a, blocked) for a in t.args))
-        if isinstance(t, StreamAt):
-            return StreamAt(t.stream, sub_term(t.index, blocked))
-        return t
-
-    def sub(f, blocked):
-        if isinstance(f, Cmp):
-            return Cmp(f.op, sub_term(f.lhs, blocked),
-                       sub_term(f.rhs, blocked))
-        if isinstance(f, TestApp):
-            return TestApp(f.name,
-                           tuple(sub_term(a, blocked) for a in f.args))
-        if isinstance(f, Not):
-            return Not(sub(f.body, blocked))
-        if isinstance(f, And):
-            return And(sub(f.lhs, blocked), sub(f.rhs, blocked))
-        if isinstance(f, Or):
-            return Or(sub(f.lhs, blocked), sub(f.rhs, blocked))
-        if isinstance(f, Quant):
-            return Quant(f.quantifier, f.var,
-                         sub_term(f.lo, blocked), sub_term(f.hi, blocked),
-                         sub(f.body, blocked | {f.var}))
-        return f
-
-    return sub(formula, frozenset())
-
-
 # -- attribute templates ------------------------------------------------------
 
 
@@ -352,9 +268,10 @@ def substitute(formula: Formula, mapping: Mapping[str, CarrierValue]):
 class AttributeSpec:
     """Named formula template backing one judgement label.
 
-    ``params`` are the identifiers substituted at instantiation time;
-    ``stream_name`` is the identifier the behaviour stream is bound to during
-    observation.
+    ``params`` are the identifiers bound as variables when the template is
+    evaluated; ``stream_name`` is the identifier the behaviour stream is
+    bound to during observation.  A parameter may not share the stream's
+    name, since a variable of that name would hide the stream.
     """
 
     name: str
@@ -363,10 +280,16 @@ class AttributeSpec:
     params: Tuple[str, ...] = ()
     stream_name: str = "b"
 
+    def __post_init__(self):
+        if self.stream_name in self.params:
+            raise KindMismatch(
+                f"{self.name}: parameter {self.stream_name!r} is also the "
+                "stream's name")
+
 
 def instantiate(spec: AttributeSpec,
-                bindings: Mapping[str, CarrierValue]) -> Formula:
-    """Close a template by substituting every declared parameter."""
+                bindings: Mapping[str, CarrierValue]) -> dict:
+    """The template's variables: each declared parameter's checked value."""
     missing = [p for p in spec.params if p not in bindings]
     if missing:
         raise MissingParameter(
@@ -378,7 +301,7 @@ def instantiate(spec: AttributeSpec,
             raise KindError(
                 f"{spec.name}: parameter {p}={v!r} is not a carrier value")
         chosen[p] = v
-    return substitute(spec.template, chosen)
+    return chosen
 
 
 # -- canonical printing -------------------------------------------------------

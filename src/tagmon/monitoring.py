@@ -2,9 +2,10 @@
 
 An entity's characteristics parameterise both its behaviour stream and the
 attributes observed over it.  Observation of a predicate family evaluates one
-closed formula per judgement label and demands that exactly one label
-holds; anything else means the family was mis-specified and is reported
-loudly instead of being masked by evaluation order.  A family may name one
+formula per judgement label, its parameters bound as variables, and demands
+that exactly one label holds; anything else means the family was
+mis-specified and is reported loudly instead of being masked by evaluation
+order.  A family may name one
 label for undefined data: it holds when some formula touched a missed
 reading, which is how a missing-data judgement is expressed without a
 three-valued logic.
@@ -99,8 +100,8 @@ class Characteristics:
     def flatten(self) -> dict:
         """Leaf fields by name, descending into sub-records.
 
-        Leaf names must be unique across the whole record; these are the
-        bindings attribute templates are instantiated from.
+        Leaf names must be unique across the whole record; attribute
+        templates bind their parameters as variables from these fields.
         """
         out = {}
 
@@ -144,8 +145,8 @@ class PredicateFamily:
 
     ``undefined``, if set, is the label that holds when evaluating any of the
     templates raises BottomEncountered; the spec labels plus ``undefined``
-    are exactly the judgements.  Templates are instantiated from the flattened
-    characteristics plus the cycle parameters.
+    are exactly the judgements.  Template parameters are bound as variables
+    from the flattened characteristics plus the cycle parameters.
     """
 
     name: str
@@ -210,9 +211,8 @@ class BehaviourBinding:
 
 def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
     """Evaluate a closed (parameter-free) attribute over one behaviour."""
-    formula = instantiate(spec, {})
-    env = Environment({}, {spec.stream_name: a})
-    return eval_formula(formula, env)
+    env = Environment(instantiate(spec, {}), {spec.stream_name: a})
+    return eval_formula(spec.template, env)
 
 
 def observe_family(family: PredicateFamily, entity: str,
@@ -229,13 +229,13 @@ def observe_family(family: PredicateFamily, entity: str,
     bindings = chi.flatten()
     if extra_params:
         bindings.update(extra_params)
-    env = Environment({}, {family.stream_name: a})
+    streams = {family.stream_name: a}
     holders = []
     bottom = False
     for spec in family.specs:
-        formula = instantiate(spec, bindings)
+        env = Environment(instantiate(spec, bindings), streams)
         try:
-            if eval_formula(formula, env):
+            if eval_formula(spec.template, env):
                 holders.append(spec.label)
         except BottomEncountered:
             bottom = True

@@ -15,13 +15,14 @@
 
 Quantifier bounds are inclusive and the body extends as far to the right as
 possible.  Numbers with a decimal point are fixed-point values with at most
-four fractional digits.  ``#`` starts a comment; attribute files hold one
-formula per line.
+four fractional digits.  ``#`` starts a comment that runs to the end of the
+line.
 
 Call syntax is checked against ``BASE_SIGNATURE``, the one signature of the
 formula language: an identifier applied to arguments must be a declared
 operation (term position) or test (formula position).  Bare identifiers are
-variables, template parameters or stream names, resolved at evaluation time.
+quantified variables, template parameters bound as variables, or stream
+names, all resolved at evaluation time.
 """
 
 from __future__ import annotations
@@ -282,12 +283,3 @@ def parse_term(text: str) -> Term:
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
     return t
 
-
-def parse_attribute_file(text: str) -> List[Formula]:
-    """One formula per non-blank line; '#' starts a comment."""
-    out = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            out.append(parse_formula(stripped))
-    return out

@@ -149,6 +149,7 @@ def _ints(text: str, count: int, line: int) -> List[int]:
 def parse_scenario(text: str) -> ScenarioConfig:
     entities: List[EntityConfig] = []
     schedule: Optional[ScheduleConfig] = None
+    schedule_keys = set()
     rules: List[RuleConfig] = []
     has_policy = False
     section = None  # None | ("entity", index) | "schedule" | "policy"
@@ -231,16 +232,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if key not in _SCHEDULE_KEYS:
                 raise ScenarioFormatError(f"unknown schedule key {key!r}",
                                           lineno)
+            if key in schedule_keys:
+                raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
+            schedule_keys.add(key)
             if key == "uploads":
-                if schedule.uploads:
-                    raise ScenarioFormatError("duplicate key 'uploads'",
-                                              lineno)
                 uploads = tuple(parse_clock(p, lineno)
                                 for p in value.split(","))
                 schedule = replace(schedule, uploads=uploads)
             else:
-                if schedule.days:
-                    raise ScenarioFormatError("duplicate key 'days'", lineno)
                 schedule = replace(schedule, days=_ints(value, 1, lineno)[0])
         else:
             if key != "rule":

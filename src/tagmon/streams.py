@@ -319,8 +319,7 @@ def lift_op(op: Operation, args: Sequence[Stream]) -> Stream:
     check_arity(op, len(args))
     w = _common_window(args)
     out = []
-    for i in range(w.length):
-        row = [a.values[i] for a in args]
+    for row in zip(*[a.values for a in args]):
         out.append(BOTTOM if any(v is BOTTOM for v in row) else op.fn(*row))
     return Stream(w, tuple(out))
 
@@ -330,8 +329,7 @@ def lift_test(ts: Relation, args: Sequence[Stream]) -> Stream:
     check_arity(ts, len(args))
     w = _common_window(args)
     out = []
-    for i in range(w.length):
-        row = [a.values[i] for a in args]
+    for row in zip(*[a.values for a in args]):
         out.append(BOTTOM if any(v is BOTTOM for v in row)
                    else bool(ts.fn(*row)))
     return Stream(w, tuple(out))
@@ -372,7 +370,8 @@ def insert(a: Stream, t: int, x: CarrierValue) -> Stream:
     if not is_carrier(x):
         raise KindMismatch(f"not a carrier value: {x!r}")
     i = t - a.window.start
-    return Stream(a.window, a.values[:i] + (x,) + a.values[i + 1:])
+    values = a.values
+    return Stream(a.window, values[:i] + (x,) + values[i + 1:])
 
 
 # -- value-returning quantified tests ----------------------------------------

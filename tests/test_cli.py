@@ -355,6 +355,23 @@ def test_gen_trace_bad_params(tmp_path, capsys):
         gen_dry(720, -1)
 
 
+@pytest.mark.parametrize("option, args", [
+    ("--spike-at", ["--kind", "spike", "--spike-at", "25:00",
+                    "--spike-value", "0.0500"]),
+    ("--gap", ["--kind", "gap", "--gap", "25:00", "26:00"]),
+])
+def test_gen_trace_bad_clock_time_is_a_usage_error(tmp_path, capsys, option,
+                                                   args):
+    out = tmp_path / "x.trace"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-trace", "--minutes", "100", "--out", str(out)] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: bad clock time '25:00'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_trace_into_a_missing_directory_is_a_runtime_failure(tmp_path,
                                                                    capsys):
     out = tmp_path / "missing" / "x.trace"

@@ -7,6 +7,7 @@ from tagmon.errors import (
     BoundNotInteger,
     FormulaSyntaxError,
     KindError,
+    KindMismatch,
     MissingParameter,
     UnboundIdentifier,
     UnknownSymbol,
@@ -26,12 +27,10 @@ from tagmon.formulas import (
     Var,
     eval_formula,
     eval_term,
-    free_names,
     instantiate,
     print_formula,
-    substitute,
 )
-from tagmon.parser import parse_attribute_file, parse_formula, parse_term
+from tagmon.parser import parse_formula, parse_term
 from tagmon.streams import Stream
 from tagmon.values import BOTTOM, Dec4
 
@@ -116,11 +115,10 @@ def test_parse_errors_carry_position():
         parse_formula("1.00001 < 2")
 
 
-def test_parse_attribute_file_skips_comments():
-    text = "# attribute definitions\ntrue\n\nb[0] < 1 # inline\n"
-    formulas = parse_attribute_file(text)
-    assert formulas == [BoolLit(True),
-                        Cmp("lt", StreamAt("b", Lit(0)), Lit(1))]
+def test_parse_formula_skips_comments():
+    assert parse_formula("# attribute definitions\ntrue\n\n") == BoolLit(True)
+    assert parse_formula("b[0] < 1 # inline") == Cmp(
+        "lt", StreamAt("b", Lit(0)), Lit(1))
 
 
 # -- term evaluation ------------------------------------------------------------
@@ -205,15 +203,26 @@ GREEN_SPEC = AttributeSpec(
 
 
 def test_instantiate_green_band():
-    f = instantiate(GREEN_SPEC, {"t1": 0, "t2": 120, "s": 30,
-                                 "glim": Dec4.parse("0.0150")})
-    assert print_formula(f) == "max(b, 0, 120, 30) < 0.0150"
-    assert free_names(f) == frozenset({"b"})
+    glim = Dec4.parse("0.0150")
+    variables = instantiate(GREEN_SPEC, {"t1": 0, "t2": 120, "s": 30,
+                                         "glim": glim, "status": "green"})
+    assert variables == {"t1": 0, "t2": 120, "s": 30, "glim": glim}
+    closed = parse_formula("max(b, 0, 120, 30) < 0.0150")
+    for trace in (bac_trace(), bac_trace(peak_at=60, peak=Dec4(150)),
+                  bac_trace(peak_at=61, peak=Dec4(9000))):
+        streams = {"b": trace}
+        assert (eval_formula(GREEN_SPEC.template,
+                             Environment(variables, streams))
+                == eval_formula(closed, Environment({}, streams)))
+    with pytest.raises(BottomEncountered):
+        eval_formula(GREEN_SPEC.template,
+                     Environment(variables, {"b": bac_trace(gap_at=90)}))
 
 
-def test_instantiate_no_params_is_identity():
+def test_instantiate_no_params_binds_nothing():
     spec = AttributeSpec("always", "ok", parse_formula("true"))
-    assert instantiate(spec, {}) == spec.template
+    assert instantiate(spec, {}) == {}
+    assert instantiate(spec, {"t1": 0}) == {}
 
 
 def test_instantiate_missing_parameter():
@@ -226,12 +235,25 @@ def test_instantiate_rejects_non_carrier():
         instantiate(GREEN_SPEC, {"t1": 0, "t2": 120, "s": 30, "glim": None})
 
 
-def test_substitute_respects_shadowing():
+def test_attribute_spec_rejects_a_parameter_named_like_its_stream():
+    with pytest.raises(KindMismatch):
+        AttributeSpec("band", "green", parse_formula("b[0] < b"),
+                      params=("b",))
+    with pytest.raises(KindMismatch):
+        AttributeSpec("night", "compliant",
+                      parse_formula("presence[0] = true"),
+                      params=("wstart", "presence"), stream_name="presence")
+
+
+def test_bound_parameter_respects_shadowing():
     f = parse_formula("k < 9 and forall k in 0..2 : k < 3")
-    out = substitute(f, {"k": 7})
-    assert out == And(Cmp("lt", Lit(7), Lit(9)),
-                      Quant("forall", "k", Lit(0), Lit(2),
-                            Cmp("lt", Var("k"), Lit(3))))
+    closed = And(Cmp("lt", Lit(7), Lit(9)),
+                 Quant("forall", "k", Lit(0), Lit(2),
+                       Cmp("lt", Var("k"), Lit(3))))
+    env = Environment({"k": 7})
+    assert eval_formula(f, env) is eval_formula(closed, Environment()) is True
+    assert not eval_formula(parse_formula("exists k in 0..2 : k = 7"), env)
+    assert env.variables == {"k": 7}
 
 
 def test_instantiate_curfew_window_expansion():
@@ -239,13 +261,15 @@ def test_instantiate_curfew_window_expansion():
         name="night-presence", label="compliant",
         template=parse_formula("forall k in wstart..wend : presence[k] = true"),
         params=("wstart", "wend"), stream_name="presence")
-    f = instantiate(spec, {"wstart": 1140, "wend": 1859})
+    variables = instantiate(spec, {"wstart": 1140, "wend": 1859})
     ticks = list(range(1140, 1860))
     assert len(ticks) == 720
     present = Stream.of(1140, [True] * 720)
-    assert eval_formula(f, Environment({}, {"presence": present}))
+    assert eval_formula(spec.template,
+                        Environment(variables, {"presence": present}))
     absent = Stream.of(1140, [True] * 300 + [False] + [True] * 419)
-    assert not eval_formula(f, Environment({}, {"presence": absent}))
+    assert not eval_formula(spec.template,
+                            Environment(variables, {"presence": absent}))
 
 
 # -- properties ------------------------------------------------------------------
@@ -258,6 +282,17 @@ def test_bruteforce_equivalence_sample():
         f = random_formula(rng, rng.randint(0, 4), {}, window)
         env = Environment({}, {"S": stream})
         assert eval_formula(f, env) == brute_formula(f, {}, {"S": stream})
+    # a free parameter bound as a variable; quantifiers over the same name
+    # shadow it
+    for _ in range(300):
+        stream = random_int_stream(rng, 0, window)
+        lo = rng.randrange(window)
+        hi = min(window - 1, lo + rng.randint(0, 7))
+        f = random_formula(rng, rng.randint(0, 4), {"k": (lo, hi)}, window)
+        k = rng.randint(lo, hi)
+        env = Environment({"k": k}, {"S": stream})
+        assert eval_formula(f, env) == brute_formula(f, {"k": k},
+                                                     {"S": stream})
 
 
 def test_de_morgan():
@@ -282,12 +317,10 @@ def test_quantifier_matches_explicit_expansion():
         lo = rng.randrange(window)
         hi = min(window - 1, lo + rng.randint(0, 5))
         body = random_formula(rng, 1, {"k": (lo, hi)}, window)
-        expansion = None
-        for k in range(lo, hi + 1):
-            inst = substitute(body, {"k": k})
-            expansion = inst if expansion is None else And(expansion, inst)
+        instances = [eval_formula(body, Environment({"k": k}, env.streams))
+                     for k in range(lo, hi + 1)]
         forall = Quant("forall", "k", Lit(lo), Lit(hi), body)
-        assert eval_formula(forall, env) == eval_formula(expansion, env)
+        assert eval_formula(forall, env) == all(instances)
         exists = Quant("exists", "k", Lit(lo), Lit(hi), body)
         negated = Not(Quant("forall", "k", Lit(lo), Lit(hi), Not(body)))
         assert eval_formula(exists, env) == eval_formula(negated, env)

@@ -196,6 +196,10 @@ def test_each_spec_is_evaluated_once_per_observation(monkeypatch):
         calls.clear()
         assert observe_family(alcohol_family(), "e", alcohol, trace) == label
         assert len(calls) == 3
+        # each template is evaluated as written, its parameters bound as
+        # variables, never rewritten per observation
+        assert all(formula is spec.template
+                   for formula, spec in zip(calls, alcohol_family().specs))
     curfew = Characteristics.of(status="compliant")
     window = {"wstart": 0, "wend": 9}
     for values, label in [([True] * 10, "compliant"),
@@ -206,6 +210,8 @@ def test_each_spec_is_evaluated_once_per_observation(monkeypatch):
                               Stream.of(0, values),
                               extra_params=window) == label
         assert len(calls) == 2
+        assert all(formula is spec.template
+                   for formula, spec in zip(calls, curfew_family().specs))
 
 
 def test_monitor_produces_stable_records():

@@ -96,6 +96,7 @@ days = 100
     ("[schedule]\nuploads = 9am\n", "bad clock time"),
     ("[policy]\nrule = a: on red set status\n\n[policy]\n",
      "line 4: duplicate [policy] section"),
+    ("[schedule]\ndays = 0\ndays = 2\n", "line 3: duplicate key 'days'"),
 ])
 def test_parse_rejects_bad_input(mutation, fragment):
     with pytest.raises(ScenarioFormatError) as err:

@@ -158,6 +158,49 @@ def test_insert_examples():
         insert(a, 3, 0)
 
 
+
+def _parsed_columns():
+    """A parsed decimal and boolean trace, each with its tuple copy."""
+    rng = random.Random(3)
+    decimals = Stream.of(0, [BOTTOM if rng.random() < 0.1
+                             else Dec4(rng.randint(-500, 500))
+                             for _ in range(300)])
+    booleans = Stream.of(0, [rng.choice((True, False, BOTTOM))
+                             for _ in range(300)])
+    out = []
+    for stream, kind in ((decimals, "decimal"), (booleans, "boolean")):
+        parsed = parse_trace(format_trace(stream, "x", kind))[2]
+        assert type(parsed) is not Stream
+        out.append((parsed, Stream.of(0, stream.values)))
+    return out
+
+
+def test_liftings_read_each_parsed_column_once(monkeypatch):
+    (dec, dec_copy), (bln, bln_copy) = _parsed_columns()
+    calls = [
+        (lambda d, b: lift_op(ADD_OP, [d, d]), 2),
+        (lambda d, b: lift_test(LT_TEST, [d, d]), 2),
+        (lambda d, b: lift_test(EQ_TEST, [b, b]), 2),
+        (lambda d, b: insert(d, 7, Dec4(1)), 1),
+        (lambda d, b: insert(b, 7, True), 1),
+    ]
+    expected = [call(dec_copy, bln_copy) for call, _ in calls]
+    reads = []
+    for column in (type(dec), type(bln)):
+        boxed = column.values
+
+        def counted(self, boxed=boxed):
+            reads.append(self)
+            return boxed.fget(self)
+
+        monkeypatch.setattr(column, "values", property(counted))
+    for (call, arity), want in zip(calls, expected):
+        reads.clear()
+        got = call(dec, bln)
+        assert len(reads) == arity
+        assert got == want
+
+
 def lt3():
     return Relation("lt3", 1, lambda x: x < 3)
 
