@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .errors import BadParams, MonitorError, ScenarioFormatError
-from .interventions import format_notification
+from .interventions import RunResult, format_notification
 from .monitoring import format_record
 from .scenario_file import (
     Diagnostic,
@@ -35,7 +35,6 @@ from .scenario_file import (
     parse_clock,
     validate_scenario,
 )
-from .scenarios import RunResult
 from .streams import Stream, Window, save_trace
 from .values import BOTTOM, Dec4
 

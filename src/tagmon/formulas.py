@@ -75,12 +75,6 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class TestApp:
-    name: str
-    args: Tuple[Term, ...]
-
-
-@dataclass(frozen=True)
 class Not:
     body: "Formula"
 
@@ -106,7 +100,7 @@ class Quant:
     body: "Formula"
 
 
-Formula = Union[BoolLit, Cmp, TestApp, Not, And, Or, Quant]
+Formula = Union[BoolLit, Cmp, Not, And, Or, Quant]
 
 
 @dataclass(frozen=True)
@@ -224,16 +218,6 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
             return compare(formula.op, lhs, rhs)
         except KindMismatch as exc:
             raise KindError(str(exc)) from None
-    if isinstance(formula, TestApp):
-        if formula.name not in BASE_SIGNATURE.tests:
-            raise UnknownSymbol(f"unknown test {formula.name!r}")
-        ts = BASE_SIGNATURE.test(formula.name)
-        args = [_atom_value(a, env) for a in formula.args]
-        check_arity(ts, len(args))
-        try:
-            return bool(ts.fn(*args))
-        except KindMismatch as exc:
-            raise KindError(str(exc)) from None
     if isinstance(formula, Not):
         return not eval_formula(formula.body, env)
     if isinstance(formula, And):
@@ -341,8 +325,6 @@ def _pf(f: Formula, req: int) -> str:
         return "true" if f.value else "false"
     if isinstance(f, Cmp):
         return f"{_pt(f.lhs, 1)} {_CMP_TEXT[f.op]} {_pt(f.rhs, 1)}"
-    if isinstance(f, TestApp):
-        return f"{f.name}({', '.join(_pt(a, 0) for a in f.args)})"
     if isinstance(f, Not):
         s = "not " + _pf(f.body, 3)
         return f"({s})" if req > 3 else s

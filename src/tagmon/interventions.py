@@ -15,7 +15,7 @@ characteristics reproduces byte-identical logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import KindMismatch, MonitorError, UnknownJudgement
 from .monitoring import (
@@ -155,8 +155,12 @@ def apply_policy(rec: Record, policy: Policy
 
 
 @dataclass
-class CycleResult:
-    characteristics: dict
+class RunResult:
+    """What one cycle, or a run of cycles, leaves: the characteristics
+    after it, its records and notifications, and each failing entity's
+    error."""
+
+    characteristics: Dict[str, Characteristics]
     records: List[Record]
     notifications: List[Notification]
     errors: List[Tuple[str, MonitorError]]
@@ -169,7 +173,7 @@ def run_cycle(entities: Sequence[str],
               policy: Policy,
               now: int,
               params_by_entity: Optional[Mapping[str, Mapping]] = None
-              ) -> CycleResult:
+              ) -> RunResult:
     """Monitor the given entities at one time point and apply the policy.
 
     A failing entity is recorded and skipped; the cycle continues for the
@@ -192,7 +196,7 @@ def run_cycle(entities: Sequence[str],
         updated[entity] = chi
         records.append(rec)
         notifications.extend(notes)
-    return CycleResult(updated, records, notifications, errors)
+    return RunResult(updated, records, notifications, errors)
 
 
 def format_notification(note: Notification) -> str:

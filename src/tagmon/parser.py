@@ -5,7 +5,7 @@
     and_f      := not_f ("and" not_f)*
     not_f      := "not" not_f | quantified | atom
     quantified := ("forall" | "exists") ident "in" term ".." term ":" or_f
-    atom       := testcall | comparison | "true" | "false" | "(" or_f ")"
+    atom       := comparison | "true" | "false" | "(" or_f ")"
     comparison := term ("=" | "!=" | "<" | "<=" | ">" | ">=") term
     term       := multerm (("+" | "-") multerm)*
     multerm    := unary (("*" | "/") unary)*
@@ -20,7 +20,8 @@ line.
 
 Call syntax is checked against ``BASE_SIGNATURE``, the one signature of the
 formula language: an identifier applied to arguments must be a declared
-operation (term position) or test (formula position).  Bare identifiers are
+operation, and is a term.  Relations are written as comparisons only, so
+``lt(a, b)`` is an unknown operation, not a test.  Bare identifiers are
 quantified variables, template parameters bound as variables, or stream
 names, all resolved at evaluation time.
 """
@@ -42,7 +43,6 @@ from .formulas import (
     Or,
     Quant,
     StreamAt,
-    TestApp,
     Term,
     Var,
 )
@@ -105,9 +105,8 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self):
+        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -171,15 +170,7 @@ class _Parser:
         return Quant(quantifier, var_tok[1], lo, hi, self.formula())
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        # test call: declared test symbol applied at formula level
-        if (tok[0] == "ident" and tok[1] in BASE_SIGNATURE.tests
-                and self.peek(1)[0] == "("):
-            self.next()
-            self.expect("(")
-            args = self.call_args()
-            return TestApp(tok[1], tuple(args))
-        if tok[0] == "(":
+        if self.peek()[0] == "(":
             # a parenthesis may open a nested formula or group a term;
             # try the formula reading first and fall back to a comparison
             mark = self.i
@@ -247,9 +238,6 @@ class _Parser:
         if tok[0] == "ident":
             name = tok[1]
             if self.peek()[0] == "(":
-                if name in BASE_SIGNATURE.tests:
-                    raise FormulaSyntaxError(
-                        f"test {name!r} used in term position", tok[2])
                 if name not in BASE_SIGNATURE.operations:
                     raise UnknownSymbol(
                         f"unknown operation {name!r} (at position {tok[2]})")

@@ -33,7 +33,9 @@ and building are one pass that loads each trace and builds each entity's run
 once: ``validate_scenario`` returns that pass's diagnostics instead of
 raising, so a command line can report them all, and ``build_scenario`` wires
 a runnable engine from the same pass or raises ``InvalidScenario`` carrying
-every diagnostic.
+every diagnostic.  One function checks and builds an entity: it works out
+the entity's kind once, and each fault it finds becomes one
+``entity X: ...`` diagnostic on the entity's line.
 
 Validation checks the scenario, not the engine: the predicate families are
 fixed code, so their partition property (exactly one judgement holds) is
@@ -48,7 +50,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .errors import MonitorError, ScenarioFormatError, TraceFormatError
 from .monitoring import JudgementSet
@@ -57,7 +59,9 @@ from .monitoring import JudgementSet
 from .monitoring import observe_family  # noqa: F401
 from .scenarios import (
     ALCOHOL_JUDGEMENTS,
+    COMPLIANT,
     CURFEW_JUDGEMENTS,
+    GREEN,
     CurfewOrder,
     Intervention,
     Policy,
@@ -72,8 +76,8 @@ from .scenarios import (
     merge_runs,
 )
 from .interventions import Action
-from .streams import Stream, load_trace, read_ascii
-from .values import Dec4
+from .streams import load_trace, read_ascii
+from .values import BOOLEAN, DECIMAL, Dec4
 
 _SECTION_RE = re.compile(r"\[(entity\s+([A-Za-z][A-Za-z0-9_-]*)"
                          r"|schedule|policy)\]\Z")
@@ -277,8 +281,9 @@ def format_scenario(config: ScenarioConfig) -> str:
         lines.append("")
     if config.schedule is not None:
         lines.append("[schedule]")
-        lines.append("uploads = " + ",".join(
-            format_clock(u) for u in config.schedule.uploads))
+        if config.schedule.uploads:
+            lines.append("uploads = " + ",".join(
+                format_clock(u) for u in config.schedule.uploads))
         lines.append(f"days = {config.schedule.days}")
         lines.append("")
     if config.rules:
@@ -313,6 +318,73 @@ class InvalidScenario(ScenarioFormatError):
         self.diagnostics = diagnostics
 
 
+def _entity_run(ent: EntityConfig, base: Path,
+                schedule: Union[None, ReportSchedule, MonitorError],
+                judgement_sets: List[JudgementSet],
+                faults: List[str]) -> ScenarioRun:
+    """An entity's run, or a MonitorError at the first fault that stops it.
+
+    ``schedule`` is the scenario's [schedule], or the fault that built none,
+    or None without the section.  The entity's kind adds its judgement set to
+    ``judgement_sets``.  The faults that do not stop the build, a status
+    outside the kind's judgements and nights on a sentence entity, go to
+    ``faults``, and the entity is built with its kind's default status.
+    """
+    if (ent.sentence is None) == (ent.curfew is None):
+        raise ScenarioFormatError("needs exactly one of sentence/curfew")
+    alcohol = ent.sentence is not None
+    judgements, status, trace_kind = (
+        (ALCOHOL_JUDGEMENTS, GREEN, DECIMAL) if alcohol
+        else (CURFEW_JUDGEMENTS, COMPLIANT, BOOLEAN))
+    judgement_sets.append(judgements)
+    if ent.status in judgements:
+        status = ent.status
+    elif ent.status is not None:
+        faults.append(f"status {ent.status!r} not in {judgements.labels}")
+    if alcohol:
+        if ent.nights is not None:
+            faults.append("nights applies to curfew entities only")
+        if schedule is None:
+            sentence = Sentence(*ent.sentence)
+        elif (not isinstance(schedule, MonitorError)
+              and ent.sentence[:2] != (0, schedule.last_upload)):
+            t1, t2 = ent.sentence[:2]
+            raise ScenarioFormatError(
+                f"under [schedule] the sentence must span "
+                f"0,{schedule.last_upload} (t=0 to the last upload), "
+                f"got {t1},{t2}")
+    elif ent.nights is None:
+        raise ScenarioFormatError("curfew needs nights")
+    if ent.trace is None:
+        raise ScenarioFormatError("missing trace")
+    trace_path = base / ent.trace
+    try:
+        if not trace_path.is_file():
+            raise ScenarioFormatError(f"trace file not found: {ent.trace}")
+        _, kind, stream = load_trace(trace_path)
+    except OSError as exc:
+        raise ScenarioFormatError(
+            f"cannot read trace {ent.trace}: "
+            f"{exc.strerror or 'unreadable'}") from None
+    except TraceFormatError as exc:
+        raise ScenarioFormatError(
+            f"{ent.trace}:{exc.line}: {exc.message}") from None
+    if kind != trace_kind:
+        raise ScenarioFormatError(
+            f"trace kind {kind!r}, expected {trace_kind!r}")
+    if not alcohol:
+        order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
+        return build_curfew_scenario(order, ent.entity, status)
+    if schedule is None:
+        return build_alcohol_scenario(sentence, status, stream, ent.entity)
+    if isinstance(schedule, MonitorError):
+        # the schedule's fault is also each sentence entity's
+        raise ScenarioFormatError(str(schedule))
+    _, _, s, eps, delta = ent.sentence
+    return build_extended_scenario(schedule, s, eps, delta, stream,
+                                   ent.entity, status)
+
+
 def _check_and_build(config: ScenarioConfig, base_dir
                      ) -> Tuple[List[Diagnostic], List[ScenarioRun],
                                 JudgementSet]:
@@ -320,8 +392,11 @@ def _check_and_build(config: ScenarioConfig, base_dir
     the union of the entities' judgement sets that the rules are checked
     against.
 
-    Each trace is loaded and each entity's run built exactly once; the runs
-    and the union are only complete when there are no diagnostics.
+    Each trace is loaded and each entity's run built exactly once, by
+    ``_entity_run``; every fault it reports becomes one ``entity X: ...``
+    diagnostic on the entity's line, the faults that do not stop the build
+    first.  The runs and the union are only complete when there are no
+    diagnostics.
     """
     base = Path(base_dir)
     diagnostics: List[Diagnostic] = []
@@ -330,99 +405,28 @@ def _check_and_build(config: ScenarioConfig, base_dir
     if not config.entities:
         diagnostics.append(Diagnostic(0, "no entities declared"))
 
-    schedule = schedule_error = None
+    schedule = None
     if config.schedule is not None:
         try:
             schedule = ReportSchedule(config.schedule.uploads,
                                       config.schedule.days)
         except MonitorError as exc:
-            schedule_error = exc
+            schedule = exc
 
     judgement_sets: List[JudgementSet] = []
     for ent in config.entities:
-        if (ent.sentence is None) == (ent.curfew is None):
-            diagnostics.append(Diagnostic(
-                ent.line,
-                f"entity {ent.entity}: needs exactly one of sentence/curfew"))
-            continue
-        judgements = (ALCOHOL_JUDGEMENTS if ent.sentence is not None
-                      else CURFEW_JUDGEMENTS)
-        judgement_sets.append(judgements)
-        if ent.status is not None and ent.status not in judgements:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: status {ent.status!r} not "
-                          f"in {judgements.labels}"))
-            # build with the kind's default status so that the entity's
-            # other faults are still found, and this one reported once
-            ent = replace(ent, status=None)
-        if ent.curfew is not None and ent.nights is None:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: curfew needs nights"))
-            continue
-        if ent.sentence is not None and ent.nights is not None:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: nights applies to curfew "
-                          "entities only"))
-        sentence = None
-        if ent.sentence is not None and config.schedule is None:
-            try:
-                sentence = Sentence(*ent.sentence)
-            except MonitorError as exc:
-                diagnostics.append(Diagnostic(
-                    ent.line, f"entity {ent.entity}: {exc}"))
-                continue
-        if (ent.sentence is not None and schedule is not None
-                and ent.sentence[:2] != (0, schedule.last_upload)):
-            t1, t2 = ent.sentence[:2]
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: under [schedule] the "
-                          f"sentence must span 0,{schedule.last_upload} "
-                          f"(t=0 to the last upload), got {t1},{t2}"))
-            continue
-        if ent.trace is None:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: missing trace"))
-            continue
-        trace_path = base / ent.trace
+        faults: List[str] = []
         try:
-            if not trace_path.is_file():
-                diagnostics.append(Diagnostic(
-                    ent.line, f"entity {ent.entity}: trace file not found: "
-                              f"{ent.trace}"))
-                continue
-            _, kind, stream = load_trace(trace_path)
-        except OSError as exc:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: cannot read trace "
-                          f"{ent.trace}: {exc.strerror or 'unreadable'}"))
-            continue
-        except TraceFormatError as exc:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: {ent.trace}:{exc.line}: "
-                          f"{exc.message}"))
-            continue
-        expected_kind = "decimal" if ent.sentence is not None else "boolean"
-        if kind != expected_kind:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: trace kind {kind!r}, "
-                          f"expected {expected_kind!r}"))
-            continue
-        if ent.sentence is not None and schedule_error is not None:
-            # the schedule's fault is also each sentence entity's
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: {schedule_error}"))
-            continue
-        try:
-            run = _entity_run(ent, schedule, sentence, stream)
+            runs.append(_entity_run(ent, base, schedule, judgement_sets,
+                                    faults))
         except MonitorError as exc:
-            diagnostics.append(Diagnostic(
-                ent.line, f"entity {ent.entity}: {exc}"))
-            continue
-        runs.append(run)
+            faults.append(str(exc))
+        diagnostics.extend(
+            Diagnostic(ent.line, f"entity {ent.entity}: {fault}")
+            for fault in faults)
 
-    if schedule_error is not None:
-        diagnostics.append(Diagnostic(config.schedule.line,
-                                      str(schedule_error)))
+    if isinstance(schedule, MonitorError):
+        diagnostics.append(Diagnostic(config.schedule.line, str(schedule)))
     if config.schedule is not None:
         for ent in config.entities:
             if ent.curfew is not None:
@@ -461,20 +465,6 @@ def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
     here.
     """
     return _check_and_build(config, base_dir)[0]
-
-
-def _entity_run(ent: EntityConfig, schedule: Optional[ReportSchedule],
-                sentence: Optional[Sentence], stream: Stream) -> ScenarioRun:
-    """An entity's run from the schedule or sentence built by the caller."""
-    if sentence is not None:
-        return build_alcohol_scenario(sentence, ent.status or "green",
-                                      stream, ent.entity)
-    if ent.sentence is not None:
-        _, _, s, eps, delta = ent.sentence
-        return build_extended_scenario(schedule, s, eps, delta, stream,
-                                       ent.entity, ent.status or "green")
-    order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
-    return build_curfew_scenario(order, ent.entity, ent.status or "compliant")
 
 
 def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:

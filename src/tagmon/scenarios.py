@@ -37,10 +37,10 @@ from .errors import KindMismatch, MonitorError, WindowTooShort
 from .formulas import AttributeSpec
 from .interventions import (
     Action,
-    CycleResult,
     Intervention,
     Notification,
     Policy,
+    RunResult,
     Trigger,
     run_cycle,
 )
@@ -63,6 +63,11 @@ ALCOHOL_JUDGEMENTS = JudgementSet((GREEN, AMBER, RED, ABSENT))
 COMPLIANT, VIOLATION, ABSENT_SIGNAL = ("compliant", "violation",
                                        "absent-signal")
 CURFEW_JUDGEMENTS = JudgementSet((COMPLIANT, VIOLATION, ABSENT_SIGNAL))
+
+
+def _require_status(status: str, judgements: JudgementSet) -> None:
+    if status not in judgements:
+        raise KindMismatch(f"unknown status {status!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,7 @@ class Sentence:
                 f"epsilon={self.epsilon}")
 
     def characteristics(self, status: str = GREEN) -> Characteristics:
-        if status not in ALCOHOL_JUDGEMENTS:
-            raise KindMismatch(f"unknown status {status!r}")
+        _require_status(status, ALCOHOL_JUDGEMENTS)
         terms = Characteristics.of(t1=self.t1, t2=self.t2, s=self.s,
                                    epsilon=self.epsilon, delta=self.delta)
         return Characteristics.of(sentence=terms, status=status)
@@ -110,12 +114,19 @@ def sample_times(t1: int, t2: int, s: int) -> List[int]:
     return [t1 + k * s for k in range(sample_count(t1, t2, s) + 1)]
 
 
-def sampled_max(t1: int, t2: int, s: int, b: Stream) -> Optional[Dec4]:
-    """Maximum sampled reading over [t1, t2], or None if any sample is missing."""
+def _require_cover(b: Stream, t1: int, t2: int, name: str,
+                   span: str = "") -> None:
+    """Raise WindowTooShort unless the window of ``b``, called ``name`` in
+    the message, covers the ticks [t1, t2]."""
     if b.window.start > t1 or b.window.horizon <= t2:
         raise WindowTooShort(
-            f"stream window [{b.window.start}, {b.window.horizon}) does not "
-            f"cover [{t1}, {t2}]")
+            f"{name} window [{b.window.start}, {b.window.horizon}) does not "
+            f"cover {span}[{t1}, {t2}]")
+
+
+def sampled_max(t1: int, t2: int, s: int, b: Stream) -> Optional[Dec4]:
+    """Maximum sampled reading over [t1, t2], or None if any sample is missing."""
+    _require_cover(b, t1, t2, "stream")
     best = None
     for t in sample_times(t1, t2, s):
         v = b.at(t)
@@ -225,14 +236,6 @@ class Cycle:
         return tuple(self.params_by_entity)
 
 
-@dataclass
-class RunResult:
-    characteristics: Dict[str, Characteristics]
-    records: List[Record]
-    notifications: List[Notification]
-    errors: List[Tuple[str, MonitorError]]
-
-
 @dataclass(frozen=True)
 class ScenarioRun:
     """A fully wired engine run: entities, behaviours, attribute families,
@@ -250,7 +253,7 @@ class ScenarioRun:
         notifications: List[Notification] = []
         errors: List[Tuple[str, MonitorError]] = []
         for cycle in sorted(self.cycles, key=lambda c: c.now):
-            result: CycleResult = run_cycle(
+            result = run_cycle(
                 cycle.entities, chi, self.binding, self.families,
                 self.policy, cycle.now,
                 params_by_entity=cycle.params_by_entity)
@@ -303,10 +306,7 @@ def build_alcohol_scenario(sigma: Sentence, initial_status: str,
                            trace: Stream, entity: str = "PID-1"
                            ) -> ScenarioRun:
     """Single reporting window over [t1, t2], evaluated at t2."""
-    if trace.window.start > sigma.t1 or trace.window.horizon <= sigma.t2:
-        raise WindowTooShort(
-            f"trace window [{trace.window.start}, {trace.window.horizon}) "
-            f"does not cover [{sigma.t1}, {sigma.t2}]")
+    _require_cover(trace, sigma.t1, sigma.t2, "trace")
     chi = sigma.characteristics(initial_status)
     binding = BehaviourBinding().bind(entity, trace)
     cycles = (Cycle(sigma.t2, {entity: {}}),)
@@ -349,8 +349,7 @@ class CurfewOrder:
         return night * MINUTES_PER_DAY + self.end_minute
 
     def characteristics(self, status: str = COMPLIANT) -> Characteristics:
-        if status not in CURFEW_JUDGEMENTS:
-            raise KindMismatch(f"unknown status {status!r}")
+        _require_status(status, CURFEW_JUDGEMENTS)
         return Characteristics.of(curfew_start=self.start_minute,
                                   curfew_end=self.end_minute,
                                   nights=self.nights, status=status)
@@ -359,13 +358,8 @@ class CurfewOrder:
 def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
                           initial_status: str = COMPLIANT) -> ScenarioRun:
     """One cycle per night, evaluated at the morning report tick."""
-    last_start, last_end = order.night_window(order.nights)
-    first_start, _ = order.night_window(1)
-    w = order.presence.window
-    if w.start > first_start or w.horizon <= last_end:
-        raise WindowTooShort(
-            f"presence window [{w.start}, {w.horizon}) does not cover nights "
-            f"[{first_start}, {last_end}]")
+    _require_cover(order.presence, order.night_window(1)[0],
+                   order.night_window(order.nights)[1], "presence", "nights ")
     chi = order.characteristics(initial_status)
     binding = BehaviourBinding().bind(entity, order.presence)
     cycles = []
@@ -425,10 +419,8 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
         raise KindMismatch(
             f"need 0 < delta < epsilon, got delta={delta}, epsilon={epsilon}")
     # the trace bounds the number of upload ticks listed below
-    if trace.window.start > 0 or trace.window.horizon <= schedule.last_upload:
-        raise WindowTooShort(
-            f"trace window [{trace.window.start}, {trace.window.horizon}) "
-            f"does not cover [0, {schedule.last_upload}]")
+    _require_cover(trace, 0, schedule.last_upload, "trace")
+    _require_status(initial_status, ALCOHOL_JUDGEMENTS)
     chi = Characteristics.of(s=interval, epsilon=epsilon, delta=delta,
                              days=schedule.days, status=initial_status)
     binding = BehaviourBinding().bind(entity, trace)

@@ -250,6 +250,175 @@ def test_a_rule_is_named_once_in_one_policy(scenarios_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+# One scenario per way a [schedule] section can stand: absent, invalid and
+# valid.  A sentence's span is checked only against a valid schedule, and an
+# invalid one is each sentence entity's fault, so no single file can raise
+# both.  Between them the files raise every per-entity diagnostic, the
+# diagnostics of the whole schedule and those of the rules.
+LONG_TRACE = "t" * 5000
+DIAGNOSTIC_SCENARIOS = {
+    "plain": f"""\
+[entity A]
+sentence = 0,720,30,0.0200,0.0050
+curfew = 19:00,07:00
+trace = dry.trace
+
+[entity B]
+sentence = 0,720,30,0.0200,0.0050
+status = compliant
+nights = 7
+
+[entity C]
+curfew = 19:00,07:00
+status = green
+
+[entity D]
+sentence = 0,720,30,0.0050,0.0200
+trace = dry.trace
+
+[entity E]
+sentence = 0,720,30,0.0200,0.0050
+trace = nope.trace
+
+[entity F]
+sentence = 0,720,30,0.0200,0.0050
+trace = {LONG_TRACE}
+
+[entity G]
+sentence = 0,2,1,0.0200,0.0050
+trace = bad.trace
+
+[entity H]
+curfew = 19:00,07:00
+nights = 1
+trace = dry.trace
+
+[entity I]
+sentence = 0,2820,30,0.0200,0.0050
+trace = dry.trace
+
+[entity J]
+curfew = 07:00,19:00
+nights = 1
+trace = presence.trace
+
+[entity K]
+curfew = 19:00,07:00
+nights = 30
+status = violation
+trace = presence.trace
+
+[entity L]
+sentence = 0,720,30,0.0200,0.0050
+status = purple
+trace = dry.trace
+
+[policy]
+rule = r: on red,purple set status
+rule = r: on violation set nights
+""",
+    "bad-schedule": """\
+[entity A]
+sentence = 0,2820,60,0.0200,0.0050
+status = red
+trace = dry.trace
+
+[entity B]
+curfew = 19:00,07:00
+nights = 1
+trace = presence.trace
+
+[entity C]
+sentence = 0,2820,60,0.0200,0.0050
+trace = presence.trace
+
+[schedule]
+uploads = 23:00,07:00
+days = 2
+""",
+    "schedule": """\
+[entity A]
+sentence = 0,900,60,0.0200,0.0050
+trace = dry.trace
+
+[entity B]
+sentence = 0,2820,60,0.0200,0.0050
+nights = 2
+trace = dry.trace
+
+[entity C]
+sentence = 0,2820,0,0.0200,0.0050
+trace = dry.trace
+
+[entity D]
+curfew = 19:00,07:00
+nights = 1
+trace = presence.trace
+
+[schedule]
+uploads = 07:00,23:00
+days = 2
+""",
+}
+GOLDEN_DIAGNOSTICS = {
+    "plain": [
+        "1: entity A: needs exactly one of sentence/curfew",
+        "6: entity B: status 'compliant' not in ('green', 'amber', 'red', "
+        "'absent')",
+        "6: entity B: nights applies to curfew entities only",
+        "6: entity B: missing trace",
+        "11: entity C: status 'green' not in ('compliant', 'violation', "
+        "'absent-signal')",
+        "11: entity C: curfew needs nights",
+        "15: entity D: need 0 < delta < epsilon, got delta=0.0200, "
+        "epsilon=0.0050",
+        "19: entity E: trace file not found: nope.trace",
+        f"23: entity F: cannot read trace {LONG_TRACE}: File name too long",
+        "27: entity G: bad.trace:3: decimal '0.010' must have exactly 4 "
+        "fractional digits",
+        "31: entity H: trace kind 'decimal', expected 'boolean'",
+        "36: entity I: trace window [0, 721) does not cover [0, 2820]",
+        "40: entity J: curfew window must wrap midnight once, got 420..1140",
+        "45: entity K: presence window [0, 10501) does not cover nights "
+        "[1140, 43619]",
+        "51: entity L: status 'purple' not in ('green', 'amber', 'red', "
+        "'absent')",
+        "57: rule r: labels ['purple'] match no entity's judgements",
+        "58: rule r: duplicate rule name",
+        "58: rule r: no settable field 'nights' in the entity schemas",
+    ],
+    "bad-schedule": [
+        "1: entity A: upload times must be strictly increasing: (1380, 420)",
+        "11: entity C: trace kind 'boolean', expected 'decimal'",
+        "15: upload times must be strictly increasing: (1380, 420)",
+        "6: entity B: [schedule] applies to sentence entities only",
+    ],
+    "schedule": [
+        "1: entity A: under [schedule] the sentence must span 0,2820 (t=0 to "
+        "the last upload), got 0,900",
+        "5: entity B: nights applies to curfew entities only",
+        "5: entity B: trace window [0, 721) does not cover [0, 2820]",
+        "10: entity C: sample interval must be positive: 0",
+        "14: entity D: [schedule] applies to sentence entities only",
+    ],
+}
+
+
+def test_validate_diagnostics_golden(scenarios_dir, tmp_path, capsys):
+    # pins the wording, line and order of every diagnostic
+    traces = scenarios_dir / "traces"
+    shutil.copy(traces / "alcohol_dry.trace", tmp_path / "dry.trace")
+    shutil.copy(traces / "curfew_presence.trace", tmp_path / "presence.trace")
+    (tmp_path / "bad.trace").write_text(
+        "trace b decimal 0 3\n0,0.0100\n1,0.010\n2,0.0100\n")
+    for name, text in DIAGNOSTIC_SCENARIOS.items():
+        scenario = tmp_path / f"{name}.scenario"
+        scenario.write_text(text)
+        assert main(["validate", str(scenario)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "".join(
+            f"{scenario}:{line}\n" for line in GOLDEN_DIAGNOSTICS[name])
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_scenario_wide_fault_has_no_line(tmp_path, capsys, command):
     scenario = tmp_path / "empty.scenario"

@@ -115,6 +115,16 @@ def test_parse_errors_carry_position():
         parse_formula("1.00001 < 2")
 
 
+@pytest.mark.parametrize("text", ["lt(a, b)", "eq(x, 1) and true",
+                                  "1 < lt(a, b)"])
+def test_relations_are_written_as_comparisons_only(text):
+    # a relation name called like a function is not a formula node: the
+    # six relations are Cmp, spelled with =, !=, <, <=, > and >=
+    with pytest.raises(UnknownSymbol) as err:
+        parse_formula(text)
+    assert "unknown operation" in str(err.value)
+
+
 def test_parse_formula_skips_comments():
     assert parse_formula("# attribute definitions\ntrue\n\n") == BoolLit(True)
     assert parse_formula("b[0] < 1 # inline") == Cmp(

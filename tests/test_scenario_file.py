@@ -105,8 +105,10 @@ def test_parse_rejects_bad_input(mutation, fragment):
 
 
 def test_format_parse_round_trip():
-    config = parse_scenario(ALCOHOL_TEXT)
-    assert parse_scenario(format_scenario(config)) == config
+    # a [schedule] without uploads parses, so its text must parse back
+    for text in (ALCOHOL_TEXT, "[schedule]\ndays = 2\n"):
+        config = parse_scenario(text)
+        assert parse_scenario(format_scenario(config)) == config
 
 
 def test_format_parse_round_trip_full():

@@ -337,6 +337,43 @@ def test_extended_windows_agree_with_compliance_judgement():
     assert seen == set(ALCOHOL_JUDGEMENTS)
 
 
+def test_builders_reject_an_unknown_status():
+    schedule = ReportSchedule((420,), 1)
+    builds = [
+        lambda status: build_alcohol_scenario(
+            SIGMA, status, Stream.of(0, [Dec4(0)] * 121)),
+        lambda status: build_curfew_scenario(
+            CurfewOrder(presence_trace(1), 1), "PID-9", status),
+        lambda status: build_extended_scenario(
+            schedule, 60, EPS, DELTA, dry_extended_trace(1),
+            initial_status=status),
+    ]
+    for build in builds:
+        with pytest.raises(KindMismatch) as err:
+            build("purple")
+        assert str(err.value) == "unknown status 'purple'"
+
+
+def test_window_too_short_messages():
+    short = Stream.of(10, [Dec4(0)] * 100)
+    cases = [
+        (lambda: sampled_max(0, 120, 30, short),
+         "stream window [10, 110) does not cover [0, 120]"),
+        (lambda: build_alcohol_scenario(SIGMA, "green", short),
+         "trace window [10, 110) does not cover [0, 120]"),
+        (lambda: build_curfew_scenario(
+            CurfewOrder(Stream.of(0, [True] * 3000), 2)),
+         "presence window [0, 3000) does not cover nights [1140, 3299]"),
+        (lambda: build_extended_scenario(
+            ReportSchedule((420, 1380), 2), 60, EPS, DELTA, short),
+         "trace window [10, 110) does not cover [0, 2820]"),
+    ]
+    for build, message in cases:
+        with pytest.raises(WindowTooShort) as err:
+            build()
+        assert str(err.value) == message
+
+
 # -- mixed scenarios ---------------------------------------------------------------
 
 def test_merge_runs_mixes_entity_types():
