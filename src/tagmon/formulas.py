@@ -11,6 +11,13 @@ Undefined readings are strict: a BOTTOM anywhere inside a term makes the term
 BOTTOM, and an atomic test over BOTTOM raises BottomEncountered rather than
 inventing a truth value.  The monitoring layer routes that exception to the
 predicate family's one label for undefined data.
+
+Two leaf shapes read a parsed trace's column instead of stepping tick by
+tick: ``forall``/``exists k in lo .. hi : s[k] = c`` with c a boolean
+literal, over a boolean trace, and ``max``/``min(s, t1, t2, step)`` over a
+decimal trace.  Each gives what the loop gives, down to the error or BOTTOM
+it meets first.  Every other formula, and every stream built from values,
+takes the loop.
 """
 
 from __future__ import annotations
@@ -28,7 +35,13 @@ from .errors import (
     UnboundIdentifier,
     UnknownSymbol,
 )
-from .streams import BASE_SIGNATURE, Stream, check_arity
+from .streams import (
+    BASE_SIGNATURE,
+    Stream,
+    _Booleans,
+    _Decimals,
+    check_arity,
+)
 from .values import BOTTOM, CarrierValue, compare, format_value, is_carrier
 
 # -- terms --------------------------------------------------------------------
@@ -122,6 +135,9 @@ def _lookup(name: str, env: Environment):
     raise UnboundIdentifier(f"unbound identifier {name!r}")
 
 
+_REDUCTIONS = {"max": max, "min": min}
+
+
 def _sampled_reduce(op: str, args):
     if len(args) != 4:
         raise ArityMismatch(
@@ -137,13 +153,18 @@ def _sampled_reduce(op: str, args):
         raise KindError(f"sample step must be positive, got {s}")
     if t2 < t1:
         raise KindError(f"empty sample range [{t1}, {t2}]")
+    if isinstance(stream, _Decimals):
+        return stream.reduce_samples(_REDUCTIONS[op], t1, t2, s)
     count = (t2 - t1) // s
     samples = [stream.at(t1 + k * s) for k in range(count + 1)]
     if any(v is BOTTOM for v in samples):
         return BOTTOM
     if len(samples) == 1:
         return samples[0]
-    return BASE_SIGNATURE.operation(op).fn(*samples)
+    try:
+        return BASE_SIGNATURE.operation(op).fn(*samples)
+    except KindMismatch as exc:
+        raise KindError(str(exc)) from None
 
 
 def eval_term(term: Term, env: Environment):
@@ -207,6 +228,25 @@ def _atom_value(term: Term, env: Environment):
     return v
 
 
+def _scanned_column(formula: Quant, env: Environment):
+    """The parsed boolean trace that ``k in lo .. hi : s[k] = c`` scans,
+    with c a boolean literal and s a stream no variable hides; None for any
+    other quantifier."""
+    body = formula.body
+    if not (isinstance(body, Cmp) and body.op == "eq"
+            and isinstance(body.lhs, StreamAt)
+            and isinstance(body.lhs.index, Var)
+            and body.lhs.index.name == formula.var
+            and isinstance(body.rhs, Lit)
+            and isinstance(body.rhs.value, bool)):
+        return None
+    name = body.lhs.stream
+    if name == formula.var or name in env.variables:
+        return None
+    stream = env.streams.get(name)
+    return stream if isinstance(stream, _Booleans) else None
+
+
 def eval_formula(formula: Formula, env: Environment) -> bool:
     """Tarskian evaluation; quantifiers range over their inclusive bounds."""
     if isinstance(formula, BoolLit):
@@ -229,9 +269,19 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
     if isinstance(formula, Quant):
         lo = _int_bound(formula.lo, env)
         hi = _int_bound(formula.hi, env)
+        forall = formula.quantifier == "forall"
+        column = _scanned_column(formula, env)
+        if column is not None:
+            # the first tick that stops the loop below decides the result
+            literal = formula.body.rhs.value
+            stop = column.first_other(literal if forall else not literal,
+                                      lo, hi)
+            if stop is BOTTOM:
+                raise BottomEncountered("test touched an undefined reading")
+            return forall if stop is None else not forall
         scope = dict(env.variables)
         inner = Environment(scope, env.streams)
-        if formula.quantifier == "forall":
+        if forall:
             for k in range(lo, hi + 1):
                 scope[formula.var] = k
                 if not eval_formula(formula.body, inner):

@@ -15,8 +15,12 @@ silently pass for a truth value.
 Storage is not part of the algebra.  A decimal trace read from a file is kept
 as a column of raw Dec4 units (``array('q')``) with a byte per tick marking
 NA, and a boolean trace as one byte code per tick (false, true or NA); ``at``
-boxes the one reading it returns.  Streams built from values, and integer
-and label traces, keep a tuple of carrier values.
+boxes the one reading it returns.  Two queries answer the formula
+evaluator's leaf shapes on the column itself, boxing at most one reading:
+``first_other`` finds the first tick of a range whose boolean is not a
+given one, and ``reduce_samples`` takes the max or min of a decimal trace's
+readings at a fixed step.  Streams built from values, and integer and label
+traces, keep a tuple of carrier values.
 """
 
 from __future__ import annotations
@@ -180,6 +184,27 @@ class _Decimals(Stream):
         i = t - w.start
         return BOTTOM if self._missing[i] else Dec4(self._readings[i])
 
+    def reduce_samples(self, reduce: Callable, t1: int, t2: int,
+                       s: int) -> CarrierValue:
+        """``reduce`` (``max`` or ``min``) of the readings at t1, t1+s, ...,
+        up to t2, with t1 <= t2 and s >= 1: one Dec4, or BOTTOM if any of
+        them is NA.  The first sample outside the window raises as ``at``.
+
+        The samples are a strided slice of the raw units and of the missing
+        mask; only the result is boxed.
+        """
+        w = self.window
+        if not w.start <= t1 < w.horizon:
+            raise _outside(w, t1)
+        last = t1 + (t2 - t1) // s * s
+        if last >= w.horizon:
+            # the first sample at or past the horizon
+            raise _outside(w, t1 - (t1 - w.horizon) // s * s)
+        picked = slice(t1 - w.start, last - w.start + 1, s)
+        if 1 in self._missing[picked]:
+            return BOTTOM
+        return Dec4(reduce(self._readings[picked]))
+
 
 _BOOLEAN_CODES = {"false": 0, "true": 1, "NA": 2}
 _BOOLEAN_BOXES = (False, True, BOTTOM)
@@ -210,6 +235,34 @@ class _Booleans(Stream):
         if not w.start <= t < w.horizon:
             raise _outside(w, t)
         return _BOOLEAN_BOXES[self._readings[t - w.start]]
+
+    def first_other(self, keep: bool, lo: int, hi: int) -> CarrierValue:
+        """The reading at the first tick of [lo, hi] that does not hold
+        ``keep``: the other boolean or BOTTOM, or None if every tick holds
+        ``keep``.  A tick outside the window raises as ``at`` if the scan
+        reaches it.
+
+        ``bytearray.find`` looks for each other code in turn, each search
+        ending where the one before it hit; nothing is copied or boxed.
+        """
+        if hi < lo:
+            return None
+        w = self.window
+        if not w.start <= lo < w.horizon:
+            raise _outside(w, lo)
+        codes = self._readings
+        end = min(hi, w.horizon - 1) - w.start + 1
+        hit = end
+        for code, reading in enumerate(_BOOLEAN_BOXES):
+            if reading is not keep:
+                found = codes.find(code, lo - w.start, hit)
+                if found >= 0:
+                    hit = found
+        if hit < end:
+            return _BOOLEAN_BOXES[codes[hit]]
+        if hi >= w.horizon:
+            raise _outside(w, w.horizon)
+        return None
 
 
 # -- signatures --------------------------------------------------------------

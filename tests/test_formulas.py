@@ -163,6 +163,19 @@ def test_eval_term_errors():
         eval_term(parse_term("floor(b, 1)"), env)
 
 
+def test_sampled_max_of_unordered_readings_is_a_kind_error():
+    # booleans have no order: a sampled max over them fails as the plain
+    # max(true, false) does; a single sample is still its own maximum
+    env = Environment({}, {"p": Stream.of(0, (True, False, True))})
+    with pytest.raises(KindError):
+        eval_formula(parse_formula("max(true, false) = true"), env)
+    with pytest.raises(KindError):
+        eval_formula(parse_formula("max(p, 0, 2, 1) = true"), env)
+    with pytest.raises(KindError):
+        eval_term(parse_term("min(p, 0, 1, 1)"), env)
+    assert eval_term(parse_term("max(p, 1, 1, 1)"), env) is False
+
+
 # -- formula evaluation ----------------------------------------------------------
 
 def test_eval_formula_trivial_equality():
