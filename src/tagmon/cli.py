@@ -20,7 +20,6 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -50,14 +49,16 @@ DEFAULT_EPSILON = Dec4.parse("0.0200")
 DEFAULT_DELTA = Dec4.parse("0.0050")
 
 
-@dataclass
 class RunSummary:
     """Per-entity judgement counts plus the headline numbers of a run."""
 
-    judgement_counts: Dict[str, Dict[str, int]]
-    notification_count: int
-    first_violation: Optional[int]
-    exit_status: int
+    def __init__(self, judgement_counts: Dict[str, Dict[str, int]],
+                 notification_count: int, first_violation: Optional[int],
+                 exit_status: int):
+        self.judgement_counts = judgement_counts
+        self.notification_count = notification_count
+        self.first_violation = first_violation
+        self.exit_status = exit_status
 
     @classmethod
     def from_result(cls, result: RunResult, exit_status: int) -> "RunSummary":

@@ -22,9 +22,9 @@ takes the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Tuple, Union
 
+from ._frozen import Frozen, fresh
 from .errors import (
     ArityMismatch,
     BottomEncountered,
@@ -47,24 +47,20 @@ from .values import BOTTOM, CarrierValue, compare, format_value, is_carrier
 # -- terms --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Frozen):
     value: CarrierValue
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(Frozen):
     op: str
     args: Tuple["Term", ...]
 
 
-@dataclass(frozen=True)
-class StreamAt:
+class StreamAt(Frozen):
     stream: str
     index: "Term"
 
@@ -75,37 +71,31 @@ Term = Union[Lit, Var, Apply, StreamAt]
 # -- formulas -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Frozen):
     value: bool
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Frozen):
     op: str  # eq ne lt le gt ge
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Frozen):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Frozen):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Frozen):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Quant:
+class Quant(Frozen):
     quantifier: str  # "forall" | "exists"
     var: str
     lo: Term
@@ -116,12 +106,11 @@ class Quant:
 Formula = Union[BoolLit, Cmp, Not, And, Or, Quant]
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Frozen):
     """Evaluation bindings: plain variables and named behaviour streams."""
 
-    variables: Mapping[str, CarrierValue] = field(default_factory=dict)
-    streams: Mapping[str, Stream] = field(default_factory=dict)
+    variables: Mapping[str, CarrierValue] = fresh(dict)
+    streams: Mapping[str, Stream] = fresh(dict)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -298,8 +287,7 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
 # -- attribute templates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+class AttributeSpec(Frozen):
     """Named formula template backing one judgement label.
 
     ``params`` are the identifiers bound as variables when the template is

@@ -14,9 +14,9 @@ characteristics reproduces byte-identical logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import KindMismatch, MonitorError, UnknownJudgement
 from .monitoring import (
     BehaviourBinding,
@@ -36,8 +36,7 @@ _SET_FIELD = "set-field"
 _SET_FROM_JUDGEMENT = "set-from-judgement"
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(Frozen):
     """Total boolean condition on a judgement set, given extensionally."""
 
     domain: JudgementSet
@@ -57,8 +56,7 @@ class Trigger:
         return judgement in self.fires_on
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Frozen):
     """Characteristics transformer; the null action is the identity."""
 
     kind: str
@@ -94,8 +92,7 @@ class Action:
         return chi.with_field(self.field, judgement)
 
 
-@dataclass(frozen=True)
-class Intervention:
+class Intervention(Frozen):
     """A named trigger->action rule with a purpose tag.
 
     The tag classifies what the rule is for (penalty, incentive, ...) and is
@@ -115,15 +112,13 @@ class Intervention:
                 f"intervention tag {self.tag!r} not in {TAXONOMY}")
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Frozen):
     """Ordered interventions; application order is declaration order."""
 
     rules: Tuple[Intervention, ...] = ()
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(Frozen):
     """What a fired intervention tells the outside infrastructure."""
 
     entity: str
@@ -154,16 +149,18 @@ def apply_policy(rec: Record, policy: Policy
     return rec.entity, chi, notifications
 
 
-@dataclass
 class RunResult:
     """What one cycle, or a run of cycles, leaves: the characteristics
     after it, its records and notifications, and each failing entity's
     error."""
 
-    characteristics: Dict[str, Characteristics]
-    records: List[Record]
-    notifications: List[Notification]
-    errors: List[Tuple[str, MonitorError]]
+    def __init__(self, characteristics: Dict[str, Characteristics],
+                 records: List[Record], notifications: List[Notification],
+                 errors: List[Tuple[str, MonitorError]]):
+        self.characteristics = characteristics
+        self.records = records
+        self.notifications = notifications
+        self.errors = errors
 
 
 def run_cycle(entities: Sequence[str],

@@ -17,9 +17,9 @@ happens downstream, in the intervention layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import (
     AmbiguousJudgement,
     BottomEncountered,
@@ -33,8 +33,7 @@ from .streams import Stream
 from .values import format_value, is_carrier
 
 
-@dataclass(frozen=True)
-class JudgementSet:
+class JudgementSet(Frozen):
     """Finite, ordered set of judgement labels."""
 
     labels: Tuple[str, ...]
@@ -139,8 +138,7 @@ class Characteristics:
         return f"Characteristics({self.fingerprint()})"
 
 
-@dataclass(frozen=True)
-class PredicateFamily:
+class PredicateFamily(Frozen):
     """One attribute template per defined judgement label, evaluated together.
 
     ``undefined``, if set, is the label that holds when evaluating any of the
@@ -174,8 +172,7 @@ class PredicateFamily:
         return self.specs[0].stream_name
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Frozen):
     """Monitoring output: who, under what characteristics, judged what."""
 
     entity: str

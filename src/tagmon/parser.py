@@ -59,8 +59,6 @@ _TOKEN_RE = re.compile(r"""
     | (?P<op>\.\.|<=|>=|!=|[=<>+\-*/()\[\],:])
 """, re.VERBOSE)
 
-_PUNCT = {"..", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/",
-          "(", ")", "[", "]", ",", ":"}
 _CMP_OPS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le",
             ">": "gt", ">=": "ge"}
 

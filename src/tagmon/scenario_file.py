@@ -48,10 +48,10 @@ cannot be read, is a diagnostic on the entity's line that names the trace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
+from ._frozen import Frozen, replace
 from .errors import MonitorError, ScenarioFormatError, TraceFormatError
 from .monitoring import JudgementSet
 # Re-exported, not called here: perfbench/tracer.py wraps it under this
@@ -106,34 +106,30 @@ def format_clock(minute: int) -> str:
     return f"{minute // 60:02d}:{minute % 60:02d}"
 
 
-@dataclass(frozen=True)
-class EntityConfig:
+class EntityConfig(Frozen, uncompared=("line",)):
     entity: str
     sentence: Optional[Tuple[int, int, int, Dec4, Dec4]] = None
     curfew: Optional[Tuple[int, int]] = None
     nights: Optional[int] = None
     status: Optional[str] = None
     trace: Optional[str] = None
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
+class ScheduleConfig(Frozen, uncompared=("line",)):
     uploads: Tuple[int, ...]
     days: int
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Frozen, uncompared=("line",)):
     name: str
     labels: Tuple[str, ...]
     field_name: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Frozen):
     entities: Tuple[EntityConfig, ...] = ()
     schedule: Optional[ScheduleConfig] = None
     rules: Tuple[RuleConfig, ...] = ()
@@ -295,8 +291,7 @@ def format_scenario(config: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     """A fault on a 1-based line of a scenario; line 0 means the whole file."""
 
     line: int
@@ -321,7 +316,7 @@ class InvalidScenario(ScenarioFormatError):
 def _entity_run(ent: EntityConfig, base: Path,
                 schedule: Union[None, ReportSchedule, MonitorError],
                 judgement_sets: List[JudgementSet],
-                faults: List[str]) -> ScenarioRun:
+                faults: List[str]) -> Optional[ScenarioRun]:
     """An entity's run, or a MonitorError at the first fault that stops it.
 
     ``schedule`` is the scenario's [schedule], or the fault that built none,
@@ -329,6 +324,9 @@ def _entity_run(ent: EntityConfig, base: Path,
     ``judgement_sets``.  The faults that do not stop the build, a status
     outside the kind's judgements and nights on a sentence entity, go to
     ``faults``, and the entity is built with its kind's default status.
+    A curfew entity under a [schedule] gets every check that needs no trace
+    and then None: the scenario's "[schedule] applies to sentence entities
+    only" diagnostic rejects it, so its trace is not read.
     """
     if (ent.sentence is None) == (ent.curfew is None):
         raise ScenarioFormatError("needs exactly one of sentence/curfew")
@@ -357,6 +355,8 @@ def _entity_run(ent: EntityConfig, base: Path,
         raise ScenarioFormatError("curfew needs nights")
     if ent.trace is None:
         raise ScenarioFormatError("missing trace")
+    if not alcohol and schedule is not None:
+        return None
     trace_path = base / ent.trace
     try:
         if not trace_path.is_file():
@@ -392,7 +392,7 @@ def _check_and_build(config: ScenarioConfig, base_dir
     the union of the entities' judgement sets that the rules are checked
     against.
 
-    Each trace is loaded and each entity's run built exactly once, by
+    Each trace is loaded and each entity's run built at most once, by
     ``_entity_run``; every fault it reports becomes one ``entity X: ...``
     diagnostic on the entity's line, the faults that do not stop the build
     first.  The runs and the union are only complete when there are no
@@ -417,10 +417,12 @@ def _check_and_build(config: ScenarioConfig, base_dir
     for ent in config.entities:
         faults: List[str] = []
         try:
-            runs.append(_entity_run(ent, base, schedule, judgement_sets,
-                                    faults))
+            run = _entity_run(ent, base, schedule, judgement_sets, faults)
         except MonitorError as exc:
             faults.append(str(exc))
+        else:
+            if run is not None:
+                runs.append(run)
         diagnostics.extend(
             Diagnostic(ent.line, f"entity {ent.entity}: {fault}")
             for fault in faults)

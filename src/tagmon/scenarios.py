@@ -30,9 +30,9 @@ it is given; a scenario file passes its ``[policy]`` section there.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ._frozen import Frozen, fresh
 from .errors import KindMismatch, MonitorError, WindowTooShort
 from .formulas import AttributeSpec
 from .interventions import (
@@ -70,8 +70,7 @@ def _require_status(status: str, judgements: JudgementSet) -> None:
         raise KindMismatch(f"unknown status {status!r}")
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(Frozen):
     """Terms of an alcohol monitoring sentence.
 
     t1/t2 bound the monitored interval, s is the sample interval and
@@ -223,21 +222,19 @@ CURFEW_POLICY = Policy((Intervention(
 
 # -- configured runs ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Frozen):
     """One evaluation instant: which entities to monitor and with what
     schedule-derived template parameters."""
 
     now: int
-    params_by_entity: Mapping[str, Mapping] = field(default_factory=dict)
+    params_by_entity: Mapping[str, Mapping] = fresh(dict)
 
     @property
     def entities(self) -> Tuple[str, ...]:
         return tuple(self.params_by_entity)
 
 
-@dataclass(frozen=True)
-class ScenarioRun:
+class ScenarioRun(Frozen):
     """A fully wired engine run: entities, behaviours, attribute families,
     policy and the evaluation schedule."""
 
@@ -314,8 +311,7 @@ def build_alcohol_scenario(sigma: Sentence, initial_status: str,
                        ALCOHOL_POLICY, cycles)
 
 
-@dataclass(frozen=True)
-class CurfewOrder:
+class CurfewOrder(Frozen):
     """Home-detention terms: a wrapped nightly window and a duration.
 
     The presence stream is boolean, true when the tag is in range of the home
@@ -371,8 +367,7 @@ def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
                        {entity: curfew_family()}, CURFEW_POLICY, tuple(cycles))
 
 
-@dataclass(frozen=True)
-class ReportSchedule:
+class ReportSchedule(Frozen):
     """Daily upload times (clock minutes) over a sentence of whole days."""
 
     uploads: Tuple[int, ...]

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence
 
+from ._frozen import Frozen, fresh
 from .errors import (
     ArityMismatch,
     BottomConstant,
@@ -61,11 +61,7 @@ from .values import (
     sub_values,
 )
 
-TimePoint = int
-
-
-@dataclass(frozen=True)
-class Window:
+class Window(Frozen):
     """Half-open evaluation window [start, horizon) in engine ticks."""
 
     start: int
@@ -267,8 +263,7 @@ class _Booleans(Stream):
 
 # -- signatures --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(Frozen):
     """Declared operation symbol: value arguments in, value out."""
 
     name: str
@@ -276,8 +271,7 @@ class Operation:
     fn: Callable[..., CarrierValue]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     """Declared test symbol: value arguments in, boolean out."""
 
     name: str
@@ -285,13 +279,12 @@ class Relation:
     fn: Callable[..., bool]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Operation and test symbols usable in formulas and liftings over a data
     algebra; symbol names are unique across operations and tests."""
 
-    operations: Mapping[str, Operation] = field(default_factory=dict)
-    tests: Mapping[str, Relation] = field(default_factory=dict)
+    operations: Mapping[str, Operation] = fresh(dict)
+    tests: Mapping[str, Relation] = fresh(dict)
 
     def __post_init__(self):
         dupes = set(self.operations) & set(self.tests)

@@ -262,9 +262,6 @@ def min_values(*args):
     return out
 
 
-_ORDERED = {"lt", "le", "gt", "ge"}
-
-
 def compare(op: str, a, b) -> bool:
     """Apply a comparison test (eq/ne/lt/le/gt/ge) to two values."""
     ka, kb = kind_of(a), kind_of(b)

@@ -8,6 +8,7 @@ the evaluator under test.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -15,8 +16,10 @@ from tagmon.errors import KindMismatch, TraceFormatError
 from tagmon.formulas import (
     And,
     Apply,
+    AttributeSpec,
     BoolLit,
     Cmp,
+    Environment,
     Lit,
     Not,
     Or,
@@ -24,7 +27,29 @@ from tagmon.formulas import (
     StreamAt,
     Var,
 )
-from tagmon.streams import Stream, Window
+from tagmon.interventions import (
+    Action,
+    Intervention,
+    Notification,
+    Policy,
+    Trigger,
+)
+from tagmon.monitoring import JudgementSet, PredicateFamily, Record
+from tagmon.scenario_file import (
+    Diagnostic,
+    EntityConfig,
+    RuleConfig,
+    ScenarioConfig,
+    ScheduleConfig,
+)
+from tagmon.scenarios import (
+    Cycle,
+    CurfewOrder,
+    ReportSchedule,
+    ScenarioRun,
+    Sentence,
+)
+from tagmon.streams import Operation, Relation, Signature, Stream, Window
 from tagmon.values import BOTTOM, KINDS, parse_value
 
 _CMP_FN = {
@@ -237,3 +262,75 @@ def random_formula(rng: random.Random, depth: int, scope: dict,
     op = rng.choice(("eq", "ne", "lt", "le", "gt", "ge"))
     return Cmp(op, random_term(rng, 2, scope, window, stream_name),
                random_term(rng, 2, scope, window, stream_name))
+
+
+# -- dataclass twins of the value classes -------------------------------------
+
+def _fresh_dict():
+    return dataclasses.field(default_factory=dict)
+
+
+def _line():
+    return dataclasses.field(default=0, compare=False)
+
+
+def _twin(cls, *fields):
+    """A frozen dataclass named like ``cls`` with the given fields: a name,
+    or (name, default), or (name, dataclasses.field(...))."""
+    specs = []
+    for f in fields:
+        if isinstance(f, str):
+            specs.append(f)
+        else:
+            name, default = f
+            if not isinstance(default, dataclasses.Field):
+                default = dataclasses.field(default=default)
+            specs.append((name, object, default))
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+# each value class of tagmon -> the reference dataclass it must behave as
+VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
+    (Lit, ["value"]),
+    (Var, ["name"]),
+    (Apply, ["op", "args"]),
+    (StreamAt, ["stream", "index"]),
+    (BoolLit, ["value"]),
+    (Cmp, ["op", "lhs", "rhs"]),
+    (Not, ["body"]),
+    (And, ["lhs", "rhs"]),
+    (Or, ["lhs", "rhs"]),
+    (Quant, ["quantifier", "var", "lo", "hi", "body"]),
+    (Environment, [("variables", _fresh_dict()), ("streams", _fresh_dict())]),
+    (AttributeSpec, ["name", "label", "template", ("params", ()),
+                     ("stream_name", "b")]),
+    (Window, ["start", "horizon"]),
+    (Operation, ["name", "arity", "fn"]),
+    (Relation, ["name", "arity", "fn"]),
+    (Signature, [("operations", _fresh_dict()), ("tests", _fresh_dict())]),
+    (JudgementSet, ["labels"]),
+    (PredicateFamily, ["name", "judgements", "specs", ("undefined", None)]),
+    (Record, ["entity", "characteristics", "attribute", "judgement",
+              "evaluated_at"]),
+    (Trigger, ["domain", "fires_on"]),
+    (Action, ["kind", ("field", None), ("value", None)]),
+    (Intervention, ["name", "trigger", "action", ("tag", "penalty"),
+                    ("notify_always", False)]),
+    (Policy, [("rules", ())]),
+    (Notification, ["entity", "rule", "judgement", "evaluated_at", "before",
+                    "after"]),
+    (Sentence, ["t1", "t2", "s", "epsilon", "delta"]),
+    (Cycle, ["now", ("params_by_entity", _fresh_dict())]),
+    (ScenarioRun, ["characteristics", "binding", "families", "policy",
+                   "cycles"]),
+    (CurfewOrder, ["presence", "nights", ("start_minute", 1140),
+                   ("end_minute", 420)]),
+    (ReportSchedule, ["uploads", "days"]),
+    (EntityConfig, ["entity", ("sentence", None), ("curfew", None),
+                    ("nights", None), ("status", None), ("trace", None),
+                    ("line", _line())]),
+    (ScheduleConfig, ["uploads", "days", ("line", _line())]),
+    (RuleConfig, ["name", "labels", "field_name", ("line", _line())]),
+    (ScenarioConfig, [("entities", ()), ("schedule", None), ("rules", ())]),
+    (Diagnostic, ["line", "message"]),
+]}

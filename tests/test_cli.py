@@ -419,6 +419,28 @@ def test_validate_diagnostics_golden(scenarios_dir, tmp_path, capsys):
             f"{scenario}:{line}\n" for line in GOLDEN_DIAGNOSTICS[name])
 
 
+def test_validate_reads_no_trace_of_a_curfew_entity_under_schedule(
+        scenarios_dir, tmp_path, monkeypatch, capsys):
+    # in the "schedule" scenario A fails before its trace is read and D is
+    # the curfew entity the [schedule] diagnostic rejects, so only B and C
+    # read theirs
+    traces = scenarios_dir / "traces"
+    shutil.copy(traces / "alcohol_dry.trace", tmp_path / "dry.trace")
+    shutil.copy(traces / "curfew_presence.trace", tmp_path / "presence.trace")
+    read = []
+
+    def counted(path):
+        read.append(pathlib.Path(path).name)
+        return load_trace(path)
+    monkeypatch.setattr(tagmon.scenario_file, "load_trace", counted)
+    scenario = tmp_path / "schedule.scenario"
+    scenario.write_text(DIAGNOSTIC_SCENARIOS["schedule"])
+    assert main(["validate", str(scenario)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "".join(
+        f"{scenario}:{line}\n" for line in GOLDEN_DIAGNOSTICS["schedule"])
+    assert read == ["dry.trace", "dry.trace"]
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_scenario_wide_fault_has_no_line(tmp_path, capsys, command):
     scenario = tmp_path / "empty.scenario"
