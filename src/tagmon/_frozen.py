@@ -2,10 +2,10 @@
 
 Entities' terms, formula nodes, records and rules are plain immutable
 values: fields listed as class annotations, positional or keyword
-construction, equality and hashing by class and fields, a ``Name(field=...)``
-repr and ``replace``.  The standard ``dataclasses`` generator would give the
-same, but it writes each class's methods as source text and ``exec``s it at
-import time, and importing it pulls in ``inspect``, ``ast``, ``dis`` and
+construction, equality and hashing by class and fields, and a
+``Name(field=...)`` repr.  The standard ``dataclasses`` generator would give
+the same, but it writes each class's methods as source text and ``exec``s it
+at import time, and importing it pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``.  With dozens of such classes that was the largest part of
 tagmon's import time, paid by every process.  Here the methods are written
 once, no source is generated, and each class only gets its own ``__init__``
@@ -109,8 +109,3 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def replace(obj, **changes):
-    """A copy of ``obj`` with the given fields changed, checked anew."""
-    return type(obj)(**{**obj.__dict__, **changes})

@@ -88,8 +88,7 @@ class RunSummary:
 
 # -- trace generators ----------------------------------------------------------
 
-def gen_dry(minutes: int, seed: int,
-            ceiling: Optional[Dec4] = None) -> Stream:
+def gen_dry(minutes: int, seed: int) -> Stream:
     """Readings drawn uniformly below epsilon - delta over [0, minutes]."""
     if minutes < 1:
         raise BadParams(f"minutes must be positive, got {minutes}")
@@ -98,9 +97,7 @@ def gen_dry(minutes: int, seed: int,
             f"minutes must be at most {MAX_MINUTES}, got {minutes}")
     if not 0 <= seed <= MAX_SEED:
         raise BadParams(f"seed must be a 64-bit unsigned integer: {seed}")
-    ceiling = ceiling or (DEFAULT_EPSILON - DEFAULT_DELTA)
-    if ceiling.raw <= 0:
-        raise BadParams(f"ceiling must be positive, got {ceiling}")
+    ceiling = DEFAULT_EPSILON - DEFAULT_DELTA
     rng = random.Random(seed)
     values = tuple(Dec4(rng.randrange(0, ceiling.raw))
                    for _ in range(minutes + 1))

@@ -19,8 +19,10 @@
     [policy]
     rule = record-breach: on amber,red,absent set status
 
-Unknown section names and keys, and a second [schedule] or [policy] section,
-are rejected at parse time.  Clock times use HH:MM and become minute ticks.
+Parsing rejects an unknown section header and a break of three rules: a
+header may repeat only as an entity with a new name, a key may appear once
+per section except ``rule``, and a key not in its section's table is an
+``unknown <section> key``.  Clock times use HH:MM and become minute ticks.
 An entity carries either a sentence (alcohol monitoring) or a curfew order;
 when a [schedule] section is present, sentence entities are evaluated per
 upload instead of once over [t1, t2].
@@ -28,14 +30,15 @@ upload instead of once over [t1, t2].
 Under a [schedule] a sentence's t1,t2 must be 0 and the tick of the last
 upload, (days-1)*1440 + the last upload time.
 
-``parse_scenario``/``format_scenario`` round-trip structurally.  Checking
-and building are one pass that loads each trace and builds each entity's run
-once: ``validate_scenario`` returns that pass's diagnostics instead of
-raising, so a command line can report them all, and ``build_scenario`` wires
-a runnable engine from the same pass or raises ``InvalidScenario`` carrying
-every diagnostic.  One function checks and builds an entity: it works out
-the entity's kind once, and each fault it finds becomes one
-``entity X: ...`` diagnostic on the entity's line.
+``parse_scenario`` and ``format_scenario`` read one table of sections and
+keys, and round-trip structurally.  Checking and building are one pass that
+loads each trace and builds each entity's run once: ``validate_scenario``
+returns that pass's diagnostics instead of raising, so a command line can
+report them all, and ``build_scenario`` wires a runnable engine from the
+same pass or raises ``InvalidScenario`` carrying every diagnostic.  One
+function checks and builds an entity: it works out the entity's kind once,
+and each fault it finds becomes one ``entity X: ...`` diagnostic on the
+entity's line.
 
 Validation checks the scenario, not the engine: the predicate families are
 fixed code, so their partition property (exactly one judgement holds) is
@@ -51,7 +54,7 @@ import re
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ._frozen import Frozen, replace
+from ._frozen import Frozen
 from .errors import MonitorError, ScenarioFormatError, TraceFormatError
 from .monitoring import JudgementSet
 # Re-exported, not called here: perfbench/tracer.py wraps it under this
@@ -86,9 +89,6 @@ _RULE_RE = re.compile(
     rf"([A-Za-z][A-Za-z0-9_-]*)\s*:\s*on\s+({_LABEL_LIST})\s+set\s+"
     r"([A-Za-z][A-Za-z0-9_-]*)\Z")
 _CLOCK_RE = re.compile(r"([0-9]{1,2}):([0-9]{2})\Z")
-
-_ENTITY_KEYS = ("sentence", "curfew", "nights", "status", "trace")
-_SCHEDULE_KEYS = ("uploads", "days")
 
 
 def parse_clock(text: str, line: int = 0) -> int:
@@ -130,30 +130,86 @@ class RuleConfig(Frozen, uncompared=("line",)):
 
 
 class ScenarioConfig(Frozen):
+    """A parsed scenario, under three rules: a header repeats only as an
+    entity with a new name, a key appears once per section except ``rule``,
+    and any other key is an ``unknown <section> key``.  Configs hold values
+    unvalidated, with their lines, so that validation can report a value
+    that ``Sentence`` or ``ReportSchedule`` refuses on its line."""
+
     entities: Tuple[EntityConfig, ...] = ()
     schedule: Optional[ScheduleConfig] = None
     rules: Tuple[RuleConfig, ...] = ()
 
 
-def _ints(text: str, count: int, line: int) -> List[int]:
+def _read_sentence(text: str, line: int) -> Tuple[int, int, int, Dec4, Dec4]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise ScenarioFormatError(
-            f"expected {count} comma-separated values, got {len(parts)}", line)
+    if len(parts) != 5:
+        raise ScenarioFormatError("sentence needs t1,t2,s,epsilon,delta", line)
     try:
-        return [int(p, 10) for p in parts]
+        return (int(parts[0], 10), int(parts[1], 10), int(parts[2], 10),
+                Dec4.parse(parts[3]), Dec4.parse(parts[4]))
+    except (ValueError, MonitorError):
+        raise ScenarioFormatError(f"bad sentence {text!r}", line) from None
+
+
+def _read_curfew(text: str, line: int) -> Tuple[int, ...]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ScenarioFormatError("curfew needs start,end clock times", line)
+    return tuple(parse_clock(p.strip(), line) for p in parts)
+
+
+def _read_int(text: str, line: int) -> int:
+    if "," in text:
+        raise ScenarioFormatError("expected 1 comma-separated values, got "
+                                  f"{text.count(',') + 1}", line)
+    try:
+        return int(text, 10)
     except ValueError:
         raise ScenarioFormatError(f"non-integer in {text!r}", line) from None
 
 
-def parse_scenario(text: str) -> ScenarioConfig:
-    entities: List[EntityConfig] = []
-    schedule: Optional[ScheduleConfig] = None
-    schedule_keys = set()
-    rules: List[RuleConfig] = []
-    has_policy = False
-    section = None  # None | ("entity", index) | "schedule" | "policy"
+def _read_trace(text: str, line: int) -> str:
+    if not text:
+        raise ScenarioFormatError("empty trace path", line)
+    return text
 
+
+def _read_rule(text: str, line: int) -> RuleConfig:
+    m = _RULE_RE.match(text)
+    if not m:
+        raise ScenarioFormatError(
+            f"bad rule {text!r}, expected '<name>: on <labels> set <field>'",
+            line)
+    labels = tuple(p.strip() for p in m.group(2).split(","))
+    return RuleConfig(m.group(1), labels, m.group(3), line=line)
+
+
+# section -> key, in writing order -> (reader (text, line), writer (value))
+_SECTIONS = {
+    "entity": {
+        "sentence": (_read_sentence, lambda s: ",".join(map(str, s))),
+        "curfew": (_read_curfew, lambda c: ",".join(map(format_clock, c))),
+        "nights": (_read_int, str),
+        "status": (lambda text, line: text, str),
+        "trace": (_read_trace, str),
+    },
+    "schedule": {
+        "uploads": (lambda text, line: tuple(parse_clock(p, line)
+                                             for p in text.split(",")),
+                    lambda u: ",".join(map(format_clock, u))),
+        "days": (_read_int, str),
+    },
+    "policy": {
+        "rule": (_read_rule, lambda rule: f"{rule.name}: on "
+                 f"{','.join(rule.labels)} set {rule.field_name}"),
+    },
+}
+
+
+def parse_scenario(text: str) -> ScenarioConfig:
+    sections = {}  # (kind, entity name or None) -> (line, {key: value})
+    rules: List[RuleConfig] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -163,130 +219,57 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if not m:
                 raise ScenarioFormatError(f"bad section header {line!r}",
                                           lineno)
-            if m.group(2):
-                entity = m.group(2)
-                if any(e.entity == entity for e in entities):
-                    raise ScenarioFormatError(
-                        f"duplicate entity {entity!r}", lineno)
-                entities.append(EntityConfig(entity=entity, line=lineno))
-                section = ("entity", len(entities) - 1)
-            elif m.group(1) == "schedule":
-                if schedule is not None:
-                    raise ScenarioFormatError("duplicate [schedule] section",
-                                              lineno)
-                schedule = ScheduleConfig((), 0, line=lineno)
-                section = "schedule"
-            else:
-                if has_policy:
-                    raise ScenarioFormatError("duplicate [policy] section",
-                                              lineno)
-                has_policy = True
-                section = "policy"
+            name = m.group(2)
+            kind = "entity" if name else m.group(1)
+            if (kind, name) in sections:
+                raise ScenarioFormatError(
+                    f"duplicate entity {name!r}" if name
+                    else f"duplicate [{kind}] section", lineno)
+            keys, values = _SECTIONS[kind], {}
+            sections[kind, name] = lineno, values
             continue
         key, sep, value = (p.strip() for p in line.partition("="))
         if not sep or not key:
             raise ScenarioFormatError(f"expected 'key = value', got {line!r}",
                                       lineno)
-        if section is None:
+        if not sections:
             raise ScenarioFormatError(
                 f"key {key!r} outside any section", lineno)
-        if isinstance(section, tuple):
-            idx = section[1]
-            ent = entities[idx]
-            if key not in _ENTITY_KEYS:
-                raise ScenarioFormatError(f"unknown entity key {key!r}",
-                                          lineno)
-            if getattr(ent, key) is not None:
-                raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
-            if key == "sentence":
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) != 5:
-                    raise ScenarioFormatError(
-                        "sentence needs t1,t2,s,epsilon,delta", lineno)
-                try:
-                    sent = (int(parts[0], 10), int(parts[1], 10),
-                            int(parts[2], 10), Dec4.parse(parts[3]),
-                            Dec4.parse(parts[4]))
-                except (ValueError, MonitorError):
-                    raise ScenarioFormatError(
-                        f"bad sentence {value!r}", lineno) from None
-                entities[idx] = replace(ent, sentence=sent)
-            elif key == "curfew":
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) != 2:
-                    raise ScenarioFormatError(
-                        "curfew needs start,end clock times", lineno)
-                entities[idx] = replace(ent, curfew=(
-                    parse_clock(parts[0], lineno),
-                    parse_clock(parts[1], lineno)))
-            elif key == "nights":
-                entities[idx] = replace(ent,
-                                        nights=_ints(value, 1, lineno)[0])
-            elif key == "status":
-                entities[idx] = replace(ent, status=value)
-            else:
-                if not value:
-                    raise ScenarioFormatError("empty trace path", lineno)
-                entities[idx] = replace(ent, trace=value)
-        elif section == "schedule":
-            if key not in _SCHEDULE_KEYS:
-                raise ScenarioFormatError(f"unknown schedule key {key!r}",
-                                          lineno)
-            if key in schedule_keys:
-                raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
-            schedule_keys.add(key)
-            if key == "uploads":
-                uploads = tuple(parse_clock(p, lineno)
-                                for p in value.split(","))
-                schedule = replace(schedule, uploads=uploads)
-            else:
-                schedule = replace(schedule, days=_ints(value, 1, lineno)[0])
+        if key not in keys:
+            raise ScenarioFormatError(f"unknown {kind} key {key!r}", lineno)
+        if key in values:
+            raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
+        value = keys[key][0](value, lineno)
+        if key == "rule":  # kept out of values, so that it may repeat
+            rules.append(value)
         else:
-            if key != "rule":
-                raise ScenarioFormatError(f"unknown policy key {key!r}",
-                                          lineno)
-            m = _RULE_RE.match(value)
-            if not m:
-                raise ScenarioFormatError(
-                    f"bad rule {value!r}, expected "
-                    "'<name>: on <labels> set <field>'", lineno)
-            labels = tuple(p.strip() for p in m.group(2).split(","))
-            rules.append(RuleConfig(m.group(1), labels, m.group(3),
-                                    line=lineno))
+            values[key] = value
 
-    return ScenarioConfig(tuple(entities), schedule, tuple(rules))
+    at, schedule = sections.get(("schedule", None), (0, None))
+    return ScenarioConfig(
+        tuple(EntityConfig(name, **values, line=at)
+              for (kind, name), (at, values) in sections.items()
+              if kind == "entity"),
+        None if schedule is None else ScheduleConfig(
+            schedule.get("uploads", ()), schedule.get("days", 0), line=at),
+        tuple(rules))
 
 
 def format_scenario(config: ScenarioConfig) -> str:
     """Canonical text; parse(format(config)) == config."""
-    lines: List[str] = []
-    for ent in config.entities:
-        lines.append(f"[entity {ent.entity}]")
-        if ent.sentence is not None:
-            t1, t2, s, eps, delta = ent.sentence
-            lines.append(f"sentence = {t1},{t2},{s},{eps},{delta}")
-        if ent.curfew is not None:
-            lines.append(f"curfew = {format_clock(ent.curfew[0])},"
-                         f"{format_clock(ent.curfew[1])}")
-        if ent.nights is not None:
-            lines.append(f"nights = {ent.nights}")
-        if ent.status is not None:
-            lines.append(f"status = {ent.status}")
-        if ent.trace is not None:
-            lines.append(f"trace = {ent.trace}")
-        lines.append("")
+    sections = [(f"entity {ent.entity}", "entity", vars(ent))
+                for ent in config.entities]
     if config.schedule is not None:
-        lines.append("[schedule]")
-        if config.schedule.uploads:
-            lines.append("uploads = " + ",".join(
-                format_clock(u) for u in config.schedule.uploads))
-        lines.append(f"days = {config.schedule.days}")
-        lines.append("")
+        sections.append(("schedule", "schedule", vars(config.schedule)))
     if config.rules:
-        lines.append("[policy]")
-        for rule in config.rules:
-            lines.append(f"rule = {rule.name}: on {','.join(rule.labels)} "
-                         f"set {rule.field_name}")
+        sections.append(("policy", "policy", {"rule": config.rules}))
+    lines: List[str] = []
+    for header, kind, values in sections:
+        lines.append(f"[{header}]")
+        for key, (_, write) in _SECTIONS[kind].items():
+            for value in values[key] if key == "rule" else (values[key],):
+                if value is not None and value != ():  # None, (): left out
+                    lines.append(f"{key} = {write(value)}")
         lines.append("")
     return "\n".join(lines)
 

@@ -11,8 +11,14 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from typing import List, Optional
 
-from tagmon.errors import KindMismatch, TraceFormatError
+from tagmon.errors import (
+    KindMismatch,
+    MonitorError,
+    ScenarioFormatError,
+    TraceFormatError,
+)
 from tagmon.formulas import (
     And,
     Apply,
@@ -41,6 +47,7 @@ from tagmon.scenario_file import (
     RuleConfig,
     ScenarioConfig,
     ScheduleConfig,
+    parse_clock,
 )
 from tagmon.scenarios import (
     Cycle,
@@ -50,7 +57,7 @@ from tagmon.scenarios import (
     Sentence,
 )
 from tagmon.streams import Operation, Relation, Signature, Stream, Window
-from tagmon.values import BOTTOM, KINDS, parse_value
+from tagmon.values import BOTTOM, KINDS, Dec4, parse_value
 
 _CMP_FN = {
     "eq": lambda a, b: a == b,
@@ -193,6 +200,149 @@ def reference_parse_trace(text: str):
         except KindMismatch as exc:
             raise TraceFormatError(str(exc), i) from None
     return stream_id, kind, Stream(Window(start, horizon), tuple(values))
+
+
+# -- the scenario parser before its table of sections and keys --------------
+#
+# Its per-section branches, copied unchanged with the helpers they call, are
+# the reference that ``parse_scenario`` is checked against.
+
+_SECTION_RE = re.compile(r"\[(entity\s+([A-Za-z][A-Za-z0-9_-]*)"
+                         r"|schedule|policy)\]\Z")
+_LABEL_LIST = r"[A-Za-z][A-Za-z0-9_-]*(?:\s*,\s*[A-Za-z][A-Za-z0-9_-]*)*"
+_RULE_RE = re.compile(
+    rf"([A-Za-z][A-Za-z0-9_-]*)\s*:\s*on\s+({_LABEL_LIST})\s+set\s+"
+    r"([A-Za-z][A-Za-z0-9_-]*)\Z")
+
+_ENTITY_KEYS = ("sentence", "curfew", "nights", "status", "trace")
+_SCHEDULE_KEYS = ("uploads", "days")
+
+
+def replace(obj, **changes):
+    """A copy of a value-class instance with the given fields changed."""
+    return type(obj)(**{**obj.__dict__, **changes})
+
+
+def _ints(text: str, count: int, line: int) -> List[int]:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != count:
+        raise ScenarioFormatError(
+            f"expected {count} comma-separated values, got {len(parts)}", line)
+    try:
+        return [int(p, 10) for p in parts]
+    except ValueError:
+        raise ScenarioFormatError(f"non-integer in {text!r}", line) from None
+
+
+def reference_parse_scenario(text: str) -> ScenarioConfig:
+    entities: List[EntityConfig] = []
+    schedule: Optional[ScheduleConfig] = None
+    schedule_keys = set()
+    rules: List[RuleConfig] = []
+    has_policy = False
+    section = None  # None | ("entity", index) | "schedule" | "policy"
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            m = _SECTION_RE.match(line)
+            if not m:
+                raise ScenarioFormatError(f"bad section header {line!r}",
+                                          lineno)
+            if m.group(2):
+                entity = m.group(2)
+                if any(e.entity == entity for e in entities):
+                    raise ScenarioFormatError(
+                        f"duplicate entity {entity!r}", lineno)
+                entities.append(EntityConfig(entity=entity, line=lineno))
+                section = ("entity", len(entities) - 1)
+            elif m.group(1) == "schedule":
+                if schedule is not None:
+                    raise ScenarioFormatError("duplicate [schedule] section",
+                                              lineno)
+                schedule = ScheduleConfig((), 0, line=lineno)
+                section = "schedule"
+            else:
+                if has_policy:
+                    raise ScenarioFormatError("duplicate [policy] section",
+                                              lineno)
+                has_policy = True
+                section = "policy"
+            continue
+        key, sep, value = (p.strip() for p in line.partition("="))
+        if not sep or not key:
+            raise ScenarioFormatError(f"expected 'key = value', got {line!r}",
+                                      lineno)
+        if section is None:
+            raise ScenarioFormatError(
+                f"key {key!r} outside any section", lineno)
+        if isinstance(section, tuple):
+            idx = section[1]
+            ent = entities[idx]
+            if key not in _ENTITY_KEYS:
+                raise ScenarioFormatError(f"unknown entity key {key!r}",
+                                          lineno)
+            if getattr(ent, key) is not None:
+                raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
+            if key == "sentence":
+                parts = [p.strip() for p in value.split(",")]
+                if len(parts) != 5:
+                    raise ScenarioFormatError(
+                        "sentence needs t1,t2,s,epsilon,delta", lineno)
+                try:
+                    sent = (int(parts[0], 10), int(parts[1], 10),
+                            int(parts[2], 10), Dec4.parse(parts[3]),
+                            Dec4.parse(parts[4]))
+                except (ValueError, MonitorError):
+                    raise ScenarioFormatError(
+                        f"bad sentence {value!r}", lineno) from None
+                entities[idx] = replace(ent, sentence=sent)
+            elif key == "curfew":
+                parts = [p.strip() for p in value.split(",")]
+                if len(parts) != 2:
+                    raise ScenarioFormatError(
+                        "curfew needs start,end clock times", lineno)
+                entities[idx] = replace(ent, curfew=(
+                    parse_clock(parts[0], lineno),
+                    parse_clock(parts[1], lineno)))
+            elif key == "nights":
+                entities[idx] = replace(ent,
+                                        nights=_ints(value, 1, lineno)[0])
+            elif key == "status":
+                entities[idx] = replace(ent, status=value)
+            else:
+                if not value:
+                    raise ScenarioFormatError("empty trace path", lineno)
+                entities[idx] = replace(ent, trace=value)
+        elif section == "schedule":
+            if key not in _SCHEDULE_KEYS:
+                raise ScenarioFormatError(f"unknown schedule key {key!r}",
+                                          lineno)
+            if key in schedule_keys:
+                raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
+            schedule_keys.add(key)
+            if key == "uploads":
+                uploads = tuple(parse_clock(p, lineno)
+                                for p in value.split(","))
+                schedule = replace(schedule, uploads=uploads)
+            else:
+                schedule = replace(schedule, days=_ints(value, 1, lineno)[0])
+        else:
+            if key != "rule":
+                raise ScenarioFormatError(f"unknown policy key {key!r}",
+                                          lineno)
+            m = _RULE_RE.match(value)
+            if not m:
+                raise ScenarioFormatError(
+                    f"bad rule {value!r}, expected "
+                    "'<name>: on <labels> set <field>'", lineno)
+            labels = tuple(p.strip() for p in m.group(2).split(","))
+            rules.append(RuleConfig(m.group(1), labels, m.group(3),
+                                    line=lineno))
+
+    return ScenarioConfig(tuple(entities), schedule, tuple(rules))
 
 
 # -- random generation ---------------------------------------------------------

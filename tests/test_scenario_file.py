@@ -1,11 +1,15 @@
+import random
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagmon.monitoring
 import tagmon.scenario_file
 import tagmon.scenarios
 
+from oracles import reference_parse_scenario
 from tagmon.errors import ScenarioFormatError
 from tagmon.scenario_file import (
     Diagnostic,
@@ -97,11 +101,106 @@ days = 100
     ("[policy]\nrule = a: on red set status\n\n[policy]\n",
      "line 4: duplicate [policy] section"),
     ("[schedule]\ndays = 0\ndays = 2\n", "line 3: duplicate key 'days'"),
+    ("[schedule]\nspeed = 3\n", "line 2: unknown schedule key 'speed'"),
+    ("[policy]\nspeed = 3\n", "line 2: unknown policy key 'speed'"),
+    ("[entity A]\nstatus\n", "line 2: expected 'key = value', got 'status'"),
+    ("[entity A]\ntrace =\n", "line 2: empty trace path"),
+    ("[entity A]\nsentence = 0,720,30,0.02x,0.0050\n",
+     "line 2: bad sentence '0,720,30,0.02x,0.0050'"),
+    ("[entity A]\ncurfew = 19:00\n",
+     "line 2: curfew needs start,end clock times"),
+    ("[entity A]\nnights = seven\n", "line 2: non-integer in 'seven'"),
+    ("[schedule]\ndays = 1, 2\n",
+     "line 2: expected 1 comma-separated values, got 2"),
+    ("[schedule]\ndays = 1\n\n[schedule]\n",
+     "line 4: duplicate [schedule] section"),
 ])
 def test_parse_rejects_bad_input(mutation, fragment):
     with pytest.raises(ScenarioFormatError) as err:
         parse_scenario(mutation)
     assert fragment in str(err.value)
+
+
+# Texts that both parsers read: sections whose keys mostly fit the header,
+# with a key now and then repeated, and lines drawn from valid, repeated and
+# malformed headers, every key with good and bad values, comments, blank
+# lines and lines with no '='.  Most sections fit, so that many texts parse
+# and the round trip is exercised too.
+GOOD_VALUES = {
+    "sentence": ("0,720,30,0.0200,0.0050", " 0 , 2820 ,60, 0.0200,-1.5000"),
+    "curfew": ("19:00,07:00", " 7:30 ,23:59"),
+    "nights": ("7", "0", "-1", "1_0"),
+    "status": ("green", "compliant", ""),
+    "trace": ("t.trace", "a b.trace"),
+    "uploads": ("07:00,15:00,23:00", " 9:05"),
+    "days": ("2", "0", "+3"),
+    "rule": ("a: on red set status", "b : on amber , red set x"),
+}
+BAD_VALUES = {
+    "sentence": ("1,2,3", "0,720,30,0.02x,0.0050", "a,b,c,d,e", ""),
+    "curfew": ("19:00", "25:00,07:00", "19:00, 7h30", ""),
+    "nights": ("seven", "1,2", ""),
+    "trace": ("",),
+    "uploads": ("", " 9am", "07:00,", "24:00"),
+    "days": ("x", "1, 2", ""),
+    "rule": ("broken", "a: on set status", ""),
+}
+ENTITY_KEYS = ("sentence", "curfew", "nights", "status", "trace")
+SECTION_KEYS = {
+    "[entity A]": ENTITY_KEYS,
+    "[entity B]": ENTITY_KEYS,
+    "[entity C]": ENTITY_KEYS,
+    "[schedule]": ("uploads", "days"),
+    "[policy]": ("rule",),
+}
+BLANK_LINES = ("", "   ", "# comment")
+ANY_LINES = tuple(SECTION_KEYS) + BLANK_LINES + (
+    "[entity  A]", "[entity]", "[entity 1A]", "[widgets]", "[policy",
+    "[Schedule]", "status = green  # a comment", "speed = 3", "status",
+    "= 3", "days == 2", "status=x#y") + tuple(
+    f"{key} = {value}" for values in (GOOD_VALUES, BAD_VALUES)
+    for key in values for value in values[key])
+
+
+def random_scenario_text(rng):
+    """A scenario text of random sections and lines, drawn with ``rng``."""
+    def fitting(key):
+        return f"{key} = {rng.choice(GOOD_VALUES[key])}"
+
+    lines = [rng.choice(ANY_LINES)] if rng.random() < 0.1 else []
+    for _ in range(rng.randint(0, 4)):
+        header = rng.choice(tuple(SECTION_KEYS))
+        keys = SECTION_KEYS[header]
+        body = [fitting(key)
+                for key in rng.sample(keys, rng.randint(0, len(keys)))]
+        for extra, chance in ((lambda: fitting(rng.choice(keys)), 0.3),
+                              (lambda: rng.choice(ANY_LINES), 0.2),
+                              (lambda: rng.choice(BLANK_LINES), 0.3)):
+            if rng.random() < chance:
+                body.insert(rng.randint(0, len(body)), extra())
+        lines += [header, *body]
+    return "\n".join(lines)
+
+
+def _parsed(parse, text):
+    """parse's config with every line field, or its fault."""
+    try:
+        config = parse(text)
+    except ScenarioFormatError as exc:
+        return type(exc), exc.message, exc.line
+    return (config, [e.line for e in config.entities],
+            config.schedule and config.schedule.line,
+            [r.line for r in config.rules])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_parse_matches_the_reference_parser(seed):
+    text = random_scenario_text(random.Random(seed))
+    ours = _parsed(parse_scenario, text)
+    assert ours == _parsed(reference_parse_scenario, text)
+    if isinstance(ours[0], ScenarioConfig):
+        assert parse_scenario(format_scenario(ours[0])) == ours[0]
 
 
 def test_format_parse_round_trip():

@@ -20,11 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import VALUE_CLASS_TWINS
-from tagmon._frozen import replace
-from tagmon.errors import OutOfWindow
 from tagmon.formulas import Environment, Lit, Var
 from tagmon.scenarios import Cycle
-from tagmon.streams import Signature, Window
+from tagmon.streams import Signature
 
 CLASSES = sorted(VALUE_CLASS_TWINS, key=lambda cls: cls.__name__)
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
@@ -137,32 +135,6 @@ def test_instances_of_different_classes_are_never_equal(data):
     x, y = UNCHECKED[a](*values), UNCHECKED[b](*values)
     assert x != y and not x == y
     assert VALUE_CLASS_TWINS[a](*values) != VALUE_CLASS_TWINS[b](*values)
-
-
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(derandomize=True, max_examples=10, deadline=None)
-@given(data=st.data())
-def test_replace_keeps_unchanged_fields(cls, data):
-    ours, twin = UNCHECKED[cls], VALUE_CLASS_TWINS[cls]
-    names = _names(cls)
-    values = data.draw(st.lists(VALUES, min_size=len(names),
-                                max_size=len(names)))
-    changed = data.draw(st.sampled_from(names))
-    new = data.draw(VALUES)
-    obj = replace(ours(*values), **{changed: new})
-    for name, value in zip(names, values):
-        assert getattr(obj, name) is (new if name == changed else value)
-    assert repr(obj) == repr(dataclasses.replace(twin(*values),
-                                                 **{changed: new}))
-    with pytest.raises(TypeError):
-        replace(obj, bogus=1)
-
-
-def test_replace_validates_the_copy():
-    with pytest.raises(OutOfWindow):
-        replace(Window(0, 5), horizon=0)
-    with pytest.raises(OutOfWindow):
-        Window(5, 5)
 
 
 @pytest.mark.parametrize("make", [Environment, Signature, lambda: Cycle(0)])
