@@ -203,6 +203,33 @@ def test_parse_matches_the_reference_parser(seed):
         assert parse_scenario(format_scenario(ours[0])) == ours[0]
 
 
+@pytest.mark.parametrize("header, key", [
+    (header, key) for header in ("[entity A]", "[schedule]")
+    for key in SECTION_KEYS[header]])
+def test_a_key_may_appear_once_per_section(header, key):
+    line = f"{key} = {GOOD_VALUES[key][0]}"
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario(f"{header}\n{line}\n{line}\n")
+    assert str(err.value) == f"line 3: duplicate key {key!r}"
+
+
+def test_rule_may_repeat():
+    config = parse_scenario("[policy]\nrule = a: on red set status\n"
+                            "rule = a: on red set status\n")
+    assert config.rules == (RuleConfig("a", ("red",), "status"),) * 2
+    assert [rule.line for rule in config.rules] == [2, 3]
+
+
+@pytest.mark.parametrize("header, key", [
+    (header, key) for header in ("[entity A]", "[schedule]", "[policy]")
+    for key in GOOD_VALUES if key not in SECTION_KEYS[header]])
+def test_a_key_of_another_section_is_unknown(header, key):
+    kind = "entity" if header.startswith("[entity") else header[1:-1]
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario(f"{header}\n{key} = {GOOD_VALUES[key][0]}\n")
+    assert str(err.value) == f"line 2: unknown {kind} key {key!r}"
+
+
 def test_format_parse_round_trip():
     # a [schedule] without uploads parses, so its text must parse back
     for text in (ALCOHOL_TEXT, "[schedule]\ndays = 2\n"):

@@ -121,6 +121,21 @@ def test_assignment_fails_as_the_twin_does(cls):
     assert repr(obj) == repr(twin)
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_construction_keeps_each_field_by_identity(cls, data):
+    names = _names(cls)
+    values = data.draw(st.lists(VALUES, min_size=len(names),
+                                max_size=len(names)))
+    order = data.draw(st.permutations(range(len(names))))
+    by_position = UNCHECKED[cls](*values)
+    by_keyword = UNCHECKED[cls](**{names[i]: values[i] for i in order})
+    for name, value in zip(names, values):
+        assert getattr(by_position, name) is value
+        assert getattr(by_keyword, name) is value
+
+
 SAME_WIDTH = [(a, b) for a in CLASSES for b in CLASSES
               if a is not b and len(_names(a)) == len(_names(b))]
 
