@@ -21,10 +21,17 @@ evaluator's leaf shapes on the column itself, boxing at most one reading:
 given one, and ``reduce_samples`` takes the max or min of a decimal trace's
 readings at a fixed step.  Streams built from values, and integer and label
 traces, keep a tuple of carrier values.
+
+``parse_trace`` reads a trace's text in place, without a list of its lines:
+in chunks cut at the first line break past a fixed number of characters.
+The ticks of a chunk of plain lines are checked by one comparison with a
+slice of the window's tick column, which a small cache keeps, so that the
+traces of a fleet, which share a window, build their tick strings once.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from array import array
 from typing import Callable, List, Mapping, Optional, Sequence
@@ -457,13 +464,21 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _STRICT_DEC_RE = re.compile(r"-?\d+\.\d{4}\Z")
-_CHUNK_LINES = 1024
+# a chunk of value lines ends at the first line break this many characters
+# or more past its start
+_CHUNK_CHARS = 16384
+# ticks turned into strings at a time when a window's tick column is built
+_COLUMN_BLOCK = 4096
 # value lines that need no per-line check besides their ticks' order; the
 # patterns are compiled (and cached by ``re``) when a trace is first read
 _PLAIN_LINES = {
     kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
     for kind, reading in ((DECIMAL, r"(?:-?[0-9]+\.[0-9]{4}|NA)"),
                           (BOOLEAN, r"(?:true|false|NA)"))}
+# the line breaks that ``str.splitlines`` honours besides \n, and the
+# ASCII ones among them
+_LINE_BREAKS = r"\r\n?|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
@@ -481,17 +496,26 @@ def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
 def parse_trace(text: str):
     """Parse trace text; returns (stream_id, kind, Stream).
 
-    The value lines are read in chunks of at most ``_CHUNK_LINES``.  A chunk
-    of plain lines (ticks in order in ASCII digits, readings spelt
-    ``-?<digits>.<4 digits>``, true, false or NA) is checked by one match and
-    converted in bulk; any other chunk goes through the per-line checks,
+    Lines end as ``str.splitlines`` ends them; any line break other than
+    ``\\n`` is first rewritten to ``\\n``.  The value lines are read in
+    place, in chunks that end at the first ``\\n`` at least
+    ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk of plain
+    lines (ticks in ASCII digits, readings spelt ``-?<digits>.<4 digits>``,
+    true, false or NA) is checked by one match, and its ticks by one
+    comparison with a slice of the window's cached tick column; its readings
+    are converted in bulk.  Any other chunk goes through the per-line checks,
     which word every fault.  A decimal or boolean trace is stored as a
     column, an integer or label trace as a tuple.
     """
-    lines = text.splitlines()
-    if not lines:
+    if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
+        text = re.sub(_LINE_BREAKS, "\n", text)
+    if not text:
         raise TraceFormatError("empty trace", 1)
-    head = lines[0].split(" ")
+    stop = len(text) - text.endswith("\n")
+    end = text.find("\n", 0, stop)
+    if end < 0:
+        end = stop
+    head = text[:end].split(" ")
     if len(head) != 5 or head[0] != "trace":
         raise TraceFormatError("bad header, expected "
                                "'trace <id> <kind> <start> <horizon>'", 1)
@@ -506,19 +530,34 @@ def parse_trace(text: str):
         raise TraceFormatError("non-integer window bounds", 1) from None
     if start < 0 or start >= horizon:
         raise TraceFormatError(f"bad window [{start}, {horizon})", 1)
-    if len(lines) - 1 != horizon - start:
+    count = text.count("\n", end, stop)
+    if count != horizon - start:
         raise TraceFormatError(
-            f"expected {horizon - start} value lines, got {len(lines) - 1}", 1)
+            f"expected {horizon - start} value lines, got {count}", 1)
     window = Window(start, horizon)
     columns = {DECIMAL: _Decimals, BOOLEAN: _Booleans}
     stream = columns[kind](window) if kind in columns else []
-    for first in range(1, len(lines), _CHUNK_LINES):
-        chunk = lines[first:first + _CHUNK_LINES]
-        tick = start + first - 1
-        texts = _plain_readings(kind, chunk, tick)
-        if texts is None:
-            texts = _checked_readings(kind, chunk, tick, first + 1)
+    plain = re.compile(_PLAIN_LINES[kind]) if kind in _PLAIN_LINES else None
+    tick, pos = start, end + 1
+    while tick < horizon:
+        cut = text.find("\n", min(pos + _CHUNK_CHARS, stop), stop)
+        if cut < 0:
+            cut = stop
+        cells = None
+        if plain and plain.fullmatch(text, pos, cut):
+            cells = text[pos:cut].replace("\n", ",").split(",")
+            last = tick + len(cells) // 2
+            if "\n".join(cells[0::2]) != _tick_lines(start, horizon, tick,
+                                                     last):
+                cells = None
+        if cells:
+            texts = cells[1::2]
+        else:
+            texts = _checked_readings(kind, text[pos:cut].split("\n"), tick,
+                                      tick - start + 2)
         stream.extend(texts)
+        tick += len(texts)
+        pos = cut + 1
     if isinstance(stream, list):
         stream = Stream(window, [
             BOTTOM if text == "NA" else parse_value(text, kind)
@@ -526,19 +565,35 @@ def parse_trace(text: str):
     return stream_id, kind, stream
 
 
-def _plain_readings(kind: str, lines: List[str], tick: int):
-    """The reading texts of value lines from ``tick`` on, when every line is
-    plain; None when any line needs ``_checked_readings``."""
-    pattern = _PLAIN_LINES.get(kind)
-    if pattern is None:
-        return None
-    block = "\n".join(lines)
-    if not re.fullmatch(pattern, block):
-        return None
-    cells = block.replace("\n", ",").split(",")
-    if cells[0::2] != list(map(str, range(tick, tick + len(lines)))):
-        return None
-    return cells[1::2]
+def _tick_lines(start: int, horizon: int, first: int, last: int) -> str:
+    """Ticks ``first`` to ``last - 1`` of [start, horizon) in ASCII digits,
+    one per line: a slice of the window's tick column."""
+    return _tick_column(start, horizon)[
+        _tick_offset(start, first):_tick_offset(start, last) - 1]
+
+
+@functools.lru_cache(maxsize=4)
+def _tick_column(start: int, horizon: int) -> str:
+    """``"\\n".join(str(t) for t in range(start, horizon))``, built a block
+    of ticks at a time, so that the strings of one block at most are held at
+    once.  The traces of a fleet share a window, and so one column."""
+    return "\n".join(
+        "\n".join(map(str, range(t, min(t + _COLUMN_BLOCK, horizon))))
+        for t in range(start, horizon, _COLUMN_BLOCK))
+
+
+def _tick_offset(start: int, t: int) -> int:
+    """Where tick t starts in the tick column of a window from ``start``."""
+    return _digits_below(t) - _digits_below(start) + t - start
+
+
+def _digits_below(n: int) -> int:
+    """The number of decimal digits in 0, 1, ..., n - 1."""
+    digits, power = n, 10
+    while power < n:
+        digits += n - power
+        power *= 10
+    return digits
 
 
 def _checked_readings(kind: str, lines: List[str], expected_t: int,

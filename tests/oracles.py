@@ -205,7 +205,9 @@ def reference_parse_trace(text: str):
 # -- the scenario parser before its table of sections and keys --------------
 #
 # Its per-section branches, copied unchanged with the helpers they call, are
-# the reference that ``parse_scenario`` is checked against.
+# the reference that ``parse_scenario`` is checked against.  Only integers
+# are read more strictly than the copy did, through ``_strict_int``, as
+# ``parse_scenario`` now reads them.
 
 _SECTION_RE = re.compile(r"\[(entity\s+([A-Za-z][A-Za-z0-9_-]*)"
                          r"|schedule|policy)\]\Z")
@@ -223,13 +225,20 @@ def replace(obj, **changes):
     return type(obj)(**{**obj.__dict__, **changes})
 
 
+def _strict_int(text: str) -> int:
+    """A scenario integer: an optional '-' and ASCII digits, nothing else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text, 10)
+
+
 def _ints(text: str, count: int, line: int) -> List[int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise ScenarioFormatError(
             f"expected {count} comma-separated values, got {len(parts)}", line)
     try:
-        return [int(p, 10) for p in parts]
+        return [_strict_int(p) for p in parts]
     except ValueError:
         raise ScenarioFormatError(f"non-integer in {text!r}", line) from None
 
@@ -292,8 +301,8 @@ def reference_parse_scenario(text: str) -> ScenarioConfig:
                     raise ScenarioFormatError(
                         "sentence needs t1,t2,s,epsilon,delta", lineno)
                 try:
-                    sent = (int(parts[0], 10), int(parts[1], 10),
-                            int(parts[2], 10), Dec4.parse(parts[3]),
+                    sent = (_strict_int(parts[0]), _strict_int(parts[1]),
+                            _strict_int(parts[2]), Dec4.parse(parts[3]),
                             Dec4.parse(parts[4]))
                 except (ValueError, MonitorError):
                     raise ScenarioFormatError(

@@ -114,6 +114,19 @@ days = 100
      "line 2: expected 1 comma-separated values, got 2"),
     ("[schedule]\ndays = 1\n\n[schedule]\n",
      "line 4: duplicate [schedule] section"),
+    ("[entity A]\nnights = 1_0\n", "line 2: non-integer in '1_0'"),
+    ("[entity A]\nnights = +3\n", "line 2: non-integer in '+3'"),
+    ("[entity A]\nnights = --3\n", "line 2: non-integer in '--3'"),
+    ("[entity A]\nnights = \u0667\n", "line 2: non-integer in '\u0667'"),
+    ("[schedule]\ndays = +3\n", "line 2: non-integer in '+3'"),
+    ("[schedule]\ndays = 1_0\n", "line 2: non-integer in '1_0'"),
+    ("[schedule]\ndays = -\n", "line 2: non-integer in '-'"),
+    ("[entity A]\nsentence = 0,7_20,30,0.0200,0.0050\n",
+     "line 2: bad sentence '0,7_20,30,0.0200,0.0050'"),
+    ("[entity A]\nsentence = +0,720,30,0.0200,0.0050\n",
+     "line 2: bad sentence '+0,720,30,0.0200,0.0050'"),
+    ("[entity A]\nsentence = 0,720,+30,0.0200,0.0050\n",
+     "line 2: bad sentence '0,720,+30,0.0200,0.0050'"),
 ])
 def test_parse_rejects_bad_input(mutation, fragment):
     with pytest.raises(ScenarioFormatError) as err:
@@ -129,20 +142,20 @@ def test_parse_rejects_bad_input(mutation, fragment):
 GOOD_VALUES = {
     "sentence": ("0,720,30,0.0200,0.0050", " 0 , 2820 ,60, 0.0200,-1.5000"),
     "curfew": ("19:00,07:00", " 7:30 ,23:59"),
-    "nights": ("7", "0", "-1", "1_0"),
+    "nights": ("7", "0", "-1"),
     "status": ("green", "compliant", ""),
     "trace": ("t.trace", "a b.trace"),
     "uploads": ("07:00,15:00,23:00", " 9:05"),
-    "days": ("2", "0", "+3"),
+    "days": ("2", "0"),
     "rule": ("a: on red set status", "b : on amber , red set x"),
 }
 BAD_VALUES = {
     "sentence": ("1,2,3", "0,720,30,0.02x,0.0050", "a,b,c,d,e", ""),
     "curfew": ("19:00", "25:00,07:00", "19:00, 7h30", ""),
-    "nights": ("seven", "1,2", ""),
+    "nights": ("seven", "1,2", "", "1_0"),
     "trace": ("",),
     "uploads": ("", " 9am", "07:00,", "24:00"),
-    "days": ("x", "1, 2", ""),
+    "days": ("x", "1, 2", "", "+3"),
     "rule": ("broken", "a: on set status", ""),
 }
 ENTITY_KEYS = ("sentence", "curfew", "nights", "status", "trace")

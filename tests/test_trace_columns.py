@@ -1,32 +1,43 @@
 """Traces read in chunks into columns, against the per-line reference parser.
 
-``parse_trace`` checks and converts plain value lines a chunk at a time and
+``parse_trace`` reads the text in place, in chunks cut at a line break after
+a fixed number of characters.  It checks and converts plain value lines a
+chunk at a time, their ticks against a tick column cached per window, and
 stores decimal and boolean readings as columns that box a value only when it
 is read.  ``reference_parse_trace`` in ``oracles`` is the per-line parser it
-replaced; on any text both must return the same readings or raise the same
-fault on the same line.
+replaced; on any text, whatever its line breaks, both must return the same
+readings or raise the same fault on the same line.
 """
 
 import contextlib
 import io
 import random
 import shutil
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_parse_trace
-from tagmon.cli import EXIT_OK, main
+from tagmon import streams
+from tagmon.cli import EXIT_OK, gen_dry, main
 from tagmon.errors import TraceFormatError
-from tagmon.streams import _CHUNK_LINES, Stream, format_trace, parse_trace
+from tagmon.streams import (
+    _CHUNK_CHARS,
+    Stream,
+    _tick_column,
+    _tick_offset,
+    format_trace,
+    parse_trace,
+)
 from tagmon.values import BOTTOM, Dec4
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
                         max_examples=150,
                         suppress_health_check=[HealthCheck.too_slow])
 
-C = _CHUNK_LINES
+C = _CHUNK_CHARS
 READINGS = {
     "decimal": ("0.0100", "0.0250", "NA", "-0.0000", "12.3456", "-1.5000",
                 "007.0000", "922337203685477.5807", "922337203685477.5808",
@@ -85,21 +96,46 @@ HEADER_MANGLES = (
 )
 
 
+# line breaks that str.splitlines() honours besides \n
+LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def cut_lines(lines):
+    """The indices of the value lines that hold a chunk's cut: each chunk
+    ends with the first line that takes it past ``_CHUNK_CHARS`` characters,
+    line breaks included."""
+    cuts, size = [], 0
+    for i, line in enumerate(lines):
+        size += len(line) + 1
+        if size > C:
+            cuts.append(i)
+            size = 0
+    return cuts
+
+
 @st.composite
 def trace_texts(draw):
     kind = draw(st.sampled_from(sorted(READINGS)))
     start = draw(st.sampled_from([0, 1, 7, 10**20]))
-    n = draw(st.sampled_from([C + 1, 1, 2, 3, C - 1, C, 2 * C + 1]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     pool = READINGS[kind] if rng.random() < 0.5 else READINGS[kind][:3]
-    readings = [rng.choice(pool) for _ in range(n)]
+    # enough lines of at least 5 characters for two cuts
+    readings = [rng.choice(pool) for _ in range(2 * C // 5 + 3)]
     if rng.random() < 0.5:  # a run of missed readings
-        first = rng.randrange(n)
-        last = min(n, first + rng.randint(1, 40))
+        first = rng.randrange(len(readings))
+        last = min(len(readings), first + rng.randint(1, 40))
         readings[first:last] = ["NA"] * (last - first)
     lines = [f"{start + i},{v}" for i, v in enumerate(readings)]
-    # mangle lines just before, on and after a chunk boundary, or at the ends
-    near = sorted({i for i in (0, 1, C - 2, C - 1, C, C + 1, n - 1)
+    cuts = cut_lines(lines)
+    # end the trace early, on the line before, on or after a cut, or past
+    # the second cut
+    n = draw(st.sampled_from([1, 2, 3, cuts[0], cuts[0] + 1, cuts[0] + 2,
+                              cuts[1] + 2]))
+    del lines[n:]
+    # mangle lines just before, on and after a cut, or at the ends
+    near = sorted({i for c in cuts
+                   for i in (0, 1, c - 1, c, c + 1, c + 2, n - 1)
                    if 0 <= i < n})
     for _ in range(rng.choice((0, 1, 1, 2))):
         i = rng.choice(near)
@@ -107,8 +143,23 @@ def trace_texts(draw):
     header = f"trace b {kind} {start} {start + n}"
     if rng.random() < 0.1:
         header = rng.choice(HEADER_MANGLES)(header)
-    text = "\n".join([header] + lines)
-    return text + "\n" if rng.random() < 0.5 else text
+    elif rng.random() < 0.05:  # every tick one off its window
+        shift = rng.choice((-1, 1))
+        lines = [f"{start + i + shift},{v}"
+                 for i, v in enumerate(readings[:n])]
+    lines.insert(0, header)
+    ending = rng.random()
+    if ending < 0.7:
+        text = "\n".join(lines)
+    elif ending < 0.8:
+        text = "\r\n".join(lines)
+    elif ending < 0.9:
+        text = "\r".join(lines)
+    else:  # mixed endings, \n most of all
+        text = lines[0] + "".join(
+            rng.choice(("\n", "\n") + LINE_BREAKS) + line
+            for line in lines[1:])
+    return text + rng.choice(("", "\n", "\r\n", "\r"))
 
 
 def _outcome(parse, text):
@@ -127,28 +178,103 @@ def test_parse_trace_matches_the_per_line_reference(text):
                                                    text)
 
 
+LONG_LINES = [f"{t},0.0100" for t in range(2 * C // 8)]
+CUT = cut_lines(LONG_LINES)[0]
+
+
 @pytest.mark.parametrize("i, line, message", [
     (0, "0,0.010", "decimal '0.010' must have exactly 4 fractional digits"),
-    (C - 1, f"{C - 1},0.010",
+    (CUT - 1, f"{CUT - 1},0.010",
      "decimal '0.010' must have exactly 4 fractional digits"),
-    (C, f"{C},0.010", "decimal '0.010' must have exactly 4 fractional digits"),
-    (C + 1, "9,0.0100", f"tick 9 out of order (expected {C + 1})"),
-    (C + 1, "x,0.0100", "non-integer tick 'x'"),
+    (CUT, f"{CUT},0.010",
+     "decimal '0.010' must have exactly 4 fractional digits"),
+    (CUT + 1, f"{CUT + 1},0.010",
+     "decimal '0.010' must have exactly 4 fractional digits"),
+    (CUT + 2, "9,0.0100", f"tick 9 out of order (expected {CUT + 2})"),
+    (CUT + 2, "x,0.0100", "non-integer tick 'x'"),
 ])
-def test_a_fault_in_any_chunk_keeps_its_message_and_line(i, line, message):
-    lines = [f"{t},0.0100" for t in range(2 * C)]
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_a_fault_in_any_chunk_keeps_its_message_and_line(i, line, message,
+                                                          ending):
+    """A fault on the line before the first cut, on the line that holds
+    it, or on the lines after it, with either line ending."""
+    lines = LONG_LINES.copy()
     lines[i] = line
-    text = "\n".join([f"trace b decimal 0 {2 * C}"] + lines) + "\n"
+    assert cut_lines(lines)[0] == CUT
+    text = ending.join([f"trace b decimal 0 {len(lines)}"] + lines) + ending
     with pytest.raises(TraceFormatError) as err:
         parse_trace(text)
     assert (err.value.message, err.value.line) == (message, i + 2)
 
 
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (7, 6)])
+def test_a_tick_column_answers_only_for_its_window(first, second):
+    """Two traces of one length whose windows start a tick apart: the
+    second, whose lines carry the first one's ticks, is a fault, however
+    the first was read."""
+    lines = [f"{first + i},true" for i in range(3 * C // 8)]
+    for start in (first, second):
+        text = "\n".join([f"trace b boolean {start} {start + len(lines)}"]
+                         + lines)
+        assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+                                                       text)
+    assert _outcome(parse_trace, text) == (
+        "fault", f"tick {first} out of order (expected {second})", 2)
+
+
+@pytest.mark.parametrize("start", [0, 1, 9, 10, 11, 99, 100, 101, 10**20 - 1])
+def test_the_tick_column_and_its_offsets(start):
+    """The column is the window's ticks joined by line breaks, over more
+    than one block of ticks, and each offset points at its tick."""
+    horizon = start + 9000
+    column = _tick_column(start, horizon)
+    assert column == "\n".join(str(t) for t in range(start, horizon))
+    offset = 0
+    for t in range(start, horizon):
+        assert _tick_offset(start, t) == offset
+        offset += len(str(t)) + 1
+    assert _tick_offset(start, horizon) == len(column) + 1
+
+
+@pytest.mark.parametrize("kind", ["decimal", "boolean"])
+@pytest.mark.parametrize("start", [0, 95, 9990, 10**20 - 5])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_a_plain_trace_takes_no_per_line_check(kind, start, ending,
+                                               monkeypatch):
+    """Chunks of plain lines, whose ticks pass a power of ten, are checked
+    against the tick column alone, never line by line."""
+    n = 3 * C // 8
+    lines = [f"trace b {kind} {start} {start + n}"] + [
+        f"{start + i},{READINGS[kind][i % 3]}" for i in range(n)]
+    text = ending.join(lines) + ending
+
+    def refuse(*args):
+        raise AssertionError("a plain chunk took the per-line checks")
+
+    monkeypatch.setattr(streams, "_checked_readings", refuse)
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+                                                   text)
+
+
+def test_reading_a_long_trace_peaks_below_three_times_its_text():
+    """The 143,940-minute dry trace of ``extended_dry``, read with no tick
+    column cached: the reader holds no list of its lines or ticks."""
+    text = format_trace(gen_dry(143940, 42), "b", "decimal")
+    _tick_column.cache_clear()
+    tracemalloc.start()
+    try:
+        parse_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
+
+
 @pytest.mark.parametrize("kind, readings", [
     ("decimal", [Dec4(100), BOTTOM, Dec4(0), Dec4(-15000),
                  Dec4(999999999999999990000)]),
-    ("decimal", [Dec4(raw) for raw in range(-5, 2 * C)]),
-    ("boolean", [True, BOTTOM, False] * C),
+    ("decimal", [Dec4(raw) for raw in range(-5, C // 4)]),
+    ("boolean", [True, BOTTOM, False] * (C // 8)),
 ])
 def test_a_loaded_stream_equals_and_hashes_like_stream_of(kind, readings):
     expected = Stream.of(3, readings)
