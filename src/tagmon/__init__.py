@@ -49,8 +49,8 @@ from .scenarios import (
     sampled_max,
 )
 from .streams import (
-    BASE_SIGNATURE,
-    Signature,
+    OPERATIONS,
+    RELATIONS,
     Stream,
     Window,
     exists_before,

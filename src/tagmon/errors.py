@@ -42,7 +42,13 @@ class ArityMismatch(MonitorError):
 
 
 class KindMismatch(MonitorError):
-    """Value of the wrong carrier kind (boolean/integer/decimal/label)."""
+    """Value of the wrong carrier kind (boolean/integer/decimal/label).
+
+    The formula layer raises it too, for well-formed syntax applied to
+    values of unusable kinds: a stream used as a plain value, a non-integer
+    index or sample bound, a decimal literal with more than 4 fractional
+    digits.
+    """
 
 
 class ShiftTooLarge(MonitorError):
@@ -68,11 +74,7 @@ class FormulaSyntaxError(MonitorError):
 
 
 class UnknownSymbol(MonitorError):
-    """Call to an operation or test the signature does not declare."""
-
-
-class KindError(MonitorError):
-    """Well-formed syntax applied to values of unusable kinds."""
+    """Call to an operation that ``streams.OPERATIONS`` does not declare."""
 
 
 class UnboundIdentifier(MonitorError):

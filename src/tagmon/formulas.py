@@ -29,19 +29,12 @@ from .errors import (
     ArityMismatch,
     BottomEncountered,
     BoundNotInteger,
-    KindError,
     KindMismatch,
     MissingParameter,
     UnboundIdentifier,
     UnknownSymbol,
 )
-from .streams import (
-    BASE_SIGNATURE,
-    Stream,
-    _Booleans,
-    _Decimals,
-    check_arity,
-)
+from .streams import OPERATIONS, Stream, _Booleans, _Decimals, check_arity
 from .values import BOTTOM, CarrierValue, compare, format_value, is_carrier
 
 # -- terms --------------------------------------------------------------------
@@ -137,11 +130,12 @@ def _sampled_reduce(op: str, args):
         if bound is BOTTOM:
             return BOTTOM
         if isinstance(bound, bool) or not isinstance(bound, int):
-            raise KindError(f"sample bounds must be integers, got {bound!r}")
+            raise KindMismatch(
+                f"sample bounds must be integers, got {bound!r}")
     if s < 1:
-        raise KindError(f"sample step must be positive, got {s}")
+        raise KindMismatch(f"sample step must be positive, got {s}")
     if t2 < t1:
-        raise KindError(f"empty sample range [{t1}, {t2}]")
+        raise KindMismatch(f"empty sample range [{t1}, {t2}]")
     if isinstance(stream, _Decimals):
         return stream.reduce_samples(_REDUCTIONS[op], t1, t2, s)
     count = (t2 - t1) // s
@@ -150,10 +144,7 @@ def _sampled_reduce(op: str, args):
         return BOTTOM
     if len(samples) == 1:
         return samples[0]
-    try:
-        return BASE_SIGNATURE.operation(op).fn(*samples)
-    except KindMismatch as exc:
-        raise KindError(str(exc)) from None
+    return OPERATIONS[op].fn(*samples)
 
 
 def eval_term(term: Term, env: Environment):
@@ -169,34 +160,31 @@ def eval_term(term: Term, env: Environment):
     if isinstance(term, StreamAt):
         bound = _lookup(term.stream, env)
         if not isinstance(bound, Stream):
-            raise KindError(f"{term.stream!r} is not bound to a stream")
+            raise KindMismatch(f"{term.stream!r} is not bound to a stream")
         idx = eval_term(term.index, env)
         if idx is BOTTOM:
             return BOTTOM
         if isinstance(idx, bool) or not isinstance(idx, int):
-            raise KindError(f"stream index must be an integer, got {idx!r}")
+            raise KindMismatch(f"stream index must be an integer, got {idx!r}")
         return bound.at(idx)
     if isinstance(term, Apply):
-        if term.op not in BASE_SIGNATURE.operations:
+        op = OPERATIONS.get(term.op)
+        if op is None:
             raise UnknownSymbol(f"unknown operation {term.op!r}")
         args = [eval_term(a, env) for a in term.args]
         if args and isinstance(args[0], Stream):
             if term.op in ("max", "min"):
                 return _sampled_reduce(term.op, args)
-            raise KindError(
+            raise KindMismatch(
                 f"stream argument is only valid in sampled max/min, "
                 f"not {term.op!r}")
         if any(isinstance(a, Stream) for a in args):
-            raise KindError(f"stream used as a plain value in {term.op!r}")
-        op = BASE_SIGNATURE.operation(term.op)
+            raise KindMismatch(f"stream used as a plain value in {term.op!r}")
         check_arity(op, len(args))
         if any(a is BOTTOM for a in args):
             return BOTTOM
-        try:
-            return op.fn(*args)
-        except KindMismatch as exc:
-            raise KindError(str(exc)) from None
-    raise KindError(f"not a term: {term!r}")
+        return op.fn(*args)
+    raise KindMismatch(f"not a term: {term!r}")
 
 
 def _int_bound(term: Term, env: Environment) -> int:
@@ -213,7 +201,7 @@ def _atom_value(term: Term, env: Environment):
     if v is BOTTOM:
         raise BottomEncountered("test touched an undefined reading")
     if isinstance(v, Stream):
-        raise KindError("stream used as a plain value in a test")
+        raise KindMismatch("stream used as a plain value in a test")
     return v
 
 
@@ -241,12 +229,8 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
     if isinstance(formula, BoolLit):
         return formula.value
     if isinstance(formula, Cmp):
-        lhs = _atom_value(formula.lhs, env)
-        rhs = _atom_value(formula.rhs, env)
-        try:
-            return compare(formula.op, lhs, rhs)
-        except KindMismatch as exc:
-            raise KindError(str(exc)) from None
+        return compare(formula.op, _atom_value(formula.lhs, env),
+                       _atom_value(formula.rhs, env))
     if isinstance(formula, Not):
         return not eval_formula(formula.body, env)
     if isinstance(formula, And):
@@ -281,7 +265,7 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
             if eval_formula(formula.body, inner):
                 return True
         return False
-    raise KindError(f"not a formula: {formula!r}")
+    raise KindMismatch(f"not a formula: {formula!r}")
 
 
 # -- attribute templates ------------------------------------------------------
@@ -320,7 +304,7 @@ def instantiate(spec: AttributeSpec,
     for p in spec.params:
         v = bindings[p]
         if v is BOTTOM or not is_carrier(v):
-            raise KindError(
+            raise KindMismatch(
                 f"{spec.name}: parameter {p}={v!r} is not a carrier value")
         chosen[p] = v
     return chosen
@@ -336,6 +320,8 @@ _INFIX = {"add": (" + ", 1), "sub": (" - ", 1),
 
 def _pt(t: Term, req: int) -> str:
     if isinstance(t, Lit):
+        if isinstance(t.value, str):
+            raise KindMismatch(f"no formula text for the label {t.value!r}")
         return format_value(t.value)
     if isinstance(t, Var):
         return t.name
@@ -346,15 +332,26 @@ def _pt(t: Term, req: int) -> str:
             text, prec = _INFIX[t.op]
             s = _pt(t.args[0], prec) + text + _pt(t.args[1], prec + 1)
             return f"({s})" if prec < req else s
-        if t.op == "neg" and len(t.args) == 1:
+        # the parser folds "-" and a number into one literal, so neg of a
+        # numeric literal is spelt as a call
+        if (t.op == "neg" and len(t.args) == 1
+                and not _numeric_lit(t.args[0])):
             s = "-" + _pt(t.args[0], 3)
             return f"({s})" if req > 3 else s
         return f"{t.op}({', '.join(_pt(a, 0) for a in t.args)})"
-    raise KindError(f"not a term: {t!r}")
+    raise KindMismatch(f"not a term: {t!r}")
+
+
+def _numeric_lit(t: Term) -> bool:
+    """Whether the parser folds a "-" before ``t`` into ``t`` itself."""
+    return isinstance(t, Lit) and not isinstance(t.value, bool)
 
 
 def print_formula(formula: Formula) -> str:
-    """Canonical concrete syntax; parse(print(f)) reproduces f structurally."""
+    """Canonical concrete syntax; parse(print(f)) reproduces f structurally.
+
+    A label literal has no concrete syntax: KindMismatch.
+    """
     return _pf(formula, 0)
 
 
@@ -376,4 +373,4 @@ def _pf(f: Formula, req: int) -> str:
         s = (f"{f.quantifier} {f.var} in {_pt(f.lo, 0)} .. {_pt(f.hi, 0)}"
              f" : {_pf(f.body, 0)}")
         return f"({s})" if req > 0 else s
-    raise KindError(f"not a formula: {f!r}")
+    raise KindMismatch(f"not a formula: {f!r}")

@@ -14,14 +14,14 @@
                 | "true" | "false" | "(" term ")"
 
 Quantifier bounds are inclusive and the body extends as far to the right as
-possible.  Numbers with a decimal point are fixed-point values with at most
-four fractional digits.  ``#`` starts a comment that runs to the end of the
-line.
+possible.  Numbers are written in ASCII digits; one with a decimal point is a
+fixed-point value with at most four fractional digits.  ``#`` starts a
+comment that runs to the end of the line.
 
-Call syntax is checked against ``BASE_SIGNATURE``, the one signature of the
-formula language: an identifier applied to arguments must be a declared
-operation, and is a term.  Relations are written as comparisons only, so
-``lt(a, b)`` is an unknown operation, not a test.  Bare identifiers are
+Call syntax is checked against ``streams.OPERATIONS``: an identifier applied
+to arguments must be a declared operation, and is a term.  The relations of
+``streams.RELATIONS`` are written as comparisons only, spelt as the printer
+spells them, so ``lt(a, b)`` is an unknown operation, not a test.  Bare identifiers are
 quantified variables, template parameters bound as variables, or stream
 names, all resolved at evaluation time.
 """
@@ -31,8 +31,9 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .errors import FormulaSyntaxError, KindError, UnknownSymbol
+from .errors import FormulaSyntaxError, KindMismatch, UnknownSymbol
 from .formulas import (
+    _CMP_TEXT,
     And,
     Apply,
     BoolLit,
@@ -45,8 +46,9 @@ from .formulas import (
     StreamAt,
     Term,
     Var,
+    _numeric_lit,
 )
-from .streams import BASE_SIGNATURE
+from .streams import OPERATIONS
 from .values import Dec4
 
 _KEYWORDS = {"true", "false", "not", "and", "or", "forall", "exists", "in"}
@@ -54,13 +56,12 @@ _KEYWORDS = {"true", "false", "not", "and", "or", "forall", "exists", "in"}
 _TOKEN_RE = re.compile(r"""
       (?P<ws>\s+)
     | (?P<comment>\#[^\n]*)
-    | (?P<number>\d+\.\d+|\d+)
+    | (?P<number>[0-9]+(?:\.[0-9]+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>\.\.|<=|>=|!=|[=<>+\-*/()\[\],:])
 """, re.VERBOSE)
 
-_CMP_OPS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le",
-            ">": "gt", ">=": "ge"}
+_CMP_OPS = {text: name for name, text in _CMP_TEXT.items()}
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -92,7 +93,7 @@ def _number(text: str, pos: int):
         return int(text, 10)
     frac = text.split(".", 1)[1]
     if len(frac) > 4:
-        raise KindError(
+        raise KindMismatch(
             f"decimal {text!r} has more than 4 fractional digits "
             f"(at position {pos})")
     return Dec4.parse(text)
@@ -162,7 +163,7 @@ class _Parser:
         for bound, side in ((lo, "lower"), (hi, "upper")):
             if isinstance(bound, Lit) and (isinstance(bound.value, bool)
                                            or not isinstance(bound.value, int)):
-                raise KindError(
+                raise KindMismatch(
                     f"{side} quantifier bound must be an integer term")
         self.expect(":")
         return Quant(quantifier, var_tok[1], lo, hi, self.formula())
@@ -218,7 +219,7 @@ class _Parser:
         if self.peek()[0] == "-":
             self.next()
             operand = self.unary()
-            if isinstance(operand, Lit) and not isinstance(operand.value, bool):
+            if _numeric_lit(operand):
                 return Lit(-operand.value)
             return Apply("neg", (operand,))
         return self.primary()
@@ -236,7 +237,7 @@ class _Parser:
         if tok[0] == "ident":
             name = tok[1]
             if self.peek()[0] == "(":
-                if name not in BASE_SIGNATURE.operations:
+                if name not in OPERATIONS:
                     raise UnknownSymbol(
                         f"unknown operation {name!r} (at position {tok[2]})")
                 self.next()
@@ -252,20 +253,21 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse one formula; raises FormulaSyntaxError/UnknownSymbol/KindError."""
-    p = _Parser(tokenize(text))
-    f = p.formula()
-    tok = p.peek()
-    if tok[0] != "end":
-        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return f
+    """Parse one formula; raises FormulaSyntaxError, UnknownSymbol or
+    KindMismatch (a decimal with more than 4 fractional digits, or a literal
+    quantifier bound that is not an integer)."""
+    return _parse_all(text, _Parser.formula)
 
 
 def parse_term(text: str) -> Term:
+    """Parse one term; raises as ``parse_formula`` does."""
+    return _parse_all(text, _Parser.term)
+
+
+def _parse_all(text: str, rule):
     p = _Parser(tokenize(text))
-    t = p.term()
+    tree = rule(p)
     tok = p.peek()
     if tok[0] != "end":
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return t
-
+    return tree

@@ -12,6 +12,12 @@ prefix).  Undefined readings propagate strictly through lifted operations and
 abort quantified tests with BottomEncountered, so a missed reading can never
 silently pass for a truth value.
 
+The symbols of the formula language are declared once, in two tables:
+``OPERATIONS`` maps a name to its ``Operation`` and ``RELATIONS`` a name to
+its ``Relation`` (the comparisons of ``values.COMPARISONS``).  The liftings
+and quantified tests take any ``Operation`` or ``Relation``, declared there
+or not.
+
 Storage is not part of the algebra.  A decimal trace read from a file is kept
 as a column of raw Dec4 units (``array('q')``) with a byte per tick marking
 NA, and a boolean trace as one byte code per tick (false, true or NA); ``at``
@@ -34,9 +40,9 @@ from __future__ import annotations
 import functools
 import re
 from array import array
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from ._frozen import Frozen, fresh
+from ._frozen import Frozen
 from .errors import (
     ArityMismatch,
     BottomConstant,
@@ -50,6 +56,7 @@ from .errors import (
 from .values import (
     BOOLEAN,
     BOTTOM,
+    COMPARISONS,
     DECIMAL,
     KINDS,
     CarrierValue,
@@ -268,7 +275,7 @@ class _Booleans(Stream):
         return None
 
 
-# -- signatures --------------------------------------------------------------
+# -- the signature ------------------------------------------------------------
 
 class Operation(Frozen):
     """Declared operation symbol: value arguments in, value out."""
@@ -286,52 +293,20 @@ class Relation(Frozen):
     fn: Callable[..., bool]
 
 
-class Signature(Frozen):
-    """Operation and test symbols usable in formulas and liftings over a data
-    algebra; symbol names are unique across operations and tests."""
-
-    operations: Mapping[str, Operation] = fresh(dict)
-    tests: Mapping[str, Relation] = fresh(dict)
-
-    def __post_init__(self):
-        dupes = set(self.operations) & set(self.tests)
-        if dupes:
-            raise KindMismatch(f"duplicate signature symbols: {sorted(dupes)}")
-        for op in self.operations.values():
-            if op.arity is not None and op.arity < 0:
-                raise ArityMismatch(f"operation {op.name} has arity < 0")
-        for ts in self.tests.values():
-            if ts.arity is not None and ts.arity < 0:
-                raise ArityMismatch(f"test {ts.name} has arity < 0")
-
-    def operation(self, name: str) -> Operation:
-        return self.operations[name]
-
-    def test(self, name: str) -> Relation:
-        return self.tests[name]
-
-
-def base_signature() -> Signature:
-    """Arithmetic, floor/max/min and the six comparison tests."""
-    ops = [
-        Operation("add", 2, add_values),
-        Operation("sub", 2, sub_values),
-        Operation("mul", 2, mul_values),
-        Operation("div", 2, div_values),
-        Operation("neg", 1, neg_value),
-        Operation("floor", 1, floor_value),
-        Operation("max", None, max_values),
-        Operation("min", None, min_values),
-    ]
-    tests = [Relation(nm, 2, lambda a, b, _nm=nm: compare(_nm, a, b))
-             for nm in ("eq", "ne", "lt", "le", "gt", "ge")]
-    return Signature(
-        operations={o.name: o for o in ops},
-        tests={t.name: t for t in tests},
-    )
-
-
-BASE_SIGNATURE = base_signature()
+# the formula language's signature: arithmetic, floor, max and min, and the
+# six comparison tests; no name is both an operation and a test
+OPERATIONS = {op.name: op for op in (
+    Operation("add", 2, add_values),
+    Operation("sub", 2, sub_values),
+    Operation("mul", 2, mul_values),
+    Operation("div", 2, div_values),
+    Operation("neg", 1, neg_value),
+    Operation("floor", 1, floor_value),
+    Operation("max", None, max_values),
+    Operation("min", None, min_values),
+)}
+RELATIONS = {name: Relation(name, 2, functools.partial(compare, name))
+             for name in COMPARISONS}
 
 
 # -- stream-building operations ----------------------------------------------

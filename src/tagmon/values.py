@@ -9,6 +9,7 @@ must compare bit-exactly, which binary floats cannot guarantee.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Union
 
@@ -22,7 +23,7 @@ LABEL = "label"
 KINDS = (BOOLEAN, INTEGER, DECIMAL, LABEL)
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-_DEC_RE = re.compile(r"([+-]?)(\d+)\.(\d{1,4})\Z")
+_DEC_RE = re.compile(r"(-?)([0-9]+)\.([0-9]{1,4})\Z")
 
 
 class Bottom:
@@ -62,6 +63,7 @@ class Dec4:
 
     @classmethod
     def parse(cls, text: str) -> "Dec4":
+        """``-?<digits>.<1 to 4 digits>``, in ASCII digits, with no ``+``."""
         m = _DEC_RE.match(text.strip())
         if not m:
             raise KindMismatch(f"not a fixed-point decimal: {text!r}")
@@ -262,26 +264,22 @@ def min_values(*args):
     return out
 
 
+# the six comparison tests, by name; booleans and labels admit eq and ne only
+COMPARISONS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+               "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
 def compare(op: str, a, b) -> bool:
-    """Apply a comparison test (eq/ne/lt/le/gt/ge) to two values."""
+    """Apply a comparison test (a name in ``COMPARISONS``) to two values."""
     ka, kb = kind_of(a), kind_of(b)
     if ka in (BOOLEAN, LABEL) or kb in (BOOLEAN, LABEL):
         if op not in ("eq", "ne"):
             raise KindMismatch(f"{ka} values admit only equality tests")
         if ka != kb:
             raise KindMismatch(f"cannot compare {ka} with {kb}")
-        return (a == b) if op == "eq" else (a != b)
-    a, b = _numeric_pair(a, b)
-    if op == "eq":
-        return a == b
-    if op == "ne":
-        return a != b
-    if op == "lt":
-        return a < b
-    if op == "le":
-        return a <= b
-    if op == "gt":
-        return a > b
-    if op == "ge":
-        return a >= b
-    raise KindMismatch(f"unknown comparison {op!r}")
+    else:
+        a, b = _numeric_pair(a, b)
+    test = COMPARISONS.get(op)
+    if test is None:
+        raise KindMismatch(f"unknown comparison {op!r}")
+    return test(a, b)

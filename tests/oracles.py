@@ -56,7 +56,7 @@ from tagmon.scenarios import (
     ScenarioRun,
     Sentence,
 )
-from tagmon.streams import Operation, Relation, Signature, Stream, Window
+from tagmon.streams import Operation, Relation, Stream, Window
 from tagmon.values import BOTTOM, KINDS, Dec4, parse_value
 
 _CMP_FN = {
@@ -466,7 +466,6 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (Window, ["start", "horizon"]),
     (Operation, ["name", "arity", "fn"]),
     (Relation, ["name", "arity", "fn"]),
-    (Signature, [("operations", _fresh_dict()), ("tests", _fresh_dict())]),
     (JudgementSet, ["labels"]),
     (PredicateFamily, ["name", "judgements", "specs", ("undefined", None)]),
     (Record, ["entity", "characteristics", "attribute", "judgement",

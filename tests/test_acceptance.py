@@ -20,7 +20,7 @@ from tagmon.scenarios import (
     sample_count,
 )
 from tagmon.streams import (
-    BASE_SIGNATURE,
+    OPERATIONS,
     Relation,
     Stream,
     exists_before,
@@ -130,7 +130,7 @@ def test_criterion_3_judgement_partition(capsys):
 def test_criterion_4_stream_algebra_laws(capsys):
     with criterion(4, "stream algebra laws", capsys):
         rng = random.Random(303)
-        add = BASE_SIGNATURE.operation("add")
+        add = OPERATIONS["add"]
         lt3 = Relation("lt3", 1, lambda x: x < 3)
         ge3 = Relation("ge3", 1, lambda x: not (x < 3))
         for _ in range(1000):

@@ -536,6 +536,14 @@ def test_gen_trace_bad_params(tmp_path, capsys):
                  "--out", str(tmp_path / "x.trace")])
     assert code == EXIT_VALIDATION
     assert "spike needs" in capsys.readouterr().err
+    # a spike value is ASCII digits with an optional "-", as in a file
+    for value in ("+0.0300", "\u0660.\u0663"):
+        assert main(["gen-trace", "--kind", "spike", "--minutes", "100",
+                     "--spike-at", "0", "--spike-value", value,
+                     "--out", str(tmp_path / "x.trace")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"gen-trace failed: not a fixed-point decimal: {value!r}\n")
+    assert not (tmp_path / "x.trace").exists()
     with pytest.raises(BadParams):
         gen_gap(720, 0, 500, 100)
     with pytest.raises(BadParams):

@@ -6,7 +6,6 @@ from tagmon.errors import (
     BottomEncountered,
     BoundNotInteger,
     FormulaSyntaxError,
-    KindError,
     KindMismatch,
     MissingParameter,
     UnboundIdentifier,
@@ -31,7 +30,7 @@ from tagmon.formulas import (
     print_formula,
 )
 from tagmon.parser import parse_formula, parse_term
-from tagmon.streams import Stream
+from tagmon.streams import OPERATIONS, RELATIONS, Stream
 from tagmon.values import BOTTOM, Dec4
 
 from oracles import brute_formula, random_formula, random_int_stream
@@ -109,10 +108,17 @@ def test_parse_errors_carry_position():
         parse_formula("1 <> 2")
     with pytest.raises(UnknownSymbol):
         parse_formula("frob(1) < 2")
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         parse_formula("forall k in 0.5..2 : k < 3")
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         parse_formula("1.00001 < 2")
+    # Arabic-Indic and full-width digits are digits to int() and to the re
+    # module's \d, but not to the formula language
+    for text, position in (("b[0] < \u0663", 7), ("\u0661 = 1", 0),
+                           ("1.\u0665 < 2", 1), ("\uff11 < 2", 0)):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert err.value.position == position
 
 
 @pytest.mark.parametrize("text", ["lt(a, b)", "eq(x, 1) and true",
@@ -129,6 +135,36 @@ def test_parse_formula_skips_comments():
     assert parse_formula("# attribute definitions\ntrue\n\n") == BoolLit(True)
     assert parse_formula("b[0] < 1 # inline") == Cmp(
         "lt", StreamAt("b", Lit(0)), Lit(1))
+
+
+# -- the signature tables --------------------------------------------------------
+
+# int, Dec4 and mixed pairs, none with a zero divisor
+PAIRS = [(7, 2), (-7, 2), (2, 2), (Dec4(150), Dec4(250)),
+         (Dec4(250), Dec4(250)), (Dec4(-150), 3), (3, Dec4(15000)),
+         (1, Dec4(10000))]
+
+
+def test_no_name_is_both_an_operation_and_a_relation():
+    assert not set(OPERATIONS) & set(RELATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_each_relation_is_spelt_and_evaluated_by_its_table_entry(name):
+    f = Cmp(name, Var("a"), Var("b"))
+    assert parse_formula(print_formula(f)) == f
+    for a, b in PAIRS:
+        expected = RELATIONS[name].fn(a, b)
+        assert eval_formula(f, Environment({"a": a, "b": b})) is expected
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_each_infix_operation_is_evaluated_by_its_table_entry(name):
+    f = Cmp("eq", Apply(name, (Var("a"), Var("b"))), Var("c"))
+    assert parse_formula(print_formula(f)) == f
+    for a, b in PAIRS:
+        env = Environment({"a": a, "b": b})
+        assert eval_term(f.lhs, env) == OPERATIONS[name].fn(a, b)
 
 
 # -- term evaluation ------------------------------------------------------------
@@ -157,9 +193,9 @@ def test_eval_term_errors():
     env = Environment({}, {"b": bac_trace()})
     with pytest.raises(UnboundIdentifier):
         eval_term(parse_term("nope + 1"), env)
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         eval_term(parse_term("b + 1"), env)
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         eval_term(parse_term("floor(b, 1)"), env)
 
 
@@ -167,11 +203,11 @@ def test_sampled_max_of_unordered_readings_is_a_kind_error():
     # booleans have no order: a sampled max over them fails as the plain
     # max(true, false) does; a single sample is still its own maximum
     env = Environment({}, {"p": Stream.of(0, (True, False, True))})
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         eval_formula(parse_formula("max(true, false) = true"), env)
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         eval_formula(parse_formula("max(p, 0, 2, 1) = true"), env)
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         eval_term(parse_term("min(p, 0, 1, 1)"), env)
     assert eval_term(parse_term("max(p, 1, 1, 1)"), env) is False
 
@@ -254,7 +290,7 @@ def test_instantiate_missing_parameter():
 
 
 def test_instantiate_rejects_non_carrier():
-    with pytest.raises(KindError):
+    with pytest.raises(KindMismatch):
         instantiate(GREEN_SPEC, {"t1": 0, "t2": 120, "s": 30, "glim": None})
 
 
@@ -354,6 +390,30 @@ def test_print_parse_round_trip():
     for _ in range(400):
         f = random_formula(rng, rng.randint(0, 4), {}, 8)
         assert parse_formula(print_formula(f)) == f
+
+
+@pytest.mark.parametrize("term, text", [
+    (Apply("neg", (Lit(5),)), "neg(5)"),
+    (Apply("neg", (Lit(-5),)), "neg(-5)"),
+    (Apply("neg", (Lit(Dec4(150)),)), "neg(0.0150)"),
+    (Apply("neg", (Lit(Dec4(-150)),)), "neg(-0.0150)"),
+    (Apply("neg", (Apply("neg", (Lit(5),)),)), "-neg(5)"),
+    (Apply("neg", (Var("x"),)), "-x"),
+    (Apply("neg", (Lit(True),)), "-true"),
+    (Lit(-5), "-5"),
+])
+def test_print_parse_round_trip_negation(term, text):
+    # the parser folds "-5" into the literal -5, so neg of a numeric
+    # literal is printed as a call
+    f = Cmp("lt", term, Lit(0))
+    assert print_formula(f) == f"{text} < 0"
+    assert parse_formula(print_formula(f)) == f
+
+
+def test_print_formula_refuses_a_label_literal():
+    # it would print as the name of the variable green
+    with pytest.raises(KindMismatch):
+        print_formula(Cmp("eq", Var("status"), Lit("green")))
 
 
 def test_print_parse_round_trip_decimals():

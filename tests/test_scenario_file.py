@@ -127,6 +127,10 @@ days = 100
      "line 2: bad sentence '+0,720,30,0.0200,0.0050'"),
     ("[entity A]\nsentence = 0,720,+30,0.0200,0.0050\n",
      "line 2: bad sentence '0,720,+30,0.0200,0.0050'"),
+    ("[entity A]\nsentence = 0,720,30,+0.0200,0.0050\n",
+     "line 2: bad sentence '0,720,30,+0.0200,0.0050'"),
+    ("[entity A]\nsentence = 0,720,30,0.0200,\u0660.\u0665\n",
+     "line 2: bad sentence '0,720,30,0.0200,\u0660.\u0665'"),
 ])
 def test_parse_rejects_bad_input(mutation, fragment):
     with pytest.raises(ScenarioFormatError) as err:
@@ -150,7 +154,8 @@ GOOD_VALUES = {
     "rule": ("a: on red set status", "b : on amber , red set x"),
 }
 BAD_VALUES = {
-    "sentence": ("1,2,3", "0,720,30,0.02x,0.0050", "a,b,c,d,e", ""),
+    "sentence": ("1,2,3", "0,720,30,0.02x,0.0050", "a,b,c,d,e", "",
+                 "0,720,30,+0.0200,0.0050"),
     "curfew": ("19:00", "25:00,07:00", "19:00, 7h30", ""),
     "nights": ("seven", "1,2", "", "1_0"),
     "trace": ("",),

@@ -13,7 +13,8 @@ from tagmon.errors import (
     WindowMismatch,
 )
 from tagmon.streams import (
-    BASE_SIGNATURE,
+    OPERATIONS,
+    RELATIONS,
     Operation,
     Relation,
     Stream,
@@ -33,10 +34,10 @@ from tagmon.values import BOTTOM, Dec4
 
 from oracles import random_int_stream
 
-MAX_OP = BASE_SIGNATURE.operation("max")
-ADD_OP = BASE_SIGNATURE.operation("add")
-LT_TEST = BASE_SIGNATURE.test("lt")
-EQ_TEST = BASE_SIGNATURE.test("eq")
+MAX_OP = OPERATIONS["max"]
+ADD_OP = OPERATIONS["add"]
+LT_TEST = RELATIONS["lt"]
+EQ_TEST = RELATIONS["eq"]
 
 int_streams = st.integers(0, 5).flatmap(
     lambda start: st.lists(st.integers(-9, 9), min_size=1, max_size=16).map(

@@ -32,7 +32,11 @@ def test_parse_and_format_thresholds_exactly():
 
 
 def test_parse_rejects_junk():
-    for bad in ("x", "1.", ".5", "1.00000", "--1.0", ""):
+    # ASCII digits only, and no "+": Arabic-Indic and full-width digits
+    # are digits to int() and to the re module's \d
+    for bad in ("x", "1.", ".5", "1.00000", "--1.0", "", "+0.0200", "+1.5",
+                "-+1.0", "\u0660.\u0660\u0662\u0660\u0660", "1.\u0665",
+                "\uff11.\uff10"):
         with pytest.raises(KindMismatch):
             Dec4.parse(bad)
 
@@ -121,3 +125,5 @@ def test_labels_and_booleans_only_support_equality():
         compare("eq", "green", 1)
     with pytest.raises(KindMismatch):
         compare("eq", True, 1)
+    with pytest.raises(KindMismatch, match="unknown comparison 'xx'"):
+        compare("xx", 1, 2)
