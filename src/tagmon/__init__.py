@@ -26,7 +26,6 @@ from .interventions import (
     run_cycle,
 )
 from .monitoring import (
-    BehaviourBinding,
     Characteristics,
     JudgementSet,
     PredicateFamily,

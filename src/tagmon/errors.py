@@ -99,10 +99,6 @@ class UnknownField(MonitorError):
     """Characteristics field name outside the declared schema."""
 
 
-class UnboundBehaviour(MonitorError):
-    """No behaviour stream bound for the requested entity."""
-
-
 class NoJudgement(MonitorError):
     """No predicate of a family held: the family does not cover its domain."""
 

@@ -14,18 +14,18 @@ characteristics reproduces byte-identical logs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ._frozen import Frozen
 from .errors import KindMismatch, MonitorError, UnknownJudgement
 from .monitoring import (
-    BehaviourBinding,
     Characteristics,
     JudgementSet,
     PredicateFamily,
     Record,
     monitor,
 )
+from .streams import Stream
 from .values import CarrierValue, format_value, is_carrier
 
 TAXONOMY = ("access-control", "permission", "penalty", "incentive",
@@ -163,37 +163,33 @@ class RunResult:
         self.errors = errors
 
 
-def run_cycle(entities: Sequence[str],
+def run_cycle(params_by_entity: Mapping[str, Mapping],
               characteristics: Mapping[str, Characteristics],
-              binding: BehaviourBinding,
+              streams: Mapping[str, Stream],
               families: Mapping[str, PredicateFamily],
               policy: Policy,
-              now: int,
-              params_by_entity: Optional[Mapping[str, Mapping]] = None
-              ) -> RunResult:
-    """Monitor the given entities at one time point and apply the policy.
+              now: int) -> RunResult:
+    """Monitor each entity of ``params_by_entity`` at one time point, with
+    its template parameters, and apply the policy.
 
     A failing entity is recorded and skipped; the cycle continues for the
     others.  Updated characteristics feed the next cycle through the returned
     map; records and notifications are appended in (now, entity) order.
     """
-    updated = dict(characteristics)
-    records: List[Record] = []
-    notifications: List[Notification] = []
-    errors: List[Tuple[str, MonitorError]] = []
-    for entity in sorted(entities):
-        extra = params_by_entity.get(entity) if params_by_entity else None
+    cycle = RunResult(dict(characteristics), [], [], [])
+    for entity in sorted(params_by_entity):
         try:
-            rec = monitor(entity, updated[entity], families[entity],
-                          binding, now, extra)
+            rec = monitor(entity, cycle.characteristics[entity],
+                          families[entity], streams[entity], now,
+                          params_by_entity[entity])
             _, chi, notes = apply_policy(rec, policy)
         except MonitorError as exc:
-            errors.append((entity, exc))
+            cycle.errors.append((entity, exc))
             continue
-        updated[entity] = chi
-        records.append(rec)
-        notifications.extend(notes)
-    return RunResult(updated, records, notifications, errors)
+        cycle.characteristics[entity] = chi
+        cycle.records.append(rec)
+        cycle.notifications.extend(notes)
+    return cycle
 
 
 def format_notification(note: Notification) -> str:

@@ -1,14 +1,13 @@
-"""Monitoring stack: bind behaviours to entities, observe attributes, emit records.
+"""Monitoring stack: observe attributes over behaviour streams, emit records.
 
 An entity's characteristics parameterise both its behaviour stream and the
 attributes observed over it.  Observation of a predicate family evaluates one
 formula per judgement label, its parameters bound as variables, and demands
 that exactly one label holds; anything else means the family was
 mis-specified and is reported loudly instead of being masked by evaluation
-order.  A family may name one
-label for undefined data: it holds when some formula touched a missed
-reading, which is how a missing-data judgement is expressed without a
-three-valued logic.
+order.  A family may name one label for undefined data: it holds when some
+formula touched a missed reading, which is how a missing-data judgement is
+expressed without a three-valued logic.
 
 Everything here is pure: monitoring never mutates characteristics or streams,
 so records are audit-stable snapshots.  The only mutation in the whole engine
@@ -25,7 +24,6 @@ from .errors import (
     BottomEncountered,
     KindMismatch,
     NoJudgement,
-    UnboundBehaviour,
     UnknownField,
 )
 from .formulas import AttributeSpec, Environment, eval_formula, instantiate
@@ -182,30 +180,6 @@ class Record(Frozen):
     evaluated_at: int
 
 
-class BehaviourBinding:
-    """Assignment of one behaviour stream to each entity.
-
-    A recorded trace is bound to its entity whatever the entity's current
-    characteristics, so an intervention changes what the next cycle judges
-    only through the characteristics the attributes read, never through the
-    stream.
-    """
-
-    def __init__(self):
-        self._streams = {}
-
-    def bind(self, entity: str, stream: Stream) -> "BehaviourBinding":
-        self._streams[entity] = stream
-        return self
-
-    def resolve(self, entity: str) -> Stream:
-        try:
-            return self._streams[entity]
-        except KeyError:
-            raise UnboundBehaviour(
-                f"no behaviour bound for entity {entity!r}") from None
-
-
 def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
     """Evaluate a closed (parameter-free) attribute over one behaviour."""
     env = Environment(instantiate(spec, {}), {spec.stream_name: a})
@@ -249,15 +223,14 @@ def observe_family(family: PredicateFamily, entity: str,
 
 
 def monitor(entity: str, chi: Characteristics, family: PredicateFamily,
-            binding: BehaviourBinding, now: int,
+            a: Stream, now: int,
             extra_params: Optional[Mapping] = None) -> Record:
-    """Observe one entity over its bound stream and produce its record.
+    """Observe one entity over its behaviour stream and produce its record.
 
     The characteristics parameterise the family's attributes and are copied
     into the record as they stand; inputs are left untouched.
     """
-    judgement = observe_family(family, entity, chi, binding.resolve(entity),
-                               extra_params)
+    judgement = observe_family(family, entity, chi, a, extra_params)
     return Record(entity=entity, characteristics=chi, attribute=family.name,
                   judgement=judgement, evaluated_at=now)
 

@@ -34,6 +34,8 @@ from typing import List, Tuple
 from .errors import FormulaSyntaxError, KindMismatch, UnknownSymbol
 from .formulas import (
     _CMP_TEXT,
+    _IDENT_RE,
+    _KEYWORDS,
     And,
     Apply,
     BoolLit,
@@ -46,18 +48,17 @@ from .formulas import (
     StreamAt,
     Term,
     Var,
+    _check_bound,
     _numeric_lit,
 )
 from .streams import OPERATIONS
 from .values import Dec4
 
-_KEYWORDS = {"true", "false", "not", "and", "or", "forall", "exists", "in"}
-
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
       (?P<ws>\s+)
     | (?P<comment>\#[^\n]*)
     | (?P<number>[0-9]+(?:\.[0-9]+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<ident>{_IDENT_RE.pattern})
     | (?P<op>\.\.|<=|>=|!=|[=<>+\-*/()\[\],:])
 """, re.VERBOSE)
 
@@ -160,11 +161,8 @@ class _Parser:
         lo = self.term()
         self.expect("..")
         hi = self.term()
-        for bound, side in ((lo, "lower"), (hi, "upper")):
-            if isinstance(bound, Lit) and (isinstance(bound.value, bool)
-                                           or not isinstance(bound.value, int)):
-                raise KindMismatch(
-                    f"{side} quantifier bound must be an integer term")
+        _check_bound(lo, "lower")
+        _check_bound(hi, "upper")
         self.expect(":")
         return Quant(quantifier, var_tok[1], lo, hi, self.formula())
 

@@ -80,7 +80,7 @@ from .scenarios import (
 )
 from .interventions import Action
 from .streams import load_trace, read_ascii
-from .values import BOOLEAN, DECIMAL, Dec4
+from .values import BOOLEAN, DECIMAL, Dec4, parse_int
 
 _SECTION_RE = re.compile(r"\[(entity\s+([A-Za-z][A-Za-z0-9_-]*)"
                          r"|schedule|policy)\]\Z")
@@ -146,7 +146,7 @@ def _read_sentence(text: str, line: int) -> Tuple[int, int, int, Dec4, Dec4]:
     if len(parts) != 5:
         raise ScenarioFormatError("sentence needs t1,t2,s,epsilon,delta", line)
     try:
-        return (_integer(parts[0]), _integer(parts[1]), _integer(parts[2]),
+        return (parse_int(parts[0]), parse_int(parts[1]), parse_int(parts[2]),
                 Dec4.parse(parts[3]), Dec4.parse(parts[4]))
     except (ValueError, MonitorError):
         raise ScenarioFormatError(f"bad sentence {text!r}", line) from None
@@ -164,19 +164,9 @@ def _read_int(text: str, line: int) -> int:
         raise ScenarioFormatError("expected 1 comma-separated values, got "
                                   f"{text.count(',') + 1}", line)
     try:
-        return _integer(text)
+        return parse_int(text)
     except ValueError:
         raise ScenarioFormatError(f"non-integer in {text!r}", line) from None
-
-
-def _integer(text: str) -> int:
-    """An integer written as an optional ``-`` and ASCII digits; anything
-    else that ``int`` would take, such as ``+3`` or ``1_0``, is a
-    ValueError."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
-    return int(text)
 
 
 def _read_trace(text: str, line: int) -> str:

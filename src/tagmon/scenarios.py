@@ -32,24 +32,21 @@ from __future__ import annotations
 import functools
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ._frozen import Frozen, fresh
-from .errors import KindMismatch, MonitorError, WindowTooShort
+from ._frozen import Frozen
+from .errors import KindMismatch, WindowTooShort
 from .formulas import AttributeSpec
 from .interventions import (
     Action,
     Intervention,
-    Notification,
     Policy,
     RunResult,
     Trigger,
     run_cycle,
 )
 from .monitoring import (
-    BehaviourBinding,
     Characteristics,
     JudgementSet,
     PredicateFamily,
-    Record,
 )
 from .parser import parse_formula
 from .streams import Stream
@@ -222,53 +219,45 @@ CURFEW_POLICY = Policy((Intervention(
 
 # -- configured runs ----------------------------------------------------------
 
-class Cycle(Frozen):
-    """One evaluation instant: which entities to monitor and with what
-    schedule-derived template parameters."""
-
-    now: int
-    params_by_entity: Mapping[str, Mapping] = fresh(dict)
-
-    @property
-    def entities(self) -> Tuple[str, ...]:
-        return tuple(self.params_by_entity)
-
-
 class ScenarioRun(Frozen):
-    """A fully wired engine run: entities, behaviours, attribute families,
-    policy and the evaluation schedule."""
+    """A fully wired engine run: three tables of the same entities (their
+    characteristics, behaviour streams and predicate families), the policy
+    and the schedule (evaluation instant -> template parameters of each
+    entity monitored then).  An intervention changes what a later cycle
+    judges only through the characteristics, never through the stream."""
 
     characteristics: Dict[str, Characteristics]
-    binding: BehaviourBinding
+    streams: Dict[str, Stream]
     families: Dict[str, PredicateFamily]
     policy: Policy
-    cycles: Tuple[Cycle, ...]
+    cycles: Dict[int, Mapping[str, Mapping]]
+
+    def __post_init__(self):
+        entities = self.characteristics.keys()
+        if not entities == self.streams.keys() == self.families.keys():
+            raise KindMismatch("characteristics, streams and families name "
+                               "different entities")
+        for now, params in self.cycles.items():
+            if params.keys() - entities:
+                raise KindMismatch(f"cycle at {now} names unknown entities "
+                                   f"{sorted(params.keys() - entities)}")
 
     def execute(self) -> RunResult:
-        chi = dict(self.characteristics)
-        records: List[Record] = []
-        notifications: List[Notification] = []
-        errors: List[Tuple[str, MonitorError]] = []
-        for cycle in sorted(self.cycles, key=lambda c: c.now):
-            result = run_cycle(
-                cycle.entities, chi, self.binding, self.families,
-                self.policy, cycle.now,
-                params_by_entity=cycle.params_by_entity)
-            chi = result.characteristics
-            records.extend(result.records)
-            notifications.extend(result.notifications)
-            errors.extend(result.errors)
-        return RunResult(chi, records, notifications, errors)
+        run = RunResult(dict(self.characteristics), [], [], [])
+        for now in sorted(self.cycles):
+            cycle = run_cycle(self.cycles[now], run.characteristics,
+                              self.streams, self.families, self.policy, now)
+            run.characteristics = cycle.characteristics
+            run.records += cycle.records
+            run.notifications += cycle.notifications
+            run.errors += cycle.errors
+        return run
 
 
 def judgement_union(sets: Iterable[JudgementSet]) -> JudgementSet:
     """Every label of the judgement sets, in first-seen order."""
-    labels: List[str] = []
-    for judgements in sets:
-        for label in judgements:
-            if label not in labels:
-                labels.append(label)
-    return JudgementSet(tuple(labels))
+    return JudgementSet(tuple(dict.fromkeys(
+        label for judgements in sets for label in judgements)))
 
 
 def merge_runs(runs: List[ScenarioRun], policy: Policy) -> ScenarioRun:
@@ -283,20 +272,19 @@ def merge_runs(runs: List[ScenarioRun], policy: Policy) -> ScenarioRun:
     if not runs:
         raise KindMismatch("nothing to merge")
     chi: Dict[str, Characteristics] = {}
+    streams: Dict[str, Stream] = {}
     families: Dict[str, PredicateFamily] = {}
-    binding = BehaviourBinding()
-    by_now: Dict[int, Dict[str, Mapping]] = {}
+    cycles: Dict[int, Dict[str, Mapping]] = {}
     for run in runs:
-        for entity, c in run.characteristics.items():
+        for entity in run.characteristics:
             if entity in chi:
                 raise KindMismatch(f"duplicate entity {entity!r}")
-            chi[entity] = c
-            families[entity] = run.families[entity]
-            binding.bind(entity, run.binding.resolve(entity))
-        for cycle in run.cycles:
-            by_now.setdefault(cycle.now, {}).update(cycle.params_by_entity)
-    cycles = tuple(Cycle(now, by_now[now]) for now in sorted(by_now))
-    return ScenarioRun(chi, binding, families, policy, cycles)
+        chi.update(run.characteristics)
+        streams.update(run.streams)
+        families.update(run.families)
+        for now, params in run.cycles.items():
+            cycles.setdefault(now, {}).update(params)
+    return ScenarioRun(chi, streams, families, policy, cycles)
 
 
 def build_alcohol_scenario(sigma: Sentence, initial_status: str,
@@ -305,10 +293,9 @@ def build_alcohol_scenario(sigma: Sentence, initial_status: str,
     """Single reporting window over [t1, t2], evaluated at t2."""
     _require_cover(trace, sigma.t1, sigma.t2, "trace")
     chi = sigma.characteristics(initial_status)
-    binding = BehaviourBinding().bind(entity, trace)
-    cycles = (Cycle(sigma.t2, {entity: {}}),)
-    return ScenarioRun({entity: chi}, binding, {entity: alcohol_family()},
-                       ALCOHOL_POLICY, cycles)
+    return ScenarioRun({entity: chi}, {entity: trace},
+                       {entity: alcohol_family()}, ALCOHOL_POLICY,
+                       {sigma.t2: {entity: {}}})
 
 
 class CurfewOrder(Frozen):
@@ -357,14 +344,11 @@ def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
     _require_cover(order.presence, order.night_window(1)[0],
                    order.night_window(order.nights)[1], "presence", "nights ")
     chi = order.characteristics(initial_status)
-    binding = BehaviourBinding().bind(entity, order.presence)
-    cycles = []
-    for night in range(1, order.nights + 1):
-        wstart, wend = order.night_window(night)
-        cycles.append(Cycle(order.report_tick(night),
-                            {entity: {"wstart": wstart, "wend": wend}}))
-    return ScenarioRun({entity: chi}, binding,
-                       {entity: curfew_family()}, CURFEW_POLICY, tuple(cycles))
+    cycles = {order.report_tick(night): {entity: dict(
+                  zip(("wstart", "wend"), order.night_window(night)))}
+              for night in range(1, order.nights + 1)}
+    return ScenarioRun({entity: chi}, {entity: order.presence},
+                       {entity: curfew_family()}, CURFEW_POLICY, cycles)
 
 
 class ReportSchedule(Frozen):
@@ -418,12 +402,8 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     _require_status(initial_status, ALCOHOL_JUDGEMENTS)
     chi = Characteristics.of(s=interval, epsilon=epsilon, delta=delta,
                              days=schedule.days, status=initial_status)
-    binding = BehaviourBinding().bind(entity, trace)
-    cycles = []
-    previous = 0
-    for now in schedule.upload_ticks():
-        cycles.append(Cycle(now, {entity: {"t1": previous, "t2": now}}))
-        previous = now
-    return ScenarioRun({entity: chi}, binding,
-                       {entity: alcohol_family()}, ALCOHOL_POLICY,
-                       tuple(cycles))
+    ticks = schedule.upload_ticks()
+    cycles = {now: {entity: {"t1": t1, "t2": now}}
+              for t1, now in zip([0] + ticks, ticks)}
+    return ScenarioRun({entity: chi}, {entity: trace},
+                       {entity: alcohol_family()}, ALCOHOL_POLICY, cycles)

@@ -71,6 +71,7 @@ from .values import (
     min_values,
     mul_values,
     neg_value,
+    parse_int,
     parse_value,
     sub_values,
 )
@@ -438,7 +439,7 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 # digits.
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-_STRICT_DEC_RE = re.compile(r"-?\d+\.\d{4}\Z")
+_STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 # a chunk of value lines ends at the first line break this many characters
 # or more past its start
 _CHUNK_CHARS = 16384
@@ -500,7 +501,7 @@ def parse_trace(text: str):
     if kind not in KINDS:
         raise TraceFormatError(f"unknown stream kind {kind!r}", 1)
     try:
-        start, horizon = int(start_s, 10), int(horizon_s, 10)
+        start, horizon = parse_int(start_s), parse_int(horizon_s)
     except ValueError:
         raise TraceFormatError("non-integer window bounds", 1) from None
     if start < 0 or start >= horizon:
@@ -581,7 +582,7 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
         if not sep:
             raise TraceFormatError("expected '<t>,<value>'", i)
         try:
-            t = int(tick_s, 10)
+            t = parse_int(tick_s)
         except ValueError:
             raise TraceFormatError(f"non-integer tick {tick_s!r}", i) from None
         if t != expected_t:

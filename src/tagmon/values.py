@@ -169,6 +169,16 @@ def format_value(value) -> str:
     return str(value)
 
 
+def parse_int(text: str) -> int:
+    """An integer written as an optional ``-`` and ASCII digits; anything
+    else that ``int`` would take, such as ``+3``, `` 3`` or ``1_0``, is a
+    ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_value(text: str, kind: str) -> CarrierValue:
     """Parse the canonical text of a value under an expected kind."""
     if kind == BOOLEAN:
@@ -179,7 +189,7 @@ def parse_value(text: str, kind: str) -> CarrierValue:
         raise KindMismatch(f"not a boolean: {text!r}")
     if kind == INTEGER:
         try:
-            return int(text, 10)
+            return parse_int(text)
         except ValueError:
             raise KindMismatch(f"not an integer: {text!r}") from None
     if kind == DECIMAL:

@@ -50,7 +50,6 @@ from tagmon.scenario_file import (
     parse_clock,
 )
 from tagmon.scenarios import (
-    Cycle,
     CurfewOrder,
     ReportSchedule,
     ScenarioRun,
@@ -145,14 +144,16 @@ def band_oracle(sample_raws, eps_raw, delta_raw):
 # -- trace files ----------------------------------------------------------------
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-_STRICT_DEC_RE = re.compile(r"-?\d+\.\d{4}\Z")
+_STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 
 
 def reference_parse_trace(text: str):
     """Parse trace text line by line; returns (stream_id, kind, Stream).
 
     The per-line trace parser as it stood before traces were read in
-    chunks: every value line is checked and boxed on its own.
+    chunks: every value line is checked and boxed on its own.  Window
+    bounds and ticks are read through ``_strict_int``, and decimals in
+    ASCII digits only, as ``parse_trace`` now reads them.
     """
     lines = text.splitlines()
     if not lines:
@@ -167,7 +168,7 @@ def reference_parse_trace(text: str):
     if kind not in KINDS:
         raise TraceFormatError(f"unknown stream kind {kind!r}", 1)
     try:
-        start, horizon = int(start_s, 10), int(horizon_s, 10)
+        start, horizon = _strict_int(start_s), _strict_int(horizon_s)
     except ValueError:
         raise TraceFormatError("non-integer window bounds", 1) from None
     if start < 0 or start >= horizon:
@@ -182,7 +183,7 @@ def reference_parse_trace(text: str):
         if not sep:
             raise TraceFormatError("expected '<t>,<value>'", i)
         try:
-            t = int(tick_s, 10)
+            t = _strict_int(tick_s)
         except ValueError:
             raise TraceFormatError(f"non-integer tick {tick_s!r}", i) from None
         if t != expected_t:
@@ -226,7 +227,8 @@ def replace(obj, **changes):
 
 
 def _strict_int(text: str) -> int:
-    """A scenario integer: an optional '-' and ASCII digits, nothing else."""
+    """A scenario or trace integer: an optional '-' and ASCII digits,
+    nothing else."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text, 10)
@@ -478,8 +480,7 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (Notification, ["entity", "rule", "judgement", "evaluated_at", "before",
                     "after"]),
     (Sentence, ["t1", "t2", "s", "epsilon", "delta"]),
-    (Cycle, ["now", ("params_by_entity", _fresh_dict())]),
-    (ScenarioRun, ["characteristics", "binding", "families", "policy",
+    (ScenarioRun, ["characteristics", "streams", "families", "policy",
                    "cycles"]),
     (CurfewOrder, ["presence", "nights", ("start_minute", 1140),
                    ("end_minute", 420)]),

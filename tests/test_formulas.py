@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagmon.errors import (
     BottomEncountered,
@@ -12,6 +14,7 @@ from tagmon.errors import (
     UnknownSymbol,
 )
 from tagmon.formulas import (
+    _KEYWORDS,
     And,
     Apply,
     AttributeSpec,
@@ -414,6 +417,78 @@ def test_print_formula_refuses_a_label_literal():
     # it would print as the name of the variable green
     with pytest.raises(KindMismatch):
         print_formula(Cmp("eq", Var("status"), Lit("green")))
+
+
+@pytest.mark.parametrize("f", [
+    Cmp("eq", Var("true"), Lit(1)),
+    Cmp("eq", Var("a b"), Lit(1)),
+    Cmp("eq", StreamAt("and", Lit(0)), Lit(1)),
+    Quant("forall", "in", Lit(0), Lit(1), BoolLit(True)),
+    Cmp("eq", Apply("foo", (Var("x"),)), Lit(1)),
+    Cmp("eq", Apply("max", ()), Lit(1)),
+    Cmp("xx", Var("x"), Lit(1)),
+    Quant("every", "k", Lit(0), Lit(1), BoolLit(True)),
+    Quant("forall", "k", Lit(Dec4(0)), Lit(1), BoolLit(True)),
+    Quant("exists", "k", Lit(0), Lit(True), BoolLit(True)),
+    Cmp("eq", Var("x"), Lit(BOTTOM)),
+], ids=repr)
+def test_print_formula_refuses_what_would_not_parse_back(f):
+    # each prints, on a printer that does not check, as text that parses
+    # to another tree or does not parse
+    with pytest.raises(KindMismatch):
+        print_formula(f)
+
+
+def mostly(good, bad):
+    """Draws from ``good`` most of the time, else from ``bad``."""
+    # hypothesis favours the ends of a range, so bad sits in its middle
+    return st.tuples(st.integers(0, 9), good, bad).map(
+        lambda drawn: drawn[2] if drawn[0] == 5 else drawn[1])
+
+
+# names: identifiers, keywords and junk
+NAMES = mostly(
+    st.sampled_from(["x", "b", "k", "t1", "_", "Z9_", "max", "neg", "TRUE"]),
+    st.sampled_from(sorted(_KEYWORDS)) | st.text(max_size=3)
+    | st.sampled_from(["", "a b", "1x", "x-y", "\u00e9", "x\n", "b[0]",
+                       "f(", " in"]))
+LITERALS = mostly(
+    st.integers(-20, 20) | st.booleans()
+    | st.builds(Dec4, st.integers(-10**5, 10**5)),
+    st.sampled_from(["green", BOTTOM, None, 1.5]))
+TERMS = st.recursive(
+    st.builds(Lit, LITERALS) | st.builds(Var, NAMES),
+    lambda terms: (
+        st.builds(Apply,
+                  mostly(st.sampled_from(sorted(OPERATIONS)),
+                         st.sampled_from(["foo", "lt", "and", ""])),
+                  mostly(st.lists(terms, min_size=1, max_size=3),
+                         st.just([])).map(tuple))
+        | st.builds(StreamAt, NAMES, terms)),
+    max_leaves=6)
+FORMULAS = st.recursive(
+    st.builds(BoolLit, st.booleans())
+    | st.builds(Cmp, mostly(st.sampled_from(sorted(RELATIONS)),
+                            st.just("xx")), TERMS, TERMS),
+    lambda formulas: (
+        st.builds(Not, formulas) | st.builds(And, formulas, formulas)
+        | st.builds(Or, formulas, formulas)
+        | st.builds(Quant, mostly(st.sampled_from(["forall", "exists"]),
+                                  st.just("all")),
+                    NAMES, TERMS, TERMS, formulas)),
+    max_leaves=5)
+
+
+# one failure is shrunk, not each of many, so that a regression fails fast
+@settings(derandomize=True, max_examples=300, deadline=None,
+          report_multiple_bugs=False)
+@given(f=FORMULAS)
+def test_print_formula_refuses_or_round_trips(f):
+    try:
+        text = print_formula(f)
+    except KindMismatch:
+        return
+    assert parse_formula(text) == f
 
 
 def test_print_parse_round_trip_decimals():

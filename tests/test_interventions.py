@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tagmon.errors import KindMismatch, UnknownJudgement
+from tagmon.errors import KindMismatch, OutOfWindow, UnknownJudgement
 from tagmon.interventions import (
     TAXONOMY,
     Action,
@@ -14,7 +14,6 @@ from tagmon.interventions import (
     run_cycle,
 )
 from tagmon.monitoring import (
-    BehaviourBinding,
     Characteristics,
     JudgementSet,
     Record,
@@ -156,15 +155,16 @@ def test_format_notification_line():
 
 def cycle_inputs(trace):
     chi = {"PID-7": SIGMA.characteristics("green")}
-    binding = BehaviourBinding().bind("PID-7", trace)
+    streams = {"PID-7": trace}
     families = {"PID-7": alcohol_family()}
     policy = Policy((status_rule(),))
-    return chi, binding, families, policy
+    return chi, streams, families, policy
 
 
 def test_run_cycle_green():
-    chi, binding, families, policy = cycle_inputs(bac_trace())
-    result = run_cycle(["PID-7"], chi, binding, families, policy, now=120)
+    chi, streams, families, policy = cycle_inputs(bac_trace())
+    result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
+                       now=120)
     assert len(result.records) == 1
     assert result.records[0].judgement == "green"
     assert result.notifications == []
@@ -173,28 +173,37 @@ def test_run_cycle_green():
 
 
 def test_run_cycle_red():
-    chi, binding, families, policy = cycle_inputs(
+    chi, streams, families, policy = cycle_inputs(
         bac_trace(peak_at=60, peak=Dec4(400)))
-    result = run_cycle(["PID-7"], chi, binding, families, policy, now=120)
+    result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
+                       now=120)
     assert len(result.records) == 1
     assert len(result.notifications) == 1
     assert result.characteristics["PID-7"].get("status") == "red"
 
 
 def test_run_cycle_no_entities():
-    result = run_cycle([], {}, BehaviourBinding(), {}, Policy(()), now=0)
+    result = run_cycle({}, {}, {}, {}, Policy(()), now=0)
     assert result.records == [] and result.notifications == []
     assert result.characteristics == {} and result.errors == []
 
 
 def test_run_cycle_isolates_entity_errors():
-    chi, binding, families, policy = cycle_inputs(bac_trace())
+    # PID-9's trace ends before its sentence's t2, so only its observation
+    # fails; PID-7, judged red, still gets its record and its update
+    chi, streams, families, policy = cycle_inputs(
+        bac_trace(peak_at=60, peak=Dec4(400)))
     chi["PID-9"] = SIGMA.characteristics("green")
-    families["PID-9"] = alcohol_family()  # behaviour left unbound
-    result = run_cycle(["PID-7", "PID-9"], chi, binding, families, policy,
-                       now=120)
+    streams["PID-9"] = Stream.of(0, [Dec4(100)] * 100)
+    families["PID-9"] = alcohol_family()
+    result = run_cycle({"PID-9": {}, "PID-7": {}}, chi, streams, families,
+                       policy, now=120)
     assert [r.entity for r in result.records] == ["PID-7"]
-    assert [e for e, _ in result.errors] == ["PID-9"]
+    assert [n.entity for n in result.notifications] == ["PID-7"]
+    assert [(e, type(exc)) for e, exc in result.errors] == [
+        ("PID-9", OutOfWindow)]
+    assert result.characteristics["PID-7"].get("status") == "red"
+    assert result.characteristics["PID-9"] == chi["PID-9"]
 
 
 def test_firing_soundness_on_random_cycles():
@@ -204,8 +213,9 @@ def test_firing_soundness_on_random_cycles():
         values = [Dec4(rng.randrange(0, 400)) for _ in range(121)]
         if rng.random() < 0.3:
             values[rng.randrange(121)] = BOTTOM
-        chi, binding, families, _ = cycle_inputs(Stream.of(0, values))
-        result = run_cycle(["PID-7"], chi, binding, families, policy, now=120)
+        chi, streams, families, _ = cycle_inputs(Stream.of(0, values))
+        result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
+                       now=120)
         fired = result.records[0].judgement != "green"
         assert (len(result.notifications) == 1) == fired
 
@@ -215,9 +225,10 @@ def test_replaying_a_cycle_is_deterministic():
     from tagmon.monitoring import format_record as fmt_rec
 
     def lines():
-        chi, binding, families, policy = cycle_inputs(
+        chi, streams, families, policy = cycle_inputs(
             bac_trace(peak_at=30, peak=Dec4(210)))
-        result = run_cycle(["PID-7"], chi, binding, families, policy, now=120)
+        result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
+                       now=120)
         return ([fmt_rec(r) for r in result.records],
                 [fmt_note(n) for n in result.notifications])
 

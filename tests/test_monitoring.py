@@ -9,12 +9,10 @@ from tagmon.errors import (
     BottomEncountered,
     KindMismatch,
     NoJudgement,
-    UnboundBehaviour,
     UnknownField,
 )
 from tagmon.formulas import AttributeSpec
 from tagmon.monitoring import (
-    BehaviourBinding,
     Characteristics,
     JudgementSet,
     PredicateFamily,
@@ -30,7 +28,7 @@ from tagmon.scenarios import (
     compliance_judgement,
     curfew_family,
 )
-from tagmon.streams import Stream, save_trace
+from tagmon.streams import Stream
 from tagmon.values import BOTTOM, Dec4
 
 SIGMA = Sentence(0, 120, 30, Dec4.parse("0.0200"), Dec4.parse("0.0050"))
@@ -79,19 +77,6 @@ def test_characteristics_flatten_and_fingerprint():
     with pytest.raises(KindMismatch):
         Characteristics.of(a=Characteristics.of(x=1),
                            b=Characteristics.of(x=2)).flatten()
-
-
-def test_behaviour_binding_resolution(tmp_path):
-    trace = bac_trace()
-    path = tmp_path / "b.trace"
-    save_trace(path, trace, "b", "decimal")
-    from tagmon.streams import load_trace
-    _, _, loaded = load_trace(path)
-    binding = BehaviourBinding().bind("PID-7", loaded)
-    assert binding.resolve("PID-7") == trace
-    assert binding.resolve("PID-7") == binding.resolve("PID-7")
-    with pytest.raises(UnboundBehaviour):
-        binding.resolve("PID-8")
 
 
 def test_observe_uniform():
@@ -217,15 +202,14 @@ def test_each_spec_is_evaluated_once_per_observation(monkeypatch):
 def test_monitor_produces_stable_records():
     family = alcohol_family()
     chi = SIGMA.characteristics("green")
-    binding = BehaviourBinding().bind("PID-7",
-                                      bac_trace(peak_at=30, peak=Dec4(300)))
-    rec = monitor("PID-7", chi, family, binding, now=120)
+    trace = bac_trace(peak_at=30, peak=Dec4(300))
+    rec = monitor("PID-7", chi, family, trace, now=120)
     assert rec.entity == "PID-7"
     assert rec.judgement == "red"
     assert rec.attribute == "bac-band"
     assert rec.evaluated_at == 120
     assert rec.characteristics == chi  # snapshot of the pre-intervention state
-    again = monitor("PID-7", chi, family, binding, now=120)
+    again = monitor("PID-7", chi, family, trace, now=120)
     assert again == rec
     assert chi.get("status") == "green"
 
@@ -234,16 +218,14 @@ def test_record_fidelity_matches_standalone_observation():
     family = alcohol_family()
     chi = SIGMA.characteristics("green")
     trace = bac_trace(peak_at=90, peak=Dec4(170))
-    binding = BehaviourBinding().bind("e", trace)
-    rec = monitor("e", chi, family, binding, now=120)
+    rec = monitor("e", chi, family, trace, now=120)
     assert rec.judgement == observe_family(family, "e", chi, trace)
 
 
 def test_format_record_line():
     family = alcohol_family()
     chi = SIGMA.characteristics("green")
-    binding = BehaviourBinding().bind("PID-7", bac_trace())
-    rec = monitor("PID-7", chi, family, binding, now=120)
+    rec = monitor("PID-7", chi, family, bac_trace(), now=120)
     assert format_record(rec) == (
         "120|PID-7|bac-band|green|sentence=(t1=0,t2=120,s=30,"
         "epsilon=0.0200,delta=0.0050);status=green")

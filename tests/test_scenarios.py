@@ -10,6 +10,7 @@ from tagmon.scenarios import (
     CURFEW_JUDGEMENTS,
     CurfewOrder,
     ReportSchedule,
+    ScenarioRun,
     Sentence,
     alcohol_family,
     build_alcohol_scenario,
@@ -399,6 +400,45 @@ def test_merge_runs_mixes_entity_types():
     assert result.characteristics["PID-9"].get("status") == "violation"
     labels = set(ALCOHOL_JUDGEMENTS) | set(CURFEW_JUDGEMENTS)
     assert set(merged.policy.rules[0].trigger.domain.labels) == labels
+
+
+def test_merge_runs_coalesces_cycles_and_refuses_a_repeated_entity():
+    a = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-1")
+    b = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-2")
+    c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-3")
+    merged = merge_runs([a, b, c], Policy(()))
+    assert merged.cycles == {120: {"PID-1": {}, "PID-2": {}},
+                             1860: {"PID-3": {"wstart": 1140, "wend": 1859}}}
+    assert merged.streams == {**a.streams, **b.streams, **c.streams}
+    with pytest.raises(KindMismatch, match="duplicate entity 'PID-1'"):
+        merge_runs([a, b, a], Policy(()))
+    with pytest.raises(KindMismatch, match="nothing to merge"):
+        merge_runs([], Policy(()))
+
+
+def test_scenario_run_refuses_tables_of_different_entities():
+    run = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-7")
+    chi, streams, families = (run.characteristics, run.streams,
+                              run.families)
+    other = {"PID-8": full_trace()}
+    for tables in [(chi, {}, families), (chi, streams, {}),
+                   ({}, streams, families),
+                   (chi, {**streams, **other}, families),
+                   (chi, other, families)]:
+        with pytest.raises(KindMismatch, match="name different entities"):
+            ScenarioRun(*tables, run.policy, run.cycles)
+    # a run with no cycles is a valid run that judges nothing
+    empty = ScenarioRun(chi, streams, families, run.policy, {})
+    assert empty.execute().records == []
+
+
+def test_scenario_run_refuses_a_cycle_of_an_unknown_entity():
+    run = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-7")
+    cycles = {120: {"PID-7": {}}, 240: {"PID-8": {}, "PID-7": {}}}
+    with pytest.raises(KindMismatch, match=r"cycle at 240 names unknown "
+                                           r"entities \['PID-8'\]"):
+        ScenarioRun(run.characteristics, run.streams, run.families,
+                    run.policy, cycles)
 
 
 def test_judgement_union_keeps_first_seen_order():

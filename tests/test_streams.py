@@ -330,6 +330,15 @@ def test_trace_round_trip_other_kinds():
     (lambda t: t.replace("7,0.0250", "7,0.025"), "4 fractional digits"),
     (lambda t: t + "8,0.0100\n", "value lines"),
     (lambda t: t.replace("6,NA\n", ""), "value lines"),
+    (lambda t: t.replace("decimal 5 8", "decimal +5 8"),
+     "non-integer window bounds"),
+    (lambda t: t.replace("decimal 5 8", "decimal 5 0_8"),
+     "non-integer window bounds"),
+    (lambda t: t.replace("decimal 5 8", "decimal ٥ 8"),
+     "non-integer window bounds"),
+    (lambda t: t.replace("6,NA", "+6,NA"), "non-integer tick '+6'"),
+    (lambda t: t.replace("6,NA", " 6,NA"), "non-integer tick ' 6'"),
+    (lambda t: t.replace("6,NA", "0_6,NA"), "non-integer tick '0_6'"),
 ])
 def test_trace_parse_errors(mangle, message):
     good = format_trace(Stream.of(5, [Dec4(100), BOTTOM, Dec4(250)]),

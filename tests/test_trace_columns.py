@@ -93,6 +93,8 @@ HEADER_MANGLES = (
     lambda h: h.replace("decimal", "float").replace("boolean", "bool"),
     lambda h: h.rsplit(" ", 1)[0] + " x",
     lambda h: h.rsplit(" ", 1)[0] + " +" + h.rsplit(" ", 1)[1],
+    lambda h: h.rsplit(" ", 1)[0] + " 0_" + h.rsplit(" ", 1)[1],
+    lambda h: h.translate(ARABIC_DIGITS),
 )
 
 
@@ -192,6 +194,14 @@ CUT = cut_lines(LONG_LINES)[0]
      "decimal '0.010' must have exactly 4 fractional digits"),
     (CUT + 2, "9,0.0100", f"tick 9 out of order (expected {CUT + 2})"),
     (CUT + 2, "x,0.0100", "non-integer tick 'x'"),
+    (0, "+0,0.0100", "non-integer tick '+0'"),
+    (0, " 0,0.0100", "non-integer tick ' 0'"),
+    (0, "0_0,0.0100", "non-integer tick '0_0'"),
+    (CUT + 2, f"+{CUT + 2},0.0100", f"non-integer tick '+{CUT + 2}'"),
+    (CUT + 2, f"{CUT + 2}".translate(ARABIC_DIGITS) + ",0.0100",
+     f"non-integer tick '{CUT + 2}'".translate(ARABIC_DIGITS)),
+    (CUT, f"{CUT}," + "0.0100".translate(ARABIC_DIGITS),
+     "decimal '٠.٠١٠٠' must have exactly 4 fractional digits"),
 ])
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 def test_a_fault_in_any_chunk_keeps_its_message_and_line(i, line, message,

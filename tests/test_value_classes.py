@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from oracles import VALUE_CLASS_TWINS
 from tagmon.formulas import Environment, Lit, Var
-from tagmon.scenarios import Cycle
 
 CLASSES = sorted(VALUE_CLASS_TWINS, key=lambda cls: cls.__name__)
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
@@ -151,7 +150,7 @@ def test_instances_of_different_classes_are_never_equal(data):
     assert VALUE_CLASS_TWINS[a](*values) != VALUE_CLASS_TWINS[b](*values)
 
 
-@pytest.mark.parametrize("make", [Environment, lambda: Cycle(0)])
+@pytest.mark.parametrize("make", [Environment])
 def test_default_dicts_are_not_shared(make):
     a, b = make(), make()
     assert a == b

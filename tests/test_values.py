@@ -15,6 +15,7 @@ from tagmon.values import (
     max_values,
     min_values,
     mul_values,
+    parse_int,
     parse_value,
     sub_values,
 )
@@ -39,6 +40,20 @@ def test_parse_rejects_junk():
                 "\uff11.\uff10"):
         with pytest.raises(KindMismatch):
             Dec4.parse(bad)
+
+
+def test_integers_are_an_optional_minus_and_ascii_digits():
+    for text, value in [("0", 0), ("-3", -3), ("007", 7), ("-0", 0),
+                        ("99999999999999999999", 10**20 - 1)]:
+        assert parse_int(text) == value
+        assert parse_value(text, "integer") == value
+    # int() takes each of these but "--3", "-" and ""
+    for bad in ("+3", " 3", "3 ", "3\n", "1_0", "--3", "-", "",
+                "\u0663", "\uff13", "-\u0663"):
+        with pytest.raises(ValueError):
+            parse_int(bad)
+        with pytest.raises(KindMismatch, match="not an integer: "):
+            parse_value(bad, "integer")
 
 
 @given(raws)
