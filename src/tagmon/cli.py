@@ -21,7 +21,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from .errors import BadParams, MonitorError, ScenarioFormatError
 from .interventions import RunResult, format_notification
@@ -34,7 +34,7 @@ from .scenario_file import (
     parse_clock,
     validate_scenario,
 )
-from .streams import Stream, Window, save_trace
+from .streams import Stream, Window, insert, save_trace
 from .values import BOTTOM, Dec4
 
 EXIT_OK = 0
@@ -49,41 +49,23 @@ DEFAULT_EPSILON = Dec4.parse("0.0200")
 DEFAULT_DELTA = Dec4.parse("0.0050")
 
 
-class RunSummary:
+def run_summary(result: RunResult, status: int) -> str:
     """Per-entity judgement counts plus the headline numbers of a run."""
-
-    def __init__(self, judgement_counts: Dict[str, Dict[str, int]],
-                 notification_count: int, first_violation: Optional[int],
-                 exit_status: int):
-        self.judgement_counts = judgement_counts
-        self.notification_count = notification_count
-        self.first_violation = first_violation
-        self.exit_status = exit_status
-
-    @classmethod
-    def from_result(cls, result: RunResult, exit_status: int) -> "RunSummary":
-        counts: Dict[str, Dict[str, int]] = {}
-        for rec in result.records:
-            per = counts.setdefault(rec.entity, {})
-            per[rec.judgement] = per.get(rec.judgement, 0) + 1
-        first = (min(n.evaluated_at for n in result.notifications)
-                 if result.notifications else None)
-        return cls(counts, len(result.notifications), first, exit_status)
-
-    def render(self) -> str:
-        lines = []
-        for entity in sorted(self.judgement_counts):
-            per = self.judgement_counts[entity]
-            total = sum(per.values())
-            parts = " ".join(f"{label}={per[label]}"
-                             for label in sorted(per))
-            lines.append(f"entity {entity}: cycles={total} {parts}")
-        lines.append(f"notifications: {self.notification_count}")
-        lines.append("first violation: "
-                     + ("none" if self.first_violation is None
-                        else f"t={self.first_violation}"))
-        lines.append(f"exit status: {self.exit_status}")
-        return "\n".join(lines)
+    counts: Dict[str, Dict[str, int]] = {}
+    for rec in result.records:
+        per = counts.setdefault(rec.entity, {})
+        per[rec.judgement] = per.get(rec.judgement, 0) + 1
+    lines = []
+    for entity in sorted(counts):
+        per = counts[entity]
+        parts = " ".join(f"{label}={per[label]}" for label in sorted(per))
+        lines.append(f"entity {entity}: cycles={sum(per.values())} {parts}")
+    first = min((n.evaluated_at for n in result.notifications), default=None)
+    lines.append(f"notifications: {len(result.notifications)}")
+    lines.append("first violation: "
+                 + ("none" if first is None else f"t={first}"))
+    lines.append(f"exit status: {status}")
+    return "\n".join(lines)
 
 
 # -- trace generators ----------------------------------------------------------
@@ -112,9 +94,7 @@ def gen_spike(minutes: int, seed: int, spike_at: int,
         raise BadParams(f"spike-at {spike_at} outside [0, {minutes}]")
     if spike_value.raw < 0:
         raise BadParams(f"negative spike value {spike_value}")
-    values = list(base.values)
-    values[spike_at] = spike_value
-    return Stream(base.window, tuple(values))
+    return insert(base, spike_at, spike_value)
 
 
 def gen_gap(minutes: int, seed: int, gap_start: int, gap_end: int) -> Stream:
@@ -179,7 +159,7 @@ def _write_logs(out_dir, texts: Dict[str, str]) -> None:
         raise
 
 
-def execute_scenario(config, base_dir, out_dir) -> "tuple[RunResult, int]":
+def execute_scenario(config, base_dir, out_dir) -> RunResult:
     """Build a config, execute it and write the two log files.
 
     An invalid config raises InvalidScenario before anything is written; a
@@ -193,8 +173,7 @@ def execute_scenario(config, base_dir, out_dir) -> "tuple[RunResult, int]":
         "notifications.log": "".join(format_notification(n) + "\n"
                                      for n in result.notifications),
     })
-    status = EXIT_RUNTIME if result.errors else EXIT_OK
-    return result, status
+    return result
 
 
 def cmd_run(args) -> int:
@@ -203,7 +182,7 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     config, base_dir = loaded
     try:
-        result, status = execute_scenario(config, base_dir, args.out)
+        result = execute_scenario(config, base_dir, args.out)
     except InvalidScenario as exc:
         for diag in exc.diagnostics:
             print(diag.render(str(args.scenario)), file=sys.stderr)
@@ -217,7 +196,8 @@ def cmd_run(args) -> int:
         return EXIT_RUNTIME
     for entity, exc in result.errors:
         print(f"cycle error for {entity}: {exc}", file=sys.stderr)
-    print(RunSummary.from_result(result, status).render())
+    status = EXIT_RUNTIME if result.errors else EXIT_OK
+    print(run_summary(result, status))
     return status
 
 

@@ -139,8 +139,7 @@ def _sampled_reduce(op: str, args):
         raise KindMismatch(f"empty sample range [{t1}, {t2}]")
     if isinstance(stream, _Decimals):
         return stream.reduce_samples(_REDUCTIONS[op], t1, t2, s)
-    count = (t2 - t1) // s
-    samples = [stream.at(t1 + k * s) for k in range(count + 1)]
+    samples = [stream.at(t) for t in range(t1, t2 + 1, s)]
     if any(v is BOTTOM for v in samples):
         return BOTTOM
     if len(samples) == 1:
@@ -255,17 +254,12 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
             return forall if stop is None else not forall
         scope = dict(env.variables)
         inner = Environment(scope, env.streams)
-        if forall:
-            for k in range(lo, hi + 1):
-                scope[formula.var] = k
-                if not eval_formula(formula.body, inner):
-                    return False
-            return True
+        # forall stops at the first false body, exists at the first true one
         for k in range(lo, hi + 1):
             scope[formula.var] = k
-            if eval_formula(formula.body, inner):
-                return True
-        return False
+            if bool(eval_formula(formula.body, inner)) is not forall:
+                return not forall
+        return forall
     raise KindMismatch(f"not a formula: {formula!r}")
 
 

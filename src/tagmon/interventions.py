@@ -23,10 +23,11 @@ from .monitoring import (
     JudgementSet,
     PredicateFamily,
     Record,
+    format_field,
     monitor,
 )
 from .streams import Stream
-from .values import CarrierValue, format_value, is_carrier
+from .values import CarrierValue, is_carrier
 
 TAXONOMY = ("access-control", "permission", "penalty", "incentive",
             "recommendation", "social-support")
@@ -194,14 +195,9 @@ def run_cycle(params_by_entity: Mapping[str, Mapping],
 
 def format_notification(note: Notification) -> str:
     """Log line: evaluated_at|entity|rule|judgement|field=old->new;..."""
-    changes = []
-    for name in note.before.field_names:
-        old, new = note.before.get(name), note.after.get(name)
-        if old != new:
-            old_s = (old.fingerprint() if isinstance(old, Characteristics)
-                     else format_value(old))
-            new_s = (new.fingerprint() if isinstance(new, Characteristics)
-                     else format_value(new))
-            changes.append(f"{name}={old_s}->{new_s}")
+    changes = ";".join(
+        f"{name}={format_field(old)}->{format_field(new)}"
+        for (name, old), (_, new) in zip(note.before.pairs, note.after.pairs)
+        if old != new)
     return (f"{note.evaluated_at}|{note.entity}|{note.rule}"
-            f"|{note.judgement}|{';'.join(changes)}")
+            f"|{note.judgement}|{changes}")

@@ -16,7 +16,7 @@ happens downstream, in the intervention layer.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from ._frozen import Frozen
 from .errors import (
@@ -49,8 +49,8 @@ class JudgementSet(Frozen):
         return iter(self.labels)
 
 
-class Characteristics:
-    """Immutable ordered record of named fields.
+class Characteristics(Frozen):
+    """Immutable ordered record of named fields, as ``(name, value)`` pairs.
 
     A field holds either a carrier value or a nested Characteristics
     sub-record (a sentence inside an offender's characteristics, say).  The
@@ -58,31 +58,30 @@ class Characteristics:
     or remove fields.
     """
 
-    __slots__ = ("_fields",)
+    pairs: Tuple[Tuple[str, object], ...]
 
-    def __init__(self, fields: Sequence[Tuple[str, object]]):
+    def __post_init__(self):
+        pairs = self.pairs
+        if type(pairs) is not tuple:
+            pairs = self.__dict__["pairs"] = tuple(pairs)
         seen = set()
-        for name, value in fields:
+        for name, value in pairs:
             if name in seen:
                 raise KindMismatch(f"duplicate field {name!r}")
             seen.add(name)
             if not isinstance(value, Characteristics) and not is_carrier(value):
                 raise KindMismatch(f"field {name!r} holds {value!r}")
-        object.__setattr__(self, "_fields", tuple(fields))
 
     @classmethod
     def of(cls, **fields) -> "Characteristics":
         return cls(tuple(fields.items()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Characteristics are immutable")
-
     @property
     def field_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self._fields)
+        return tuple(name for name, _ in self.pairs)
 
     def get(self, name: str):
-        for n, v in self._fields:
+        for n, v in self.pairs:
             if n == name:
                 return v
         raise UnknownField(f"no characteristics field {name!r}")
@@ -92,7 +91,7 @@ class Characteristics:
         if name not in self.field_names:
             raise UnknownField(f"no characteristics field {name!r}")
         return Characteristics(tuple(
-            (n, value if n == name else v) for n, v in self._fields))
+            (n, value if n == name else v) for n, v in self.pairs))
 
     def flatten(self) -> dict:
         """Leaf fields by name, descending into sub-records.
@@ -103,7 +102,7 @@ class Characteristics:
         out = {}
 
         def walk(rec):
-            for n, v in rec._fields:
+            for n, v in rec.pairs:
                 if isinstance(v, Characteristics):
                     walk(v)
                 else:
@@ -117,23 +116,18 @@ class Characteristics:
 
     def fingerprint(self) -> str:
         """Canonical one-line text; also the records-file serialization."""
-        parts = []
-        for n, v in self._fields:
-            if isinstance(v, Characteristics):
-                parts.append(f"{n}=({v.fingerprint().replace(';', ',')})")
-            else:
-                parts.append(f"{n}={format_value(v)}")
-        return ";".join(parts)
-
-    def __eq__(self, other):
-        return (isinstance(other, Characteristics)
-                and self._fields == other._fields)
-
-    def __hash__(self):
-        return hash(self._fields)
+        return ";".join(f"{n}={format_field(v)}" for n, v in self.pairs)
 
     def __repr__(self):
         return f"Characteristics({self.fingerprint()})"
+
+
+def format_field(value) -> str:
+    """Text of one field's value, in records and notifications alike: a
+    sub-record's fields in parentheses, separated by commas."""
+    if isinstance(value, Characteristics):
+        return f"({value.fingerprint().replace(';', ',')})"
+    return format_value(value)
 
 
 class PredicateFamily(Frozen):

@@ -67,6 +67,12 @@ def _require_status(status: str, judgements: JudgementSet) -> None:
         raise KindMismatch(f"unknown status {status!r}")
 
 
+def _require_margin(epsilon: Dec4, delta: Dec4) -> None:
+    if not Dec4(0) < delta < epsilon:
+        raise KindMismatch(
+            f"need 0 < delta < epsilon, got delta={delta}, epsilon={epsilon}")
+
+
 class Sentence(Frozen):
     """Terms of an alcohol monitoring sentence.
 
@@ -88,10 +94,7 @@ class Sentence(Frozen):
         if self.s < 1 or self.s > self.t2 - self.t1:
             raise KindMismatch(
                 f"sample interval {self.s} outside [1, {self.t2 - self.t1}]")
-        if not Dec4(0) < self.delta < self.epsilon:
-            raise KindMismatch(
-                f"need 0 < delta < epsilon, got delta={self.delta}, "
-                f"epsilon={self.epsilon}")
+        _require_margin(self.epsilon, self.delta)
 
     def characteristics(self, status: str = GREEN) -> Characteristics:
         _require_status(status, ALCOHOL_JUDGEMENTS)
@@ -107,7 +110,7 @@ def sample_count(t1: int, t2: int, s: int) -> int:
 
 
 def sample_times(t1: int, t2: int, s: int) -> List[int]:
-    return [t1 + k * s for k in range(sample_count(t1, t2, s) + 1)]
+    return list(range(t1, t2 + 1, s))
 
 
 def _require_cover(b: Stream, t1: int, t2: int, name: str,
@@ -394,9 +397,7 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     """
     if interval < 1:
         raise KindMismatch(f"sample interval must be positive: {interval}")
-    if not Dec4(0) < delta < epsilon:
-        raise KindMismatch(
-            f"need 0 < delta < epsilon, got delta={delta}, epsilon={epsilon}")
+    _require_margin(epsilon, delta)
     # the trace bounds the number of upload ticks listed below
     _require_cover(trace, 0, schedule.last_upload, "trace")
     _require_status(initial_status, ALCOHOL_JUDGEMENTS)

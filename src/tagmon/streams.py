@@ -61,6 +61,7 @@ from .values import (
     KINDS,
     CarrierValue,
     Dec4,
+    _LABEL_RE,
     add_values,
     compare,
     div_values,
@@ -343,25 +344,21 @@ def check_arity(symbol, nargs: int):
             f"{symbol.name} expects {symbol.arity} arguments, got {nargs}")
 
 
+def _lift(symbol, fn: Callable, args: Sequence[Stream]) -> Stream:
+    check_arity(symbol, len(args))
+    return Stream(_common_window(args), tuple(
+        BOTTOM if any(v is BOTTOM for v in row) else fn(*row)
+        for row in zip(*[a.values for a in args])))
+
+
 def lift_op(op: Operation, args: Sequence[Stream]) -> Stream:
     """Pointwise lifting of an operation; BOTTOM at t anywhere gives BOTTOM."""
-    check_arity(op, len(args))
-    w = _common_window(args)
-    out = []
-    for row in zip(*[a.values for a in args]):
-        out.append(BOTTOM if any(v is BOTTOM for v in row) else op.fn(*row))
-    return Stream(w, tuple(out))
+    return _lift(op, op.fn, args)
 
 
 def lift_test(ts: Relation, args: Sequence[Stream]) -> Stream:
     """Pointwise lifting of a test to a boolean-valued stream."""
-    check_arity(ts, len(args))
-    w = _common_window(args)
-    out = []
-    for row in zip(*[a.values for a in args]):
-        out.append(BOTTOM if any(v is BOTTOM for v in row)
-                   else bool(ts.fn(*row)))
-    return Stream(w, tuple(out))
+    return _lift(ts, lambda *row: bool(ts.fn(*row)), args)
 
 
 def shift(a: Stream, k: int) -> Stream:
@@ -435,10 +432,9 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 #   trace <stream-id> <kind> <start> <horizon>
 #   <t>,<value>          one line per tick, ascending, no gaps
 #
-# NA marks an undefined reading; decimals always carry exactly 4 fractional
-# digits.
+# Ticks and bounds are written as ``str`` writes them; NA marks an undefined
+# reading; decimals always carry exactly 4 fractional digits.
 
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 # a chunk of value lines ends at the first line break this many characters
 # or more past its start
@@ -460,7 +456,7 @@ _ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
     if kind not in KINDS:
         raise TraceFormatError(f"unknown stream kind {kind!r}")
-    if not _ID_RE.match(stream_id):
+    if not _LABEL_RE.match(stream_id):
         raise TraceFormatError(f"malformed stream id {stream_id!r}")
     lines = [f"trace {stream_id} {kind} "
              f"{stream.window.start} {stream.window.horizon}"]
@@ -496,7 +492,7 @@ def parse_trace(text: str):
         raise TraceFormatError("bad header, expected "
                                "'trace <id> <kind> <start> <horizon>'", 1)
     _, stream_id, kind, start_s, horizon_s = head
-    if not _ID_RE.match(stream_id):
+    if not _LABEL_RE.match(stream_id):
         raise TraceFormatError(f"malformed stream id {stream_id!r}", 1)
     if kind not in KINDS:
         raise TraceFormatError(f"unknown stream kind {kind!r}", 1)
@@ -504,6 +500,10 @@ def parse_trace(text: str):
         start, horizon = parse_int(start_s), parse_int(horizon_s)
     except ValueError:
         raise TraceFormatError("non-integer window bounds", 1) from None
+    for bound_s, bound in ((start_s, start), (horizon_s, horizon)):
+        if bound_s != str(bound):
+            raise TraceFormatError(
+                f"window bound {bound_s!r} must be written '{bound}'", 1)
     if start < 0 or start >= horizon:
         raise TraceFormatError(f"bad window [{start}, {horizon})", 1)
     count = text.count("\n", end, stop)
@@ -588,6 +588,8 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
         if t != expected_t:
             raise TraceFormatError(
                 f"tick {t} out of order (expected {expected_t})", i)
+        if tick_s != str(t):
+            raise TraceFormatError(f"tick {tick_s!r} must be written '{t}'", i)
         expected_t += 1
         if value_s == "NA":
             texts.append("NA")

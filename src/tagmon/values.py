@@ -256,22 +256,22 @@ def floor_value(a):
     raise KindMismatch(f"cannot floor a {k}")
 
 
-def max_values(*args):
+def _extreme(name: str, test: str, args):
+    """The first largest (``test`` "gt") or smallest ("lt") of ``args``."""
     if len(args) < 2:
-        raise KindMismatch("max needs at least two values")
+        raise KindMismatch(f"{name} needs at least two values")
     out = args[0]
     for v in args[1:]:
-        out = v if compare("gt", v, out) else out
+        out = v if compare(test, v, out) else out
     return out
+
+
+def max_values(*args):
+    return _extreme("max", "gt", args)
 
 
 def min_values(*args):
-    if len(args) < 2:
-        raise KindMismatch("min needs at least two values")
-    out = args[0]
-    for v in args[1:]:
-        out = v if compare("lt", v, out) else out
-    return out
+    return _extreme("min", "lt", args)
 
 
 # the six comparison tests, by name; booleans and labels admit eq and ne only

@@ -152,8 +152,9 @@ def reference_parse_trace(text: str):
 
     The per-line trace parser as it stood before traces were read in
     chunks: every value line is checked and boxed on its own.  Window
-    bounds and ticks are read through ``_strict_int``, and decimals in
-    ASCII digits only, as ``parse_trace`` now reads them.
+    bounds and ticks are read through ``_strict_int`` and must be written as
+    ``str`` writes them, and decimals in ASCII digits only, as
+    ``parse_trace`` now reads them.
     """
     lines = text.splitlines()
     if not lines:
@@ -171,6 +172,10 @@ def reference_parse_trace(text: str):
         start, horizon = _strict_int(start_s), _strict_int(horizon_s)
     except ValueError:
         raise TraceFormatError("non-integer window bounds", 1) from None
+    for bound_s, bound in ((start_s, start), (horizon_s, horizon)):
+        if bound_s != str(bound):
+            raise TraceFormatError(
+                f"window bound {bound_s!r} must be written '{bound}'", 1)
     if start < 0 or start >= horizon:
         raise TraceFormatError(f"bad window [{start}, {horizon})", 1)
     if len(lines) - 1 != horizon - start:
@@ -189,6 +194,8 @@ def reference_parse_trace(text: str):
         if t != expected_t:
             raise TraceFormatError(
                 f"tick {t} out of order (expected {expected_t})", i)
+        if tick_s != str(t):
+            raise TraceFormatError(f"tick {tick_s!r} must be written '{t}'", i)
         expected_t += 1
         if value_s == "NA":
             values.append(BOTTOM)

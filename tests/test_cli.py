@@ -1,6 +1,7 @@
 import errno
 import pathlib
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,11 +14,11 @@ from tagmon.cli import (
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     MAX_MINUTES,
-    RunSummary,
     gen_dry,
     gen_gap,
     gen_spike,
     main,
+    run_summary,
 )
 from tagmon.errors import BadParams
 from tagmon.streams import load_trace
@@ -604,28 +605,33 @@ def test_gen_trace_rejects_too_many_minutes(tmp_path, capsys, monkeypatch,
         gen_dry(MAX_MINUTES + 1, 0)
 
 
-def test_run_summary_from_result_counts():
-    class Rec:
-        def __init__(self, entity, judgement):
-            self.entity = entity
-            self.judgement = judgement
+def _result(records, notification_times):
+    """What ``run_summary`` reads of a run: each record's entity and
+    judgement, and when each notification was made."""
+    return SimpleNamespace(
+        records=[SimpleNamespace(entity=e, judgement=j) for e, j in records],
+        notifications=[SimpleNamespace(evaluated_at=t)
+                       for t in notification_times])
 
-    class Note:
-        def __init__(self, at):
-            self.evaluated_at = at
 
-    class Result:
-        records = [Rec("A", "green"), Rec("A", "red"), Rec("B", "green")]
-        notifications = [Note(900), Note(420)]
+def test_run_summary_of_a_run_with_notifications():
+    result = _result([("B", "green"), ("A", "red"), ("A", "green")],
+                     [900, 420])
+    assert run_summary(result, EXIT_OK) == (
+        "entity A: cycles=2 green=1 red=1\n"
+        "entity B: cycles=1 green=1\n"
+        "notifications: 2\n"
+        "first violation: t=420\n"
+        "exit status: 0")
 
-    summary = RunSummary.from_result(Result(), EXIT_OK)
-    assert summary.judgement_counts == {"A": {"green": 1, "red": 1},
-                                        "B": {"green": 1}}
-    assert summary.notification_count == 2
-    assert summary.first_violation == 420
-    rendered = summary.render()
-    assert "entity A: cycles=2 green=1 red=1" in rendered
-    assert "first violation: t=420" in rendered
+
+def test_run_summary_of_a_run_without_notifications():
+    result = _result([("A", "green")], [])
+    assert run_summary(result, EXIT_RUNTIME) == (
+        "entity A: cycles=1 green=1\n"
+        "notifications: 0\n"
+        "first violation: none\n"
+        "exit status: 2")
 
 
 # -- scheduled uploads through the command line -------------------------------

@@ -17,6 +17,7 @@ from tagmon.monitoring import (
     Characteristics,
     JudgementSet,
     Record,
+    format_record,
 )
 from tagmon.scenarios import Sentence, alcohol_family
 from tagmon.streams import Stream
@@ -151,6 +152,21 @@ def test_format_notification_line():
     _, _, notes = apply_policy(rec, Policy((status_rule(),)))
     assert format_notification(notes[0]) == (
         "120|PID-7|record-breach|red|status=green->red")
+
+
+def test_format_notification_prints_a_sub_record_as_records_do():
+    """A replaced sub-record prints as in records.log, in parentheses with
+    commas, so that ';' only separates the changes of the line."""
+    rec = record("red", at=720)
+    wipe = status_rule(name="wipe", action=Action.set_field("sentence", 0),
+                       fires={"red"})
+    _, chi, notes = apply_policy(rec, Policy((wipe, status_rule())))
+    assert chi.get("sentence") == 0
+    terms = "t1=0,t2=120,s=30,epsilon=0.0200,delta=0.0050"
+    assert [format_notification(n) for n in notes] == [
+        f"720|PID-7|wipe|red|sentence=({terms})->0",
+        "720|PID-7|record-breach|red|status=green->red"]
+    assert format_record(rec).endswith(f"|sentence=({terms});status=green")
 
 
 def cycle_inputs(trace):

@@ -67,6 +67,41 @@ def test_characteristics_are_immutable_records():
         chi.get("colour")
 
 
+def test_characteristics_from_a_list_equal_those_from_a_tuple():
+    pairs = [("status", "green"), ("nights", 7)]
+    from_list = Characteristics(pairs)
+    from_tuple = Characteristics(tuple(pairs))
+    assert from_list == from_tuple == Characteristics.of(status="green",
+                                                         nights=7)
+    assert hash(from_list) == hash(from_tuple)
+    assert from_list.pairs == tuple(pairs)
+    assert from_list != Characteristics.of(status="green", nights=8)
+    assert from_list != from_list.pairs
+
+
+def test_characteristics_refuse_assignment_and_deletion():
+    chi = SIGMA.characteristics("green")
+    for name in ("pairs", "status"):
+        with pytest.raises(AttributeError):
+            setattr(chi, name, ())
+        with pytest.raises(AttributeError):
+            delattr(chi, name)
+    assert chi == SIGMA.characteristics("green")
+
+
+def test_characteristics_repr_is_the_fingerprint():
+    chi = SIGMA.characteristics("green")
+    assert repr(chi) == ("Characteristics(sentence=(t1=0,t2=120,s=30,"
+                         "epsilon=0.0200,delta=0.0050);status=green)")
+
+
+def test_characteristics_refuse_a_repeated_or_non_carrier_field():
+    with pytest.raises(KindMismatch, match="duplicate field 'a'"):
+        Characteristics([("a", 1), ("a", 2)])
+    with pytest.raises(KindMismatch, match="field 'a' holds 1.5"):
+        Characteristics([("a", 1.5)])
+
+
 def test_characteristics_flatten_and_fingerprint():
     chi = SIGMA.characteristics("green")
     flat = chi.flatten()

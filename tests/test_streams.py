@@ -339,6 +339,13 @@ def test_trace_round_trip_other_kinds():
     (lambda t: t.replace("6,NA", "+6,NA"), "non-integer tick '+6'"),
     (lambda t: t.replace("6,NA", " 6,NA"), "non-integer tick ' 6'"),
     (lambda t: t.replace("6,NA", "0_6,NA"), "non-integer tick '0_6'"),
+    (lambda t: t.replace("6,NA", "06,NA"), "tick '06' must be written '6'"),
+    (lambda t: t.replace("decimal 5 8", "decimal 005 8"),
+     "window bound '005' must be written '5'"),
+    (lambda t: t.replace("decimal 5 8", "decimal 5 08"),
+     "window bound '08' must be written '8'"),
+    (lambda t: t.replace("decimal 5 8", "decimal -0 8"),
+     "window bound '-0' must be written '0'"),
 ])
 def test_trace_parse_errors(mangle, message):
     good = format_trace(Stream.of(5, [Dec4(100), BOTTOM, Dec4(250)]),

@@ -94,6 +94,7 @@ HEADER_MANGLES = (
     lambda h: h.rsplit(" ", 1)[0] + " x",
     lambda h: h.rsplit(" ", 1)[0] + " +" + h.rsplit(" ", 1)[1],
     lambda h: h.rsplit(" ", 1)[0] + " 0_" + h.rsplit(" ", 1)[1],
+    lambda h: h.rsplit(" ", 1)[0] + " 0" + h.rsplit(" ", 1)[1],
     lambda h: h.translate(ARABIC_DIGITS),
 )
 
@@ -202,6 +203,11 @@ CUT = cut_lines(LONG_LINES)[0]
      f"non-integer tick '{CUT + 2}'".translate(ARABIC_DIGITS)),
     (CUT, f"{CUT}," + "0.0100".translate(ARABIC_DIGITS),
      "decimal '٠.٠١٠٠' must have exactly 4 fractional digits"),
+    (0, "-0,0.0100", "tick '-0' must be written '0'"),
+    (0, "00,0.0100", "tick '00' must be written '0'"),
+    (1, "01,0.0100", "tick '01' must be written '1'"),
+    (CUT + 2, f"0{CUT + 2},0.0100",
+     f"tick '0{CUT + 2}' must be written '{CUT + 2}'"),
 ])
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 def test_a_fault_in_any_chunk_keeps_its_message_and_line(i, line, message,
