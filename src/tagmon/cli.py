@@ -35,7 +35,7 @@ from .scenario_file import (
     validate_scenario,
 )
 from .streams import Stream, Window, insert, save_trace
-from .values import BOTTOM, Dec4
+from .values import BOTTOM, Dec4, parse_int
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -201,6 +201,13 @@ def cmd_run(args) -> int:
     return status
 
 
+def integer(text: str) -> int:
+    """An integer argument, written as in trace and scenario files: an
+    optional ``-`` and ASCII digits.  argparse names this function in its
+    message for any other text: ``invalid integer value: '1_0'``."""
+    return parse_int(text)
+
+
 def tick(text: str) -> int:
     """Minute tick, given either as an integer or as an HH:MM clock time."""
     if ":" in text:
@@ -208,7 +215,7 @@ def tick(text: str) -> int:
             return parse_clock(text)
         except ScenarioFormatError as exc:
             raise argparse.ArgumentTypeError(exc.message) from None
-    return int(text, 10)
+    return parse_int(text)
 
 
 def cmd_gen_trace(args) -> int:
@@ -255,9 +262,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-trace", help="generate a synthetic BAC trace")
     p.add_argument("--kind", choices=("dry", "spike", "gap"), required=True)
-    p.add_argument("--minutes", type=int, required=True,
+    p.add_argument("--minutes", type=integer, required=True,
                    help="trace covers ticks 0..minutes inclusive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--spike-at", type=tick, default=None, metavar="T",
                    help="minute tick or HH:MM clock time")
     p.add_argument("--spike-value", default=None, metavar="V")

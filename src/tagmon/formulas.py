@@ -100,11 +100,17 @@ class Quant(Frozen):
 Formula = Union[BoolLit, Cmp, Not, And, Or, Quant]
 
 
-class Environment(Frozen):
-    """Evaluation bindings: plain variables and named behaviour streams."""
+class Environment(Frozen, uncompared=("memo",)):
+    """Evaluation bindings: plain variables and named behaviour streams.
+
+    ``memo`` keeps the answers of the column queries asked under these
+    bindings (see ``_asked``); environments that share one ask each query
+    once between them.
+    """
 
     variables: Mapping[str, CarrierValue] = fresh(dict)
     streams: Mapping[str, Stream] = fresh(dict)
+    memo: dict = fresh(dict)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -118,10 +124,23 @@ def _lookup(name: str, env: Environment):
     raise UnboundIdentifier(f"unbound identifier {name!r}")
 
 
+def _asked(env: Environment, column: Stream, query: str, *args):
+    """``column.<query>(*args)``, asked once per memo of ``env``: a column
+    never changes, so neither do its answers.  The key is the column's
+    identity, never its hash, which would box every reading; the memo's
+    environment binds the column, so the identity is not reused while the
+    memo lives.  A query that raises is asked again next time."""
+    key = (query, id(column), *args)
+    memo = env.memo
+    if key not in memo:
+        memo[key] = getattr(column, query)(*args)
+    return memo[key]
+
+
 _REDUCTIONS = {"max": max, "min": min}
 
 
-def _sampled_reduce(op: str, args):
+def _sampled_reduce(op: str, args, env: Environment):
     if len(args) != 4:
         raise ArityMismatch(
             f"sampled {op} takes (stream, start, end, step), got {len(args)} "
@@ -138,7 +157,8 @@ def _sampled_reduce(op: str, args):
     if t2 < t1:
         raise KindMismatch(f"empty sample range [{t1}, {t2}]")
     if isinstance(stream, _Decimals):
-        return stream.reduce_samples(_REDUCTIONS[op], t1, t2, s)
+        return _asked(env, stream, "reduce_samples", _REDUCTIONS[op], t1,
+                      t2, s)
     samples = [stream.at(t) for t in range(t1, t2 + 1, s)]
     if any(v is BOTTOM for v in samples):
         return BOTTOM
@@ -174,7 +194,7 @@ def eval_term(term: Term, env: Environment):
         args = [eval_term(a, env) for a in term.args]
         if args and isinstance(args[0], Stream):
             if term.op in ("max", "min"):
-                return _sampled_reduce(term.op, args)
+                return _sampled_reduce(term.op, args, env)
             raise KindMismatch(
                 f"stream argument is only valid in sampled max/min, "
                 f"not {term.op!r}")
@@ -247,13 +267,13 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
         if column is not None:
             # the first tick that stops the loop below decides the result
             literal = formula.body.rhs.value
-            stop = column.first_other(literal if forall else not literal,
-                                      lo, hi)
+            stop = _asked(env, column, "first_other",
+                          literal if forall else not literal, lo, hi)
             if stop is BOTTOM:
                 raise BottomEncountered("test touched an undefined reading")
             return forall if stop is None else not forall
         scope = dict(env.variables)
-        inner = Environment(scope, env.streams)
+        inner = Environment(scope, env.streams, env.memo)
         # forall stops at the first false body, exists at the first true one
         for k in range(lo, hi + 1):
             scope[formula.var] = k

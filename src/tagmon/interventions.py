@@ -195,9 +195,11 @@ def run_cycle(params_by_entity: Mapping[str, Mapping],
 
 def format_notification(note: Notification) -> str:
     """Log line: evaluated_at|entity|rule|judgement|field=old->new;..."""
-    changes = ";".join(
-        f"{name}={format_field(old)}->{format_field(new)}"
-        for (name, old), (_, new) in zip(note.before.pairs, note.after.pairs)
-        if old != new)
+    changes = []
+    for (name, old), (_, new) in zip(note.before.pairs, note.after.pairs):
+        # compared as written: true and 1 are equal values, not equal fields
+        old, new = format_field(old), format_field(new)
+        if old != new:
+            changes.append(f"{name}={old}->{new}")
     return (f"{note.evaluated_at}|{note.entity}|{note.rule}"
-            f"|{note.judgement}|{changes}")
+            f"|{note.judgement}|{';'.join(changes)}")

@@ -189,16 +189,19 @@ def observe_family(family: PredicateFamily, entity: str,
     coverage and disjointness violations surface as
     NoJudgement/AmbiguousJudgement instead of being hidden by declaration
     order.  A template that touches a missed reading does not hold; if any
-    did, the family's ``undefined`` label holds.
+    did, the family's ``undefined`` label holds.  The templates share one
+    memo of column answers, so a leaf query that several of them make is
+    asked of the stream once.
     """
     bindings = chi.flatten()
     if extra_params:
         bindings.update(extra_params)
     streams = {family.stream_name: a}
+    memo = {}
     holders = []
     bottom = False
     for spec in family.specs:
-        env = Environment(instantiate(spec, bindings), streams)
+        env = Environment(instantiate(spec, bindings), streams, memo)
         try:
             if eval_formula(spec.template, env):
                 holders.append(spec.label)

@@ -18,15 +18,18 @@ its ``Relation`` (the comparisons of ``values.COMPARISONS``).  The liftings
 and quantified tests take any ``Operation`` or ``Relation``, declared there
 or not.
 
-Storage is not part of the algebra.  A decimal trace read from a file is kept
-as a column of raw Dec4 units (``array('q')``) with a byte per tick marking
-NA, and a boolean trace as one byte code per tick (false, true or NA); ``at``
-boxes the one reading it returns.  Two queries answer the formula
-evaluator's leaf shapes on the column itself, boxing at most one reading:
-``first_other`` finds the first tick of a range whose boolean is not a
-given one, and ``reduce_samples`` takes the max or min of a decimal trace's
-readings at a fixed step.  Streams built from values, and integer and label
-traces, keep a tuple of carrier values.
+Storage is not part of the algebra.  A decimal trace read from a file keeps
+its readings' texts, each NA or a decimal written as ``format_value`` writes
+it, joined into one string, with an array of the offsets where each one
+ends; a reading becomes a Dec4 only when it is read, and NA is read off its
+text.  A boolean trace is kept as one byte code per tick (false, true or
+NA).  ``at`` boxes the one reading it returns.  Two queries answer the
+formula evaluator's leaf shapes on the column itself, boxing at most one
+reading: ``first_other`` finds the first tick of a range whose boolean is
+not a given one, and ``reduce_samples`` takes the max or min of a decimal
+trace's readings at a fixed step, converting only those readings.  Streams
+built from values, and integer and label traces, keep a tuple of carrier
+values.
 
 ``parse_trace`` reads a trace's text in place, without a list of its lines:
 in chunks cut at the first line break past a fixed number of characters.
@@ -40,7 +43,8 @@ from __future__ import annotations
 import functools
 import re
 from array import array
-from typing import Callable, List, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ._frozen import Frozen
 from .errors import (
@@ -160,41 +164,49 @@ def _outside(w: Window, t: int) -> OutOfWindow:
 
 
 class _Decimals(Stream):
-    """A decimal trace: raw Dec4 units in an ``array('q')``, 0 where a set
-    byte of ``missing`` marks NA.
+    """A decimal trace: its readings' texts joined into one string, reading
+    i at ``_ends[i]:_ends[i + 1]`` of it.
 
-    ``parse_trace`` fills it through ``extend``.  Units beyond int64 turn
-    the array into a list, so every reading a trace can hold still loads.
+    ``parse_trace`` builds it from the texts of each chunk of value lines.
+    Every text is NA or a decimal written as ``format_value`` writes it, so
+    that a reading is converted to a Dec4 only when it is read, and cannot
+    fail then.
     """
 
-    __slots__ = ("_missing",)
+    __slots__ = ("_ends",)
 
-    def __init__(self, window: Window):
+    def __init__(self, window: Window, chunks: Iterable[List[str]],
+                 size: int):
+        """``size``, at least the texts' total length, picks the offsets'
+        item size, so that every trace a string can hold loads."""
+        ends = array("I" if size < 1 << 8 * array("I").itemsize else "Q",
+                     [0])
+        parts = []
+        for texts in chunks:
+            parts.append("".join(texts))
+            ends.extend(accumulate(map(len, texts), initial=ends.pop()))
         self.window = window
-        self._readings = array("q")
-        self._missing = bytearray()
+        self._readings = "".join(parts)
+        self._ends = ends
 
-    def extend(self, texts: List[str]):
-        """Append readings written as ``-?<digits>.<4 digits>`` or NA."""
-        self._missing.extend(map("NA".__eq__, texts))
-        units = ",".join(texts).replace(".", "").replace("NA", "0").split(",")
-        try:
-            self._readings.extend(array("q", map(int, units)))
-        except OverflowError:
-            self._readings = list(self._readings)
-            self._readings.extend(map(int, units))
+    @staticmethod
+    def split_plain(chunk: str) -> Tuple[str, List[str]]:
+        """A plain chunk's ticks, one per line, and its reading texts."""
+        cells = chunk.replace("\n", ",").split(",")
+        return "\n".join(cells[0::2]), cells[1::2]
 
     @property
     def values(self) -> tuple:
-        return tuple(BOTTOM if gone else Dec4(unit)
-                     for unit, gone in zip(self._readings, self._missing))
+        ends = self._ends
+        return tuple(map(_decimal, map(self._readings.__getitem__,
+                                       map(slice, ends, ends[1:]))))
 
     def at(self, t: int) -> CarrierValue:
         w = self.window
         if not w.start <= t < w.horizon:
             raise _outside(w, t)
         i = t - w.start
-        return BOTTOM if self._missing[i] else Dec4(self._readings[i])
+        return _decimal(self._readings[self._ends[i]:self._ends[i + 1]])
 
     def reduce_samples(self, reduce: Callable, t1: int, t2: int,
                        s: int) -> CarrierValue:
@@ -202,8 +214,8 @@ class _Decimals(Stream):
         up to t2, with t1 <= t2 and s >= 1: one Dec4, or BOTTOM if any of
         them is NA.  The first sample outside the window raises as ``at``.
 
-        The samples are a strided slice of the raw units and of the missing
-        mask; only the result is boxed.
+        The samples' texts are cut out by strided slices of the offsets and
+        converted to raw units together; only the result is boxed.
         """
         w = self.window
         if not w.start <= t1 < w.horizon:
@@ -212,31 +224,50 @@ class _Decimals(Stream):
         if last >= w.horizon:
             # the first sample at or past the horizon
             raise _outside(w, t1 - (t1 - w.horizon) // s * s)
-        picked = slice(t1 - w.start, last - w.start + 1, s)
-        if 1 in self._missing[picked]:
+        lo, hi, ends = t1 - w.start, last - w.start + 1, self._ends
+        texts = self._readings
+        picked = ",".join([texts[a:b] for a, b in zip(ends[lo:hi:s],
+                                                      ends[lo + 1:hi + 1:s])])
+        if "N" in picked:
             return BOTTOM
-        return Dec4(reduce(self._readings[picked]))
+        return Dec4(reduce(map(int, picked.replace(".", "").split(","))))
 
 
-_BOOLEAN_CODES = {"false": 0, "true": 1, "NA": 2}
+def _decimal(text: str) -> CarrierValue:
+    """The reading of a kept decimal text."""
+    return BOTTOM if text == "NA" else Dec4(int(text.replace(".", "")))
+
+
 _BOOLEAN_BOXES = (False, True, BOTTOM)
+# the text of plain boolean lines, turned by ``str.translate`` into the
+# readings' codes (the first letters of false, true and NA differ, and the
+# other letters are in no other reading) or into the ticks, one per line
+_TO_CODES = str.maketrans("ftN", "\x00\x01\x02", "0123456789,\nrueaslA")
+_TO_TICKS = str.maketrans("", "", ",truefalsNA")
 
 
 class _Booleans(Stream):
     """A boolean trace: one byte code per tick, 0 false, 1 true, 2 NA.
 
-    ``parse_trace`` fills it through ``extend``.
+    ``parse_trace`` builds it from the texts of each chunk of value lines.
     """
 
     __slots__ = ()
 
-    def __init__(self, window: Window):
+    def __init__(self, window: Window, chunks: Iterable[List[str]]):
+        """Each chunk's texts, joined, are true, false and NA readings and
+        maybe ticks, commas and line breaks, which are dropped."""
         self.window = window
         self._readings = bytearray()
+        for texts in chunks:
+            self._readings += "".join(texts).translate(_TO_CODES).encode(
+                "ascii")
 
-    def extend(self, texts: List[str]):
-        """Append readings written as true, false or NA."""
-        self._readings.extend(map(_BOOLEAN_CODES.__getitem__, texts))
+    @staticmethod
+    def split_plain(chunk: str) -> Tuple[str, List[str]]:
+        """A plain chunk's ticks, one per line, and the chunk itself, whose
+        readings are read by the code table."""
+        return chunk.translate(_TO_TICKS), [chunk]
 
     @property
     def values(self) -> tuple:
@@ -432,8 +463,9 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 #   trace <stream-id> <kind> <start> <horizon>
 #   <t>,<value>          one line per tick, ascending, no gaps
 #
-# Ticks and bounds are written as ``str`` writes them; NA marks an undefined
-# reading; decimals always carry exactly 4 fractional digits.
+# Ticks, bounds and readings are written as ``str`` and ``format_value``
+# write them; NA marks an undefined reading; decimals always carry exactly 4
+# fractional digits.
 
 _STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 # a chunk of value lines ends at the first line break this many characters
@@ -441,12 +473,14 @@ _STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 _CHUNK_CHARS = 16384
 # ticks turned into strings at a time when a window's tick column is built
 _COLUMN_BLOCK = 4096
-# value lines that need no per-line check besides their ticks' order; the
-# patterns are compiled (and cached by ``re``) when a trace is first read
+# value lines that need no per-line check besides their ticks' order, each
+# reading written as format_value writes it; the patterns are compiled (and
+# cached by ``re``) when a trace is first read
 _PLAIN_LINES = {
     kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
-    for kind, reading in ((DECIMAL, r"(?:-?[0-9]+\.[0-9]{4}|NA)"),
-                          (BOOLEAN, r"(?:true|false|NA)"))}
+    for kind, reading in (
+        (DECIMAL, r"(?:(?:0|-?[1-9][0-9]*|-0(?!\.0000))\.[0-9]{4}|NA)"),
+        (BOOLEAN, r"(?:true|false|NA)"))}
 # the line breaks that ``str.splitlines`` honours besides \n, and the
 # ASCII ones among them
 _LINE_BREAKS = r"\r\n?|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
@@ -472,12 +506,12 @@ def parse_trace(text: str):
     ``\\n`` is first rewritten to ``\\n``.  The value lines are read in
     place, in chunks that end at the first ``\\n`` at least
     ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk of plain
-    lines (ticks in ASCII digits, readings spelt ``-?<digits>.<4 digits>``,
-    true, false or NA) is checked by one match, and its ticks by one
-    comparison with a slice of the window's cached tick column; its readings
-    are converted in bulk.  Any other chunk goes through the per-line checks,
-    which word every fault.  A decimal or boolean trace is stored as a
-    column, an integer or label trace as a tuple.
+    lines (ticks in ASCII digits, readings written as ``format_value``
+    writes them) is checked by one match, and its ticks by one comparison
+    with a slice of the window's cached tick column.  Any other chunk goes
+    through the per-line checks, which word every fault.  A decimal or
+    boolean trace is stored as a column, an integer or label trace as a
+    tuple.
     """
     if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
         text = re.sub(_LINE_BREAKS, "\n", text)
@@ -511,34 +545,42 @@ def parse_trace(text: str):
         raise TraceFormatError(
             f"expected {horizon - start} value lines, got {count}", 1)
     window = Window(start, horizon)
-    columns = {DECIMAL: _Decimals, BOOLEAN: _Booleans}
-    stream = columns[kind](window) if kind in columns else []
+    chunks = _chunk_readings(text, end + 1, stop, kind, window)
+    if kind == DECIMAL:
+        stream = _Decimals(window, chunks, len(text))
+    elif kind == BOOLEAN:
+        stream = _Booleans(window, chunks)
+    else:
+        stream = Stream(window, [
+            BOTTOM if reading == "NA" else parse_value(reading, kind)
+            for texts in chunks for reading in texts])
+    return stream_id, kind, stream
+
+
+def _chunk_readings(text: str, pos: int, stop: int, kind: str,
+                    window: Window):
+    """Yield the reading texts of each chunk of the value lines in
+    ``text[pos:stop]``, as the storage of ``kind`` takes them."""
     plain = re.compile(_PLAIN_LINES[kind]) if kind in _PLAIN_LINES else None
-    tick, pos = start, end + 1
+    split_plain = (_Decimals if kind == DECIMAL else _Booleans).split_plain
+    start, horizon = window.start, window.horizon
+    tick = start
     while tick < horizon:
         cut = text.find("\n", min(pos + _CHUNK_CHARS, stop), stop)
         if cut < 0:
             cut = stop
-        cells = None
-        if plain and plain.fullmatch(text, pos, cut):
-            cells = text[pos:cut].replace("\n", ",").split(",")
-            last = tick + len(cells) // 2
-            if "\n".join(cells[0::2]) != _tick_lines(start, horizon, tick,
-                                                     last):
-                cells = None
-        if cells:
-            texts = cells[1::2]
-        else:
-            texts = _checked_readings(kind, text[pos:cut].split("\n"), tick,
+        chunk = text[pos:cut]
+        last = tick + chunk.count("\n") + 1
+        texts = None
+        if plain and plain.fullmatch(chunk):
+            ticks, texts = split_plain(chunk)
+            if ticks != _tick_lines(start, horizon, tick, last):
+                texts = None
+        if texts is None:
+            texts = _checked_readings(kind, chunk.split("\n"), tick,
                                       tick - start + 2)
-        stream.extend(texts)
-        tick += len(texts)
-        pos = cut + 1
-    if isinstance(stream, list):
-        stream = Stream(window, [
-            BOTTOM if text == "NA" else parse_value(text, kind)
-            for text in stream])
-    return stream_id, kind, stream
+        yield texts
+        tick, pos = last, cut + 1
 
 
 def _tick_lines(start: int, horizon: int, first: int, last: int) -> str:
@@ -575,7 +617,8 @@ def _digits_below(n: int) -> int:
 def _checked_readings(kind: str, lines: List[str], expected_t: int,
                       lineno: int) -> List[str]:
     """Check value lines one by one from file line ``lineno`` on; returns
-    each reading's canonical text or raises the first line's fault."""
+    each reading's text, written as ``format_value`` writes it, or raises
+    the first line's fault."""
     texts = []
     for i, line in enumerate(lines, start=lineno):
         tick_s, sep, value_s = line.partition(",")
@@ -598,9 +641,13 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
             raise TraceFormatError(
                 f"decimal {value_s!r} must have exactly 4 fractional digits", i)
         try:
-            texts.append(format_value(parse_value(value_s, kind)))
+            written = format_value(parse_value(value_s, kind))
         except KindMismatch as exc:
             raise TraceFormatError(str(exc), i) from None
+        if value_s != written:
+            raise TraceFormatError(
+                f"{kind} {value_s!r} must be written '{written}'", i)
+        texts.append(value_s)
     return texts
 
 

@@ -56,7 +56,7 @@ from tagmon.scenarios import (
     Sentence,
 )
 from tagmon.streams import Operation, Relation, Stream, Window
-from tagmon.values import BOTTOM, KINDS, Dec4, parse_value
+from tagmon.values import BOTTOM, KINDS, Dec4, format_value, parse_value
 
 _CMP_FN = {
     "eq": lambda a, b: a == b,
@@ -153,8 +153,9 @@ def reference_parse_trace(text: str):
     The per-line trace parser as it stood before traces were read in
     chunks: every value line is checked and boxed on its own.  Window
     bounds and ticks are read through ``_strict_int`` and must be written as
-    ``str`` writes them, and decimals in ASCII digits only, as
-    ``parse_trace`` now reads them.
+    ``str`` writes them, decimals are in ASCII digits only, and each reading
+    must be written as ``format_value`` writes it, as ``parse_trace`` now
+    reads them.
     """
     lines = text.splitlines()
     if not lines:
@@ -204,9 +205,13 @@ def reference_parse_trace(text: str):
             raise TraceFormatError(
                 f"decimal {value_s!r} must have exactly 4 fractional digits", i)
         try:
-            values.append(parse_value(value_s, kind))
+            value = parse_value(value_s, kind)
         except KindMismatch as exc:
             raise TraceFormatError(str(exc), i) from None
+        if value_s != format_value(value):
+            raise TraceFormatError(f"{kind} {value_s!r} must be written "
+                                   f"'{format_value(value)}'", i)
+        values.append(value)
     return stream_id, kind, Stream(Window(start, horizon), tuple(values))
 
 
@@ -469,7 +474,9 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (And, ["lhs", "rhs"]),
     (Or, ["lhs", "rhs"]),
     (Quant, ["quantifier", "var", "lo", "hi", "body"]),
-    (Environment, [("variables", _fresh_dict()), ("streams", _fresh_dict())]),
+    (Environment, [("variables", _fresh_dict()), ("streams", _fresh_dict()),
+                   ("memo", dataclasses.field(default_factory=dict,
+                                              compare=False))]),
     (AttributeSpec, ["name", "label", "template", ("params", ()),
                      ("stream_name", "b")]),
     (Window, ["start", "horizon"]),

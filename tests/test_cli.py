@@ -572,6 +572,34 @@ def test_gen_trace_bad_clock_time_is_a_usage_error(tmp_path, capsys, option,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, name", [
+    ("--minutes", "\u0661_\u0660", "integer"),
+    ("--minutes", "1_0", "integer"),
+    ("--minutes", "+10", "integer"),
+    ("--minutes", " 10", "integer"),
+    ("--seed", "+1", "integer"),
+    ("--seed", "4_2", "integer"),
+    ("--spike-at", "0_5", "tick"),
+    ("--spike-at", "+5", "tick"),
+    ("--spike-at", "\u0665", "tick"),
+])
+def test_gen_trace_integers_are_read_as_files_write_them(tmp_path, capsys,
+                                                         option, value, name):
+    """An integer option that is not an optional "-" and ASCII digits is a
+    usage error, as a bad clock time is."""
+    out = tmp_path / "x.trace"
+    args = {"--minutes": "100", "--seed": "1", "--spike-at": "5"}
+    args[option] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-trace", "--kind", "spike", "--spike-value", "0.0500",
+              "--out", str(out)] + [a for pair in args.items() for a in pair])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid {name} value: {value!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_trace_into_a_missing_directory_is_a_runtime_failure(tmp_path,
                                                                    capsys):
     out = tmp_path / "missing" / "x.trace"

@@ -169,6 +169,19 @@ def test_format_notification_prints_a_sub_record_as_records_do():
     assert format_record(rec).endswith(f"|sentence=({terms});status=green")
 
 
+def test_format_notification_lists_a_field_whose_text_changes():
+    """true and 1 are equal in Python, but a field that goes from true to 1
+    is written differently, so the notification lists the change."""
+    chi = Characteristics.of(flag=True, status="green")
+    rec = Record("PID-7", chi, "bac-band", "red", 5)
+    rule = status_rule(name="r", action=Action.set_field("flag", 1),
+                       fires={"red"})
+    _, after, notes = apply_policy(rec, Policy((rule,)))
+    assert after.fingerprint() == "flag=1;status=green"
+    assert [format_notification(n) for n in notes] == [
+        "5|PID-7|r|red|flag=true->1"]
+
+
 def cycle_inputs(trace):
     chi = {"PID-7": SIGMA.characteristics("green")}
     streams = {"PID-7": trace}

@@ -28,7 +28,13 @@ from tagmon.scenarios import (
     compliance_judgement,
     curfew_family,
 )
-from tagmon.streams import Stream
+from tagmon.streams import (
+    Stream,
+    _Booleans,
+    _Decimals,
+    format_trace,
+    parse_trace,
+)
 from tagmon.values import BOTTOM, Dec4
 
 SIGMA = Sentence(0, 120, 30, Dec4.parse("0.0200"), Dec4.parse("0.0050"))
@@ -161,6 +167,68 @@ def test_family_label_coverage_is_validated():
 
 GAP_SPEC = AttributeSpec("probe", "no",
                          parse_formula("max(b, 0, 120, 30) < 0.0000"))
+
+
+def parsed(kind, values):
+    """``Stream.of(0, values)`` as ``parse_trace`` stores it: a column."""
+    return parse_trace(format_trace(Stream.of(0, values), "b", kind))[2]
+
+
+PRESENCE = [True] * 30 + [False] + [True] * 9 + [BOTTOM] + [True] * 9
+OVERLAP = bad_family("max(b, 0, 120, 30) >= 0.0000",
+                     "max(b, 0, 120, 30) < 1.0000")
+
+
+@pytest.mark.parametrize("family, trace, params, query, outcome", [
+    (alcohol_family(), parsed("decimal", bac_trace().values), {},
+     (_Decimals, "reduce_samples"), "green"),
+    (alcohol_family(), parsed("decimal", bac_trace(peak_at=30,
+                                                   peak=Dec4(200)).values),
+     {}, (_Decimals, "reduce_samples"), "amber"),
+    (alcohol_family(), parsed("decimal", bac_trace(gap_at=60).values), {},
+     (_Decimals, "reduce_samples"), "absent"),
+    (curfew_family(), parsed("boolean", PRESENCE), {"wstart": 0, "wend": 29},
+     (_Booleans, "first_other"), "compliant"),
+    (curfew_family(), parsed("boolean", PRESENCE), {"wstart": 0, "wend": 35},
+     (_Booleans, "first_other"), "violation"),
+    (curfew_family(), parsed("boolean", PRESENCE),
+     {"wstart": 35, "wend": 45}, (_Booleans, "first_other"),
+     "absent-signal"),
+    (OVERLAP, parsed("decimal", bac_trace().values), {},
+     (_Decimals, "reduce_samples"), AmbiguousJudgement),
+])
+def test_observe_family_asks_a_leaf_query_once_and_evaluates_every_spec(
+        monkeypatch, family, trace, params, query, outcome):
+    """The specs of a family that make the same column query share its
+    answer, a BOTTOM answer too, and each spec is still evaluated."""
+    asked, evaluated = [], []
+    column_query = getattr(*query)
+    evaluate = tagmon.monitoring.eval_formula
+
+    def counted_query(*args):
+        asked.append(args[1:])
+        return column_query(*args)
+
+    def counted_evaluate(formula, env):
+        evaluated.append(formula)
+        return evaluate(formula, env)
+
+    monkeypatch.setattr(*query, counted_query)
+    monkeypatch.setattr(tagmon.monitoring, "eval_formula", counted_evaluate)
+    chi = SIGMA.characteristics("green")
+
+    def observe():
+        try:
+            return observe_family(family, "e", chi, trace, params)
+        except AmbiguousJudgement as exc:
+            return type(exc)
+
+    assert observe() == outcome
+    assert evaluated == [spec.template for spec in family.specs]
+    assert len(asked) == 1
+    # each observation has a memo of its own
+    assert observe() == outcome
+    assert len(asked) == 2
 
 
 @pytest.mark.parametrize("bottom_first", [True, False])

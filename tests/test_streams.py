@@ -346,6 +346,14 @@ def test_trace_round_trip_other_kinds():
      "window bound '08' must be written '8'"),
     (lambda t: t.replace("decimal 5 8", "decimal -0 8"),
      "window bound '-0' must be written '0'"),
+    (lambda t: t.replace("5,0.0100", "5,00.0100"),
+     "line 2: decimal '00.0100' must be written '0.0100'"),
+    (lambda t: t.replace("7,0.0250", "7,-0.0000"),
+     "line 4: decimal '-0.0000' must be written '0.0000'"),
+    (lambda t: "trace b integer 5 8\n5,007\n6,NA\n7,1\n",
+     "line 2: integer '007' must be written '7'"),
+    (lambda t: "trace b integer 5 8\n5,7\n6,NA\n7,-0\n",
+     "line 4: integer '-0' must be written '0'"),
 ])
 def test_trace_parse_errors(mangle, message):
     good = format_trace(Stream.of(5, [Dec4(100), BOTTOM, Dec4(250)]),

@@ -77,6 +77,10 @@ LINE_MANGLES = (
     lambda t, v: f"{t},7",
     lambda t, v: f"{t},+7",
     lambda t, v: f"{t},1_0",
+    lambda t, v: f"{t},0{v}",
+    lambda t, v: f"{t},-0",
+    lambda t, v: f"{t},-0.0000",
+    lambda t, v: f"{t},-0.0001",
     lambda t, v: f"{t},green",
     lambda t, v: f"{t},9x",
     lambda t, v: f"{t}," + "0.0100".translate(ARABIC_DIGITS),
@@ -208,6 +212,10 @@ CUT = cut_lines(LONG_LINES)[0]
     (1, "01,0.0100", "tick '01' must be written '1'"),
     (CUT + 2, f"0{CUT + 2},0.0100",
      f"tick '0{CUT + 2}' must be written '{CUT + 2}'"),
+    (0, "0,00.0100", "decimal '00.0100' must be written '0.0100'"),
+    (CUT, f"{CUT},-0.0000", "decimal '-0.0000' must be written '0.0000'"),
+    (CUT + 2, f"{CUT + 2},010.0000",
+     "decimal '010.0000' must be written '10.0000'"),
 ])
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 def test_a_fault_in_any_chunk_keeps_its_message_and_line(i, line, message,
@@ -300,6 +308,82 @@ def test_a_loaded_stream_equals_and_hashes_like_stream_of(kind, readings):
     assert [loaded.at(t) for t in loaded.window.ticks()] == readings
     assert loaded != Stream.of(4, readings)
     assert loaded != Stream.of(3, readings[:-1] + [BOTTOM])
+
+
+def test_a_decimal_trace_converts_a_reading_only_when_it_is_read(
+        monkeypatch):
+    """Loading keeps the readings' texts; ``at`` converts the one it reads
+    and ``reduce_samples`` the samples it takes, NA none."""
+    readings = [Dec4(raw) for raw in range(721)]
+    readings[40] = BOTTOM
+    text = format_trace(Stream.of(0, readings), "b", "decimal")
+    converted = []
+
+    def counted_int(text):
+        converted.append(text)
+        return int(text)
+
+    monkeypatch.setattr(streams, "int", counted_int, raising=False)
+    _, _, loaded = parse_trace(text)
+    assert converted == []
+    assert loaded.at(300) == Dec4(300) and len(converted) == 1
+    assert loaded.at(40) is BOTTOM and len(converted) == 1
+    assert loaded.reduce_samples(max, 0, 720, 30) == Dec4(720)
+    assert len(converted) == 1 + 25
+    assert loaded.reduce_samples(max, 0, 720, 20) is BOTTOM
+    assert len(converted) == 1 + 25
+
+
+# each kind's readings as written, and near misses of their spelling
+SPELLINGS = {
+    "decimal": (("0.0100", "12.3456", "-1.5000", "-0.0001", "0.0000", "NA"),
+                ("00.0100", "-0.0000", "+0.0100", "1_2.3456", "012.3456",
+                 "0.010", " 0.0100")),
+    "integer": (("0", "7", "-3", "10", "NA"),
+                ("007", "-0", "+7", "1_0", "00", " 7")),
+    "boolean": (("true", "false", "NA"), ("+true", "0true", "True")),
+    "label": (("green", "a_b", "NA"), ("_a", "0green", "green ")),
+}
+
+
+def tick_spellings(t):
+    """A tick or bound as written, and near misses of it."""
+    return (str(t),), (f"0{t}", f"+{t}", f"-{t}",
+                       f"{t // 10}_{t % 10}" if t >= 10 else f"0_{t}")
+
+
+@st.composite
+def spelt_traces(draw):
+    """Short traces whose numbers are mostly written as ``format_trace``
+    writes them, and each one in ten a near miss."""
+    def spelt(spellings):
+        written, near = spellings
+        return draw(st.sampled_from(near if draw(st.integers(0, 9)) == 0
+                                    else written))
+
+    kind = draw(st.sampled_from(sorted(SPELLINGS)))
+    start = draw(st.sampled_from([0, 1, 9, 10, 99]))
+    n = draw(st.integers(1, 12))
+    lines = [f"trace b {kind} {spelt(tick_spellings(start))} "
+             f"{spelt(tick_spellings(start + n))}"]
+    lines += [f"{spelt(tick_spellings(t))},{spelt(SPELLINGS[kind])}"
+              for t in range(start, start + n)]
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                           min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, breaks))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(text=spelt_traces())
+def test_an_accepted_trace_is_written_back_as_it_was_read(text):
+    """Every number of a trace has one spelling: whatever text the reader
+    accepts, the writer gives back, with each line ended by \\n."""
+    try:
+        stream_id, kind, stream = parse_trace(text)
+    except TraceFormatError:
+        return
+    assert format_trace(stream, stream_id, kind) == "".join(
+        line + "\n" for line in text.splitlines())
 
 
 def test_a_run_boxes_readings_only_when_it_reads_them(
