@@ -80,14 +80,13 @@ from .scenarios import (
 )
 from .interventions import Action
 from .streams import load_trace, read_ascii
-from .values import BOOLEAN, DECIMAL, Dec4, parse_int
+from .values import BOOLEAN, DECIMAL, LABEL_PATTERN, Dec4, parse_int
 
-_SECTION_RE = re.compile(r"\[(entity\s+([A-Za-z][A-Za-z0-9_-]*)"
-                         r"|schedule|policy)\]\Z")
-_LABEL_LIST = r"[A-Za-z][A-Za-z0-9_-]*(?:\s*,\s*[A-Za-z][A-Za-z0-9_-]*)*"
-_RULE_RE = re.compile(
-    rf"([A-Za-z][A-Za-z0-9_-]*)\s*:\s*on\s+({_LABEL_LIST})\s+set\s+"
-    r"([A-Za-z][A-Za-z0-9_-]*)\Z")
+_SECTION_RE = re.compile(
+    rf"\[(entity\s+({LABEL_PATTERN})|schedule|policy)\]\Z")
+_LABEL_LIST = rf"{LABEL_PATTERN}(?:\s*,\s*{LABEL_PATTERN})*"
+_RULE_RE = re.compile(rf"({LABEL_PATTERN})\s*:\s*on\s+({_LABEL_LIST})"
+                      rf"\s+set\s+({LABEL_PATTERN})\Z")
 _CLOCK_RE = re.compile(r"([0-9]{1,2}):([0-9]{2})\Z")
 
 
@@ -426,6 +425,10 @@ def _check_and_build(config: ScenarioConfig, base_dir
             diagnostics.append(Diagnostic(
                 rule.line, f"rule {rule.name}: duplicate rule name"))
         names.add(rule.name)
+        for label in dict.fromkeys(rule.labels):
+            if rule.labels.count(label) > 1:
+                diagnostics.append(Diagnostic(rule.line, f"rule {rule.name}: "
+                                              f"label {label!r} listed twice"))
         unknown = [lb for lb in rule.labels if lb not in labels]
         if unknown:
             diagnostics.append(Diagnostic(

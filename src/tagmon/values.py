@@ -22,7 +22,9 @@ LABEL = "label"
 
 KINDS = (BOOLEAN, INTEGER, DECIMAL, LABEL)
 
-_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+# how a label, a stream id, an entity or a rule name is spelt
+LABEL_PATTERN = r"[A-Za-z][A-Za-z0-9_-]*"
+_LABEL_RE = re.compile(rf"{LABEL_PATTERN}\Z")
 _DEC_RE = re.compile(r"(-?)([0-9]+)\.([0-9]{1,4})\Z")
 
 

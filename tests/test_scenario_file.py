@@ -319,6 +319,19 @@ def test_validate_repeated_rule_name(tmp_path):
         Diagnostic(10, "rule record-breach: duplicate rule name")]
 
 
+@pytest.mark.parametrize("labels, repeated", [
+    ("red,red", ["red"]),
+    ("amber, red ,amber,red,amber", ["amber", "red"]),
+])
+def test_validate_reports_a_label_listed_twice(tmp_path, labels, repeated):
+    """Each label that a rule lists more than once is reported once."""
+    write_dry_trace(tmp_path)
+    text = ALCOHOL_TEXT + f"rule = r: on {labels} set status\n"
+    assert validate_scenario(parse_scenario(text), tmp_path) == [
+        Diagnostic(9, f"rule r: label {label!r} listed twice")
+        for label in repeated]
+
+
 BAD_STATUS_TEXT = """\
 [entity PID-7]
 sentence = 0,720,30,0.0200,0.0050

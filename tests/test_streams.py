@@ -28,6 +28,7 @@ from tagmon.streams import (
     lift_test,
     merge,
     parse_trace,
+    save_trace,
     shift,
 )
 from tagmon.values import BOTTOM, Dec4
@@ -322,6 +323,57 @@ def test_trace_round_trip_other_kinds():
         s = Stream.of(0, values)
         text = format_trace(s, "x", kind)
         assert parse_trace(text)[2] == s
+
+
+READINGS_OF = {
+    "boolean": st.booleans(),
+    "integer": st.integers(),
+    "decimal": st.builds(Dec4, st.integers()),
+    "label": st.from_regex(r"[A-Za-z][A-Za-z0-9_-]*", fullmatch=True).filter(
+        lambda label: label != "NA"),
+}
+
+
+@st.composite
+def written_streams(draw):
+    kind = draw(st.sampled_from(sorted(READINGS_OF)))
+    readings = draw(st.lists(st.just(BOTTOM) | READINGS_OF[kind],
+                             min_size=1, max_size=20))
+    return kind, Stream.of(draw(st.integers(0, 10**6)), readings)
+
+
+@given(written_streams())
+def test_a_written_trace_reads_back_as_its_stream(case):
+    kind, stream = case
+    assert parse_trace(format_trace(stream, "s", kind)) == ("s", kind, stream)
+
+
+@pytest.mark.parametrize("kind, readings, message", [
+    ("decimal", [Dec4(1), True, False],
+     "tick 6: decimal trace cannot hold True"),
+    ("decimal", [BOTTOM, 7], "tick 6: decimal trace cannot hold 7"),
+    ("boolean", [True, BOTTOM, Dec4(1)],
+     "tick 7: boolean trace cannot hold Dec4(1)"),
+    ("integer", [False], "tick 5: integer trace cannot hold False"),
+    ("label", [7], "tick 5: label trace cannot hold 7"),
+    ("label", ["green", "NA"], "tick 6: label trace cannot hold 'NA'"),
+])
+def test_the_writer_refuses_what_the_reader_refuses(kind, readings, message):
+    with pytest.raises(TraceFormatError) as err:
+        format_trace(Stream.of(5, readings), "b", kind)
+    assert err.value.message == message
+
+
+@pytest.mark.parametrize("stream, kind", [
+    (Stream.of(0, [Dec4(1)]), "float"),
+    (Stream.of(0, [True]), "decimal"),
+])
+def test_a_refused_trace_leaves_the_file_as_it_was(tmp_path, stream, kind):
+    path = tmp_path / "b.trace"
+    path.write_text("trace b decimal 0 1\n0,0.0001\n")
+    with pytest.raises(TraceFormatError):
+        save_trace(path, stream, "b", kind)
+    assert path.read_text() == "trace b decimal 0 1\n0,0.0001\n"
 
 
 @pytest.mark.parametrize("mangle, message", [

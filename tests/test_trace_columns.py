@@ -27,7 +27,6 @@ from tagmon.streams import (
     _CHUNK_CHARS,
     Stream,
     _tick_column,
-    _tick_offset,
     format_trace,
     parse_trace,
 )
@@ -57,6 +56,7 @@ LINE_MANGLES = (
     lambda t, v: f"{t}".translate(ARABIC_DIGITS) + f",{v}",
     lambda t, v: f"{t + 1},{v}",
     lambda t, v: f"{t - 1},{v}",
+    lambda t, v: f"{t // 10},{v}" if t >= 10 else f"{t},{v}",
     lambda t, v: f"x,{v}",
     lambda t, v: f",{v}",
     lambda t, v: f"{t};{v}",
@@ -185,47 +185,59 @@ def test_parse_trace_matches_the_per_line_reference(text):
                                                    text)
 
 
-LONG_LINES = [f"{t},0.0100" for t in range(2 * C // 8)]
-CUT = cut_lines(LONG_LINES)[0]
+LONG_LINES = {kind: [f"{t},{reading}" for t in range(2 * C // 8)]
+              for kind, reading in (("decimal", "0.0100"),
+                                    ("boolean", "true"))}
+CUT = cut_lines(LONG_LINES["decimal"])[0]
+BOOLEAN_CUT = cut_lines(LONG_LINES["boolean"])[0]
 
 
-@pytest.mark.parametrize("i, line, message", [
-    (0, "0,0.010", "decimal '0.010' must have exactly 4 fractional digits"),
-    (CUT - 1, f"{CUT - 1},0.010",
+@pytest.mark.parametrize("kind, i, line, message", [
+    ("decimal", 0, "0,0.010",
      "decimal '0.010' must have exactly 4 fractional digits"),
-    (CUT, f"{CUT},0.010",
+    ("decimal", CUT - 1, f"{CUT - 1},0.010",
      "decimal '0.010' must have exactly 4 fractional digits"),
-    (CUT + 1, f"{CUT + 1},0.010",
+    ("decimal", CUT, f"{CUT},0.010",
      "decimal '0.010' must have exactly 4 fractional digits"),
-    (CUT + 2, "9,0.0100", f"tick 9 out of order (expected {CUT + 2})"),
-    (CUT + 2, "x,0.0100", "non-integer tick 'x'"),
-    (0, "+0,0.0100", "non-integer tick '+0'"),
-    (0, " 0,0.0100", "non-integer tick ' 0'"),
-    (0, "0_0,0.0100", "non-integer tick '0_0'"),
-    (CUT + 2, f"+{CUT + 2},0.0100", f"non-integer tick '+{CUT + 2}'"),
-    (CUT + 2, f"{CUT + 2}".translate(ARABIC_DIGITS) + ",0.0100",
+    ("decimal", CUT + 1, f"{CUT + 1},0.010",
+     "decimal '0.010' must have exactly 4 fractional digits"),
+    ("decimal", CUT + 2, "9,0.0100",
+     f"tick 9 out of order (expected {CUT + 2})"),
+    ("decimal", CUT + 2, "x,0.0100", "non-integer tick 'x'"),
+    ("decimal", 0, "+0,0.0100", "non-integer tick '+0'"),
+    ("decimal", 0, " 0,0.0100", "non-integer tick ' 0'"),
+    ("decimal", 0, "0_0,0.0100", "non-integer tick '0_0'"),
+    ("decimal", CUT + 2, f"+{CUT + 2},0.0100",
+     f"non-integer tick '+{CUT + 2}'"),
+    ("decimal", CUT + 2, f"{CUT + 2}".translate(ARABIC_DIGITS) + ",0.0100",
      f"non-integer tick '{CUT + 2}'".translate(ARABIC_DIGITS)),
-    (CUT, f"{CUT}," + "0.0100".translate(ARABIC_DIGITS),
+    ("decimal", CUT, f"{CUT}," + "0.0100".translate(ARABIC_DIGITS),
      "decimal '٠.٠١٠٠' must have exactly 4 fractional digits"),
-    (0, "-0,0.0100", "tick '-0' must be written '0'"),
-    (0, "00,0.0100", "tick '00' must be written '0'"),
-    (1, "01,0.0100", "tick '01' must be written '1'"),
-    (CUT + 2, f"0{CUT + 2},0.0100",
+    ("decimal", 0, "-0,0.0100", "tick '-0' must be written '0'"),
+    ("decimal", 0, "00,0.0100", "tick '00' must be written '0'"),
+    ("decimal", 1, "01,0.0100", "tick '01' must be written '1'"),
+    ("decimal", CUT + 2, f"0{CUT + 2},0.0100",
      f"tick '0{CUT + 2}' must be written '{CUT + 2}'"),
-    (0, "0,00.0100", "decimal '00.0100' must be written '0.0100'"),
-    (CUT, f"{CUT},-0.0000", "decimal '-0.0000' must be written '0.0000'"),
-    (CUT + 2, f"{CUT + 2},010.0000",
+    ("decimal", 0, "0,00.0100", "decimal '00.0100' must be written '0.0100'"),
+    ("decimal", CUT, f"{CUT},-0.0000",
+     "decimal '-0.0000' must be written '0.0000'"),
+    ("decimal", CUT + 2, f"{CUT + 2},010.0000",
      "decimal '010.0000' must be written '10.0000'"),
+    # a tick that is a proper prefix of the expected one, on the cut line
+    ("decimal", CUT, f"{CUT // 10},0.0100",
+     f"tick {CUT // 10} out of order (expected {CUT})"),
+    ("boolean", BOOLEAN_CUT, f"{BOOLEAN_CUT // 10},true",
+     f"tick {BOOLEAN_CUT // 10} out of order (expected {BOOLEAN_CUT})"),
 ])
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-def test_a_fault_in_any_chunk_keeps_its_message_and_line(i, line, message,
-                                                          ending):
+def test_a_fault_in_any_chunk_keeps_its_message_and_line(kind, i, line,
+                                                          message, ending):
     """A fault on the line before the first cut, on the line that holds
     it, or on the lines after it, with either line ending."""
-    lines = LONG_LINES.copy()
+    lines = LONG_LINES[kind].copy()
     lines[i] = line
-    assert cut_lines(lines)[0] == CUT
-    text = ending.join([f"trace b decimal 0 {len(lines)}"] + lines) + ending
+    assert cut_lines(lines)[0] == cut_lines(LONG_LINES[kind])[0]
+    text = ending.join([f"trace b {kind} 0 {len(lines)}"] + lines) + ending
     with pytest.raises(TraceFormatError) as err:
         parse_trace(text)
     assert (err.value.message, err.value.line) == (message, i + 2)
@@ -247,17 +259,12 @@ def test_a_tick_column_answers_only_for_its_window(first, second):
 
 
 @pytest.mark.parametrize("start", [0, 1, 9, 10, 11, 99, 100, 101, 10**20 - 1])
-def test_the_tick_column_and_its_offsets(start):
-    """The column is the window's ticks joined by line breaks, over more
-    than one block of ticks, and each offset points at its tick."""
+def test_the_tick_column(start):
+    """The column is the window's ticks, each ended by a line break, over
+    more than one block of ticks."""
     horizon = start + 9000
-    column = _tick_column(start, horizon)
-    assert column == "\n".join(str(t) for t in range(start, horizon))
-    offset = 0
-    for t in range(start, horizon):
-        assert _tick_offset(start, t) == offset
-        offset += len(str(t)) + 1
-    assert _tick_offset(start, horizon) == len(column) + 1
+    assert _tick_column(start, horizon) == "".join(
+        f"{t}\n" for t in range(start, horizon))
 
 
 @pytest.mark.parametrize("kind", ["decimal", "boolean"])
