@@ -14,7 +14,6 @@ from .formulas import (
     eval_formula,
     eval_term,
     instantiate,
-    print_formula,
 )
 from .interventions import (
     Action,
@@ -34,7 +33,7 @@ from .monitoring import (
     observe_family,
     observe_uniform,
 )
-from .parser import parse_formula
+from .parser import parse_formula, print_formula
 from .scenarios import (
     CurfewOrder,
     ReportSchedule,

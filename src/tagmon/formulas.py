@@ -1,4 +1,5 @@
-"""Attribute formulas: terms, formulas, evaluation and templates.
+"""Attribute formulas: their trees, evaluation and templates.  Their text,
+read and printed, is ``tagmon.parser``'s.
 
 Attributes over behaviour streams are written in a small first-order language
 whose quantifiers always carry explicit finite integer bounds, which keeps
@@ -22,7 +23,6 @@ takes the loop.
 
 from __future__ import annotations
 
-import re
 from typing import Mapping, Tuple, Union
 
 from ._frozen import Frozen, fresh
@@ -36,7 +36,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .streams import OPERATIONS, Stream, _Booleans, _Decimals, check_arity
-from .values import BOTTOM, CarrierValue, compare, format_value, is_carrier
+from .values import BOTTOM, CarrierValue, compare, is_carrier
 
 # -- terms --------------------------------------------------------------------
 
@@ -324,93 +324,3 @@ def instantiate(spec: AttributeSpec,
         chosen[p] = v
     return chosen
 
-
-# -- canonical printing (the parser reads the same spellings) -----------------
-
-_KEYWORDS = {"true", "false", "not", "and", "or", "forall", "exists", "in"}
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_CMP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=",
-             "gt": ">", "ge": ">="}
-_INFIX = {"add": (" + ", 1), "sub": (" - ", 1),
-          "mul": (" * ", 2), "div": (" / ", 2)}
-
-
-def _pt(t: Term, req: int) -> str:
-    if isinstance(t, Lit):
-        if isinstance(t.value, str) or t.value is BOTTOM:  # would be a name
-            raise KindMismatch(f"no formula text for {t!r}")
-        return format_value(t.value)
-    if isinstance(t, Var):
-        return _name(t.name)
-    if isinstance(t, StreamAt):
-        return f"{_name(t.stream)}[{_pt(t.index, 0)}]"
-    if isinstance(t, Apply):
-        if t.op not in OPERATIONS or not t.args:
-            raise KindMismatch(f"no formula text for {t!r}")
-        if t.op in _INFIX and len(t.args) == 2:
-            text, prec = _INFIX[t.op]
-            s = _pt(t.args[0], prec) + text + _pt(t.args[1], prec + 1)
-            return f"({s})" if prec < req else s
-        # the parser folds "-" and a number into one literal, so neg of a
-        # numeric literal is spelt as a call
-        if (t.op == "neg" and len(t.args) == 1
-                and not _numeric_lit(t.args[0])):
-            s = "-" + _pt(t.args[0], 3)
-            return f"({s})" if req > 3 else s
-        return f"{t.op}({', '.join(_pt(a, 0) for a in t.args)})"
-    raise KindMismatch(f"not a term: {t!r}")
-
-
-def _numeric_lit(t: Term) -> bool:
-    """Whether the parser folds a "-" before ``t`` into ``t`` itself."""
-    return isinstance(t, Lit) and not isinstance(t.value, bool)
-
-
-def _name(name: str) -> str:
-    """``name``, if the parser reads it as an identifier."""
-    if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
-        raise KindMismatch(f"no formula text for the name {name!r}")
-    return name
-
-
-def _check_bound(t: Term, side: str) -> None:
-    """Refuse a literal quantifier bound that is not an integer."""
-    if isinstance(t, Lit) and (isinstance(t.value, bool)
-                               or not isinstance(t.value, int)):
-        raise KindMismatch(f"{side} quantifier bound must be an integer term")
-
-
-def print_formula(formula: Formula) -> str:
-    """Canonical concrete syntax; parse(print(f)) reproduces f structurally.
-
-    A tree that no text parses back to, such as one with a label literal or
-    a keyword for a name, raises KindMismatch.
-    """
-    return _pf(formula, 0)
-
-
-def _pf(f: Formula, req: int) -> str:
-    if isinstance(f, BoolLit):
-        return "true" if f.value else "false"
-    if isinstance(f, Cmp):
-        if f.op not in _CMP_TEXT:
-            raise KindMismatch(f"no formula text for {f!r}")
-        return f"{_pt(f.lhs, 1)} {_CMP_TEXT[f.op]} {_pt(f.rhs, 1)}"
-    if isinstance(f, Not):
-        s = "not " + _pf(f.body, 3)
-        return f"({s})" if req > 3 else s
-    if isinstance(f, And):
-        s = _pf(f.lhs, 2) + " and " + _pf(f.rhs, 3)
-        return f"({s})" if req > 2 else s
-    if isinstance(f, Or):
-        s = _pf(f.lhs, 1) + " or " + _pf(f.rhs, 2)
-        return f"({s})" if req > 1 else s
-    if isinstance(f, Quant):
-        if f.quantifier not in ("forall", "exists"):
-            raise KindMismatch(f"no formula text for {f!r}")
-        _check_bound(f.lo, "lower")
-        _check_bound(f.hi, "upper")
-        s = (f"{f.quantifier} {_name(f.var)} in {_pt(f.lo, 0)}"
-             f" .. {_pt(f.hi, 0)} : {_pf(f.body, 0)}")
-        return f"({s})" if req > 0 else s
-    raise KindMismatch(f"not a formula: {f!r}")

@@ -1,18 +1,17 @@
-"""Concrete syntax for attribute formulas.
+"""Concrete syntax for attribute formulas: tokenizer, parser and printer.
 
-    formula    := or_f
-    or_f       := and_f ("or" and_f)*
-    and_f      := not_f ("and" not_f)*
+    formula    := not_f (("and" | "or") not_f)*
     not_f      := "not" not_f | quantified | atom
-    quantified := ("forall" | "exists") ident "in" term ".." term ":" or_f
-    atom       := comparison | "true" | "false" | "(" or_f ")"
+    quantified := ("forall" | "exists") ident "in" term ".." term ":" formula
+    atom       := comparison | "true" | "false" | "(" formula ")"
     comparison := term ("=" | "!=" | "<" | "<=" | ">" | ">=") term
-    term       := multerm (("+" | "-") multerm)*
-    multerm    := unary (("*" | "/") unary)*
+    term       := unary (("+" | "-" | "*" | "/") unary)*
     unary      := "-" unary | primary
     primary    := number | ident | ident "(" args ")" | ident "[" term "]"
                 | "true" | "false" | "(" term ")"
 
+``_BINARY`` gives each binary operator its precedence (``and`` over ``or``,
+``*`` and ``/`` over ``+`` and ``-``); all associate to the left.
 Quantifier bounds are inclusive and the body extends as far to the right as
 possible.  Numbers are written in ASCII digits; one with a decimal point is a
 fixed-point value with at most four fractional digits.  ``#`` starts a
@@ -33,9 +32,6 @@ from typing import List, Tuple
 
 from .errors import FormulaSyntaxError, KindMismatch, UnknownSymbol
 from .formulas import (
-    _CMP_TEXT,
-    _IDENT_RE,
-    _KEYWORDS,
     And,
     Apply,
     BoolLit,
@@ -48,43 +44,52 @@ from .formulas import (
     StreamAt,
     Term,
     Var,
-    _check_bound,
-    _numeric_lit,
 )
 from .streams import OPERATIONS
-from .values import Dec4
+from .values import BOTTOM, Dec4, format_value
+
+# the binary operators: spelling -> (the connective it builds or the term
+# operation it applies, precedence); a higher precedence binds tighter.  A
+# spelling that is a word is a keyword.
+_MINUS = "-"  # also negation, before an operand
+_BINARY = {"or": (Or, 1), "and": (And, 2),
+           "+": ("add", 1), _MINUS: ("sub", 1), "*": ("mul", 2),
+           "/": ("div", 2)}
+# the precedence of "not" and of negation
+_PREFIX = 1 + max(prec for _, prec in _BINARY.values())
+_CMP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=",
+             "gt": ">", "ge": ">="}
+_CMP_OPS = {text: name for name, text in _CMP_TEXT.items()}
+_QUANTIFIERS = ("forall", "exists")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KEYWORDS = {"true", "false", "not", "in", *_QUANTIFIERS,
+             *filter(_IDENT_RE.fullmatch, _BINARY)}
+# every other token that is not a name or a number, longest first
+_SYMBOLS = sorted({*_BINARY, *_CMP_OPS, "..", "(", ")", "[", "]", ",", ":"}
+                  - _KEYWORDS, key=lambda s: (-len(s), s))
 
 _TOKEN_RE = re.compile(rf"""
       (?P<ws>\s+)
     | (?P<comment>\#[^\n]*)
     | (?P<number>[0-9]+(?:\.[0-9]+)?)
     | (?P<ident>{_IDENT_RE.pattern})
-    | (?P<op>\.\.|<=|>=|!=|[=<>+\-*/()\[\],:])
+    | (?P<op>{"|".join(map(re.escape, _SYMBOLS))})
+    | (?P<bad>.)
 """, re.VERBOSE)
-
-_CMP_OPS = {text: name for name, text in _CMP_TEXT.items()}
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
-    """Return (type, text, offset) triples; type is 'number', 'ident',
-    'keyword', a punctuation literal, or 'end'."""
+    """Return (type, text, offset) triples; type is 'number', 'ident', 'end',
+    or the text itself for a keyword or any other symbol."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "number":
-            tokens.append(("number", value, pos))
-        elif kind == "ident":
-            tokens.append(("keyword" if value in _KEYWORDS else "ident",
-                           value, pos))
-        elif kind == "op":
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {value!r}", pos)
+        if kind == "op" or value in _KEYWORDS:
             tokens.append((value, value, pos))
-        pos = m.end()
+        elif kind in ("number", "ident"):
+            tokens.append((kind, value, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -122,42 +127,39 @@ class _Parser:
                 tok[2])
         return self.next()
 
-    def at_keyword(self, word):
-        tok = self.peek()
-        return tok[0] == "keyword" and tok[1] == word
+    def operator(self, kind: type, floor: int):
+        """The next token's row of ``_BINARY``, taken, if it builds a
+        ``kind`` (a connective ``type`` or an operation ``str``) and binds at
+        least as tightly as ``floor``; None otherwise."""
+        row = _BINARY.get(self.peek()[0])
+        if row is None or not isinstance(row[0], kind) or row[1] < floor:
+            return None
+        self.next()
+        return row
 
-    # formulas ---------------------------------------------------------------
-
-    def formula(self) -> Formula:
-        f = self.and_f()
-        while self.at_keyword("or"):
-            self.next()
-            f = Or(f, self.and_f())
-        return f
-
-    def and_f(self) -> Formula:
+    def formula(self, floor: int = 1) -> Formula:
+        """Operands joined by connectives of at least precedence ``floor``;
+        a right operand takes only tighter ones, so each associates left."""
         f = self.not_f()
-        while self.at_keyword("and"):
-            self.next()
-            f = And(f, self.not_f())
+        while row := self.operator(type, floor):
+            f = row[0](f, self.formula(row[1] + 1))
         return f
 
     def not_f(self) -> Formula:
-        if self.at_keyword("not"):
+        if self.peek()[0] == "not":
             self.next()
             return Not(self.not_f())
-        if self.at_keyword("forall") or self.at_keyword("exists"):
+        if self.peek()[0] in _QUANTIFIERS:
             return self.quantified()
         return self.atom()
 
     def quantified(self) -> Formula:
         quantifier = self.next()[1]
         var_tok = self.expect("ident")
-        tok = self.peek()
-        if not self.at_keyword("in"):
+        tok = self.next()
+        if tok[0] != "in":
             raise FormulaSyntaxError(
                 f"expected 'in', found {tok[1]!r}", tok[2])
-        self.next()
         lo = self.term()
         self.expect("..")
         hi = self.term()
@@ -189,32 +191,15 @@ class _Parser:
             f"expected a comparison operator, found {tok[1] or 'end'!r}",
             tok[2])
 
-    def call_args(self) -> List[Term]:
-        args = [self.term()]
-        while self.peek()[0] == ",":
-            self.next()
-            args.append(self.term())
-        self.expect(")")
-        return args
-
-    # terms --------------------------------------------------------------------
-
-    def term(self) -> Term:
-        t = self.multerm()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            t = Apply("add" if op == "+" else "sub", (t, self.multerm()))
-        return t
-
-    def multerm(self) -> Term:
+    def term(self, floor: int = 1) -> Term:
+        """As ``formula``, over the term operators."""
         t = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            t = Apply("mul" if op == "*" else "div", (t, self.unary()))
+        while row := self.operator(str, floor):
+            t = Apply(row[0], (t, self.term(row[1] + 1)))
         return t
 
     def unary(self) -> Term:
-        if self.peek()[0] == "-":
+        if self.peek()[0] == _MINUS:
             self.next()
             operand = self.unary()
             if _numeric_lit(operand):
@@ -226,8 +211,8 @@ class _Parser:
         tok = self.next()
         if tok[0] == "number":
             return Lit(_number(tok[1], tok[2]))
-        if tok[0] == "keyword" and tok[1] in ("true", "false"):
-            return Lit(tok[1] == "true")
+        if tok[0] in ("true", "false"):
+            return Lit(tok[0] == "true")
         if tok[0] == "(":
             t = self.term()
             self.expect(")")
@@ -239,7 +224,12 @@ class _Parser:
                     raise UnknownSymbol(
                         f"unknown operation {name!r} (at position {tok[2]})")
                 self.next()
-                return Apply(name, tuple(self.call_args()))
+                args = [self.term()]
+                while self.peek()[0] == ",":
+                    self.next()
+                    args.append(self.term())
+                self.expect(")")
+                return Apply(name, tuple(args))
             if self.peek()[0] == "[":
                 self.next()
                 index = self.term()
@@ -269,3 +259,87 @@ def _parse_all(text: str, rule):
     if tok[0] != "end":
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
     return tree
+
+
+def _numeric_lit(t: Term) -> bool:
+    """Whether the parser folds a "-" before ``t`` into ``t`` itself."""
+    return isinstance(t, Lit) and not isinstance(t.value, bool)
+
+
+def _check_bound(t: Term, side: str) -> None:
+    """Refuse a literal quantifier bound that is not an integer."""
+    if isinstance(t, Lit) and (isinstance(t.value, bool)
+                               or not isinstance(t.value, int)):
+        raise KindMismatch(f"{side} quantifier bound must be an integer term")
+
+
+# ``_BINARY`` read the other way: connective or operation -> (its spelling
+# between spaces, precedence)
+_INFIX = {node: (f" {text} ", prec) for text, (node, prec) in _BINARY.items()}
+
+
+def print_formula(formula: Formula) -> str:
+    """Canonical concrete syntax; parse(print(f)) reproduces f structurally.
+
+    A tree that no text parses back to, such as one with a label literal or
+    a keyword for a name, raises KindMismatch.
+    """
+    return _pf(formula, 0)
+
+
+def _pf(f: Formula, req: int) -> str:
+    if isinstance(f, BoolLit):
+        return "true" if f.value else "false"
+    if isinstance(f, Cmp):
+        if f.op not in _CMP_TEXT:
+            raise KindMismatch(f"no formula text for {f!r}")
+        return f"{_pt(f.lhs, 1)} {_CMP_TEXT[f.op]} {_pt(f.rhs, 1)}"
+    if isinstance(f, Not):
+        s = "not " + _pf(f.body, _PREFIX)
+        return f"({s})" if req > _PREFIX else s
+    if type(f) in _INFIX:
+        text, prec = _INFIX[type(f)]
+        s = _pf(f.lhs, prec) + text + _pf(f.rhs, prec + 1)
+        return f"({s})" if req > prec else s
+    if isinstance(f, Quant):
+        if f.quantifier not in _QUANTIFIERS:
+            raise KindMismatch(f"no formula text for {f!r}")
+        _check_bound(f.lo, "lower")
+        _check_bound(f.hi, "upper")
+        s = (f"{f.quantifier} {_name(f.var)} in {_pt(f.lo, 0)}"
+             f" .. {_pt(f.hi, 0)} : {_pf(f.body, 0)}")
+        return f"({s})" if req > 0 else s
+    raise KindMismatch(f"not a formula: {f!r}")
+
+
+def _pt(t: Term, req: int) -> str:
+    if isinstance(t, Lit):
+        if isinstance(t.value, str) or t.value is BOTTOM:  # would be a name
+            raise KindMismatch(f"no formula text for {t!r}")
+        return format_value(t.value)
+    if isinstance(t, Var):
+        return _name(t.name)
+    if isinstance(t, StreamAt):
+        return f"{_name(t.stream)}[{_pt(t.index, 0)}]"
+    if isinstance(t, Apply):
+        if t.op not in OPERATIONS or not t.args:
+            raise KindMismatch(f"no formula text for {t!r}")
+        if t.op in _INFIX and len(t.args) == 2:
+            text, prec = _INFIX[t.op]
+            s = _pt(t.args[0], prec) + text + _pt(t.args[1], prec + 1)
+            return f"({s})" if req > prec else s
+        # the parser folds "-" and a number into one literal, so neg of a
+        # numeric literal is spelt as a call
+        if (t.op == "neg" and len(t.args) == 1
+                and not _numeric_lit(t.args[0])):
+            s = _MINUS + _pt(t.args[0], _PREFIX)
+            return f"({s})" if req > _PREFIX else s
+        return f"{t.op}({', '.join(_pt(a, 0) for a in t.args)})"
+    raise KindMismatch(f"not a term: {t!r}")
+
+
+def _name(name: str) -> str:
+    """``name``, if the parser reads it as an identifier."""
+    if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
+        raise KindMismatch(f"no formula text for the name {name!r}")
+    return name

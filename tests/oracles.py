@@ -14,10 +14,12 @@ import re
 from typing import List, Optional
 
 from tagmon.errors import (
+    FormulaSyntaxError,
     KindMismatch,
     MonitorError,
     ScenarioFormatError,
     TraceFormatError,
+    UnknownSymbol,
 )
 from tagmon.formulas import (
     And,
@@ -55,7 +57,7 @@ from tagmon.scenarios import (
     ScenarioRun,
     Sentence,
 )
-from tagmon.streams import Operation, Relation, Stream, Window
+from tagmon.streams import OPERATIONS, Operation, Relation, Stream, Window
 from tagmon.values import BOTTOM, KINDS, Dec4, format_value, parse_value
 
 _CMP_FN = {
@@ -366,6 +368,296 @@ def reference_parse_scenario(text: str) -> ScenarioConfig:
                                     line=lineno))
 
     return ScenarioConfig(tuple(entities), schedule, tuple(rules))
+
+
+# -- formula text: the tokenizer, parser and printer before the operator table
+
+# each spelling written where it is read, as the engine's syntax was before
+# one table drove its tokenizer, parser and printer
+_FORMULA_KEYWORDS = {"true", "false", "not", "and", "or", "forall", "exists",
+                     "in"}
+_FORMULA_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_FORMULA_CMP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=",
+                     "gt": ">", "ge": ">="}
+_FORMULA_CMP_OPS = {text: name for name, text in _FORMULA_CMP_TEXT.items()}
+_FORMULA_INFIX = {"add": (" + ", 1), "sub": (" - ", 1),
+                  "mul": (" * ", 2), "div": (" / ", 2)}
+_FORMULA_TOKEN_RE = re.compile(r"""
+      (?P<ws>\s+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<number>[0-9]+(?:\.[0-9]+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op>\.\.|<=|>=|!=|[=<>+\-*/()\[\],:])
+""", re.VERBOSE)
+
+
+def _formula_tokens(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _FORMULA_TOKEN_RE.match(text, pos)
+        if not m:
+            raise FormulaSyntaxError(
+                f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "number":
+            tokens.append(("number", value, pos))
+        elif kind == "ident":
+            tokens.append(("keyword" if value in _FORMULA_KEYWORDS
+                           else "ident", value, pos))
+        elif kind == "op":
+            tokens.append((value, value, pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _formula_number(text: str, pos: int):
+    if "." not in text:
+        return int(text, 10)
+    frac = text.split(".", 1)[1]
+    if len(frac) > 4:
+        raise KindMismatch(
+            f"decimal {text!r} has more than 4 fractional digits "
+            f"(at position {pos})")
+    return Dec4.parse(text)
+
+
+def _foldable(t) -> bool:
+    return isinstance(t, Lit) and not isinstance(t.value, bool)
+
+
+def _integer_bound(t, side: str) -> None:
+    if isinstance(t, Lit) and (isinstance(t.value, bool)
+                               or not isinstance(t.value, int)):
+        raise KindMismatch(f"{side} quantifier bound must be an integer term")
+
+
+class _FormulaParser:
+    """Recursive descent with one method per precedence level."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        if tok[0] != "end":
+            self.i += 1
+        return tok
+
+    def expect(self, ttype):
+        tok = self.tokens[self.i]
+        if tok[0] != ttype:
+            raise FormulaSyntaxError(
+                f"expected {ttype!r}, found {tok[1] or 'end of input'!r}",
+                tok[2])
+        return self.next()
+
+    def at_keyword(self, word):
+        tok = self.peek()
+        return tok[0] == "keyword" and tok[1] == word
+
+    def formula(self):
+        f = self.and_f()
+        while self.at_keyword("or"):
+            self.next()
+            f = Or(f, self.and_f())
+        return f
+
+    def and_f(self):
+        f = self.not_f()
+        while self.at_keyword("and"):
+            self.next()
+            f = And(f, self.not_f())
+        return f
+
+    def not_f(self):
+        if self.at_keyword("not"):
+            self.next()
+            return Not(self.not_f())
+        if self.at_keyword("forall") or self.at_keyword("exists"):
+            return self.quantified()
+        return self.atom()
+
+    def quantified(self):
+        quantifier = self.next()[1]
+        var_tok = self.expect("ident")
+        tok = self.peek()
+        if not self.at_keyword("in"):
+            raise FormulaSyntaxError(
+                f"expected 'in', found {tok[1]!r}", tok[2])
+        self.next()
+        lo = self.term()
+        self.expect("..")
+        hi = self.term()
+        _integer_bound(lo, "lower")
+        _integer_bound(hi, "upper")
+        self.expect(":")
+        return Quant(quantifier, var_tok[1], lo, hi, self.formula())
+
+    def atom(self):
+        if self.peek()[0] == "(":
+            mark = self.i
+            try:
+                self.next()
+                f = self.formula()
+                self.expect(")")
+                return f
+            except FormulaSyntaxError:
+                self.i = mark
+        lhs = self.term()
+        tok = self.peek()
+        if tok[0] in _FORMULA_CMP_OPS:
+            self.next()
+            return Cmp(_FORMULA_CMP_OPS[tok[0]], lhs, self.term())
+        if isinstance(lhs, Lit) and isinstance(lhs.value, bool):
+            return BoolLit(lhs.value)
+        raise FormulaSyntaxError(
+            f"expected a comparison operator, found {tok[1] or 'end'!r}",
+            tok[2])
+
+    def call_args(self):
+        args = [self.term()]
+        while self.peek()[0] == ",":
+            self.next()
+            args.append(self.term())
+        self.expect(")")
+        return args
+
+    def term(self):
+        t = self.multerm()
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            t = Apply("add" if op == "+" else "sub", (t, self.multerm()))
+        return t
+
+    def multerm(self):
+        t = self.unary()
+        while self.peek()[0] in ("*", "/"):
+            op = self.next()[0]
+            t = Apply("mul" if op == "*" else "div", (t, self.unary()))
+        return t
+
+    def unary(self):
+        if self.peek()[0] == "-":
+            self.next()
+            operand = self.unary()
+            if _foldable(operand):
+                return Lit(-operand.value)
+            return Apply("neg", (operand,))
+        return self.primary()
+
+    def primary(self):
+        tok = self.next()
+        if tok[0] == "number":
+            return Lit(_formula_number(tok[1], tok[2]))
+        if tok[0] == "keyword" and tok[1] in ("true", "false"):
+            return Lit(tok[1] == "true")
+        if tok[0] == "(":
+            t = self.term()
+            self.expect(")")
+            return t
+        if tok[0] == "ident":
+            name = tok[1]
+            if self.peek()[0] == "(":
+                if name not in OPERATIONS:
+                    raise UnknownSymbol(
+                        f"unknown operation {name!r} (at position {tok[2]})")
+                self.next()
+                return Apply(name, tuple(self.call_args()))
+            if self.peek()[0] == "[":
+                self.next()
+                index = self.term()
+                self.expect("]")
+                return StreamAt(name, index)
+            return Var(name)
+        raise FormulaSyntaxError(
+            f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
+
+
+def _parse_formula_text(text: str, rule):
+    p = _FormulaParser(_formula_tokens(text))
+    tree = rule(p)
+    tok = p.peek()
+    if tok[0] != "end":
+        raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    return tree
+
+
+def reference_parse_formula(text: str):
+    return _parse_formula_text(text, _FormulaParser.formula)
+
+
+def reference_parse_term(text: str):
+    return _parse_formula_text(text, _FormulaParser.term)
+
+
+def _formula_name(name: str) -> str:
+    if (not _FORMULA_IDENT_RE.fullmatch(name)
+            or name in _FORMULA_KEYWORDS):
+        raise KindMismatch(f"no formula text for the name {name!r}")
+    return name
+
+
+def _term_text(t, req: int) -> str:
+    if isinstance(t, Lit):
+        if isinstance(t.value, str) or t.value is BOTTOM:
+            raise KindMismatch(f"no formula text for {t!r}")
+        return format_value(t.value)
+    if isinstance(t, Var):
+        return _formula_name(t.name)
+    if isinstance(t, StreamAt):
+        return f"{_formula_name(t.stream)}[{_term_text(t.index, 0)}]"
+    if isinstance(t, Apply):
+        if t.op not in OPERATIONS or not t.args:
+            raise KindMismatch(f"no formula text for {t!r}")
+        if t.op in _FORMULA_INFIX and len(t.args) == 2:
+            text, prec = _FORMULA_INFIX[t.op]
+            s = (_term_text(t.args[0], prec) + text
+                 + _term_text(t.args[1], prec + 1))
+            return f"({s})" if prec < req else s
+        if (t.op == "neg" and len(t.args) == 1
+                and not _foldable(t.args[0])):
+            s = "-" + _term_text(t.args[0], 3)
+            return f"({s})" if req > 3 else s
+        return f"{t.op}({', '.join(_term_text(a, 0) for a in t.args)})"
+    raise KindMismatch(f"not a term: {t!r}")
+
+
+def reference_print_formula(f, req: int = 0) -> str:
+    if isinstance(f, BoolLit):
+        return "true" if f.value else "false"
+    if isinstance(f, Cmp):
+        if f.op not in _FORMULA_CMP_TEXT:
+            raise KindMismatch(f"no formula text for {f!r}")
+        return (f"{_term_text(f.lhs, 1)} {_FORMULA_CMP_TEXT[f.op]} "
+                f"{_term_text(f.rhs, 1)}")
+    if isinstance(f, Not):
+        s = "not " + reference_print_formula(f.body, 3)
+        return f"({s})" if req > 3 else s
+    if isinstance(f, And):
+        s = (reference_print_formula(f.lhs, 2) + " and "
+             + reference_print_formula(f.rhs, 3))
+        return f"({s})" if req > 2 else s
+    if isinstance(f, Or):
+        s = (reference_print_formula(f.lhs, 1) + " or "
+             + reference_print_formula(f.rhs, 2))
+        return f"({s})" if req > 1 else s
+    if isinstance(f, Quant):
+        if f.quantifier not in ("forall", "exists"):
+            raise KindMismatch(f"no formula text for {f!r}")
+        _integer_bound(f.lo, "lower")
+        _integer_bound(f.hi, "upper")
+        s = (f"{f.quantifier} {_formula_name(f.var)} in "
+             f"{_term_text(f.lo, 0)} .. {_term_text(f.hi, 0)} : "
+             f"{reference_print_formula(f.body, 0)}")
+        return f"({s})" if req > 0 else s
+    raise KindMismatch(f"not a formula: {f!r}")
 
 
 # -- random generation ---------------------------------------------------------

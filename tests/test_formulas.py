@@ -14,7 +14,6 @@ from tagmon.errors import (
     UnknownSymbol,
 )
 from tagmon.formulas import (
-    _KEYWORDS,
     And,
     Apply,
     AttributeSpec,
@@ -30,13 +29,19 @@ from tagmon.formulas import (
     eval_formula,
     eval_term,
     instantiate,
-    print_formula,
 )
-from tagmon.parser import parse_formula, parse_term
+from tagmon.parser import _KEYWORDS, parse_formula, parse_term, print_formula
 from tagmon.streams import OPERATIONS, RELATIONS, Stream
 from tagmon.values import BOTTOM, Dec4
 
-from oracles import brute_formula, random_formula, random_int_stream
+from oracles import (
+    brute_formula,
+    random_formula,
+    random_int_stream,
+    reference_parse_formula,
+    reference_parse_term,
+    reference_print_formula,
+)
 
 
 def bac_trace(peak_at=None, peak=None, gap_at=None):
@@ -94,6 +99,91 @@ def test_parse_negative_literals_fold():
     assert parse_term("-5") == Lit(-5)
     assert parse_term("-0.0150") == Lit(Dec4(-150))
     assert parse_term("-x") == Apply("neg", (Var("x"),))
+
+
+def test_parse_nested_negation():
+    assert parse_term("- -x") == Apply("neg", (Apply("neg", (Var("x"),)),))
+    assert parse_term("-(-3)") == Lit(3)
+
+
+# every token of the formula language, and a few that are not tokens
+TEXT_VOCABULARY = (
+    "x", "b", "k", "t1", "max", "neg", "lt", "true", "false", "not", "and",
+    "or", "forall", "exists", "in", "0", "12", "0.5", "2.00001", "+", "-",
+    "*", "/", "=", "!=", "<", "<=", ">", ">=", "..", "(", ")", "[", "]", ",",
+    ":", "# c\n", "$", "==")
+OPERANDS = ("x", "b", "k", "t1", "0", "12", "0.5", "true", "false")
+
+
+def grammar_tokens(rng, depth, formula):
+    """The tokens of a random formula, or term, that the grammar reads."""
+    roll = rng.random() if depth > 0 else 0
+
+    def sub(is_formula):
+        return grammar_tokens(rng, depth - 1, is_formula)
+
+    if formula:
+        if roll < 0.4:
+            return [*sub(False), rng.choice(("=", "!=", "<", "<=", ">", ">=")),
+                    *sub(False)]
+        if roll < 0.5:
+            return ["not", *sub(True)]
+        if roll < 0.6:
+            return [rng.choice(("forall", "exists")), "k", "in", *sub(False),
+                    "..", *sub(False), ":", *sub(True)]
+        if roll < 0.7:
+            return ["(", *sub(True), ")"]
+        return [*sub(True), rng.choice(("and", "or")), *sub(True)]
+    if roll < 0.3:
+        return [rng.choice(OPERANDS)]
+    if roll < 0.4:
+        return ["-", *sub(False)]
+    if roll < 0.5:
+        return ["(", *sub(False), ")"]
+    if roll < 0.6:
+        return [rng.choice(("max", "neg")), "(", *sub(False), ",",
+                *sub(False), ")"]
+    if roll < 0.7:
+        return ["b", "[", *sub(False), "]"]
+    return [*sub(False), rng.choice(("+", "-", "*", "/")), *sub(False)]
+
+
+def random_text(rng):
+    """Tokens drawn from ``TEXT_VOCABULARY``, or the tokens of a formula or
+    term with a few of them replaced by such draws, at random spacing."""
+    if rng.random() < 0.5:
+        tokens = [rng.choice(TEXT_VOCABULARY)
+                  for _ in range(rng.randint(1, 12))]
+    else:
+        tokens = [rng.choice(TEXT_VOCABULARY) if rng.random() < 0.02 else tok
+                  for tok in grammar_tokens(rng, 4, rng.random() < 0.5)]
+    return "".join(rng.choice(("", " ", " ", " ")) + tok for tok in tokens)
+
+
+def _outcome(fn, arg):
+    try:
+        result = fn(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result, repr(result)
+
+
+def test_formula_text_matches_the_reference_parser_and_printer():
+    # the tree or the error of each text, and the text or the error of
+    # printing each tree
+    rng = random.Random(7)
+    for _ in range(8000):
+        text = random_text(rng)
+        for parse, reference in ((parse_formula, reference_parse_formula),
+                                 (parse_term, reference_parse_term)):
+            tree = _outcome(parse, text)
+            assert tree == _outcome(reference, text), text
+            if isinstance(tree[0], type):
+                continue
+            f = tree[0] if parse is parse_formula else Cmp("lt", tree[0],
+                                                            Lit(0))
+            assert (_outcome(print_formula, f)
+                    == _outcome(reference_print_formula, f)), text
 
 
 def test_parse_stream_access():
@@ -190,6 +280,17 @@ def test_eval_term_bottom_is_strict():
 def test_eval_term_sampled_max_ignores_between_samples():
     env = Environment({}, {"b": bac_trace(peak_at=31, peak=Dec4(9000))})
     assert eval_term(parse_term("max(b, 0, 120, 30)"), env) == Dec4(100)
+
+
+@pytest.mark.parametrize("x, negated", [
+    (5, -5), (Dec4(250), Dec4(-250)), (BOTTOM, BOTTOM)])
+def test_eval_unary_minus(x, negated):
+    assert eval_term(parse_term("-x"), Environment({"x": x})) == negated
+
+
+def test_eval_unary_minus_refuses_a_boolean():
+    with pytest.raises(KindMismatch, match="^cannot negate a boolean$"):
+        eval_term(parse_term("-x"), Environment({"x": True}))
 
 
 def test_eval_term_errors():

@@ -46,6 +46,14 @@ READINGS = {
     "label": ("green", "amber", "NA"),
 }
 ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def tick_prefix(t, v):
+    """Tick t written as a proper prefix of itself (1749 as 174), which a
+    tick check that compares the text alone takes for t."""
+    return f"{t // 10},{v}" if t >= 10 else f"{t},{v}"
+
+
 # (tick, reading) -> line: ticks that int() accepts and faults of every kind
 LINE_MANGLES = (
     lambda t, v: f" {t},{v}",
@@ -56,7 +64,7 @@ LINE_MANGLES = (
     lambda t, v: f"{t}".translate(ARABIC_DIGITS) + f",{v}",
     lambda t, v: f"{t + 1},{v}",
     lambda t, v: f"{t - 1},{v}",
-    lambda t, v: f"{t // 10},{v}" if t >= 10 else f"{t},{v}",
+    tick_prefix,
     lambda t, v: f"x,{v}",
     lambda t, v: f",{v}",
     lambda t, v: f"{t};{v}",
@@ -135,10 +143,13 @@ def trace_texts(draw):
         readings[first:last] = ["NA"] * (last - first)
     lines = [f"{start + i},{v}" for i, v in enumerate(readings)]
     cuts = cut_lines(lines)
+    # in a quarter of the column-read traces, a fault on the first chunk's
+    # last line, whose tick ends the first tick comparison
+    at_cut = kind in ("decimal", "boolean") and rng.random() < 0.25
     # end the trace early, on the line before, on or after a cut, or past
     # the second cut
-    n = draw(st.sampled_from([1, 2, 3, cuts[0], cuts[0] + 1, cuts[0] + 2,
-                              cuts[1] + 2]))
+    ends = [cuts[0] + 1, cuts[0] + 2, cuts[1] + 2]
+    n = draw(st.sampled_from(ends if at_cut else [1, 2, 3, cuts[0], *ends]))
     del lines[n:]
     # mangle lines just before, on and after a cut, or at the ends
     near = sorted({i for c in cuts
@@ -147,6 +158,10 @@ def trace_texts(draw):
     for _ in range(rng.choice((0, 1, 1, 2))):
         i = rng.choice(near)
         lines[i] = rng.choice(LINE_MANGLES)(start + i, readings[i])
+    if at_cut:
+        i = cuts[0]
+        mangle = rng.choice((tick_prefix, rng.choice(LINE_MANGLES)))
+        lines[i] = mangle(start + i, readings[i])
     header = f"trace b {kind} {start} {start + n}"
     if rng.random() < 0.1:
         header = rng.choice(HEADER_MANGLES)(header)
