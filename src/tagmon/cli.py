@@ -7,8 +7,8 @@
 
 A run executes every monitoring cycle in time order over recorded traces and
 writes records.log and notifications.log to the output directory, replacing
-both or, if writing fails, neither.  Outputs
-are deterministic: rerunning the same scenario and traces reproduces the
+both or, if writing or moving either fails, neither.  Outputs are
+deterministic: rerunning the same scenario and traces reproduces the
 files byte for byte.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 from pathlib import Path
 from typing import Dict
@@ -139,24 +140,47 @@ def cmd_validate(args) -> int:
 def _write_logs(out_dir, texts: Dict[str, str]) -> None:
     """Write each named log into ``out_dir``, replacing all or none of them.
 
-    Every text goes to a temporary file in the directory first; the files are
+    Every text goes to a temporary file in the directory first, and each
+    previous log is kept under a hard link to a backup name; the files are
     moved into place only once all are written.  On failure the temporary
-    files are removed and the previous logs are left as they were.
+    files are removed, each log already moved is put back from its backup
+    or, if there was no previous log, removed, and the error is raised.  A
+    kill between two moves can still leave a mixed pair: the standard
+    library has no atomic swap of two files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    pid = os.getpid()
+    logs = [(out / name, out / f".{name}.{pid}.tmp",
+             out / f".{name}.{pid}.bak") for name in texts]
+    kept, moved = set(), set()
     try:
-        for name, text in texts.items():
-            temp = out / f".{name}.{os.getpid()}.tmp"
-            written.append((temp, out / name))
+        for (_, temp, _), text in zip(logs, texts.values()):
             temp.write_text(text, encoding="ascii")
-        for temp, final in written:
+        for final, _, backup in logs:
+            backup.unlink(missing_ok=True)  # left by a killed run
+            try:
+                # a directory is never replaced, so it needs no backup
+                if not stat.S_ISDIR(os.lstat(final).st_mode):
+                    os.link(final, backup, follow_symlinks=False)
+                    kept.add(final)
+            except FileNotFoundError:
+                pass  # no previous log
+        for final, temp, _ in logs:
             os.replace(temp, final)
+            moved.add(final)
     except BaseException:
-        for temp, _ in written:
+        for final, temp, backup in logs:
             temp.unlink(missing_ok=True)
+            if final not in moved:
+                backup.unlink(missing_ok=True)
+            elif final in kept:
+                os.replace(backup, final)
+            else:
+                final.unlink()
         raise
+    for _, _, backup in logs:
+        backup.unlink(missing_ok=True)
 
 
 def execute_scenario(config, base_dir, out_dir) -> RunResult:
@@ -194,8 +218,8 @@ def cmd_run(args) -> int:
         print(f"run failed: {args.out}: {exc.strerror or 'unwritable'}",
               file=sys.stderr)
         return EXIT_RUNTIME
-    for entity, exc in result.errors:
-        print(f"cycle error for {entity}: {exc}", file=sys.stderr)
+    for now, entity, exc in result.errors:
+        print(f"cycle error for {entity} at t={now}: {exc}", file=sys.stderr)
     status = EXIT_RUNTIME if result.errors else EXIT_OK
     print(run_summary(result, status))
     return status

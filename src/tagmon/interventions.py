@@ -152,12 +152,12 @@ def apply_policy(rec: Record, policy: Policy
 
 class RunResult:
     """What one cycle, or a run of cycles, leaves: the characteristics
-    after it, its records and notifications, and each failing entity's
-    error."""
+    after it, its records and notifications, and each failure as the
+    cycle's tick, the failing entity and its error."""
 
     def __init__(self, characteristics: Dict[str, Characteristics],
                  records: List[Record], notifications: List[Notification],
-                 errors: List[Tuple[str, MonitorError]]):
+                 errors: List[Tuple[int, str, MonitorError]]):
         self.characteristics = characteristics
         self.records = records
         self.notifications = notifications
@@ -185,7 +185,7 @@ def run_cycle(params_by_entity: Mapping[str, Mapping],
                           params_by_entity[entity])
             _, chi, notes = apply_policy(rec, policy)
         except MonitorError as exc:
-            cycle.errors.append((entity, exc))
+            cycle.errors.append((now, entity, exc))
             continue
         cycle.characteristics[entity] = chi
         cycle.records.append(rec)

@@ -31,14 +31,13 @@ Under a [schedule] a sentence's t1,t2 must be 0 and the tick of the last
 upload, (days-1)*1440 + the last upload time.
 
 ``parse_scenario`` and ``format_scenario`` read one table of sections and
-keys, and round-trip structurally.  Checking and building are one pass that
-loads each trace and builds each entity's run once: ``validate_scenario``
-returns that pass's diagnostics instead of raising, so a command line can
-report them all, and ``build_scenario`` wires a runnable engine from the
-same pass or raises ``InvalidScenario`` carrying every diagnostic.  One
-function checks and builds an entity: it works out the entity's kind once,
-and each fault it finds becomes one ``entity X: ...`` diagnostic on the
-entity's line.
+keys, and round-trip structurally.  One pass checks and builds each section
+in one place: it loads each trace and builds each entity's run once, and
+makes each rule its intervention as it checks it.  Each fault is one
+diagnostic on its line, and the diagnostics come in file order:
+``validate_scenario`` returns them instead of raising, so a command line
+can report them all, and ``build_scenario`` wires a runnable engine from
+the same pass or raises ``InvalidScenario`` carrying every diagnostic.
 
 Validation checks the scenario, not the engine: the predicate families are
 fixed code, so their partition property (exactly one judgement holds) is
@@ -295,28 +294,31 @@ class InvalidScenario(ScenarioFormatError):
         self.diagnostics = diagnostics
 
 
-def _entity_run(ent: EntityConfig, base: Path,
+# (has a sentence, has a curfew) -> judgement set, default status, trace kind
+_KINDS = {
+    (True, False): (ALCOHOL_JUDGEMENTS, GREEN, DECIMAL),
+    (False, True): (CURFEW_JUDGEMENTS, COMPLIANT, BOOLEAN),
+}
+
+
+def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
                 schedule: Union[None, ReportSchedule, MonitorError],
-                judgement_sets: List[JudgementSet],
                 faults: List[str]) -> Optional[ScenarioRun]:
     """An entity's run, or a MonitorError at the first fault that stops it.
 
+    ``kind`` is the entity's row of ``_KINDS``, or None if it has none.
     ``schedule`` is the scenario's [schedule], or the fault that built none,
-    or None without the section.  The entity's kind adds its judgement set to
-    ``judgement_sets``.  The faults that do not stop the build, a status
-    outside the kind's judgements and nights on a sentence entity, go to
-    ``faults``, and the entity is built with its kind's default status.
+    or None without the section.  The faults that do not stop the build, a
+    status outside the kind's judgements and nights on a sentence entity, go
+    to ``faults``, and the entity is built with its kind's default status.
     A curfew entity under a [schedule] gets every check that needs no trace
     and then None: the scenario's "[schedule] applies to sentence entities
     only" diagnostic rejects it, so its trace is not read.
     """
-    if (ent.sentence is None) == (ent.curfew is None):
+    if kind is None:
         raise ScenarioFormatError("needs exactly one of sentence/curfew")
     alcohol = ent.sentence is not None
-    judgements, status, trace_kind = (
-        (ALCOHOL_JUDGEMENTS, GREEN, DECIMAL) if alcohol
-        else (CURFEW_JUDGEMENTS, COMPLIANT, BOOLEAN))
-    judgement_sets.append(judgements)
+    judgements, status, trace_kind = kind
     if ent.status in judgements:
         status = ent.status
     elif ent.status is not None:
@@ -328,11 +330,10 @@ def _entity_run(ent: EntityConfig, base: Path,
             sentence = Sentence(*ent.sentence)
         elif (not isinstance(schedule, MonitorError)
               and ent.sentence[:2] != (0, schedule.last_upload)):
-            t1, t2 = ent.sentence[:2]
             raise ScenarioFormatError(
                 f"under [schedule] the sentence must span "
                 f"0,{schedule.last_upload} (t=0 to the last upload), "
-                f"got {t1},{t2}")
+                f"got {ent.sentence[0]},{ent.sentence[1]}")
     elif ent.nights is None:
         raise ScenarioFormatError("curfew needs nights")
     if ent.trace is None:
@@ -343,7 +344,7 @@ def _entity_run(ent: EntityConfig, base: Path,
     try:
         if not trace_path.is_file():
             raise ScenarioFormatError(f"trace file not found: {ent.trace}")
-        _, kind, stream = load_trace(trace_path)
+        _, loaded, stream = load_trace(trace_path)
     except OSError as exc:
         raise ScenarioFormatError(
             f"cannot read trace {ent.trace}: "
@@ -351,9 +352,9 @@ def _entity_run(ent: EntityConfig, base: Path,
     except TraceFormatError as exc:
         raise ScenarioFormatError(
             f"{ent.trace}:{exc.line}: {exc.message}") from None
-    if kind != trace_kind:
+    if loaded != trace_kind:
         raise ScenarioFormatError(
-            f"trace kind {kind!r}, expected {trace_kind!r}")
+            f"trace kind {loaded!r}, expected {trace_kind!r}")
     if not alcohol:
         order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
         return build_curfew_scenario(order, ent.entity, status)
@@ -362,28 +363,23 @@ def _entity_run(ent: EntityConfig, base: Path,
     if isinstance(schedule, MonitorError):
         # the schedule's fault is also each sentence entity's
         raise ScenarioFormatError(str(schedule))
-    _, _, s, eps, delta = ent.sentence
-    return build_extended_scenario(schedule, s, eps, delta, stream,
+    return build_extended_scenario(schedule, *ent.sentence[2:], stream,
                                    ent.entity, status)
 
 
 def _check_and_build(config: ScenarioConfig, base_dir
-                     ) -> Tuple[List[Diagnostic], List[ScenarioRun],
-                                JudgementSet]:
-    """The one pass over a config: diagnostics, each sound entity's run and
-    the union of the entities' judgement sets that the rules are checked
-    against.
+                     ) -> Tuple[List[Diagnostic], List[ScenarioRun], Policy]:
+    """The one pass over a config: its diagnostics, stably sorted by line,
+    the runs of its sound entities and the policy of its sound rules, the
+    last two complete only when there are no diagnostics.
 
-    Each trace is loaded and each entity's run built at most once, by
-    ``_entity_run``; every fault it reports becomes one ``entity X: ...``
-    diagnostic on the entity's line, the faults that do not stop the build
-    first.  The runs and the union are only complete when there are no
-    diagnostics.
+    Each section is checked and built in one place, and each fault of an
+    entity or rule is one ``entity X: ...`` or ``rule X: ...`` diagnostic on
+    its line.  The rules are checked against the union of the judgement sets
+    of the entities' kinds, which the config gives without reading a trace.
     """
     base = Path(base_dir)
     diagnostics: List[Diagnostic] = []
-    runs: List[ScenarioRun] = []
-
     if not config.entities:
         diagnostics.append(Diagnostic(0, "no entities declared"))
 
@@ -394,56 +390,54 @@ def _check_and_build(config: ScenarioConfig, base_dir
                                       config.schedule.days)
         except MonitorError as exc:
             schedule = exc
+            diagnostics.append(Diagnostic(config.schedule.line, str(exc)))
 
+    runs: List[ScenarioRun] = []
     judgement_sets: List[JudgementSet] = []
     for ent in config.entities:
+        kind = _KINDS.get((ent.sentence is not None, ent.curfew is not None))
+        if kind is not None:
+            judgement_sets.append(kind[0])
         faults: List[str] = []
         try:
-            run = _entity_run(ent, base, schedule, judgement_sets, faults)
+            run = _entity_run(ent, kind, base, schedule, faults)
         except MonitorError as exc:
             faults.append(str(exc))
         else:
             if run is not None:
                 runs.append(run)
-        diagnostics.extend(
-            Diagnostic(ent.line, f"entity {ent.entity}: {fault}")
-            for fault in faults)
-
-    if isinstance(schedule, MonitorError):
-        diagnostics.append(Diagnostic(config.schedule.line, str(schedule)))
-    if config.schedule is not None:
-        for ent in config.entities:
-            if ent.curfew is not None:
-                diagnostics.append(Diagnostic(
-                    ent.line, f"entity {ent.entity}: [schedule] applies to "
-                              "sentence entities only"))
+        if schedule is not None and ent.curfew is not None:
+            faults.append("[schedule] applies to sentence entities only")
+        diagnostics += [Diagnostic(ent.line, f"entity {ent.entity}: {fault}")
+                        for fault in faults]
 
     labels = judgement_union(judgement_sets) if judgement_sets else ()
+    interventions: List[Intervention] = []
     names = set()
     for rule in config.rules:
-        if rule.name in names:
-            diagnostics.append(Diagnostic(
-                rule.line, f"rule {rule.name}: duplicate rule name"))
+        faults = ["duplicate rule name"] if rule.name in names else []
         names.add(rule.name)
-        for label in dict.fromkeys(rule.labels):
-            if rule.labels.count(label) > 1:
-                diagnostics.append(Diagnostic(rule.line, f"rule {rule.name}: "
-                                              f"label {label!r} listed twice"))
+        faults += [f"label {label!r} listed twice" for label in
+                   dict.fromkeys(rule.labels) if rule.labels.count(label) > 1]
         unknown = [lb for lb in rule.labels if lb not in labels]
         if unknown:
-            diagnostics.append(Diagnostic(
-                rule.line, f"rule {rule.name}: labels {unknown} match no "
-                           "entity's judgements"))
+            faults.append(f"labels {unknown} match no entity's judgements")
         if rule.field_name != "status":
-            diagnostics.append(Diagnostic(
-                rule.line, f"rule {rule.name}: no settable field "
-                           f"{rule.field_name!r} in the entity schemas"))
+            faults.append(f"no settable field {rule.field_name!r} in the "
+                          "entity schemas")
+        diagnostics += [Diagnostic(rule.line, f"rule {rule.name}: {fault}")
+                        for fault in faults]
+        if not faults:
+            interventions.append(Intervention(
+                rule.name, Trigger(labels, frozenset(rule.labels)),
+                Action.set_from_judgement(rule.field_name)))
 
-    return diagnostics, runs, labels
+    diagnostics.sort(key=lambda diag: diag.line)
+    return diagnostics, runs, Policy(tuple(interventions))
 
 
 def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
-    """Semantic diagnostics of a parsed scenario.
+    """Semantic diagnostics of a parsed scenario, in file order.
 
     Checks each entity's kind, status, sentence or curfew terms and trace
     (present, readable, of the right kind and covering every cycle), the
@@ -463,14 +457,10 @@ def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:
     in file order, each trigger is total over the union of the entities'
     judgement sets, and without the section no rule fires.
     """
-    diagnostics, runs, labels = _check_and_build(config, base_dir)
+    diagnostics, runs, policy = _check_and_build(config, base_dir)
     if diagnostics:
         raise InvalidScenario(diagnostics)
-    return merge_runs(runs, Policy(tuple(
-        Intervention(name=rule.name,
-                     trigger=Trigger(labels, frozenset(rule.labels)),
-                     action=Action.set_from_judgement(rule.field_name))
-        for rule in config.rules)))
+    return merge_runs(runs, policy)
 
 
 def load_scenario(path):

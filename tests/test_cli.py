@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import tagmon.cli
+import tagmon.interventions
 import tagmon.scenario_file
 import tagmon.streams
 
@@ -20,7 +21,7 @@ from tagmon.cli import (
     main,
     run_summary,
 )
-from tagmon.errors import BadParams
+from tagmon.errors import BadParams, OutOfWindow
 from tagmon.streams import load_trace
 from tagmon.values import Dec4
 
@@ -81,6 +82,20 @@ def test_rerun_is_byte_identical(scenarios_dir, tmp_path):
                      "--out", str(out)]) == EXIT_OK
     for name in ("records.log", "notifications.log"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_over_previous_logs_leaves_only_the_logs(scenarios_dir, tmp_path):
+    # the previous logs are kept under backup names until both moves are
+    # done; a finished run leaves no backup or temporary file behind
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("records.log", "notifications.log"):
+        (out / name).write_text("old\n")
+    assert main(["run", str(scenarios_dir / "alcohol_spike.scenario"),
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notifications.log", "records.log"]
+    assert (out / "records.log").read_text().startswith("720|PID-7|")
 
 
 MIXED_TEXT = """\
@@ -390,9 +405,9 @@ GOLDEN_DIAGNOSTICS = {
     ],
     "bad-schedule": [
         "1: entity A: upload times must be strictly increasing: (1380, 420)",
+        "6: entity B: [schedule] applies to sentence entities only",
         "11: entity C: trace kind 'boolean', expected 'decimal'",
         "15: upload times must be strictly increasing: (1380, 420)",
-        "6: entity B: [schedule] applies to sentence entities only",
     ],
     "schedule": [
         "1: entity A: under [schedule] the sentence must span 0,2820 (t=0 to "
@@ -443,6 +458,39 @@ def test_validate_reads_no_trace_of_a_curfew_entity_under_schedule(
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_diagnostics_come_in_file_order(tmp_path, capsys, command):
+    # the [policy] section comes first, so its rule's fault does too
+    scenario = tmp_path / "first.scenario"
+    scenario.write_text("""\
+[policy]
+rule = r: on purple set status
+
+[entity A]
+sentence = 0,2820,60,0.0200,0.0050
+status = green
+# no trace
+
+[schedule]
+uploads = 23:00,07:00
+days = 2
+
+[entity B]
+curfew = 19:00,07:00
+nights = 1
+trace = presence.trace
+""")
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "".join(
+        f"{scenario}:{line}\n" for line in [
+            "2: rule r: labels ['purple'] match no entity's judgements",
+            "4: entity A: missing trace",
+            "9: upload times must be strictly increasing: (1380, 420)",
+            "13: entity B: [schedule] applies to sentence entities only"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_scenario_wide_fault_has_no_line(tmp_path, capsys, command):
     scenario = tmp_path / "empty.scenario"
     scenario.write_text("")
@@ -450,6 +498,27 @@ def test_scenario_wide_fault_has_no_line(tmp_path, capsys, command):
     assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"{scenario}: no entities declared\n"
     assert not out.exists()
+
+
+def test_cycle_error_names_its_tick(scenarios_dir, tmp_path, monkeypatch,
+                                    capsys):
+    # PID-9's observation fails on night 3 only; the run goes on, writes the
+    # other six nights' records and exits 2
+    monitor = tagmon.interventions.monitor
+
+    def fails_on_night_3(entity, chi, family, stream, now, params):
+        if now == 4740:
+            raise OutOfWindow("tick 4740 outside the window")
+        return monitor(entity, chi, family, stream, now, params)
+    monkeypatch.setattr(tagmon.interventions, "monitor", fails_on_night_3)
+    out = tmp_path / "out"
+    assert main(["run", str(scenarios_dir / "curfew.scenario"),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "cycle error for PID-9 at t=4740: tick 4740 outside the window\n")
+    assert [line.split("|")[0] for line in
+            (out / "records.log").read_text().splitlines()] == [
+        "1860", "3300", "6180", "7620", "9060", "10500"]
 
 
 def test_run_into_a_file_is_a_runtime_failure(scenarios_dir, tmp_path,
@@ -490,6 +559,32 @@ def test_failed_log_write_keeps_the_previous_logs(scenarios_dir, tmp_path,
     assert capsys.readouterr().err == \
         f"run failed: {out}: No space left on device\n"
     assert {p.name: p.read_text() for p in out.iterdir()} == previous
+
+
+@pytest.mark.parametrize("previous", [False, True])
+@pytest.mark.parametrize("taken", ["records.log", "notifications.log"])
+def test_failed_log_move_keeps_the_previous_logs(scenarios_dir, tmp_path,
+                                                 capsys, taken, previous):
+    # a directory in one log's place fails that log's move; records.log is
+    # moved first, so with notifications.log taken it must be put back, or
+    # removed if there was no records.log before
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    (out / taken / "inside").write_text("kept\n")
+    if previous:
+        for name in {"records.log", "notifications.log"} - {taken}:
+            (out / name).write_text(f"old {name}\n")
+
+    def files():
+        return {str(p.relative_to(out)): p.is_file() and p.read_bytes()
+                for p in out.rglob("*")}
+    before = files()
+    assert main(["run", str(scenarios_dir / "alcohol_spike.scenario"),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == f"run failed: {out}: Is a directory\n"
+    assert captured.out == ""
+    assert files() == before
 
 
 # -- trace generation -----------------------------------------------------------

@@ -229,8 +229,8 @@ def test_run_cycle_isolates_entity_errors():
                        policy, now=120)
     assert [r.entity for r in result.records] == ["PID-7"]
     assert [n.entity for n in result.notifications] == ["PID-7"]
-    assert [(e, type(exc)) for e, exc in result.errors] == [
-        ("PID-9", OutOfWindow)]
+    assert [(now, e, type(exc)) for now, e, exc in result.errors] == [
+        (120, "PID-9", OutOfWindow)]
     assert result.characteristics["PID-7"].get("status") == "red"
     assert result.characteristics["PID-9"] == chi["PID-9"]
 

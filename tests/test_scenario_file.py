@@ -311,6 +311,21 @@ def test_validate_unknown_rule_labels(tmp_path):
     assert any("purple" in d.message for d in diagnostics)
 
 
+def test_rule_labels_are_checked_against_the_entities_kinds(tmp_path):
+    # B's trace is missing, so B builds no run, yet its kind's labels are
+    # known from the config: the rule's "violation" is no fault
+    write_dry_trace(tmp_path)
+    text = ALCOHOL_TEXT.replace("[policy]", """\
+[entity B]
+curfew = 19:00,07:00
+nights = 1
+trace = traces/gone.trace
+
+[policy]""").replace("on amber,red,absent", "on red,violation")
+    assert validate_scenario(parse_scenario(text), tmp_path) == [
+        Diagnostic(7, "entity B: trace file not found: traces/gone.trace")]
+
+
 def test_validate_repeated_rule_name(tmp_path):
     write_dry_trace(tmp_path)
     text = ALCOHOL_TEXT + "rule = b: on red set status\n" \
@@ -495,8 +510,8 @@ def test_invalid_schedule_is_reported_for_each_sentence_entity(tmp_path):
     diagnostics = validate_scenario(parse_scenario(text), tmp_path)
     assert [(d.line, d.message) for d in diagnostics] == [
         (1, "entity PID-7: need at least one day, got 0"),
-        (9, "entity PID-8: need at least one day, got 0"),
-        (6, "need at least one day, got 0")]
+        (6, "need at least one day, got 0"),
+        (9, "entity PID-8: need at least one day, got 0")]
 
 
 def test_build_scenario_raises_every_diagnostic(tmp_path):
