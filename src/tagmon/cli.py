@@ -244,6 +244,12 @@ def tick(text: str) -> int:
 
 def cmd_gen_trace(args) -> int:
     try:
+        for option, value, kind in (
+                ("--spike-at", args.spike_at, "spike"),
+                ("--spike-value", args.spike_value, "spike"),
+                ("--gap", args.gap, "gap")):
+            if value is not None and args.kind != kind:
+                raise BadParams(f"{option} needs --kind {kind}")
         if args.kind == "dry":
             stream = gen_dry(args.minutes, args.seed)
         elif args.kind == "spike":

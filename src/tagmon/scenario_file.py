@@ -91,7 +91,7 @@ _CLOCK_RE = re.compile(r"([0-9]{1,2}):([0-9]{2})\Z")
 
 def parse_clock(text: str, line: int = 0) -> int:
     """HH:MM -> minute tick within a day."""
-    m = _CLOCK_RE.match(text.strip())
+    m = _CLOCK_RE.match(text)
     if not m:
         raise ScenarioFormatError(f"bad clock time {text!r}", line)
     hours, minutes = int(m.group(1)), int(m.group(2))
@@ -193,7 +193,7 @@ _SECTIONS = {
         "trace": (_read_trace, str),
     },
     "schedule": {
-        "uploads": (lambda text, line: tuple(parse_clock(p, line)
+        "uploads": (lambda text, line: tuple(parse_clock(p.strip(), line)
                                              for p in text.split(",")),
                     lambda u: ",".join(map(format_clock, u))),
         "days": (_read_int, str),

@@ -33,8 +33,10 @@ values.
 
 ``parse_trace`` reads a trace's text in place, without a list of its lines:
 in chunks cut at the first line break past a fixed number of characters.
-The ticks of the chunks of plain lines are compared in order with the
-window's tick column, which a small cache keeps for a fleet's traces.
+One rule accepts a chunk, whatever the trace's kind: one match of the kind's
+plain pattern, and one comparison of its ticks with the window's tick
+column, which a small cache keeps for a fleet's traces.  Any other chunk is
+refused; the per-line checks only word its fault.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ from .values import (
     BOTTOM,
     COMPARISONS,
     DECIMAL,
+    INTEGER,
     KINDS,
+    LABEL,
+    LABEL_PATTERN,
     CarrierValue,
     Dec4,
     _LABEL_RE,
@@ -167,10 +172,10 @@ class _Decimals(Stream):
     """A decimal trace: its readings' texts joined into one string, reading
     i at ``_ends[i]:_ends[i + 1]`` of it.
 
-    ``parse_trace`` builds it from the texts of each chunk of value lines.
-    Every text is NA or a decimal written as ``format_value`` writes it, so
-    that a reading is converted to a Dec4 only when it is read, and cannot
-    fail then.
+    ``parse_trace`` builds it from the texts of each chunk of plain value
+    lines.  Every text is NA or a decimal written as ``format_value``
+    writes it, so that a reading is converted to a Dec4 only when it is
+    read, and cannot fail then.
     """
 
     __slots__ = ("_ends",)
@@ -188,12 +193,6 @@ class _Decimals(Stream):
         self.window = window
         self._readings = "".join(parts)
         self._ends = ends
-
-    @staticmethod
-    def split_plain(chunk: str) -> Tuple[str, List[str]]:
-        """A plain chunk's ticks, one per line, and its reading texts."""
-        cells = chunk.replace("\n", ",").split(",")
-        return "\n".join(cells[0::2]), cells[1::2]
 
     @property
     def values(self) -> tuple:
@@ -247,27 +246,21 @@ _TO_TICKS = str.maketrans("", "", ",truefalsNA")
 
 
 class _Booleans(Stream):
-    """A boolean trace: one byte code per tick, 0 false, 1 true, 2 NA.
-
-    ``parse_trace`` builds it from the texts of each chunk of value lines.
-    """
+    """A boolean trace: one byte code per tick, 0 false, 1 true, 2 NA,
+    read off each chunk of plain value lines by ``_TO_CODES``."""
 
     __slots__ = ()
 
-    def __init__(self, window: Window, chunks: Iterable[List[str]]):
-        """Each chunk's texts, joined, are true, false and NA readings and
-        maybe ticks, commas and line breaks, which are dropped."""
+    def __init__(self, window: Window, chunks: Iterable[str]):
         self.window = window
         self._readings = bytearray()
-        for texts in chunks:
-            self._readings += "".join(texts).translate(_TO_CODES).encode(
-                "ascii")
+        for chunk in chunks:
+            self._readings += chunk.translate(_TO_CODES).encode("ascii")
 
     @staticmethod
-    def split_plain(chunk: str) -> Tuple[str, List[str]]:
-        """A plain chunk's ticks, one per line, and the chunk itself, whose
-        readings are read by the code table."""
-        return chunk.translate(_TO_TICKS), [chunk]
+    def split_plain(chunk: str) -> Tuple[str, str]:
+        """A plain chunk's ticks, one per line, and the chunk itself."""
+        return chunk.translate(_TO_TICKS), chunk
 
     @property
     def values(self) -> tuple:
@@ -468,19 +461,23 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 # fractional digits.
 
 _STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
+# the fault of a refused chunk whose lines pass every per-line check
+_UNWORDED_FAULT = "value lines not written as a trace writes them"
 # a chunk of value lines ends at the first line break this many characters
 # or more past its start
 _CHUNK_CHARS = 16384
 # ticks turned into strings at a time when a window's tick column is built
 _COLUMN_BLOCK = 4096
-# value lines that need no per-line check besides their ticks' order, each
-# reading written as format_value writes it; the patterns are compiled (and
-# cached by ``re``) when a trace is first read
+# value lines written as ``format_trace`` writes them, but for their ticks,
+# which must also continue the window's tick column; the patterns are
+# compiled (and cached by ``re``) when a trace is first read
 _PLAIN_LINES = {
     kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
     for kind, reading in (
         (DECIMAL, r"(?:(?:0|-?[1-9][0-9]*|-0(?!\.0000))\.[0-9]{4}|NA)"),
-        (BOOLEAN, r"(?:true|false|NA)"))}
+        (BOOLEAN, r"(?:true|false|NA)"),
+        (INTEGER, r"(?:0|-?[1-9][0-9]*|NA)"),
+        (LABEL, f"(?:{LABEL_PATTERN})"))}  # which also spells NA
 # the line breaks that ``str.splitlines`` honours besides \n, and the
 # ASCII ones among them
 _LINE_BREAKS = r"\r\n?|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
@@ -509,13 +506,13 @@ def parse_trace(text: str):
     Lines end as ``str.splitlines`` ends them; any line break other than
     ``\\n`` is first rewritten to ``\\n``.  The value lines are read in
     place, in chunks that end at the first ``\\n`` at least
-    ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk of plain
-    lines (ticks in ASCII digits, readings written as ``format_value``
-    writes them) is checked by one match, and its ticks by one comparison
-    with the window's cached tick column, where the plain chunk before it
-    left off.  Any other chunk goes through the per-line checks, which word
-    every fault.  A decimal or boolean trace is stored as a column, an
-    integer or label trace as a tuple.
+    ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk is accepted
+    by one rule, for every kind: its lines match the kind's plain pattern
+    (readings written as ``format_value`` writes them), and its ticks
+    continue the window's cached tick column where the chunk before it left
+    off.  Any other chunk is refused, with the fault of its first faulty
+    line.  A decimal or boolean trace is stored as a column, an integer or
+    label trace as a tuple.
     """
     if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
         text = re.sub(_LINE_BREAKS, "\n", text)
@@ -554,42 +551,45 @@ def parse_trace(text: str):
         stream = _Decimals(window, chunks, len(text))
     elif kind == BOOLEAN:
         stream = _Booleans(window, chunks)
-    else:
-        stream = Stream(window, [
-            BOTTOM if reading == "NA" else parse_value(reading, kind)
-            for texts in chunks for reading in texts])
+    else:  # a plain label is its own reading
+        read = int if kind == INTEGER else str
+        stream = Stream(window, [BOTTOM if reading == "NA" else read(reading)
+                                 for texts in chunks for reading in texts])
     return stream_id, kind, stream
 
 
 def _chunk_readings(text: str, pos: int, stop: int, kind: str,
                     window: Window):
-    """Yield the reading texts of each chunk of the value lines in
-    ``text[pos:stop]``, as the storage of ``kind`` takes them."""
-    plain = re.compile(_PLAIN_LINES[kind]) if kind in _PLAIN_LINES else None
-    split_plain = (_Decimals if kind == DECIMAL else _Booleans).split_plain
-    start, horizon = window.start, window.horizon
-    tick, at = start, 0
-    while tick < horizon:
+    """Yield the readings of each chunk of the value lines in
+    ``text[pos:stop]``, as ``kind``'s storage takes them, up to the first
+    chunk that is not plain or whose ticks do not continue the tick column:
+    that chunk raises its first faulty line's fault or, should the per-line
+    checks find none, one fault on its first line."""
+    plain = re.compile(_PLAIN_LINES[kind])
+    split = _Booleans.split_plain if kind == BOOLEAN else _split_cells
+    column = _tick_column(window.start, window.horizon)
+    first, at = pos, 0
+    while pos <= stop:
         cut = text.find("\n", min(pos + _CHUNK_CHARS, stop), stop)
         if cut < 0:
             cut = stop
         chunk = text[pos:cut]
-        texts = None
-        # ``at``, where the column's next tick starts, moves past plain
-        # chunks only: a chunk that is not plain fails the per-line checks,
-        # which check the same spellings; were one to pass, every plain
-        # chunk after it would fail here and take those exact checks too
-        if plain and plain.fullmatch(chunk):
-            ticks, texts = split_plain(chunk)
-            if _tick_column(start, horizon).startswith(ticks + "\n", at):
-                at += len(ticks) + 1
-            else:
-                texts = None
-        if texts is None:
-            texts = _checked_readings(kind, chunk.split("\n"), tick,
-                                      tick - start + 2)
-        yield texts
-        tick, pos = tick + chunk.count("\n") + 1, cut + 1
+        if plain.fullmatch(chunk):
+            ticks, readings = split(chunk)
+            if column.startswith(ticks + "\n", at):
+                yield readings
+                at, pos = at + len(ticks) + 1, cut + 1
+                continue
+        done = text.count("\n", first, pos)
+        _checked_readings(kind, chunk.split("\n"), window.start + done,
+                          done + 2)
+        raise TraceFormatError(_UNWORDED_FAULT, done + 2)
+
+
+def _split_cells(chunk: str) -> Tuple[str, List[str]]:
+    """A plain chunk's ticks, one per line, and its reading texts."""
+    cells = chunk.replace("\n", ",").split(",")
+    return "\n".join(cells[0::2]), cells[1::2]
 
 
 @functools.lru_cache(maxsize=4)
@@ -605,11 +605,11 @@ def _tick_column(start: int, horizon: int) -> str:
 
 
 def _checked_readings(kind: str, lines: List[str], expected_t: int,
-                      lineno: int) -> List[str]:
-    """Check value lines one by one from file line ``lineno`` on; returns
-    each reading's text, written as ``format_value`` writes it, or raises
-    the first line's fault."""
-    texts = []
+                      lineno: int):
+    """Word the fault of a refused chunk of value lines: check them one by
+    one from file line ``lineno`` on, where tick ``expected_t`` is due, and
+    raise the first faulty line's fault.  Accepts nothing: lines that pass
+    every check are still refused."""
     for i, line in enumerate(lines, start=lineno):
         tick_s, sep, value_s = line.partition(",")
         if not sep:
@@ -625,7 +625,6 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
             raise TraceFormatError(f"tick {tick_s!r} must be written '{t}'", i)
         expected_t += 1
         if value_s == "NA":
-            texts.append("NA")
             continue
         if kind == DECIMAL and not _STRICT_DEC_RE.match(value_s):
             raise TraceFormatError(
@@ -637,8 +636,6 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
         if value_s != written:
             raise TraceFormatError(
                 f"{kind} {value_s!r} must be written '{written}'", i)
-        texts.append(value_s)
-    return texts
 
 
 def save_trace(path, stream: Stream, stream_id: str, kind: str):

@@ -65,8 +65,9 @@ class Dec4:
 
     @classmethod
     def parse(cls, text: str) -> "Dec4":
-        """``-?<digits>.<1 to 4 digits>``, in ASCII digits, with no ``+``."""
-        m = _DEC_RE.match(text.strip())
+        """``-?<digits>.<1 to 4 digits>``, in ASCII digits, with no ``+``
+        and nothing around it."""
+        m = _DEC_RE.match(text)
         if not m:
             raise KindMismatch(f"not a fixed-point decimal: {text!r}")
         sign, whole, frac = m.groups()

@@ -349,7 +349,7 @@ def reference_parse_scenario(text: str) -> ScenarioConfig:
                 raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
             schedule_keys.add(key)
             if key == "uploads":
-                uploads = tuple(parse_clock(p, lineno)
+                uploads = tuple(parse_clock(p.strip(), lineno)
                                 for p in value.split(","))
                 schedule = replace(schedule, uploads=uploads)
             else:

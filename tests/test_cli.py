@@ -650,6 +650,41 @@ def test_gen_trace_bad_params(tmp_path, capsys):
         gen_dry(720, -1)
 
 
+@pytest.mark.parametrize("args, stray", [
+    (["--kind", "dry", "--spike-at", "3"], "--spike-at needs --kind spike"),
+    (["--kind", "gap", "--gap", "0", "1", "--spike-value", "0.0300"],
+     "--spike-value needs --kind spike"),
+    (["--kind", "spike", "--spike-at", "0", "--spike-value", "0.0300",
+      "--gap", "1", "2"], "--gap needs --kind gap"),
+])
+def test_gen_trace_refuses_an_option_of_another_kind(tmp_path, capsys, args,
+                                                     stray):
+    """An option that the kind does not use is a fault, not ignored."""
+    out = tmp_path / "x.trace"
+    assert main(["gen-trace", "--minutes", "5", "--out", str(out)]
+                + args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"gen-trace failed: {stray}\n"
+    assert not out.exists()
+
+
+def test_gen_trace_refuses_surrounding_whitespace(tmp_path, capsys):
+    """A spike value or a clock time is read as written, with no space
+    around it, as an integer option is."""
+    out = tmp_path / "x.trace"
+    base = ["gen-trace", "--kind", "spike", "--minutes", "5",
+            "--out", str(out)]
+    assert main(base + ["--spike-at", "3", "--spike-value",
+                        "0.0100 "]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "gen-trace failed: not a fixed-point decimal: '0.0100 '\n")
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--spike-at", " 00:03", "--spike-value", "0.0100"])
+    assert exc.value.code == 2
+    assert ("argument --spike-at: bad clock time ' 00:03'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, args", [
     ("--spike-at", ["--kind", "spike", "--spike-at", "25:00",
                     "--spike-value", "0.0500"]),

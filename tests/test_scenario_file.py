@@ -56,6 +56,16 @@ def test_parse_clock():
         parse_clock("25:00")
     with pytest.raises(ScenarioFormatError):
         parse_clock("7h30")
+    for padded in (" 07:00", "07:00 "):
+        with pytest.raises(ScenarioFormatError):
+            parse_clock(padded)
+
+
+def test_upload_times_may_be_spaced_around_their_commas():
+    """The [schedule] uploads reader strips each time, as the curfew reader
+    does, now that ``parse_clock`` takes a clock time and nothing else."""
+    config = parse_scenario("[schedule]\nuploads = 07:00 ,15:00,\t23:00\n")
+    assert config.schedule.uploads == (420, 900, 1380)
 
 
 def test_parse_alcohol_scenario():

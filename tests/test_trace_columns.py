@@ -282,7 +282,7 @@ def test_the_tick_column(start):
         f"{t}\n" for t in range(start, horizon))
 
 
-@pytest.mark.parametrize("kind", ["decimal", "boolean"])
+@pytest.mark.parametrize("kind", sorted(READINGS))
 @pytest.mark.parametrize("start", [0, 95, 9990, 10**20 - 5])
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 def test_a_plain_trace_takes_no_per_line_check(kind, start, ending,
@@ -300,6 +300,32 @@ def test_a_plain_trace_takes_no_per_line_check(kind, start, ending,
     monkeypatch.setattr(streams, "_checked_readings", refuse)
     assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
                                                    text)
+
+
+@DIFFERENTIAL
+@given(text=trace_texts())
+def test_every_refusal_is_worded_by_a_per_line_check(text):
+    """Whatever chunk the plain rule refuses, a per-line check finds its
+    fault: no text of the differential corpus gets the fault of a chunk
+    whose lines pass them all."""
+    try:
+        parse_trace(text)
+    except TraceFormatError as exc:
+        assert exc.message != streams._UNWORDED_FAULT
+
+
+@pytest.mark.parametrize("kind", sorted(READINGS))
+def test_lines_that_pass_the_per_line_checks_are_still_refused(kind,
+                                                               monkeypatch):
+    """The per-line checks accept nothing: were they to find no fault in a
+    chunk that the plain rule refused, the chunk is refused on its first
+    line, and no reading is loaded."""
+    lines = [f"{t},{READINGS[kind][t % 3]}" for t in range(3 * C // 8)]
+    lines[-1] = "x,NA"
+    text = "\n".join([f"trace b {kind} 0 {len(lines)}"] + lines)
+    monkeypatch.setattr(streams, "_checked_readings", lambda *args: None)
+    assert _outcome(parse_trace, text) == (
+        "fault", streams._UNWORDED_FAULT, cut_lines(lines)[-1] + 3)
 
 
 def test_reading_a_long_trace_peaks_below_three_times_its_text():
