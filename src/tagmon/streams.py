@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import re
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ._frozen import Frozen
@@ -256,11 +256,6 @@ class _Booleans(Stream):
         self._readings = bytearray()
         for chunk in chunks:
             self._readings += chunk.translate(_TO_CODES).encode("ascii")
-
-    @staticmethod
-    def split_plain(chunk: str) -> Tuple[str, str]:
-        """A plain chunk's ticks, one per line, and the chunk itself."""
-        return chunk.translate(_TO_TICKS), chunk
 
     @property
     def values(self) -> tuple:
@@ -508,11 +503,11 @@ def parse_trace(text: str):
     place, in chunks that end at the first ``\\n`` at least
     ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk is accepted
     by one rule, for every kind: its lines match the kind's plain pattern
-    (readings written as ``format_value`` writes them), and its ticks
-    continue the window's cached tick column where the chunk before it left
-    off.  Any other chunk is refused, with the fault of its first faulty
-    line.  A decimal or boolean trace is stored as a column, an integer or
-    label trace as a tuple.
+    (readings as ``format_value`` writes them, integers within ``int``'s
+    digit limit), and its ticks continue the window's cached tick column
+    where the chunk before it left off.  Any other chunk is refused, with
+    the fault of its first faulty line.  A decimal or boolean trace is
+    stored as a column, an integer or label trace as a tuple.
     """
     if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
         text = re.sub(_LINE_BREAKS, "\n", text)
@@ -548,25 +543,19 @@ def parse_trace(text: str):
     window = Window(start, horizon)
     chunks = _chunk_readings(text, end + 1, stop, kind, window)
     if kind == DECIMAL:
-        stream = _Decimals(window, chunks, len(text))
-    elif kind == BOOLEAN:
-        stream = _Booleans(window, chunks)
-    else:  # a plain label is its own reading
-        read = int if kind == INTEGER else str
-        stream = Stream(window, [BOTTOM if reading == "NA" else read(reading)
-                                 for texts in chunks for reading in texts])
-    return stream_id, kind, stream
+        return stream_id, kind, _Decimals(window, chunks, len(text))
+    if kind == BOOLEAN:
+        return stream_id, kind, _Booleans(window, chunks)
+    return stream_id, kind, Stream(window, tuple(chain.from_iterable(chunks)))
 
 
 def _chunk_readings(text: str, pos: int, stop: int, kind: str,
                     window: Window):
     """Yield the readings of each chunk of the value lines in
-    ``text[pos:stop]``, as ``kind``'s storage takes them, up to the first
-    chunk that is not plain or whose ticks do not continue the tick column:
-    that chunk raises its first faulty line's fault or, should the per-line
-    checks find none, one fault on its first line."""
+    ``text[pos:stop]`` up to the first chunk that is not plain or whose
+    ticks do not continue the tick column, which raises its first faulty
+    line's fault or, should the per-line checks find none, one fault."""
     plain = re.compile(_PLAIN_LINES[kind])
-    split = _Booleans.split_plain if kind == BOOLEAN else _split_cells
     column = _tick_column(window.start, window.horizon)
     first, at = pos, 0
     while pos <= stop:
@@ -575,21 +564,34 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
             cut = stop
         chunk = text[pos:cut]
         if plain.fullmatch(chunk):
-            ticks, readings = split(chunk)
-            if column.startswith(ticks + "\n", at):
-                yield readings
-                at, pos = at + len(ticks) + 1, cut + 1
-                continue
+            try:
+                ticks, readings = _split_cells(chunk, kind)
+            except ValueError:  # an integer past ``int``'s digit limit
+                pass
+            else:
+                if column.startswith(ticks + "\n", at):
+                    yield readings
+                    at, pos = at + len(ticks) + 1, cut + 1
+                    continue
         done = text.count("\n", first, pos)
         _checked_readings(kind, chunk.split("\n"), window.start + done,
                           done + 2)
         raise TraceFormatError(_UNWORDED_FAULT, done + 2)
 
 
-def _split_cells(chunk: str) -> Tuple[str, List[str]]:
-    """A plain chunk's ticks, one per line, and its reading texts."""
+def _split_cells(chunk: str, kind: str) -> Tuple[str, Sequence]:
+    """A plain chunk's ticks, one per line, and its readings: a boolean
+    chunk itself, a decimal chunk's texts, an integer or label chunk's
+    values.  An integer past ``int``'s digit limit raises ValueError."""
+    if kind == BOOLEAN:
+        return chunk.translate(_TO_TICKS), chunk
     cells = chunk.replace("\n", ",").split(",")
-    return "\n".join(cells[0::2]), cells[1::2]
+    readings = cells[1::2]
+    if kind == INTEGER:
+        readings = [BOTTOM if s == "NA" else int(s) for s in readings]
+    elif kind == LABEL:
+        readings = [BOTTOM if s == "NA" else s for s in readings]
+    return "\n".join(cells[0::2]), readings
 
 
 @functools.lru_cache(maxsize=4)

@@ -258,6 +258,21 @@ def test_a_fault_in_any_chunk_keeps_its_message_and_line(kind, i, line,
     assert (err.value.message, err.value.line) == (message, i + 2)
 
 
+@pytest.mark.parametrize("reading", ["1" * 5000, "-" + "9" * 5000])
+def test_an_integer_past_the_digit_limit_is_refused_on_its_line(reading):
+    """An integer reading that the plain pattern matches but ``int`` does
+    not read, under the interpreter's limit on an integer's digits, is
+    refused as the per-line parser refuses it."""
+    lines = [f"{t},{t}" for t in range(3 * C // 8)]
+    i = cut_lines(lines)[0] + 1
+    lines[i] = f"{i},{reading}"
+    text = "\n".join([f"trace b integer 0 {len(lines)}"] + lines)
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+                                                   text)
+    assert _outcome(parse_trace, text) == (
+        "fault", f"not an integer: {reading!r}", i + 2)
+
+
 @pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (7, 6)])
 def test_a_tick_column_answers_only_for_its_window(first, second):
     """Two traces of one length whose windows start a tick apart: the
