@@ -17,13 +17,6 @@ from __future__ import annotations
 _setattr = object.__setattr__
 
 
-class fresh:
-    """A field default made anew for each instance by calling ``factory``."""
-
-    def __init__(self, factory):
-        self.factory = factory
-
-
 def _bind(cls, args, kwargs):
     """The field values of a call that is not one value per field in order,
     with defaults filled in; TypeError as a function call would raise."""
@@ -42,9 +35,7 @@ def _bind(cls, args, kwargs):
             if field not in cls._defaults:
                 raise TypeError(f"{name}() missing required argument "
                                 f"{field!r}")
-            default = cls._defaults[field]
-            values[field] = (default.factory() if isinstance(default, fresh)
-                             else default)
+            values[field] = cls._defaults[field]
     return values
 
 
@@ -69,10 +60,9 @@ def _make_init(cls):
 class Frozen:
     """Base of an immutable value class whose fields are its annotations.
 
-    A class attribute is a field's default (``fresh(dict)`` for a new dict
-    each time), and ``__post_init__``, if defined, validates a new
-    instance.  Fields named in the class keyword ``uncompared`` are left
-    out of equality and hashing.
+    A class attribute is a field's default, and ``__post_init__``, if
+    defined, validates a new instance.  Fields named in the class keyword
+    ``uncompared`` are left out of equality and hashing.
     """
 
     _fields = ()

@@ -8,6 +8,10 @@ computed tick (``b[t1 + k*s]``) or hand a whole stream to the sampling
 reductions ``max``/``min`` (``max(b, t1, t2, s)`` is the maximum of the
 readings at t1, t1+s, ..., up to t2).
 
+Every name is bound in one namespace, ``Environment.bindings``: parameters,
+the behaviour stream, and in a quantifier's body its variable, which hides
+any outer binding of its name.
+
 Undefined readings are strict: a BOTTOM anywhere inside a term makes the term
 BOTTOM, and an atomic test over BOTTOM raises BottomEncountered rather than
 inventing a truth value.  The monitoring layer routes that exception to the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from typing import Mapping, Tuple, Union
 
-from ._frozen import Frozen, fresh
+from ._frozen import Frozen
 from .errors import (
     ArityMismatch,
     BottomEncountered,
@@ -100,36 +104,37 @@ class Quant(Frozen):
 Formula = Union[BoolLit, Cmp, Not, And, Or, Quant]
 
 
-class Environment(Frozen, uncompared=("memo",)):
-    """Evaluation bindings: plain variables and named behaviour streams.
-
+class Environment:
+    """Evaluation state: ``bindings`` maps every name in scope, a template
+    parameter, a quantified variable or a behaviour stream, to its value.
     ``memo`` keeps the answers of the column queries asked under these
     bindings (see ``_asked``); environments that share one ask each query
-    once between them.
-    """
+    once between them.  Mutable, and never compared or hashed."""
 
-    variables: Mapping[str, CarrierValue] = fresh(dict)
-    streams: Mapping[str, Stream] = fresh(dict)
-    memo: dict = fresh(dict)
+    __slots__ = ("bindings", "memo")
+
+    def __init__(self, bindings=None, memo=None):
+        self.bindings = {} if bindings is None else bindings
+        self.memo = {} if memo is None else memo
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 def _lookup(name: str, env: Environment):
-    if name in env.variables:
-        return env.variables[name]
-    if name in env.streams:
-        return env.streams[name]
-    raise UnboundIdentifier(f"unbound identifier {name!r}")
+    try:
+        return env.bindings[name]
+    except KeyError:
+        raise UnboundIdentifier(f"unbound identifier {name!r}") from None
 
 
 def _asked(env: Environment, column: Stream, query: str, *args):
     """``column.<query>(*args)``, asked once per memo of ``env``: a column
     never changes, so neither do its answers.  The key is the column's
-    identity, never its hash, which would box every reading; the memo's
-    environment binds the column, so the identity is not reused while the
-    memo lives.  A query that raises is asked again next time."""
+    identity, never its hash, which would box every reading; the bindings
+    of the memo's environment hold the column, so the identity is not
+    reused while the memo lives.  A query that raises is asked again next
+    time."""
     key = (query, id(column), *args)
     memo = env.memo
     if key not in memo:
@@ -227,8 +232,8 @@ def _atom_value(term: Term, env: Environment):
 
 def _scanned_column(formula: Quant, env: Environment):
     """The parsed boolean trace that ``k in lo .. hi : s[k] = c`` scans,
-    with c a boolean literal and s a stream no variable hides; None for any
-    other quantifier."""
+    with c a boolean literal and s bound to that trace, not the quantified
+    variable; None for any other quantifier."""
     body = formula.body
     if not (isinstance(body, Cmp) and body.op == "eq"
             and isinstance(body.lhs, StreamAt)
@@ -238,9 +243,9 @@ def _scanned_column(formula: Quant, env: Environment):
             and isinstance(body.rhs.value, bool)):
         return None
     name = body.lhs.stream
-    if name == formula.var or name in env.variables:
+    if name == formula.var:
         return None
-    stream = env.streams.get(name)
+    stream = env.bindings.get(name)
     return stream if isinstance(stream, _Booleans) else None
 
 
@@ -272,8 +277,8 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
             if stop is BOTTOM:
                 raise BottomEncountered("test touched an undefined reading")
             return forall if stop is None else not forall
-        scope = dict(env.variables)
-        inner = Environment(scope, env.streams, env.memo)
+        scope = dict(env.bindings)
+        inner = Environment(scope, env.memo)
         # forall stops at the first false body, exists at the first true one
         for k in range(lo, hi + 1):
             scope[formula.var] = k
@@ -289,10 +294,10 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
 class AttributeSpec(Frozen):
     """Named formula template backing one judgement label.
 
-    ``params`` are the identifiers bound as variables when the template is
-    evaluated; ``stream_name`` is the identifier the behaviour stream is
-    bound to during observation.  A parameter may not share the stream's
-    name, since a variable of that name would hide the stream.
+    ``params`` are the identifiers bound to the checked parameter values
+    when the template is evaluated; ``stream_name`` is the identifier the
+    behaviour stream is bound to during observation.  Both are bound in one
+    namespace, so a parameter may not share the stream's name.
     """
 
     name: str
@@ -310,17 +315,15 @@ class AttributeSpec(Frozen):
 
 def instantiate(spec: AttributeSpec,
                 bindings: Mapping[str, CarrierValue]) -> dict:
-    """The template's variables: each declared parameter's checked value."""
+    """The template's parameter bindings, in a new dict: each declared
+    parameter's checked value."""
     missing = [p for p in spec.params if p not in bindings]
     if missing:
-        raise MissingParameter(
-            f"{spec.name}: unbound parameters {missing}")
-    chosen = {}
-    for p in spec.params:
-        v = bindings[p]
+        raise MissingParameter(f"{spec.name}: unbound parameters {missing}")
+    chosen = {p: bindings[p] for p in spec.params}
+    for p, v in chosen.items():
         if v is BOTTOM or not is_carrier(v):
             raise KindMismatch(
                 f"{spec.name}: parameter {p}={v!r} is not a carrier value")
-        chosen[p] = v
     return chosen
 

@@ -135,8 +135,9 @@ class PredicateFamily(Frozen):
 
     ``undefined``, if set, is the label that holds when evaluating any of the
     templates raises BottomEncountered; the spec labels plus ``undefined``
-    are exactly the judgements.  Template parameters are bound as variables
-    from the flattened characteristics plus the cycle parameters.
+    are exactly the judgements.  Every template declares the same
+    parameters and stream name, so one binding of the flattened
+    characteristics plus the cycle parameters serves them all.
     """
 
     name: str
@@ -153,15 +154,11 @@ class PredicateFamily(Frozen):
                 f"family {self.name}: specs and undefined cover "
                 f"{sorted(labels)}, judgements are "
                 f"{sorted(self.judgements.labels)}")
-        stream_names = {s.stream_name for s in self.specs}
-        if len(stream_names) != 1:
+        shapes = {(s.params, s.stream_name) for s in self.specs}
+        if len(shapes) != 1:
             raise KindMismatch(
-                f"family {self.name}: inconsistent stream names "
-                f"{sorted(stream_names)}")
-
-    @property
-    def stream_name(self) -> str:
-        return self.specs[0].stream_name
+                f"family {self.name}: specs differ in parameters or stream "
+                f"name {sorted(shapes)}")
 
 
 class Record(Frozen):
@@ -176,7 +173,7 @@ class Record(Frozen):
 
 def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
     """Evaluate a closed (parameter-free) attribute over one behaviour."""
-    env = Environment(instantiate(spec, {}), {spec.stream_name: a})
+    env = Environment({**instantiate(spec, {}), spec.stream_name: a})
     return eval_formula(spec.template, env)
 
 
@@ -190,18 +187,16 @@ def observe_family(family: PredicateFamily, entity: str,
     NoJudgement/AmbiguousJudgement instead of being hidden by declaration
     order.  A template that touches a missed reading does not hold; if any
     did, the family's ``undefined`` label holds.  The templates share one
-    memo of column answers, so a leaf query that several of them make is
-    asked of the stream once.
+    environment: the family is bound once, and a leaf query that several
+    of them make is asked of the stream once, through its memo.
     """
-    bindings = chi.flatten()
-    if extra_params:
-        bindings.update(extra_params)
-    streams = {family.stream_name: a}
-    memo = {}
+    params = chi.flatten()
+    params.update(extra_params or {})
+    first = family.specs[0]
+    env = Environment({**instantiate(first, params), first.stream_name: a})
     holders = []
     bottom = False
     for spec in family.specs:
-        env = Environment(instantiate(spec, bindings), streams, memo)
         try:
             if eval_formula(spec.template, env):
                 holders.append(spec.label)

@@ -95,14 +95,16 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 def _number(text: str, pos: int):
-    if "." not in text:
-        return int(text, 10)
-    frac = text.split(".", 1)[1]
+    _, point, frac = text.partition(".")
     if len(frac) > 4:
         raise KindMismatch(
             f"decimal {text!r} has more than 4 fractional digits "
             f"(at position {pos})")
-    return Dec4.parse(text)
+    try:
+        return Dec4.parse(text) if point else int(text, 10)
+    except (KindMismatch, ValueError):  # past ``int``'s digit limit
+        raise KindMismatch(f"number past int's digit limit (at position "
+                           f"{pos})") from None
 
 
 class _Parser:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from array import array
 from itertools import accumulate, chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -464,14 +465,15 @@ _CHUNK_CHARS = 16384
 # ticks turned into strings at a time when a window's tick column is built
 _COLUMN_BLOCK = 4096
 # value lines written as ``format_trace`` writes them, but for their ticks,
-# which must also continue the window's tick column; the patterns are
-# compiled (and cached by ``re``) when a trace is first read
+# which must also continue the window's tick column; ``{more}`` is filled
+# in, and the pattern compiled (and cached by ``re``), when a trace is read
 _PLAIN_LINES = {
     kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
     for kind, reading in (
-        (DECIMAL, r"(?:(?:0|-?[1-9][0-9]*|-0(?!\.0000))\.[0-9]{4}|NA)"),
+        (DECIMAL,
+         r"(?:(?:0|-?[1-9][0-9]{{0,{more}}}|-0(?!\.0000))\.[0-9]{{4}}|NA)"),
         (BOOLEAN, r"(?:true|false|NA)"),
-        (INTEGER, r"(?:0|-?[1-9][0-9]*|NA)"),
+        (INTEGER, r"(?:0|-?[1-9][0-9]{{0,{more}}}|NA)"),
         (LABEL, f"(?:{LABEL_PATTERN})"))}  # which also spells NA
 # the line breaks that ``str.splitlines`` honours besides \n, and the
 # ASCII ones among them
@@ -503,7 +505,7 @@ def parse_trace(text: str):
     place, in chunks that end at the first ``\\n`` at least
     ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk is accepted
     by one rule, for every kind: its lines match the kind's plain pattern
-    (readings as ``format_value`` writes them, integers within ``int``'s
+    (readings as ``format_value`` writes them, numbers within ``int``'s
     digit limit), and its ticks continue the window's cached tick column
     where the chunk before it left off.  Any other chunk is refused, with
     the fault of its first faulty line.  A decimal or boolean trace is
@@ -555,7 +557,11 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
     ``text[pos:stop]`` up to the first chunk that is not plain or whose
     ticks do not continue the tick column, which raises its first faulty
     line's fault or, should the per-line checks find none, one fault."""
-    plain = re.compile(_PLAIN_LINES[kind])
+    # a number has no more digits than ``int`` reads, a decimal's 4
+    # fractional ones included; 0, and Python before 3.10.7, set no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    more = limit - (5 if kind == DECIMAL else 1) if limit else ""
+    plain = re.compile(_PLAIN_LINES[kind].format(more=more))
     column = _tick_column(window.start, window.horizon)
     first, at = pos, 0
     while pos <= stop:
@@ -564,15 +570,11 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
             cut = stop
         chunk = text[pos:cut]
         if plain.fullmatch(chunk):
-            try:
-                ticks, readings = _split_cells(chunk, kind)
-            except ValueError:  # an integer past ``int``'s digit limit
-                pass
-            else:
-                if column.startswith(ticks + "\n", at):
-                    yield readings
-                    at, pos = at + len(ticks) + 1, cut + 1
-                    continue
+            ticks, readings = _split_cells(chunk, kind)
+            if column.startswith(ticks + "\n", at):
+                yield readings
+                at, pos = at + len(ticks) + 1, cut + 1
+                continue
         done = text.count("\n", first, pos)
         _checked_readings(kind, chunk.split("\n"), window.start + done,
                           done + 2)
@@ -582,7 +584,7 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
 def _split_cells(chunk: str, kind: str) -> Tuple[str, Sequence]:
     """A plain chunk's ticks, one per line, and its readings: a boolean
     chunk itself, a decimal chunk's texts, an integer or label chunk's
-    values.  An integer past ``int``'s digit limit raises ValueError."""
+    values."""
     if kind == BOOLEAN:
         return chunk.translate(_TO_TICKS), chunk
     cells = chunk.replace("\n", ",").split(",")

@@ -25,7 +25,7 @@ KINDS = (BOOLEAN, INTEGER, DECIMAL, LABEL)
 # how a label, a stream id, an entity or a rule name is spelt
 LABEL_PATTERN = r"[A-Za-z][A-Za-z0-9_-]*"
 _LABEL_RE = re.compile(rf"{LABEL_PATTERN}\Z")
-_DEC_RE = re.compile(r"(-?)([0-9]+)\.([0-9]{1,4})\Z")
+_DEC_RE = re.compile(r"(-?[0-9]+)\.([0-9]{1,4})\Z")
 
 
 class Bottom:
@@ -65,14 +65,17 @@ class Dec4:
 
     @classmethod
     def parse(cls, text: str) -> "Dec4":
-        """``-?<digits>.<1 to 4 digits>``, in ASCII digits, with no ``+``
-        and nothing around it."""
+        """``-?<digits>.<1 to 4 digits>``, in ASCII digits, with no ``+``,
+        nothing around it and, with 4 fractional digits, no more digits
+        than ``int``'s limit."""
         m = _DEC_RE.match(text)
-        if not m:
-            raise KindMismatch(f"not a fixed-point decimal: {text!r}")
-        sign, whole, frac = m.groups()
-        raw = int(whole) * cls.SCALE + int(frac.ljust(4, "0"))
-        return cls(-raw if sign == "-" else raw)
+        if m:
+            whole, frac = m.groups()
+            try:
+                return cls(int(whole + frac.ljust(4, "0")))
+            except ValueError:  # past ``int``'s digit limit
+                pass
+        raise KindMismatch(f"not a fixed-point decimal: {text!r}")
 
     def __str__(self):
         sign = "-" if self.raw < 0 else ""

@@ -12,3 +12,15 @@ sys.path.insert(0, str(TESTS_DIR))  # makes `oracles` importable
 @pytest.fixture(scope="session")
 def scenarios_dir() -> Path:
     return REPO_DIR / "scenarios"
+
+
+@pytest.fixture
+def digit_limit():
+    """``int``'s digit limit lowered to its least, 640, and put back after
+    the test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -27,7 +27,6 @@ from tagmon.formulas import (
     AttributeSpec,
     BoolLit,
     Cmp,
-    Environment,
     Lit,
     Not,
     Or,
@@ -731,10 +730,6 @@ def random_formula(rng: random.Random, depth: int, scope: dict,
 
 # -- dataclass twins of the value classes -------------------------------------
 
-def _fresh_dict():
-    return dataclasses.field(default_factory=dict)
-
-
 def _line():
     return dataclasses.field(default=0, compare=False)
 
@@ -766,9 +761,6 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (And, ["lhs", "rhs"]),
     (Or, ["lhs", "rhs"]),
     (Quant, ["quantifier", "var", "lo", "hi", "body"]),
-    (Environment, [("variables", _fresh_dict()), ("streams", _fresh_dict()),
-                   ("memo", dataclasses.field(default_factory=dict,
-                                              compare=False))]),
     (AttributeSpec, ["name", "label", "template", ("params", ()),
                      ("stream_name", "b")]),
     (Window, ["start", "horizon"]),

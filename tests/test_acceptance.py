@@ -179,7 +179,7 @@ def test_criterion_5_formula_evaluator_equivalence(capsys):
             window = rng.randint(4, 32)
             stream = random_int_stream(rng, 0, window)
             f = random_formula(rng, rng.randint(0, 4), {}, window)
-            ours = eval_formula(f, Environment({}, {"S": stream}))
+            ours = eval_formula(f, Environment({"S": stream}))
             oracle = brute_formula(f, {}, {"S": stream})
             assert ours == oracle
 

@@ -213,6 +213,25 @@ def test_over_long_trace_path_is_a_diagnostic(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_reading_past_the_digit_limit_is_a_diagnostic(tmp_path, capsys,
+                                                        command):
+    reading = "9" * 5000 + ".0000"
+    lines = [f"{t},0.0100" for t in range(3000)]
+    lines[2498] = f"2498,{reading}"
+    (tmp_path / "long.trace").write_text(
+        "\n".join(["trace b decimal 0 3000"] + lines) + "\n")
+    scenario = tmp_path / "long.scenario"
+    scenario.write_text("[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
+                        "trace = long.trace\n")
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"{scenario}:1: entity A: long.trace:2500: not a fixed-point "
+        f"decimal: {reading!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_unreadable_trace_is_a_diagnostic(scenarios_dir, tmp_path, capsys,
                                           monkeypatch, command):
     # root reads a mode-000 file, so the refusal is injected instead
@@ -634,7 +653,7 @@ def test_gen_trace_bad_params(tmp_path, capsys):
     assert "spike needs" in capsys.readouterr().err
     # a spike value is ASCII digits with an optional "-", as in a file,
     # with no space around it
-    for value in ("+0.0300", "\u0660.\u0663", "0.0100 "):
+    for value in ("+0.0300", "\u0660.\u0663", "0.0100 ", "9" * 5000 + ".0"):
         assert main(["gen-trace", "--kind", "spike", "--minutes", "100",
                      "--spike-at", "0", "--spike-value", value,
                      "--out", str(tmp_path / "x.trace")]) == EXIT_VALIDATION

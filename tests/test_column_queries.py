@@ -22,7 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagmon.cli import EXIT_OK, main
-from tagmon.errors import BottomEncountered, MonitorError, OutOfWindow
+from tagmon.errors import (
+    BottomEncountered,
+    KindMismatch,
+    MonitorError,
+    OutOfWindow,
+)
 from tagmon.formulas import Environment, eval_formula, eval_term
 from tagmon.parser import parse_formula, parse_term
 from tagmon.streams import (
@@ -52,7 +57,7 @@ def parsed(kind, start, values):
 
 
 def outcome(evaluate, node, variables, stream):
-    env = Environment(variables, {"p": stream, "b": stream})
+    env = Environment({"p": stream, "b": stream, **variables})
     try:
         return evaluate(node, env)
     except MonitorError as exc:
@@ -158,6 +163,15 @@ def test_near_misses_of_the_scan_take_the_loop(trace, text):
     column, copy = parsed(BOOLEAN, start, readings)
     same_outcome(eval_formula, text, {"lo": lo, "hi": hi}, column, copy,
                  SCAN)
+
+
+def test_a_variable_named_as_the_scanned_stream_hides_it():
+    # one namespace: under a parameter p, p[k] reads no stream, neither by
+    # the column's scan nor by the loop
+    column, copy = parsed(BOOLEAN, 0, [True] * 3)
+    assert same_outcome(eval_formula, "forall k in 0 .. 2 : p[k] = true",
+                        {"p": 5}, column, copy, SCAN) == (
+        KindMismatch, "'p' is not bound to a stream")
 
 
 @COLUMN_QUERIES

@@ -205,6 +205,11 @@ def test_parse_errors_carry_position():
         parse_formula("forall k in 0.5..2 : k < 3")
     with pytest.raises(KindMismatch):
         parse_formula("1.00001 < 2")
+    # a literal past int's digit limit
+    for number in ("9" * 5000, "9" * 5000 + ".5"):
+        with pytest.raises(KindMismatch, match=r"^number past int's digit "
+                           r"limit \(at position 7\)$"):
+            parse_formula("b[0] < " + number)
     # Arabic-Indic and full-width digits are digits to int() and to the re
     # module's \d, but not to the formula language
     for text, position in (("b[0] < \u0663", 7), ("\u0661 = 1", 0),
@@ -263,22 +268,22 @@ def test_each_infix_operation_is_evaluated_by_its_table_entry(name):
 # -- term evaluation ------------------------------------------------------------
 
 def test_eval_term_examples():
-    env = Environment({"t1": 0, "s": 30}, {"b": bac_trace(peak_at=30,
-                                                          peak=Dec4(180))})
+    env = Environment({"b": bac_trace(peak_at=30, peak=Dec4(180)),
+                       "t1": 0, "s": 30})
     assert eval_term(Lit(Dec4.parse("0.02")), env) == Dec4(200)
     assert eval_term(parse_term("b[30]"), env) == Dec4.parse("0.0180")
     assert eval_term(parse_term("t1 + 2*s"), env) == 60
 
 
 def test_eval_term_bottom_is_strict():
-    env = Environment({}, {"b": bac_trace(gap_at=60)})
+    env = Environment({"b": bac_trace(gap_at=60)})
     assert eval_term(parse_term("b[60]"), env) is BOTTOM
     assert eval_term(parse_term("b[60] + 1"), env) is BOTTOM
     assert eval_term(parse_term("max(b, 0, 120, 30)"), env) is BOTTOM
 
 
 def test_eval_term_sampled_max_ignores_between_samples():
-    env = Environment({}, {"b": bac_trace(peak_at=31, peak=Dec4(9000))})
+    env = Environment({"b": bac_trace(peak_at=31, peak=Dec4(9000))})
     assert eval_term(parse_term("max(b, 0, 120, 30)"), env) == Dec4(100)
 
 
@@ -294,7 +299,7 @@ def test_eval_unary_minus_refuses_a_boolean():
 
 
 def test_eval_term_errors():
-    env = Environment({}, {"b": bac_trace()})
+    env = Environment({"b": bac_trace()})
     with pytest.raises(UnboundIdentifier):
         eval_term(parse_term("nope + 1"), env)
     with pytest.raises(KindMismatch):
@@ -306,7 +311,7 @@ def test_eval_term_errors():
 def test_sampled_max_of_unordered_readings_is_a_kind_error():
     # booleans have no order: a sampled max over them fails as the plain
     # max(true, false) does; a single sample is still its own maximum
-    env = Environment({}, {"p": Stream.of(0, (True, False, True))})
+    env = Environment({"p": Stream.of(0, (True, False, True))})
     with pytest.raises(KindMismatch):
         eval_formula(parse_formula("max(true, false) = true"), env)
     with pytest.raises(KindMismatch):
@@ -327,13 +332,13 @@ def test_eval_formula_red_band_with_bruteforce_peak():
     sampled = [trace.at(30 * k) for k in range(5)]
     peak = max(v.raw for v in sampled)
     assert peak == 300  # brute-force max over samples 0,30,60,90,120
-    env = Environment({}, {"b": trace})
+    env = Environment({"b": trace})
     red = parse_formula("max(b, 0, 120, 30) > 0.0250")
     assert eval_formula(red, env) is True
 
 
 def test_eval_formula_bottom_raises():
-    env = Environment({}, {"b": bac_trace(gap_at=60)})
+    env = Environment({"b": bac_trace(gap_at=60)})
     for text in ("max(b, 0, 120, 30) < 0.0150",
                  "exists k in 0..4 : b[30*k] > 0.0200"):
         with pytest.raises(BottomEncountered):
@@ -347,14 +352,14 @@ def test_eval_formula_vacuous_quantifiers():
 
 
 def test_eval_formula_bound_errors():
-    env = Environment({}, {"b": bac_trace()})
+    env = Environment({"b": bac_trace()})
     with pytest.raises(BoundNotInteger):
         eval_formula(Quant("forall", "k", Lit(Dec4(0)), Lit(2),
                            BoolLit(True)), env)
     with pytest.raises(BottomEncountered):
         eval_formula(Quant("forall", "k", parse_term("b[60]"), Lit(2),
                            BoolLit(True)),
-                     Environment({}, {"b": bac_trace(gap_at=60)}))
+                     Environment({"b": bac_trace(gap_at=60)}))
 
 
 # -- templates -------------------------------------------------------------------
@@ -375,11 +380,11 @@ def test_instantiate_green_band():
                   bac_trace(peak_at=61, peak=Dec4(9000))):
         streams = {"b": trace}
         assert (eval_formula(GREEN_SPEC.template,
-                             Environment(variables, streams))
-                == eval_formula(closed, Environment({}, streams)))
+                             Environment({**streams, **variables}))
+                == eval_formula(closed, Environment(streams)))
     with pytest.raises(BottomEncountered):
         eval_formula(GREEN_SPEC.template,
-                     Environment(variables, {"b": bac_trace(gap_at=90)}))
+                     Environment({"b": bac_trace(gap_at=90), **variables}))
 
 
 def test_instantiate_no_params_binds_nothing():
@@ -416,7 +421,7 @@ def test_bound_parameter_respects_shadowing():
     env = Environment({"k": 7})
     assert eval_formula(f, env) is eval_formula(closed, Environment()) is True
     assert not eval_formula(parse_formula("exists k in 0..2 : k = 7"), env)
-    assert env.variables == {"k": 7}
+    assert env.bindings == {"k": 7}
 
 
 def test_instantiate_curfew_window_expansion():
@@ -429,10 +434,10 @@ def test_instantiate_curfew_window_expansion():
     assert len(ticks) == 720
     present = Stream.of(1140, [True] * 720)
     assert eval_formula(spec.template,
-                        Environment(variables, {"presence": present}))
+                        Environment({"presence": present, **variables}))
     absent = Stream.of(1140, [True] * 300 + [False] + [True] * 419)
     assert not eval_formula(spec.template,
-                            Environment(variables, {"presence": absent}))
+                            Environment({"presence": absent, **variables}))
 
 
 # -- properties ------------------------------------------------------------------
@@ -443,7 +448,7 @@ def test_bruteforce_equivalence_sample():
     for _ in range(300):
         stream = random_int_stream(rng, 0, window)
         f = random_formula(rng, rng.randint(0, 4), {}, window)
-        env = Environment({}, {"S": stream})
+        env = Environment({"S": stream})
         assert eval_formula(f, env) == brute_formula(f, {}, {"S": stream})
     # a free parameter bound as a variable; quantifiers over the same name
     # shadow it
@@ -453,7 +458,7 @@ def test_bruteforce_equivalence_sample():
         hi = min(window - 1, lo + rng.randint(0, 7))
         f = random_formula(rng, rng.randint(0, 4), {"k": (lo, hi)}, window)
         k = rng.randint(lo, hi)
-        env = Environment({"k": k}, {"S": stream})
+        env = Environment({"S": stream, "k": k})
         assert eval_formula(f, env) == brute_formula(f, {"k": k},
                                                      {"S": stream})
 
@@ -463,7 +468,7 @@ def test_de_morgan():
     window = 12
     for _ in range(200):
         stream = random_int_stream(rng, 0, window)
-        env = Environment({}, {"S": stream})
+        env = Environment({"S": stream})
         f = random_formula(rng, 2, {}, window)
         g = random_formula(rng, 2, {}, window)
         lhs = eval_formula(Not(And(f, g)), env)
@@ -476,11 +481,11 @@ def test_quantifier_matches_explicit_expansion():
     window = 10
     for _ in range(100):
         stream = random_int_stream(rng, 0, window)
-        env = Environment({}, {"S": stream})
+        env = Environment({"S": stream})
         lo = rng.randrange(window)
         hi = min(window - 1, lo + rng.randint(0, 5))
         body = random_formula(rng, 1, {"k": (lo, hi)}, window)
-        instances = [eval_formula(body, Environment({"k": k}, env.streams))
+        instances = [eval_formula(body, Environment({**env.bindings, "k": k}))
                      for k in range(lo, hi + 1)]
         forall = Quant("forall", "k", Lit(lo), Lit(hi), body)
         assert eval_formula(forall, env) == all(instances)

@@ -8,6 +8,7 @@ from tagmon.errors import (
     AmbiguousJudgement,
     BottomEncountered,
     KindMismatch,
+    MissingParameter,
     NoJudgement,
     UnknownField,
 )
@@ -165,6 +166,25 @@ def test_family_label_coverage_is_validated():
             (AttributeSpec("a", "yes", parse_formula("true")),))
 
 
+@pytest.mark.parametrize("second", [
+    AttributeSpec("b", "no", parse_formula("true"), stream_name="c"),
+    AttributeSpec("b", "no", parse_formula("true"), params=("t1",)),
+], ids=["stream name", "params"])
+def test_family_specs_must_bind_the_same_names(second):
+    # one binding serves every spec of a family
+    first = AttributeSpec("a", "yes", parse_formula("true"))
+    with pytest.raises(KindMismatch, match="^family mixed: specs differ in "
+                       "parameters or stream name"):
+        PredicateFamily("mixed", JudgementSet(("yes", "no")),
+                        (first, second))
+
+
+def test_a_missing_parameter_is_named_by_the_first_spec():
+    chi = Characteristics.of(status="green")
+    with pytest.raises(MissingParameter, match="^bac-green: unbound "):
+        observe_family(alcohol_family(), "e", chi, bac_trace())
+
+
 GAP_SPEC = AttributeSpec("probe", "no",
                          parse_formula("max(b, 0, 120, 30) < 0.0000"))
 
@@ -300,6 +320,31 @@ def test_each_spec_is_evaluated_once_per_observation(monkeypatch):
         assert len(calls) == 2
         assert all(formula is spec.template
                    for formula, spec in zip(calls, curfew_family().specs))
+
+
+@pytest.mark.parametrize("family, chi, trace, params", [
+    (alcohol_family(), SIGMA.characteristics("green"), bac_trace(), {}),
+    (curfew_family(), Characteristics.of(status="compliant"),
+     parsed("boolean", PRESENCE), {"wstart": 0, "wend": 29}),
+], ids=["alcohol", "curfew"])
+def test_an_observation_binds_its_family_once(monkeypatch, family, chi,
+                                              trace, params):
+    made = []
+
+    def counted(original):
+        def call(*args):
+            made.append(original)
+            return original(*args)
+        return call
+
+    for name in ("instantiate", "Environment"):
+        monkeypatch.setattr(tagmon.monitoring, name,
+                            counted(getattr(tagmon.monitoring, name)))
+    for _ in range(2):
+        made.clear()
+        observe_family(family, "e", chi, trace, params)
+        assert sorted(f.__name__ for f in made) == ["Environment",
+                                                    "instantiate"]
 
 
 def test_monitor_produces_stable_records():

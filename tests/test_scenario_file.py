@@ -141,6 +141,8 @@ days = 100
      "line 2: bad sentence '0,720,30,+0.0200,0.0050'"),
     ("[entity A]\nsentence = 0,720,30,0.0200,\u0660.\u0665\n",
      "line 2: bad sentence '0,720,30,0.0200,\u0660.\u0665'"),
+    ("[entity A]\nsentence = 0,720,30," + "9" * 5000 + ".0,0.0050\n",
+     "line 2: bad sentence '0,720,30,999"),
 ])
 def test_parse_rejects_bad_input(mutation, fragment):
     with pytest.raises(ScenarioFormatError) as err:

@@ -13,6 +13,7 @@ import contextlib
 import io
 import random
 import shutil
+import sys
 import tracemalloc
 
 import pytest
@@ -271,6 +272,39 @@ def test_an_integer_past_the_digit_limit_is_refused_on_its_line(reading):
                                                    text)
     assert _outcome(parse_trace, text) == (
         "fault", f"not an integer: {reading!r}", i + 2)
+
+
+@pytest.mark.parametrize("kind, digits, fault", [
+    ("decimal", "{}.0000", "not a fixed-point decimal"),
+    ("integer", "{}0000", "not an integer"),
+])
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("past", [0, 1])
+def test_a_number_past_the_digit_limit_is_refused_on_its_line(
+        digit_limit, kind, digits, fault, sign, past):
+    """A reading is refused, as the per-line parser refuses it, exactly
+    when ``int`` cannot read it: when its digits, a decimal's 4 fractional
+    ones too, are more than the limit.  A reading at the limit loads and
+    is read, and with no limit the longer one does too."""
+    whole = "9" * (digit_limit - 4 + past)
+    reading = sign + digits.format(whole)
+    lines = [f"{t},0.0100" if kind == "decimal" else f"{t},{t}"
+             for t in range(3 * C // 8)]
+    i = cut_lines(lines)[0] + 1
+    lines[i] = f"{i},{reading}"
+    text = "\n".join([f"trace b {kind} 0 {len(lines)}"] + lines)
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+                                                   text)
+    if past:
+        assert _outcome(parse_trace, text) == (
+            "fault", f"{fault}: {reading!r}", i + 2)
+        sys.set_int_max_str_digits(0)
+    value = int(f"{sign}{whole}0000")
+    stream = parse_trace(text)[2]
+    if kind == "decimal":
+        value = Dec4(value)
+        assert stream.reduce_samples(max, i, i, 1) == value
+    assert stream.at(i) == value
 
 
 @pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (7, 6)])

@@ -150,14 +150,10 @@ def test_instances_of_different_classes_are_never_equal(data):
     assert VALUE_CLASS_TWINS[a](*values) != VALUE_CLASS_TWINS[b](*values)
 
 
-@pytest.mark.parametrize("make", [Environment])
-def test_default_dicts_are_not_shared(make):
-    a, b = make(), make()
-    assert a == b
-    for name in _names(type(a)):
-        value = getattr(a, name)
-        if isinstance(value, dict):
-            assert value is not getattr(b, name)
+def test_default_dicts_are_not_shared():
+    a, b = Environment(), Environment()
+    assert a.bindings == b.bindings == {} and a.memo == b.memo == {}
+    assert a.bindings is not b.bindings and a.memo is not b.memo
 
 
 def test_importing_the_cli_loads_no_dataclasses():

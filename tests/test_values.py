@@ -37,7 +37,7 @@ def test_parse_rejects_junk():
     # are digits to int() and to the re module's \d
     for bad in ("x", "1.", ".5", "1.00000", "--1.0", "", "+0.0200", "+1.5",
                 "-+1.0", "\u0660.\u0660\u0662\u0660\u0660", "1.\u0665",
-                "\uff11.\uff10"):
+                "\uff11.\uff10", "9" * 5000 + ".0"):
         with pytest.raises(KindMismatch):
             Dec4.parse(bad)
 
