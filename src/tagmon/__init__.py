@@ -13,7 +13,6 @@ from .formulas import (
     Environment,
     eval_formula,
     eval_term,
-    instantiate,
 )
 from .interventions import (
     Action,
@@ -29,6 +28,7 @@ from .monitoring import (
     JudgementSet,
     PredicateFamily,
     Record,
+    instantiate,
     monitor,
     observe_family,
     observe_uniform,

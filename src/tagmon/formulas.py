@@ -10,7 +10,9 @@ readings at t1, t1+s, ..., up to t2).
 
 Every name is bound in one namespace, ``Environment.bindings``: parameters,
 the behaviour stream, and in a quantifier's body its variable, which hides
-any outer binding of its name.
+any outer binding of its name.  A predicate family declares, once for all
+of its templates, the parameters and the stream name they are observed
+under.
 
 Undefined readings are strict: a BOTTOM anywhere inside a term makes the term
 BOTTOM, and an atomic test over BOTTOM raises BottomEncountered rather than
@@ -27,7 +29,7 @@ takes the loop.
 
 from __future__ import annotations
 
-from typing import Mapping, Tuple, Union
+from typing import Tuple, Union
 
 from ._frozen import Frozen
 from .errors import (
@@ -35,12 +37,11 @@ from .errors import (
     BottomEncountered,
     BoundNotInteger,
     KindMismatch,
-    MissingParameter,
     UnboundIdentifier,
     UnknownSymbol,
 )
 from .streams import OPERATIONS, Stream, _Booleans, _Decimals, check_arity
-from .values import BOTTOM, CarrierValue, compare, is_carrier
+from .values import BOTTOM, CarrierValue, compare
 
 # -- terms --------------------------------------------------------------------
 
@@ -292,38 +293,8 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
 
 
 class AttributeSpec(Frozen):
-    """Named formula template backing one judgement label.
+    """The formula template backing one judgement label of a predicate
+    family; the family declares the names the template is bound under."""
 
-    ``params`` are the identifiers bound to the checked parameter values
-    when the template is evaluated; ``stream_name`` is the identifier the
-    behaviour stream is bound to during observation.  Both are bound in one
-    namespace, so a parameter may not share the stream's name.
-    """
-
-    name: str
     label: str
     template: Formula
-    params: Tuple[str, ...] = ()
-    stream_name: str = "b"
-
-    def __post_init__(self):
-        if self.stream_name in self.params:
-            raise KindMismatch(
-                f"{self.name}: parameter {self.stream_name!r} is also the "
-                "stream's name")
-
-
-def instantiate(spec: AttributeSpec,
-                bindings: Mapping[str, CarrierValue]) -> dict:
-    """The template's parameter bindings, in a new dict: each declared
-    parameter's checked value."""
-    missing = [p for p in spec.params if p not in bindings]
-    if missing:
-        raise MissingParameter(f"{spec.name}: unbound parameters {missing}")
-    chosen = {p: bindings[p] for p in spec.params}
-    for p, v in chosen.items():
-        if v is BOTTOM or not is_carrier(v):
-            raise KindMismatch(
-                f"{spec.name}: parameter {p}={v!r} is not a carrier value")
-    return chosen
-

@@ -23,12 +23,13 @@ from .errors import (
     AmbiguousJudgement,
     BottomEncountered,
     KindMismatch,
+    MissingParameter,
     NoJudgement,
     UnknownField,
 )
-from .formulas import AttributeSpec, Environment, eval_formula, instantiate
+from .formulas import AttributeSpec, Environment, Formula, eval_formula
 from .streams import Stream
-from .values import format_value, is_carrier
+from .values import BOTTOM, CarrierValue, format_value, is_carrier
 
 
 class JudgementSet(Frozen):
@@ -131,34 +132,50 @@ def format_field(value) -> str:
 
 
 class PredicateFamily(Frozen):
-    """One attribute template per defined judgement label, evaluated together.
+    """The attributes that yield one judgement, one per spec's label.
 
-    ``undefined``, if set, is the label that holds when evaluating any of the
-    templates raises BottomEncountered; the spec labels plus ``undefined``
-    are exactly the judgements.  Every template declares the same
-    parameters and stream name, so one binding of the flattened
-    characteristics plus the cycle parameters serves them all.
+    An observation binds each of ``params`` to its checked value, from the
+    flattened characteristics and the cycle parameters, and ``stream_name``
+    to the behaviour stream, once for every spec's template, in one
+    namespace.  ``undefined``, if set, is the label that holds when
+    evaluating a template raises BottomEncountered.  The judgements are the
+    spec labels, in order, then ``undefined``.
     """
 
     name: str
-    judgements: JudgementSet
+    params: Tuple[str, ...]
+    stream_name: str
     specs: Tuple[AttributeSpec, ...]
     undefined: Optional[str] = None
 
     def __post_init__(self):
-        labels = [s.label for s in self.specs]
+        if self.stream_name in self.params:
+            raise KindMismatch(
+                f"family {self.name}: parameter {self.stream_name!r} is also "
+                "the stream's name")
+        labels = tuple(s.label for s in self.specs)
         if self.undefined is not None:
-            labels.append(self.undefined)
-        if sorted(labels) != sorted(self.judgements.labels):
+            labels += (self.undefined,)
+        self.__dict__["_judgements"] = JudgementSet(labels)
+
+    @property
+    def judgements(self) -> JudgementSet:
+        return self._judgements
+
+
+def instantiate(family: PredicateFamily,
+                bindings: Mapping[str, CarrierValue]) -> dict:
+    """The family's parameter bindings, in a new dict: each parameter it
+    declares, with its value from ``bindings`` checked."""
+    missing = [p for p in family.params if p not in bindings]
+    if missing:
+        raise MissingParameter(f"{family.name}: unbound parameters {missing}")
+    chosen = {p: bindings[p] for p in family.params}
+    for p, v in chosen.items():
+        if v is BOTTOM or not is_carrier(v):
             raise KindMismatch(
-                f"family {self.name}: specs and undefined cover "
-                f"{sorted(labels)}, judgements are "
-                f"{sorted(self.judgements.labels)}")
-        shapes = {(s.params, s.stream_name) for s in self.specs}
-        if len(shapes) != 1:
-            raise KindMismatch(
-                f"family {self.name}: specs differ in parameters or stream "
-                f"name {sorted(shapes)}")
+                f"{family.name}: parameter {p}={v!r} is not a carrier value")
+    return chosen
 
 
 class Record(Frozen):
@@ -171,10 +188,10 @@ class Record(Frozen):
     evaluated_at: int
 
 
-def observe_uniform(spec: AttributeSpec, a: Stream) -> bool:
-    """Evaluate a closed (parameter-free) attribute over one behaviour."""
-    env = Environment({**instantiate(spec, {}), spec.stream_name: a})
-    return eval_formula(spec.template, env)
+def observe_uniform(template: Formula, stream_name: str, a: Stream) -> bool:
+    """Evaluate a closed (parameter-free) template over one behaviour,
+    bound to ``stream_name``."""
+    return eval_formula(template, Environment({stream_name: a}))
 
 
 def observe_family(family: PredicateFamily, entity: str,
@@ -192,8 +209,7 @@ def observe_family(family: PredicateFamily, entity: str,
     """
     params = chi.flatten()
     params.update(extra_params or {})
-    first = family.specs[0]
-    env = Environment({**instantiate(first, params), first.stream_name: a})
+    env = Environment({**instantiate(family, params), family.stream_name: a})
     holders = []
     bottom = False
     for spec in family.specs:

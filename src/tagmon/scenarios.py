@@ -152,13 +152,11 @@ def compliance_judgement(sigma: Sentence, b: Stream) -> str:
 #
 # Each family is parsed once per process and shared by every entity of its
 # kind: it is frozen, and everything entity-specific reaches it as bindings
-# from the characteristics or the cycle parameters.
+# from the characteristics or the cycle parameters, which it declares once.
 
-def _specs(rows, stream_name) -> Tuple[AttributeSpec, ...]:
-    return tuple(AttributeSpec(name=name, label=label,
-                               template=parse_formula(text), params=params,
-                               stream_name=stream_name)
-                 for name, label, text, params in rows)
+def _specs(rows) -> Tuple[AttributeSpec, ...]:
+    return tuple(AttributeSpec(label, parse_formula(text))
+                 for label, text in rows)
 
 
 @functools.cache
@@ -173,16 +171,14 @@ def alcohol_family() -> PredicateFamily:
     the sampled maximum, so a missed sample makes each of them touch BOTTOM,
     and the family's undefined label is absent.
     """
-    params = ("t1", "t2", "s", "epsilon", "delta")
     rows = [
-        ("bac-green", GREEN, "max(b, t1, t2, s) < epsilon - delta", params),
-        ("bac-amber", AMBER,
-         "max(b, t1, t2, s) >= epsilon - delta"
-         " and max(b, t1, t2, s) <= epsilon + delta", params),
-        ("bac-red", RED, "max(b, t1, t2, s) > epsilon + delta", params),
+        (GREEN, "max(b, t1, t2, s) < epsilon - delta"),
+        (AMBER, "max(b, t1, t2, s) >= epsilon - delta"
+                " and max(b, t1, t2, s) <= epsilon + delta"),
+        (RED, "max(b, t1, t2, s) > epsilon + delta"),
     ]
-    return PredicateFamily(name="bac-band", judgements=ALCOHOL_JUDGEMENTS,
-                           specs=_specs(rows, "b"), undefined=ABSENT)
+    return PredicateFamily("bac-band", ("t1", "t2", "s", "epsilon", "delta"),
+                           "b", _specs(rows), undefined=ABSENT)
 
 
 @functools.cache
@@ -195,17 +191,12 @@ def curfew_family() -> PredicateFamily:
     that is not a presence, so a signal gap (missed reading) there makes
     both touch BOTTOM, and the family's undefined label is absent-signal.
     """
-    window = ("wstart", "wend")
     rows = [
-        ("night-presence", COMPLIANT,
-         "forall k in wstart .. wend : presence[k] = true", window),
-        ("night-absence", VIOLATION,
-         "exists k in wstart .. wend : presence[k] = false", window),
+        (COMPLIANT, "forall k in wstart .. wend : presence[k] = true"),
+        (VIOLATION, "exists k in wstart .. wend : presence[k] = false"),
     ]
-    return PredicateFamily(name="curfew-presence",
-                           judgements=CURFEW_JUDGEMENTS,
-                           specs=_specs(rows, "presence"),
-                           undefined=ABSENT_SIGNAL)
+    return PredicateFamily("curfew-presence", ("wstart", "wend"), "presence",
+                           _specs(rows), undefined=ABSENT_SIGNAL)
 
 
 # Default policies of the builders, shared like the families: on a breach,

@@ -115,9 +115,10 @@ class Stream:
     """Total assignment of carrier values over a window.
 
     ``Stream(window, values)`` and ``Stream.of`` keep the readings as a
-    tuple, checked value by value.  ``parse_trace`` keeps a decimal or
-    boolean trace as a column instead (``_Decimals``, ``_Booleans``), checked
-    by the parser.  Either way ``at`` returns one boxed carrier value,
+    tuple, checked value by value.  ``parse_trace`` sets an integer or label
+    trace's tuple directly, and keeps a decimal or boolean trace as a column
+    instead (``_Decimals``, ``_Booleans``): its readings are checked by the
+    parser.  Either way ``at`` returns one boxed carrier value,
     ``values`` boxes every reading into a tuple, and equality and hashing go
     by the window and the readings, not the storage.
     """
@@ -548,7 +549,10 @@ def parse_trace(text: str):
         return stream_id, kind, _Decimals(window, chunks, len(text))
     if kind == BOOLEAN:
         return stream_id, kind, _Booleans(window, chunks)
-    return stream_id, kind, Stream(window, tuple(chain.from_iterable(chunks)))
+    stream = Stream.__new__(Stream)
+    stream.window = window
+    stream._readings = tuple(chain.from_iterable(chunks))
+    return stream_id, kind, stream
 
 
 def _chunk_readings(text: str, pos: int, stop: int, kind: str,

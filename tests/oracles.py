@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import sys
 from typing import List, Optional
 
 from tagmon.errors import (
@@ -413,14 +414,18 @@ def _formula_tokens(text: str):
 
 
 def _formula_number(text: str, pos: int):
-    if "." not in text:
-        return int(text, 10)
-    frac = text.split(".", 1)[1]
+    whole, point, frac = text.partition(".")
     if len(frac) > 4:
         raise KindMismatch(
             f"decimal {text!r} has more than 4 fractional digits "
             f"(at position {pos})")
-    return Dec4.parse(text)
+    # int reads a decimal in raw units, its fraction padded to 4 digits;
+    # a limit of 0, or none before Python 3.10.7, lets any length through
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(whole) + (4 if point else 0) > limit:
+        raise KindMismatch(
+            f"number past int's digit limit (at position {pos})")
+    return Dec4.parse(text) if point else int(text, 10)
 
 
 def _foldable(t) -> bool:
@@ -761,13 +766,13 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (And, ["lhs", "rhs"]),
     (Or, ["lhs", "rhs"]),
     (Quant, ["quantifier", "var", "lo", "hi", "body"]),
-    (AttributeSpec, ["name", "label", "template", ("params", ()),
-                     ("stream_name", "b")]),
+    (AttributeSpec, ["label", "template"]),
     (Window, ["start", "horizon"]),
     (Operation, ["name", "arity", "fn"]),
     (Relation, ["name", "arity", "fn"]),
     (JudgementSet, ["labels"]),
-    (PredicateFamily, ["name", "judgements", "specs", ("undefined", None)]),
+    (PredicateFamily, ["name", "params", "stream_name", "specs",
+                       ("undefined", None)]),
     (Record, ["entity", "characteristics", "attribute", "judgement",
               "evaluated_at"]),
     (Trigger, ["domain", "fires_on"]),

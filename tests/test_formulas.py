@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagmon.errors import (
+    ArityMismatch,
     BottomEncountered,
     BoundNotInteger,
+    DivisionByZero,
     FormulaSyntaxError,
     KindMismatch,
     MissingParameter,
@@ -28,8 +30,8 @@ from tagmon.formulas import (
     Var,
     eval_formula,
     eval_term,
-    instantiate,
 )
+from tagmon.monitoring import PredicateFamily, instantiate
 from tagmon.parser import _KEYWORDS, parse_formula, parse_term, print_formula
 from tagmon.streams import OPERATIONS, RELATIONS, Stream
 from tagmon.values import BOTTOM, Dec4
@@ -172,8 +174,9 @@ def test_formula_text_matches_the_reference_parser_and_printer():
     # the tree or the error of each text, and the text or the error of
     # printing each tree
     rng = random.Random(7)
-    for _ in range(8000):
-        text = random_text(rng)
+    # an integer and a decimal literal past int's digit limit
+    texts = ["b[0] < " + "9" * 5000, "b[0] < " + "9" * 5000 + ".5"]
+    for text in texts + [random_text(rng) for _ in range(8000)]:
         for parse, reference in ((parse_formula, reference_parse_formula),
                                  (parse_term, reference_parse_term)):
             tree = _outcome(parse, text)
@@ -298,14 +301,34 @@ def test_eval_unary_minus_refuses_a_boolean():
         eval_term(parse_term("-x"), Environment({"x": True}))
 
 
-def test_eval_term_errors():
-    env = Environment({"b": bac_trace()})
-    with pytest.raises(UnboundIdentifier):
-        eval_term(parse_term("nope + 1"), env)
-    with pytest.raises(KindMismatch):
-        eval_term(parse_term("b + 1"), env)
-    with pytest.raises(KindMismatch):
-        eval_term(parse_term("floor(b, 1)"), env)
+@pytest.mark.parametrize("text, error, message", [
+    ("nope + 1 = 1", UnboundIdentifier, "unbound identifier 'nope'"),
+    ("b + 1 = 1", KindMismatch,
+     "stream argument is only valid in sampled max/min, not 'add'"),
+    ("floor(b, 1) = 1", KindMismatch,
+     "stream argument is only valid in sampled max/min, not 'floor'"),
+    ("b[true] = 1", KindMismatch, "stream index must be an integer, got True"),
+    ("1 + b = 2", KindMismatch, "stream used as a plain value in 'add'"),
+    ("max(b, 0, 3) = 1", ArityMismatch,
+     "sampled max takes (stream, start, end, step), got 3 arguments"),
+    ("max(b, 0, 3, 1.0000) = 1", KindMismatch,
+     "sample bounds must be integers, got Dec4(10000)"),
+    ("max(b, 0, b[2], 1) > 0", BottomEncountered,
+     "test touched an undefined reading"),
+    ("b[b[2]] = 1", BottomEncountered, "test touched an undefined reading"),
+    ("b = 1", KindMismatch, "stream used as a plain value in a test"),
+    ("1 / 0 = 0", DivisionByZero, "integer division by zero"),
+])
+def test_eval_term_errors(text, error, message):
+    env = Environment({"b": Stream.of(0, [1, 2, BOTTOM, 4])})
+    with pytest.raises(error) as raised:
+        eval_formula(parse_formula(text), env)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("text", ["floor(1.5000) = 1", "floor(-1.5000) = -2"])
+def test_eval_floor_rounds_down(text):
+    assert eval_formula(parse_formula(text), Environment()) is True
 
 
 def test_sampled_max_of_unordered_readings_is_a_kind_error():
@@ -364,53 +387,45 @@ def test_eval_formula_bound_errors():
 
 # -- templates -------------------------------------------------------------------
 
-GREEN_SPEC = AttributeSpec(
-    name="bac-green", label="green",
-    template=parse_formula("max(b, t1, t2, s) < glim"),
-    params=("t1", "t2", "s", "glim"))
+GREEN_FAMILY = PredicateFamily(
+    "bac-green", ("t1", "t2", "s", "glim"), "b",
+    (AttributeSpec("green", parse_formula("max(b, t1, t2, s) < glim")),))
+GREEN_TEMPLATE = GREEN_FAMILY.specs[0].template
 
 
 def test_instantiate_green_band():
     glim = Dec4.parse("0.0150")
-    variables = instantiate(GREEN_SPEC, {"t1": 0, "t2": 120, "s": 30,
-                                         "glim": glim, "status": "green"})
+    variables = instantiate(GREEN_FAMILY, {"t1": 0, "t2": 120, "s": 30,
+                                           "glim": glim, "status": "green"})
     assert variables == {"t1": 0, "t2": 120, "s": 30, "glim": glim}
     closed = parse_formula("max(b, 0, 120, 30) < 0.0150")
     for trace in (bac_trace(), bac_trace(peak_at=60, peak=Dec4(150)),
                   bac_trace(peak_at=61, peak=Dec4(9000))):
         streams = {"b": trace}
-        assert (eval_formula(GREEN_SPEC.template,
+        assert (eval_formula(GREEN_TEMPLATE,
                              Environment({**streams, **variables}))
                 == eval_formula(closed, Environment(streams)))
     with pytest.raises(BottomEncountered):
-        eval_formula(GREEN_SPEC.template,
+        eval_formula(GREEN_TEMPLATE,
                      Environment({"b": bac_trace(gap_at=90), **variables}))
 
 
 def test_instantiate_no_params_binds_nothing():
-    spec = AttributeSpec("always", "ok", parse_formula("true"))
-    assert instantiate(spec, {}) == {}
-    assert instantiate(spec, {"t1": 0}) == {}
+    family = PredicateFamily("always", (), "b",
+                             (AttributeSpec("ok", parse_formula("true")),))
+    assert instantiate(family, {}) == {}
+    assert instantiate(family, {"t1": 0}) == {}
 
 
 def test_instantiate_missing_parameter():
-    with pytest.raises(MissingParameter):
-        instantiate(GREEN_SPEC, {"t1": 0})
+    with pytest.raises(MissingParameter, match=r"^bac-green: unbound "
+                       r"parameters \['t2', 's', 'glim'\]$"):
+        instantiate(GREEN_FAMILY, {"t1": 0})
 
 
 def test_instantiate_rejects_non_carrier():
     with pytest.raises(KindMismatch):
-        instantiate(GREEN_SPEC, {"t1": 0, "t2": 120, "s": 30, "glim": None})
-
-
-def test_attribute_spec_rejects_a_parameter_named_like_its_stream():
-    with pytest.raises(KindMismatch):
-        AttributeSpec("band", "green", parse_formula("b[0] < b"),
-                      params=("b",))
-    with pytest.raises(KindMismatch):
-        AttributeSpec("night", "compliant",
-                      parse_formula("presence[0] = true"),
-                      params=("wstart", "presence"), stream_name="presence")
+        instantiate(GREEN_FAMILY, {"t1": 0, "t2": 120, "s": 30, "glim": None})
 
 
 def test_bound_parameter_respects_shadowing():
@@ -425,18 +440,17 @@ def test_bound_parameter_respects_shadowing():
 
 
 def test_instantiate_curfew_window_expansion():
-    spec = AttributeSpec(
-        name="night-presence", label="compliant",
-        template=parse_formula("forall k in wstart..wend : presence[k] = true"),
-        params=("wstart", "wend"), stream_name="presence")
-    variables = instantiate(spec, {"wstart": 1140, "wend": 1859})
+    template = parse_formula("forall k in wstart..wend : presence[k] = true")
+    family = PredicateFamily("night", ("wstart", "wend"), "presence",
+                             (AttributeSpec("compliant", template),))
+    variables = instantiate(family, {"wstart": 1140, "wend": 1859})
     ticks = list(range(1140, 1860))
     assert len(ticks) == 720
     present = Stream.of(1140, [True] * 720)
-    assert eval_formula(spec.template,
+    assert eval_formula(template,
                         Environment({"presence": present, **variables}))
     absent = Stream.of(1140, [True] * 300 + [False] + [True] * 419)
-    assert not eval_formula(spec.template,
+    assert not eval_formula(template,
                             Environment({"presence": absent, **variables}))
 
 

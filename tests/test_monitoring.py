@@ -24,6 +24,8 @@ from tagmon.monitoring import (
 )
 from tagmon.parser import parse_formula
 from tagmon.scenarios import (
+    ALCOHOL_JUDGEMENTS,
+    CURFEW_JUDGEMENTS,
     Sentence,
     alcohol_family,
     compliance_judgement,
@@ -122,14 +124,12 @@ def test_characteristics_flatten_and_fingerprint():
 
 
 def test_observe_uniform():
-    always = AttributeSpec("always", "ok", parse_formula("true"))
-    assert observe_uniform(always, bac_trace()) is True
-    red = AttributeSpec(
-        "red-probe", "red",
-        parse_formula("max(b, 0, 120, 30) > 0.0250"))
-    assert observe_uniform(red, bac_trace(peak_at=60, peak=Dec4(300))) is True
+    assert observe_uniform(parse_formula("true"), "b", bac_trace()) is True
+    red = parse_formula("max(b, 0, 120, 30) > 0.0250")
+    assert observe_uniform(red, "b",
+                           bac_trace(peak_at=60, peak=Dec4(300))) is True
     with pytest.raises(BottomEncountered):
-        observe_uniform(red, bac_trace(gap_at=30))
+        observe_uniform(red, "b", bac_trace(gap_at=30))
 
 
 def test_observe_family_bands():
@@ -145,10 +145,10 @@ def test_observe_family_bands():
 
 def bad_family(first, second):
     specs = (
-        AttributeSpec("a", "yes", parse_formula(first)),
-        AttributeSpec("b", "no", parse_formula(second)),
+        AttributeSpec("yes", parse_formula(first)),
+        AttributeSpec("no", parse_formula(second)),
     )
-    return PredicateFamily("broken", JudgementSet(("yes", "no")), specs)
+    return PredicateFamily("broken", (), "b", specs)
 
 
 def test_observe_family_reports_overlap_and_gaps():
@@ -159,34 +159,29 @@ def test_observe_family_reports_overlap_and_gaps():
         observe_family(bad_family("false", "false"), "e", chi, bac_trace())
 
 
-def test_family_label_coverage_is_validated():
-    with pytest.raises(KindMismatch):
-        PredicateFamily(
-            "short", JudgementSet(("yes", "no")),
-            (AttributeSpec("a", "yes", parse_formula("true")),))
+def test_family_judgements_are_its_labels_then_undefined():
+    # judgement sets are equal only with their labels in the same order
+    assert alcohol_family().judgements == ALCOHOL_JUDGEMENTS
+    assert curfew_family().judgements == CURFEW_JUDGEMENTS
 
 
-@pytest.mark.parametrize("second", [
-    AttributeSpec("b", "no", parse_formula("true"), stream_name="c"),
-    AttributeSpec("b", "no", parse_formula("true"), params=("t1",)),
-], ids=["stream name", "params"])
-def test_family_specs_must_bind_the_same_names(second):
-    # one binding serves every spec of a family
-    first = AttributeSpec("a", "yes", parse_formula("true"))
-    with pytest.raises(KindMismatch, match="^family mixed: specs differ in "
-                       "parameters or stream name"):
-        PredicateFamily("mixed", JudgementSet(("yes", "no")),
-                        (first, second))
+@pytest.mark.parametrize("params, stream_name", [
+    (("b",), "b"), (("wstart", "presence"), "presence")])
+def test_family_rejects_a_parameter_named_like_its_stream(params,
+                                                          stream_name):
+    spec = AttributeSpec("green", parse_formula(f"{stream_name}[0] = 1"))
+    with pytest.raises(KindMismatch, match=f"^family band: parameter "
+                       f"'{stream_name}' is also the stream's name$"):
+        PredicateFamily("band", params, stream_name, (spec,))
 
 
-def test_a_missing_parameter_is_named_by_the_first_spec():
+def test_a_missing_parameter_is_named_by_the_family():
     chi = Characteristics.of(status="green")
-    with pytest.raises(MissingParameter, match="^bac-green: unbound "):
+    with pytest.raises(MissingParameter, match="^bac-band: unbound "):
         observe_family(alcohol_family(), "e", chi, bac_trace())
 
 
-GAP_SPEC = AttributeSpec("probe", "no",
-                         parse_formula("max(b, 0, 120, 30) < 0.0000"))
+GAP_SPEC = AttributeSpec("no", parse_formula("max(b, 0, 120, 30) < 0.0000"))
 
 
 def parsed(kind, values):
@@ -254,10 +249,10 @@ def test_observe_family_asks_a_leaf_query_once_and_evaluates_every_spec(
 @pytest.mark.parametrize("bottom_first", [True, False])
 def test_undefined_label_is_checked_against_every_spec(bottom_first):
     # a spec that touches BOTTOM does not stop the others from being checked
-    specs = (GAP_SPEC, AttributeSpec("a", "yes", parse_formula("true")))
-    family = PredicateFamily(
-        "careless", JudgementSet(("yes", "no", "gap")),
-        specs if bottom_first else specs[::-1], undefined="gap")
+    specs = (GAP_SPEC, AttributeSpec("yes", parse_formula("true")))
+    family = PredicateFamily("careless", (), "b",
+                             specs if bottom_first else specs[::-1],
+                             undefined="gap")
     chi = Characteristics.of(status="green")
     assert observe_family(family, "e", chi, bac_trace()) == "yes"
     with pytest.raises(AmbiguousJudgement):
@@ -266,25 +261,25 @@ def test_undefined_label_is_checked_against_every_spec(bottom_first):
 
 def test_family_without_undefined_label_has_no_judgement_for_a_gap():
     specs = (
-        AttributeSpec("low", "low",
-                      parse_formula("max(b, 0, 120, 30) < 0.0200")),
-        AttributeSpec("high", "high",
-                      parse_formula("max(b, 0, 120, 30) >= 0.0200")),
+        AttributeSpec("low", parse_formula("max(b, 0, 120, 30) < 0.0200")),
+        AttributeSpec("high", parse_formula("max(b, 0, 120, 30) >= 0.0200")),
     )
-    family = PredicateFamily("split", JudgementSet(("low", "high")), specs)
+    family = PredicateFamily("split", (), "b", specs)
     chi = Characteristics.of(status="green")
     assert observe_family(family, "e", chi, bac_trace()) == "low"
     with pytest.raises(NoJudgement):
         observe_family(family, "e", chi, bac_trace(gap_at=60))
 
 
-@pytest.mark.parametrize("undefined", ["gap", "no"])
-def test_family_rejects_an_undefined_label_outside_or_taken(undefined):
-    # "gap" is not a judgement; "no" already belongs to a spec
-    specs = (AttributeSpec("a", "yes", parse_formula("true")), GAP_SPEC)
+@pytest.mark.parametrize("specs, undefined", [
+    ((AttributeSpec("yes", parse_formula("true")), GAP_SPEC), "no"),
+    ((GAP_SPEC, GAP_SPEC), None),
+    ((), None),
+], ids=["undefined taken", "label twice", "empty"])
+def test_family_rejects_a_judgement_set_with_a_label_twice_or_none(
+        specs, undefined):
     with pytest.raises(KindMismatch):
-        PredicateFamily("bad", JudgementSet(("yes", "no")), specs,
-                        undefined=undefined)
+        PredicateFamily("bad", (), "b", specs, undefined=undefined)
 
 
 def test_each_spec_is_evaluated_once_per_observation(monkeypatch):
@@ -383,14 +378,15 @@ def test_uniform_individual_coherence():
     """A family without characteristic parameters agrees with uniform
     observation label by label."""
     specs = (
-        AttributeSpec("low", "low", parse_formula("max(b, 0, 120, 30) < 0.0200")),
-        AttributeSpec("high", "high", parse_formula("max(b, 0, 120, 30) >= 0.0200")),
+        AttributeSpec("low", parse_formula("max(b, 0, 120, 30) < 0.0200")),
+        AttributeSpec("high", parse_formula("max(b, 0, 120, 30) >= 0.0200")),
     )
-    family = PredicateFamily("split", JudgementSet(("low", "high")), specs)
+    family = PredicateFamily("split", (), "b", specs)
     chi = Characteristics.of(status="green")
     for trace in (bac_trace(), bac_trace(peak_at=30, peak=Dec4(250))):
         label = observe_family(family, "e", chi, trace)
-        holders = [s.label for s in specs if observe_uniform(s, trace)]
+        holders = [s.label for s in specs
+                   if observe_uniform(s.template, "b", trace)]
         assert holders == [label]
 
 

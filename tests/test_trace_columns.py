@@ -351,6 +351,29 @@ def test_a_plain_trace_takes_no_per_line_check(kind, start, ending,
                                                    text)
 
 
+@pytest.mark.parametrize("kind", ["integer", "label"])
+def test_an_integer_or_label_trace_checks_no_reading_again(kind,
+                                                           monkeypatch):
+    """The plain pattern has accepted every reading of a chunk, so the
+    stream is not checked again value by value."""
+    readings = READINGS[kind]
+    lines = [f"{t},{readings[t % len(readings)]}" for t in range(C // 6)]
+    assert len(cut_lines(lines)) == 1  # two chunks
+    text = "\n".join([f"trace b {kind} 0 {len(lines)}"] + lines) + "\n"
+    checked = []
+    is_carrier = streams.is_carrier
+
+    def counted(value):
+        checked.append(value)
+        return is_carrier(value)
+
+    monkeypatch.setattr(streams, "is_carrier", counted)
+    parsed = _outcome(parse_trace, text)
+    assert parsed[0] == "ok" and checked == []
+    monkeypatch.undo()
+    assert parsed == _outcome(reference_parse_trace, text)
+
+
 @DIFFERENTIAL
 @given(text=trace_texts())
 def test_every_refusal_is_worded_by_a_per_line_check(text):
