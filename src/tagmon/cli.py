@@ -9,7 +9,8 @@ A run executes every monitoring cycle in time order over recorded traces and
 writes records.log and notifications.log to the output directory, replacing
 both or, if writing or moving either fails, neither.  Outputs are
 deterministic: rerunning the same scenario and traces reproduces the
-files byte for byte.
+files byte for byte.  gen-trace checks every option before it draws a
+reading.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -35,7 +36,7 @@ from .scenario_file import (
     parse_clock,
     validate_scenario,
 )
-from .streams import Stream, Window, insert, save_trace
+from .streams import Stream, Window, save_trace
 from .values import BOTTOM, Dec4, parse_int
 
 EXIT_OK = 0
@@ -71,8 +72,10 @@ def run_summary(result: RunResult, status: int) -> str:
 
 # -- trace generators ----------------------------------------------------------
 
-def gen_dry(minutes: int, seed: int) -> Stream:
-    """Readings drawn uniformly below epsilon - delta over [0, minutes]."""
+def gen_trace(minutes: int, seed: int, spike=None, gap=None) -> Stream:
+    """Readings drawn uniformly below epsilon - delta over [0, minutes],
+    with the ``spike`` (tick, value) set or the ``gap`` (first, last) ticks
+    missed, inclusive.  Every argument is checked before anything is drawn."""
     if minutes < 1:
         raise BadParams(f"minutes must be positive, got {minutes}")
     if minutes > MAX_MINUTES:
@@ -80,34 +83,24 @@ def gen_dry(minutes: int, seed: int) -> Stream:
             f"minutes must be at most {MAX_MINUTES}, got {minutes}")
     if not 0 <= seed <= MAX_SEED:
         raise BadParams(f"seed must be a 64-bit unsigned integer: {seed}")
-    ceiling = DEFAULT_EPSILON - DEFAULT_DELTA
+    if spike is not None:
+        spike_at, spike_value = spike
+        if not 0 <= spike_at <= minutes:
+            raise BadParams(f"spike-at {spike_at} outside [0, {minutes}]")
+        if spike_value.raw < 0:
+            raise BadParams(f"negative spike value {spike_value}")
+    if gap is not None:
+        first, last = gap
+        if not 0 <= first <= last <= minutes:
+            raise BadParams(f"gap [{first}, {last}] outside [0, {minutes}]")
+    ceiling = (DEFAULT_EPSILON - DEFAULT_DELTA).raw
     rng = random.Random(seed)
-    values = tuple(Dec4(rng.randrange(0, ceiling.raw))
-                   for _ in range(minutes + 1))
-    return Stream(Window(0, minutes + 1), values)
-
-
-def gen_spike(minutes: int, seed: int, spike_at: int,
-              spike_value: Dec4) -> Stream:
-    """Dry trace with one configured exceedance."""
-    base = gen_dry(minutes, seed)
-    if not 0 <= spike_at <= minutes:
-        raise BadParams(f"spike-at {spike_at} outside [0, {minutes}]")
-    if spike_value.raw < 0:
-        raise BadParams(f"negative spike value {spike_value}")
-    return insert(base, spike_at, spike_value)
-
-
-def gen_gap(minutes: int, seed: int, gap_start: int, gap_end: int) -> Stream:
-    """Dry trace with missed readings on [gap_start, gap_end] inclusive."""
-    base = gen_dry(minutes, seed)
-    if not 0 <= gap_start <= gap_end <= minutes:
-        raise BadParams(
-            f"gap [{gap_start}, {gap_end}] outside [0, {minutes}]")
-    values = list(base.values)
-    for t in range(gap_start, gap_end + 1):
-        values[t] = BOTTOM
-    return Stream(base.window, tuple(values))
+    values = [Dec4(rng.randrange(0, ceiling)) for _ in range(minutes + 1)]
+    if spike is not None:
+        values[spike_at] = spike_value
+    if gap is not None:
+        values[first:last + 1] = [BOTTOM] * (last + 1 - first)
+    return Stream(Window(0, minutes + 1), tuple(values))
 
 
 # -- commands -------------------------------------------------------------------
@@ -250,18 +243,14 @@ def cmd_gen_trace(args) -> int:
                 ("--gap", args.gap, "gap")):
             if value is not None and args.kind != kind:
                 raise BadParams(f"{option} needs --kind {kind}")
-        if args.kind == "dry":
-            stream = gen_dry(args.minutes, args.seed)
-        elif args.kind == "spike":
-            if args.spike_at is None or args.spike_value is None:
-                raise BadParams("spike needs --spike-at and --spike-value")
-            stream = gen_spike(args.minutes, args.seed, args.spike_at,
-                               Dec4.parse(args.spike_value))
-        else:
-            if args.gap is None:
-                raise BadParams("gap needs --gap A B")
-            stream = gen_gap(args.minutes, args.seed, args.gap[0],
-                             args.gap[1])
+        if args.kind == "spike" and (args.spike_at is None
+                                     or args.spike_value is None):
+            raise BadParams("spike needs --spike-at and --spike-value")
+        if args.kind == "gap" and args.gap is None:
+            raise BadParams("gap needs --gap A B")
+        spike = (None if args.spike_value is None
+                 else (args.spike_at, Dec4.parse(args.spike_value)))
+        stream = gen_trace(args.minutes, args.seed, spike, args.gap)
         save_trace(args.out, stream, "b", "decimal")
     except MonitorError as exc:
         print(f"gen-trace failed: {exc}", file=sys.stderr)

@@ -156,7 +156,10 @@ class PredicateFamily(Frozen):
         labels = tuple(s.label for s in self.specs)
         if self.undefined is not None:
             labels += (self.undefined,)
-        self.__dict__["_judgements"] = JudgementSet(labels)
+        try:
+            self.__dict__["_judgements"] = JudgementSet(labels)
+        except KindMismatch as exc:
+            raise KindMismatch(f"family {self.name}: {exc}") from None
 
     @property
     def judgements(self) -> JudgementSet:

@@ -158,10 +158,7 @@ class _Parser:
     def quantified(self) -> Formula:
         quantifier = self.next()[1]
         var_tok = self.expect("ident")
-        tok = self.next()
-        if tok[0] != "in":
-            raise FormulaSyntaxError(
-                f"expected 'in', found {tok[1]!r}", tok[2])
+        self.expect("in")
         lo = self.term()
         self.expect("..")
         hi = self.term()

@@ -21,6 +21,7 @@ DECIMAL = "decimal"
 LABEL = "label"
 
 KINDS = (BOOLEAN, INTEGER, DECIMAL, LABEL)
+_NUMERIC = (INTEGER, DECIMAL)
 
 # how a label, a stream id, an entity or a rule name is spelt
 LABEL_PATTERN = r"[A-Za-z][A-Za-z0-9_-]*"
@@ -215,26 +216,21 @@ def parse_value(text: str, kind: str) -> CarrierValue:
 
 def _numeric_pair(a, b):
     ka, kb = kind_of(a), kind_of(b)
-    if ka not in (INTEGER, DECIMAL) or kb not in (INTEGER, DECIMAL):
+    if ka not in _NUMERIC or kb not in _NUMERIC:
         raise KindMismatch(f"numeric operation on {ka} and {kb}")
     if ka == kb:
         return a, b
     return _as_dec(a), _as_dec(b)
 
 
-def add_values(a, b):
-    a, b = _numeric_pair(a, b)
-    return a + b
+def _numeric(operation):
+    """``operation`` on two numbers, promoted by ``_numeric_pair``."""
+    return lambda a, b: operation(*_numeric_pair(a, b))
 
 
-def sub_values(a, b):
-    a, b = _numeric_pair(a, b)
-    return a - b
-
-
-def mul_values(a, b):
-    a, b = _numeric_pair(a, b)
-    return a * b
+add_values = _numeric(operator.add)
+sub_values = _numeric(operator.sub)
+mul_values = _numeric(operator.mul)
 
 
 def div_values(a, b):
@@ -248,7 +244,7 @@ def div_values(a, b):
 
 
 def neg_value(a):
-    if kind_of(a) not in (INTEGER, DECIMAL):
+    if kind_of(a) not in _NUMERIC:
         raise KindMismatch(f"cannot negate a {kind_of(a)}")
     return -a
 
@@ -286,15 +282,15 @@ COMPARISONS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
 
 
 def compare(op: str, a, b) -> bool:
-    """Apply a comparison test (a name in ``COMPARISONS``) to two values."""
+    """Apply a comparison test (a name in ``COMPARISONS``) to two values;
+    values of two kinds compare only as numbers, whatever the test."""
     ka, kb = kind_of(a), kind_of(b)
-    if ka in (BOOLEAN, LABEL) or kb in (BOOLEAN, LABEL):
-        if op not in ("eq", "ne"):
-            raise KindMismatch(f"{ka} values admit only equality tests")
-        if ka != kb:
+    if ka != kb:
+        if ka not in _NUMERIC or kb not in _NUMERIC:
             raise KindMismatch(f"cannot compare {ka} with {kb}")
-    else:
-        a, b = _numeric_pair(a, b)
+        a, b = _as_dec(a), _as_dec(b)
+    elif ka not in _NUMERIC and op not in ("eq", "ne"):
+        raise KindMismatch(f"{ka} values admit only equality tests")
     test = COMPARISONS.get(op)
     if test is None:
         raise KindMismatch(f"unknown comparison {op!r}")

@@ -494,7 +494,8 @@ class _FormulaParser:
         tok = self.peek()
         if not self.at_keyword("in"):
             raise FormulaSyntaxError(
-                f"expected 'in', found {tok[1]!r}", tok[2])
+                f"expected 'in', found {tok[1] or 'end of input'!r}",
+                tok[2])
         self.next()
         lo = self.term()
         self.expect("..")

@@ -1,5 +1,6 @@
 import errno
 import pathlib
+import random
 import shutil
 from types import SimpleNamespace
 
@@ -15,15 +16,13 @@ from tagmon.cli import (
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     MAX_MINUTES,
-    gen_dry,
-    gen_gap,
-    gen_spike,
+    gen_trace,
     main,
     run_summary,
 )
 from tagmon.errors import BadParams, OutOfWindow
 from tagmon.streams import load_trace
-from tagmon.values import Dec4
+from tagmon.values import BOTTOM, Dec4
 
 
 def test_validate_ok_and_failure(scenarios_dir, tmp_path, capsys):
@@ -609,13 +608,65 @@ def test_failed_log_move_keeps_the_previous_logs(scenarios_dir, tmp_path,
 # -- trace generation -----------------------------------------------------------
 
 def test_gen_dry_is_seeded_and_below_green_threshold(tmp_path):
-    a = gen_dry(720, 42)
-    b = gen_dry(720, 42)
+    a = gen_trace(720, 42)
+    b = gen_trace(720, 42)
     assert a == b
-    assert gen_dry(720, 43) != a
+    assert gen_trace(720, 43) != a
     ceiling = Dec4.parse("0.0150")
     assert all(v < ceiling for v in a.values)
     assert a.window.length == 721
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_gen_trace_draws_one_reading_per_tick_below_the_ceiling(seed):
+    # written out here rather than read from gen_trace: one draw below
+    # epsilon - delta (0.0150, 150 raw units) per tick, then the spike set
+    # or the NA run put in place
+    rng = random.Random(seed)
+    dry = [Dec4(rng.randrange(0, 150)) for _ in range(721)]
+    spike = Dec4.parse("0.0300")
+    cases = [
+        ({}, dry),
+        ({"spike": (600, spike)}, dry[:600] + [spike] + dry[601:]),
+        ({"spike": (0, spike)}, [spike] + dry[1:]),
+        ({"spike": (720, spike)}, dry[:720] + [spike]),
+        ({"gap": (60, 120)}, dry[:60] + [BOTTOM] * 61 + dry[121:]),
+        ({"gap": (720, 720)}, dry[:720] + [BOTTOM]),
+        ({"gap": (0, 720)}, [BOTTOM] * 721),
+    ]
+    for options, values in cases:
+        stream = gen_trace(720, seed, **options)
+        assert (stream.window.start, stream.window.length) == (0, 721)
+        assert stream.values == tuple(values), options
+
+
+@pytest.mark.parametrize("minutes, seed, options, message", [
+    (0, 0, {}, "minutes must be positive, got 0"),
+    (MAX_MINUTES + 1, 0, {}, "minutes must be at most 1440000, got 1440001"),
+    (720, -1, {}, "seed must be a 64-bit unsigned integer: -1"),
+    (720, 2 ** 64, {},
+     "seed must be a 64-bit unsigned integer: 18446744073709551616"),
+    (720, 0, {"spike": (721, Dec4(300))}, "spike-at 721 outside [0, 720]"),
+    (720, 0, {"spike": (-1, Dec4(300))}, "spike-at -1 outside [0, 720]"),
+    (720, 0, {"spike": (600, Dec4(-1))}, "negative spike value -0.0001"),
+    (720, 0, {"gap": (500, 100)}, "gap [500, 100] outside [0, 720]"),
+    (720, 0, {"gap": (-1, 100)}, "gap [-1, 100] outside [0, 720]"),
+    (720, 0, {"gap": (700, 721)}, "gap [700, 721] outside [0, 720]"),
+    (MAX_MINUTES, 0, {"gap": (5, 2)}, "gap [5, 2] outside [0, 1440000]"),
+    # minutes, then the seed, then the spike's tick, then its sign
+    (0, -1, {"spike": (900, Dec4(-1))}, "minutes must be positive, got 0"),
+    (720, -1, {"gap": (5, 2)}, "seed must be a 64-bit unsigned integer: -1"),
+    (720, 0, {"spike": (900, Dec4(-1))}, "spike-at 900 outside [0, 720]"),
+])
+def test_gen_trace_draws_nothing_it_refuses(monkeypatch, minutes, seed,
+                                            options, message):
+    def refuse(seed):
+        raise AssertionError("readings drawn for a refused trace")
+
+    monkeypatch.setattr(tagmon.cli.random, "Random", refuse)
+    with pytest.raises(BadParams) as err:
+        gen_trace(minutes, seed, **options)
+    assert str(err.value) == message
 
 
 def test_gen_trace_cli_files_identical(tmp_path, capsys):
@@ -629,7 +680,7 @@ def test_gen_trace_cli_files_identical(tmp_path, capsys):
 
 
 def test_gen_spike_has_exactly_one_hot_sample():
-    spike = gen_spike(720, 42, 600, Dec4.parse("0.0300"))
+    spike = gen_trace(720, 42, spike=(600, Dec4.parse("0.0300")))
     threshold = Dec4.parse("0.0250")
     hot = [t for t in range(0, 721, 30) if spike.at(t) >= threshold]
     assert hot == [600]
@@ -660,14 +711,6 @@ def test_gen_trace_bad_params(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"gen-trace failed: not a fixed-point decimal: {value!r}\n")
     assert not (tmp_path / "x.trace").exists()
-    with pytest.raises(BadParams):
-        gen_gap(720, 0, 500, 100)
-    with pytest.raises(BadParams):
-        gen_spike(720, 0, 900, Dec4(300))
-    with pytest.raises(BadParams):
-        gen_dry(0, 0)
-    with pytest.raises(BadParams):
-        gen_dry(720, -1)
 
 
 @pytest.mark.parametrize("args, stray", [
@@ -764,8 +807,6 @@ def test_gen_trace_rejects_too_many_minutes(tmp_path, capsys, monkeypatch,
         "gen-trace failed: minutes must be at most 1440000, "
         "got 100000000000\n")
     assert not out.exists()
-    with pytest.raises(BadParams):
-        gen_dry(MAX_MINUTES + 1, 0)
 
 
 def _result(records, notification_times):

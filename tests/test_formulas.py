@@ -200,6 +200,14 @@ def test_parse_errors_carry_position():
     assert err.value.position == 4
     with pytest.raises(FormulaSyntaxError):
         parse_formula("forall k in 0..2 q = 1")
+    # a missing "in" is worded as every other expected token
+    for text, message in (
+            ("forall k", "expected 'in', found 'end of input' "
+                         "(at position 8)"),
+            ("forall k x", "expected 'in', found 'x' (at position 9)")):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
     with pytest.raises(FormulaSyntaxError):
         parse_formula("1 <> 2")
     with pytest.raises(UnknownSymbol):

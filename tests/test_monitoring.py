@@ -271,15 +271,18 @@ def test_family_without_undefined_label_has_no_judgement_for_a_gap():
         observe_family(family, "e", chi, bac_trace(gap_at=60))
 
 
-@pytest.mark.parametrize("specs, undefined", [
-    ((AttributeSpec("yes", parse_formula("true")), GAP_SPEC), "no"),
-    ((GAP_SPEC, GAP_SPEC), None),
-    ((), None),
+@pytest.mark.parametrize("specs, undefined, message", [
+    ((AttributeSpec("yes", parse_formula("true")), GAP_SPEC), "no",
+     "family bad: duplicate judgement labels: ('yes', 'no', 'no')"),
+    ((GAP_SPEC, GAP_SPEC), None,
+     "family bad: duplicate judgement labels: ('no', 'no')"),
+    ((), None, "family bad: judgement set must be non-empty"),
 ], ids=["undefined taken", "label twice", "empty"])
 def test_family_rejects_a_judgement_set_with_a_label_twice_or_none(
-        specs, undefined):
-    with pytest.raises(KindMismatch):
+        specs, undefined, message):
+    with pytest.raises(KindMismatch) as err:
         PredicateFamily("bad", (), "b", specs, undefined=undefined)
+    assert str(err.value) == message
 
 
 def test_each_spec_is_evaluated_once_per_observation(monkeypatch):

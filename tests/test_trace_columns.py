@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_parse_trace
 from tagmon import streams
-from tagmon.cli import EXIT_OK, gen_dry, main
+from tagmon.cli import EXIT_OK, gen_trace, main
 from tagmon.errors import TraceFormatError
 from tagmon.streams import (
     _CHUNK_CHARS,
@@ -403,7 +403,7 @@ def test_lines_that_pass_the_per_line_checks_are_still_refused(kind,
 def test_reading_a_long_trace_peaks_below_three_times_its_text():
     """The 143,940-minute dry trace of ``extended_dry``, read with no tick
     column cached: the reader holds no list of its lines or ticks."""
-    text = format_trace(gen_dry(143940, 42), "b", "decimal")
+    text = format_trace(gen_trace(143940, 42), "b", "decimal")
     _tick_column.cache_clear()
     tracemalloc.start()
     try:

@@ -142,3 +142,58 @@ def test_labels_and_booleans_only_support_equality():
         compare("eq", True, 1)
     with pytest.raises(KindMismatch, match="unknown comparison 'xx'"):
         compare("xx", 1, 2)
+
+
+B, I, D, L = True, 1, Dec4.parse("0.0100"), "green"
+# each pair of kinds: the result of eq and of lt, or the fault's message
+COMPARISON_TABLE = [
+    (B, B, True, "boolean values admit only equality tests"),
+    (B, I, "cannot compare boolean with integer",
+     "cannot compare boolean with integer"),
+    (B, D, "cannot compare boolean with decimal",
+     "cannot compare boolean with decimal"),
+    (B, L, "cannot compare boolean with label",
+     "cannot compare boolean with label"),
+    (I, B, "cannot compare integer with boolean",
+     "cannot compare integer with boolean"),
+    (I, I, True, False),
+    (I, D, False, False),
+    (I, L, "cannot compare integer with label",
+     "cannot compare integer with label"),
+    (D, B, "cannot compare decimal with boolean",
+     "cannot compare decimal with boolean"),
+    (D, I, False, True),
+    (D, D, True, False),
+    (D, L, "cannot compare decimal with label",
+     "cannot compare decimal with label"),
+    (L, B, "cannot compare label with boolean",
+     "cannot compare label with boolean"),
+    (L, I, "cannot compare label with integer",
+     "cannot compare label with integer"),
+    (L, D, "cannot compare label with decimal",
+     "cannot compare label with decimal"),
+    (L, L, True, "label values admit only equality tests"),
+]
+
+
+@pytest.mark.parametrize("a, b, eq, lt", COMPARISON_TABLE, ids=[
+    f"{kind_of(a)}-{kind_of(b)}" for a, b, _, _ in COMPARISON_TABLE])
+def test_comparison_results_and_faults_by_kind(a, b, eq, lt):
+    # two kinds compare only as numbers, whatever the test; booleans and
+    # labels admit eq and ne only
+    for op, expected in (("eq", eq), ("lt", lt)):
+        if isinstance(expected, bool):
+            assert compare(op, a, b) is expected
+        else:
+            with pytest.raises(KindMismatch) as err:
+                compare(op, a, b)
+            assert str(err.value) == expected
+
+
+def test_mixed_kind_faults_name_both_kinds():
+    with pytest.raises(KindMismatch) as err:
+        compare("gt", L, D)
+    assert str(err.value) == "cannot compare label with decimal"
+    with pytest.raises(KindMismatch) as err:
+        add_values(True, 1)
+    assert str(err.value) == "numeric operation on boolean and integer"
