@@ -27,7 +27,7 @@ from .errors import (
     NoJudgement,
     UnknownField,
 )
-from .formulas import AttributeSpec, Environment, Formula, eval_formula
+from .formulas import AttributeSpec, Environment, eval_formula
 from .streams import Stream
 from .values import BOTTOM, CarrierValue, format_value, is_carrier
 
@@ -189,12 +189,6 @@ class Record(Frozen):
     attribute: str
     judgement: str
     evaluated_at: int
-
-
-def observe_uniform(template: Formula, stream_name: str, a: Stream) -> bool:
-    """Evaluate a closed (parameter-free) template over one behaviour,
-    bound to ``stream_name``."""
-    return eval_formula(template, Environment({stream_name: a}))
 
 
 def observe_family(family: PredicateFamily, entity: str,

@@ -22,7 +22,8 @@
 Parsing rejects an unknown section header and a break of three rules: a
 header may repeat only as an entity with a new name, a key may appear once
 per section except ``rule``, and a key not in its section's table is an
-``unknown <section> key``.  Clock times use HH:MM and become minute ticks.
+``unknown <section> key``.  ``#`` starts a comment anywhere on a line, so
+a value cannot hold ``#``.  Clock times use HH:MM and become minute ticks.
 An entity carries either a sentence (alcohol monitoring) or a curfew order;
 when a [schedule] section is present, sentence entities are evaluated per
 upload instead of once over [t1, t2].
@@ -79,7 +80,14 @@ from .scenarios import (
 )
 from .interventions import Action
 from .streams import load_trace, read_ascii
-from .values import BOOLEAN, DECIMAL, LABEL_PATTERN, Dec4, parse_int
+from .values import (
+    BOOLEAN,
+    DECIMAL,
+    LABEL_PATTERN,
+    Dec4,
+    parse_int,
+    past_digit_limit,
+)
 
 _SECTION_RE = re.compile(
     rf"\[(entity\s+({LABEL_PATTERN})|schedule|policy)\]\Z")
@@ -330,9 +338,12 @@ def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
             sentence = Sentence(*ent.sentence)
         elif (not isinstance(schedule, MonitorError)
               and ent.sentence[:2] != (0, schedule.last_upload)):
+            last = schedule.last_upload
+            span = ("0 to the last upload, which days puts past int's digit "
+                    "limit" if past_digit_limit(last)
+                    else f"0,{last} (t=0 to the last upload)")
             raise ScenarioFormatError(
-                f"under [schedule] the sentence must span "
-                f"0,{schedule.last_upload} (t=0 to the last upload), "
+                f"under [schedule] the sentence must span {span}, "
                 f"got {ent.sentence[0]},{ent.sentence[1]}")
     elif ent.nights is None:
         raise ScenarioFormatError("curfew needs nights")

@@ -50,7 +50,7 @@ from .monitoring import (
 )
 from .parser import parse_formula
 from .streams import Stream
-from .values import BOTTOM, Dec4
+from .values import BOTTOM, Dec4, past_digit_limit
 
 MINUTES_PER_DAY = 1440
 
@@ -116,11 +116,13 @@ def sample_times(t1: int, t2: int, s: int) -> List[int]:
 def _require_cover(b: Stream, t1: int, t2: int, name: str,
                    span: str = "") -> None:
     """Raise WindowTooShort unless the window of ``b``, called ``name`` in
-    the message, covers the ticks [t1, t2]."""
+    the message, covers the ticks [t1, t2]; a t2 that ``str`` cannot write
+    is named as such."""
     if b.window.start > t1 or b.window.horizon <= t2:
+        last = "a tick past int's digit limit" if past_digit_limit(t2) else t2
         raise WindowTooShort(
             f"{name} window [{b.window.start}, {b.window.horizon}) does not "
-            f"cover {span}[{t1}, {t2}]")
+            f"cover {span}[{t1}, {last}]")
 
 
 def sampled_max(t1: int, t2: int, s: int, b: Stream) -> Optional[Dec4]:

@@ -42,8 +42,8 @@ refused; the per-line checks only word its fault.
 from __future__ import annotations
 
 import functools
+import math
 import re
-import sys
 from array import array
 from itertools import accumulate, chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -73,6 +73,7 @@ from .values import (
     _LABEL_RE,
     add_values,
     compare,
+    digit_limit,
     div_values,
     floor_value,
     format_value,
@@ -338,8 +339,6 @@ def lift_const(c: CarrierValue, w: Window) -> Stream:
     """Constant stream: the same value at every tick of the window."""
     if c is BOTTOM:
         raise BottomConstant("cannot lift BOTTOM to a constant stream")
-    if not is_carrier(c):
-        raise KindMismatch(f"not a carrier value: {c!r}")
     return Stream(w, (c,) * w.length)
 
 
@@ -414,8 +413,6 @@ def insert(a: Stream, t: int, x: CarrierValue) -> Stream:
     """Replace the reading at tick t, leaving every other tick unchanged."""
     if t not in a.window:
         raise _outside(a.window, t)
-    if not is_carrier(x):
-        raise KindMismatch(f"not a carrier value: {x!r}")
     i = t - a.window.start
     values = a.values
     return Stream(a.window, values[:i] + (x,) + values[i + 1:])
@@ -489,11 +486,20 @@ def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
         raise TraceFormatError(f"malformed stream id {stream_id!r}")
     lines = [f"trace {stream_id} {kind} "
              f"{stream.window.start} {stream.window.horizon}"]
+    # the reader reads back a number, a decimal in raw units, below this
+    # in magnitude; neither ``str`` nor ``repr`` writes a larger integer
+    limit = digit_limit()
+    bound = 10 ** limit if limit else math.inf
     for t in stream.window.ticks():
         value = stream.at(t)
-        if value is not BOTTOM and (kind_of(value) != kind or value == "NA"):
-            raise TraceFormatError(f"tick {t}: {kind} trace cannot hold "
-                                   f"{value!r}")
+        if value is not BOTTOM:
+            if (isinstance(value, (int, Dec4))
+                    and not -bound < getattr(value, "raw", value) < bound):
+                raise TraceFormatError(f"tick {t}: {kind} trace cannot hold "
+                                       "a number past int's digit limit")
+            if kind_of(value) != kind or value == "NA":
+                raise TraceFormatError(f"tick {t}: {kind} trace cannot hold "
+                                       f"{value!r}")
         lines.append(f"{t},{format_value(value)}")
     return "\n".join(lines) + "\n"
 
@@ -562,8 +568,8 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
     ticks do not continue the tick column, which raises its first faulty
     line's fault or, should the per-line checks find none, one fault."""
     # a number has no more digits than ``int`` reads, a decimal's 4
-    # fractional ones included; 0, and Python before 3.10.7, set no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # fractional ones included
+    limit = digit_limit()
     more = limit - (5 if kind == DECIMAL else 1) if limit else ""
     plain = re.compile(_PLAIN_LINES[kind].format(more=more))
     column = _tick_column(window.start, window.horizon)

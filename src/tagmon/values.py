@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from typing import Union
 
 from .errors import DivisionByZero, KindMismatch
@@ -174,6 +175,18 @@ def format_value(value) -> str:
     if kind == LABEL:
         return value
     return str(value)
+
+
+def digit_limit() -> int:
+    """The most digits ``int`` reads from a string and ``str`` writes of an
+    integer; 0, and Python before 3.10.7, set no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def past_digit_limit(n: int) -> bool:
+    """Whether ``n`` has more digits than ``str`` writes."""
+    limit = digit_limit()
+    return limit > 0 and abs(n) >= 10 ** limit
 
 
 def parse_int(text: str) -> int:

@@ -2,6 +2,7 @@ import errno
 import pathlib
 import random
 import shutil
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -227,6 +228,35 @@ def test_a_reading_past_the_digit_limit_is_a_diagnostic(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"{scenario}:1: entity A: long.trace:2500: not a fixed-point "
         f"decimal: {reading!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("lowered", [False, True])
+@pytest.mark.parametrize("entity, fault", [
+    ("curfew = 19:00,07:00\nnights = {}\ntrace = curfew_presence.trace\n",
+     "presence window [0, 10501) does not cover nights [1140, a tick past "
+     "int's digit limit]"),
+    ("sentence = 0,720,30,0.0200,0.0050\ntrace = alcohol_dry.trace\n"
+     "[schedule]\nuploads = 07:00\ndays = {}\n",
+     "under [schedule] the sentence must span 0 to the last upload, which "
+     "days puts past int's digit limit, got 0,720"),
+], ids=["nights", "days"])
+def test_nights_or_days_past_the_digit_limit_is_a_diagnostic(
+        scenarios_dir, tmp_path, capsys, request, command, lowered, entity,
+        fault):
+    """Nights or days that ``int`` reads, whose last cycle's tick has more
+    digits than ``str`` writes, are refused on the entity's line, under the
+    default limit and the least one."""
+    limit = (request.getfixturevalue("digit_limit") if lowered
+             else sys.get_int_max_str_digits())
+    for name in ("curfew_presence.trace", "alcohol_dry.trace"):
+        shutil.copy(scenarios_dir / "traces" / name, tmp_path)
+    scenario = tmp_path / "huge.scenario"
+    scenario.write_text("[entity A]\n" + entity.format("9" * (limit - 1)))
+    out = tmp_path / "out"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"{scenario}:1: entity A: {fault}\n"
     assert not out.exists()
 
 

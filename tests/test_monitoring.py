@@ -12,7 +12,7 @@ from tagmon.errors import (
     NoJudgement,
     UnknownField,
 )
-from tagmon.formulas import AttributeSpec
+from tagmon.formulas import AttributeSpec, Environment, eval_formula
 from tagmon.monitoring import (
     Characteristics,
     JudgementSet,
@@ -20,7 +20,6 @@ from tagmon.monitoring import (
     format_record,
     monitor,
     observe_family,
-    observe_uniform,
 )
 from tagmon.parser import parse_formula
 from tagmon.scenarios import (
@@ -123,13 +122,14 @@ def test_characteristics_flatten_and_fingerprint():
                            b=Characteristics.of(x=2)).flatten()
 
 
-def test_observe_uniform():
-    assert observe_uniform(parse_formula("true"), "b", bac_trace()) is True
+def test_closed_template_over_one_behaviour():
+    assert eval_formula(parse_formula("true"),
+                        Environment({"b": bac_trace()})) is True
     red = parse_formula("max(b, 0, 120, 30) > 0.0250")
-    assert observe_uniform(red, "b",
-                           bac_trace(peak_at=60, peak=Dec4(300))) is True
+    assert eval_formula(red, Environment(
+        {"b": bac_trace(peak_at=60, peak=Dec4(300))})) is True
     with pytest.raises(BottomEncountered):
-        observe_uniform(red, "b", bac_trace(gap_at=30))
+        eval_formula(red, Environment({"b": bac_trace(gap_at=30)}))
 
 
 def test_observe_family_bands():
@@ -378,8 +378,8 @@ def test_format_record_line():
 
 
 def test_uniform_individual_coherence():
-    """A family without characteristic parameters agrees with uniform
-    observation label by label."""
+    """A family without characteristic parameters agrees, label by label,
+    with each template evaluated over the behaviour alone."""
     specs = (
         AttributeSpec("low", parse_formula("max(b, 0, 120, 30) < 0.0200")),
         AttributeSpec("high", parse_formula("max(b, 0, 120, 30) >= 0.0200")),
@@ -389,7 +389,7 @@ def test_uniform_individual_coherence():
     for trace in (bac_trace(), bac_trace(peak_at=30, peak=Dec4(250))):
         label = observe_family(family, "e", chi, trace)
         holders = [s.label for s in specs
-                   if observe_uniform(s.template, "b", trace)]
+                   if eval_formula(s.template, Environment({"b": trace}))]
         assert holders == [label]
 
 

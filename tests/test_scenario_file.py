@@ -303,9 +303,15 @@ def test_validate_trace_coverage(tmp_path):
     assert any("does not cover" in d.message for d in diagnostics)
 
 
-def test_validate_missing_trace(tmp_path):
-    diagnostics = validate_scenario(parse_scenario(ALCOHOL_TEXT), tmp_path)
-    assert any("not found" in d.message for d in diagnostics)
+@pytest.mark.parametrize("path, fault", [
+    ("traces/dry.trace", "trace file not found: traces/dry.trace"),
+    # '#' starts a comment anywhere on a line, a value's middle too
+    ("traces/alc#x.trace", "trace file not found: traces/alc"),
+], ids=["missing", "cut-at-hash"])
+def test_validate_missing_trace(tmp_path, path, fault):
+    text = ALCOHOL_TEXT.replace("traces/dry.trace", path)
+    assert validate_scenario(parse_scenario(text), tmp_path) == [
+        Diagnostic(2, f"entity PID-7: {fault}")]
 
 
 def test_validate_wrong_trace_kind(tmp_path):

@@ -7,6 +7,7 @@ from tagmon.errors import (
     ArityMismatch,
     BottomConstant,
     BottomEncountered,
+    KindMismatch,
     OutOfWindow,
     ShiftTooLarge,
     TraceFormatError,
@@ -158,6 +159,28 @@ def test_insert_examples():
     assert repaired.at(1) == Dec4(200)
     with pytest.raises(OutOfWindow):
         insert(a, 3, 0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: lift_const(1.5, Window(0, 3)), KindMismatch,
+     "not a carrier value: 1.5"),
+    (lambda: lift_const("no good", Window(0, 3)), KindMismatch,
+     "not a carrier value: 'no good'"),
+    (lambda: lift_const(BOTTOM, Window(0, 3)), BottomConstant,
+     "cannot lift BOTTOM to a constant stream"),
+    (lambda: insert(Stream.of(0, [1, 2, 3]), 1, None), KindMismatch,
+     "not a carrier value: None"),
+    (lambda: insert(Stream.of(0, [1, 2, 3]), 3, None), OutOfWindow,
+     "t=3 outside window [0, 3)"),
+])
+def test_the_algebra_refuses_a_value_that_is_no_carrier(build, error,
+                                                        message):
+    """``lift_const`` and ``insert`` leave the check of a reading to
+    ``Stream``; ``insert`` checks the tick first."""
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 
