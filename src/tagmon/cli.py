@@ -10,7 +10,8 @@ writes records.log and notifications.log to the output directory, replacing
 both or, if writing or moving either fails, neither.  Outputs are
 deterministic: rerunning the same scenario and traces reproduces the
 files byte for byte.  gen-trace checks every option before it draws a
-reading.
+reading.  ``validate`` and ``run`` print each fault of a scenario, or of a
+trace it names, as one stderr line that the fault words itself (``render``).
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -29,7 +30,6 @@ from .errors import BadParams, MonitorError, ScenarioFormatError
 from .interventions import RunResult, format_notification
 from .monitoring import format_record
 from .scenario_file import (
-    Diagnostic,
     InvalidScenario,
     build_scenario,
     load_scenario,
@@ -106,14 +106,15 @@ def gen_trace(minutes: int, seed: int, spike=None, gap=None) -> Stream:
 # -- commands -------------------------------------------------------------------
 
 def _load(path):
-    """``load_scenario``, or None after reporting why the file is unusable."""
+    """``load_scenario``, or None after printing the fault that makes the
+    file unusable (an unreadable file's reason is a fault with no line)."""
     try:
         return load_scenario(path)
     except OSError as exc:
-        print(f"{path}: {exc.strerror or 'unreadable'}", file=sys.stderr)
+        fault = ScenarioFormatError(exc.strerror or "unreadable")
     except ScenarioFormatError as exc:
-        print(Diagnostic(exc.line, exc.message).render(str(path)),
-              file=sys.stderr)
+        fault = exc
+    print(fault.render(path), file=sys.stderr)
     return None
 
 
@@ -121,13 +122,12 @@ def cmd_validate(args) -> int:
     loaded = _load(args.scenario)
     if loaded is None:
         return EXIT_VALIDATION
-    config, base_dir = loaded
-    diagnostics = validate_scenario(config, base_dir)
-    for diag in diagnostics:
-        print(diag.render(str(args.scenario)), file=sys.stderr)
-    if not diagnostics:
+    faults = validate_scenario(*loaded)
+    for fault in faults:
+        print(fault.render(args.scenario), file=sys.stderr)
+    if not faults:
         print(f"{args.scenario}: ok")
-    return EXIT_VALIDATION if diagnostics else EXIT_OK
+    return EXIT_VALIDATION if faults else EXIT_OK
 
 
 def _write_logs(out_dir, texts: Dict[str, str]) -> None:
@@ -201,8 +201,8 @@ def cmd_run(args) -> int:
     try:
         result = execute_scenario(config, base_dir, args.out)
     except InvalidScenario as exc:
-        for diag in exc.diagnostics:
-            print(diag.render(str(args.scenario)), file=sys.stderr)
+        for fault in exc.faults:
+            print(fault.render(args.scenario), file=sys.stderr)
         return EXIT_VALIDATION
     except MonitorError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

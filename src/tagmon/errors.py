@@ -13,14 +13,19 @@ class MonitorError(Exception):
 class FileFormatError(MonitorError):
     """Malformed input file; ``line`` is the fault's 1-based line, 0 if none.
 
-    ``message`` and ``line`` are kept apart so that a caller can put the
-    file's name in front of the line without parsing ``str(exc)``.
+    The fault words its own place in a file (``render``), which the CLI
+    prints, so that no caller parses ``str(exc)`` to put the file's name in.
     """
 
     def __init__(self, message, line=0):
         super().__init__(f"line {line}: {message}" if line else message)
         self.message = message
         self.line = line
+
+    def render(self, path) -> str:
+        """``path:line: message``, or ``path: message`` for line 0."""
+        place = f"{path}:{self.line}" if self.line else path
+        return f"{place}: {self.message}"
 
 
 # -- stream algebra ---------------------------------------------------------

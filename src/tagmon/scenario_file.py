@@ -35,17 +35,17 @@ upload, (days-1)*1440 + the last upload time.
 keys, and round-trip structurally.  One pass checks and builds each section
 in one place: it loads each trace and builds each entity's run once, and
 makes each rule its intervention as it checks it.  Each fault is one
-diagnostic on its line, and the diagnostics come in file order:
+``ScenarioFormatError`` on its line, and the faults come in file order:
 ``validate_scenario`` returns them instead of raising, so a command line
-can report them all, and ``build_scenario`` wires a runnable engine from
-the same pass or raises ``InvalidScenario`` carrying every diagnostic.
+can ``render`` them all, and ``build_scenario`` wires a runnable engine from
+the same pass or raises ``InvalidScenario`` carrying every fault.
 
 Validation checks the scenario, not the engine: the predicate families are
 fixed code, so their partition property (exactly one judgement holds) is
 property-tested and enforced by ``observe_family`` on every observation, not
 probed per entity here.  A non-ASCII byte in a scenario or trace file is a
 format error on its line; a fault in an entity's trace, or a trace that
-cannot be read, is a diagnostic on the entity's line that names the trace.
+cannot be read, is a fault on the entity's line that names the trace's place.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ _SECTION_RE = re.compile(
 _LABEL_LIST = rf"{LABEL_PATTERN}(?:\s*,\s*{LABEL_PATTERN})*"
 _RULE_RE = re.compile(rf"({LABEL_PATTERN})\s*:\s*on\s+({_LABEL_LIST})"
                       rf"\s+set\s+({LABEL_PATTERN})\Z")
-_CLOCK_RE = re.compile(r"([0-9]{1,2}):([0-9]{2})\Z")
+_CLOCK_RE = re.compile(r"([01]?[0-9]|2[0-3]):([0-5][0-9])\Z")
 
 
 def parse_clock(text: str, line: int = 0) -> int:
@@ -102,10 +102,7 @@ def parse_clock(text: str, line: int = 0) -> int:
     m = _CLOCK_RE.match(text)
     if not m:
         raise ScenarioFormatError(f"bad clock time {text!r}", line)
-    hours, minutes = int(m.group(1)), int(m.group(2))
-    if hours > 23 or minutes > 59:
-        raise ScenarioFormatError(f"bad clock time {text!r}", line)
-    return hours * 60 + minutes
+    return int(m.group(1)) * 60 + int(m.group(2))
 
 
 def format_clock(minute: int) -> str:
@@ -280,26 +277,12 @@ def format_scenario(config: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
-class Diagnostic(Frozen):
-    """A fault on a 1-based line of a scenario; line 0 means the whole file."""
-
-    line: int
-    message: str
-
-    def render(self, path: str) -> str:
-        if self.line == 0:
-            return f"{path}: {self.message}"
-        return f"{path}:{self.line}: {self.message}"
-
-
 class InvalidScenario(ScenarioFormatError):
-    """A parsed scenario that fails validation; carries every diagnostic."""
+    """A parsed scenario that fails validation; carries every fault."""
 
-    def __init__(self, diagnostics: List[Diagnostic]):
-        super().__init__("; ".join(
-            f"line {d.line}: {d.message}" if d.line else d.message
-            for d in diagnostics))
-        self.diagnostics = diagnostics
+    def __init__(self, faults: List[ScenarioFormatError]):
+        super().__init__("; ".join(map(str, faults)))
+        self.faults = faults
 
 
 # (has a sentence, has a curfew) -> judgement set, default status, trace kind
@@ -321,7 +304,7 @@ def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
     to ``faults``, and the entity is built with its kind's default status.
     A curfew entity under a [schedule] gets every check that needs no trace
     and then None: the scenario's "[schedule] applies to sentence entities
-    only" diagnostic rejects it, so its trace is not read.
+    only" fault rejects it, so its trace is not read.
     """
     if kind is None:
         raise ScenarioFormatError("needs exactly one of sentence/curfew")
@@ -361,8 +344,7 @@ def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
             f"cannot read trace {ent.trace}: "
             f"{exc.strerror or 'unreadable'}") from None
     except TraceFormatError as exc:
-        raise ScenarioFormatError(
-            f"{ent.trace}:{exc.line}: {exc.message}") from None
+        raise ScenarioFormatError(exc.render(ent.trace)) from None
     if loaded != trace_kind:
         raise ScenarioFormatError(
             f"trace kind {loaded!r}, expected {trace_kind!r}")
@@ -378,21 +360,21 @@ def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
                                    ent.entity, status)
 
 
-def _check_and_build(config: ScenarioConfig, base_dir
-                     ) -> Tuple[List[Diagnostic], List[ScenarioRun], Policy]:
-    """The one pass over a config: its diagnostics, stably sorted by line,
-    the runs of its sound entities and the policy of its sound rules, the
-    last two complete only when there are no diagnostics.
+def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
+        List[ScenarioFormatError], List[ScenarioRun], Policy]:
+    """The one pass over a config: its faults, stably sorted by line, the
+    runs of its sound entities and the policy of its sound rules, the last
+    two complete only when there are no faults.
 
     Each section is checked and built in one place, and each fault of an
-    entity or rule is one ``entity X: ...`` or ``rule X: ...`` diagnostic on
-    its line.  The rules are checked against the union of the judgement sets
+    entity or rule is one ``entity X: ...`` or ``rule X: ...`` fault on its
+    line.  The rules are checked against the union of the judgement sets
     of the entities' kinds, which the config gives without reading a trace.
     """
     base = Path(base_dir)
-    diagnostics: List[Diagnostic] = []
+    found: List[ScenarioFormatError] = []
     if not config.entities:
-        diagnostics.append(Diagnostic(0, "no entities declared"))
+        found.append(ScenarioFormatError("no entities declared"))
 
     schedule = None
     if config.schedule is not None:
@@ -401,7 +383,7 @@ def _check_and_build(config: ScenarioConfig, base_dir
                                       config.schedule.days)
         except MonitorError as exc:
             schedule = exc
-            diagnostics.append(Diagnostic(config.schedule.line, str(exc)))
+            found.append(ScenarioFormatError(str(exc), config.schedule.line))
 
     runs: List[ScenarioRun] = []
     judgement_sets: List[JudgementSet] = []
@@ -419,8 +401,8 @@ def _check_and_build(config: ScenarioConfig, base_dir
                 runs.append(run)
         if schedule is not None and ent.curfew is not None:
             faults.append("[schedule] applies to sentence entities only")
-        diagnostics += [Diagnostic(ent.line, f"entity {ent.entity}: {fault}")
-                        for fault in faults]
+        found += [ScenarioFormatError(f"entity {ent.entity}: {fault}",
+                                      ent.line) for fault in faults]
 
     labels = judgement_union(judgement_sets) if judgement_sets else ()
     interventions: List[Intervention] = []
@@ -436,19 +418,20 @@ def _check_and_build(config: ScenarioConfig, base_dir
         if rule.field_name != "status":
             faults.append(f"no settable field {rule.field_name!r} in the "
                           "entity schemas")
-        diagnostics += [Diagnostic(rule.line, f"rule {rule.name}: {fault}")
-                        for fault in faults]
+        found += [ScenarioFormatError(f"rule {rule.name}: {fault}",
+                                      rule.line) for fault in faults]
         if not faults:
             interventions.append(Intervention(
                 rule.name, Trigger(labels, frozenset(rule.labels)),
                 Action.set_from_judgement(rule.field_name)))
 
-    diagnostics.sort(key=lambda diag: diag.line)
-    return diagnostics, runs, Policy(tuple(interventions))
+    found.sort(key=lambda fault: fault.line)
+    return found, runs, Policy(tuple(interventions))
 
 
-def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
-    """Semantic diagnostics of a parsed scenario, in file order.
+def validate_scenario(config: ScenarioConfig, base_dir
+                      ) -> List[ScenarioFormatError]:
+    """Semantic faults of a parsed scenario, in file order.
 
     Checks each entity's kind, status, sentence or curfew terms and trace
     (present, readable, of the right kind and covering every cycle), the
@@ -463,14 +446,14 @@ def validate_scenario(config: ScenarioConfig, base_dir) -> List[Diagnostic]:
 def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:
     """Validate a config and wire it into a runnable engine in one pass.
 
-    Raises InvalidScenario with every diagnostic ``validate_scenario`` would
+    Raises InvalidScenario with every fault ``validate_scenario`` would
     return.  The [policy] section is the run's whole policy: its rules apply
     in file order, each trigger is total over the union of the entities'
     judgement sets, and without the section no rule fires.
     """
-    diagnostics, runs, policy = _check_and_build(config, base_dir)
-    if diagnostics:
-        raise InvalidScenario(diagnostics)
+    faults, runs, policy = _check_and_build(config, base_dir)
+    if faults:
+        raise InvalidScenario(faults)
     return merge_runs(runs, policy)
 
 

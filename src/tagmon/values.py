@@ -82,10 +82,17 @@ class Dec4:
     def __str__(self):
         sign = "-" if self.raw < 0 else ""
         whole, frac = divmod(abs(self.raw), self.SCALE)
-        return f"{sign}{whole}.{frac:04d}"
+        try:
+            return f"{sign}{whole}.{frac:04d}"
+        except ValueError:  # past ``int``'s digit limit
+            raise KindMismatch("a decimal past int's digit limit has no "
+                               "text") from None
 
     def __repr__(self):
-        return f"Dec4({self.raw})"
+        try:
+            return f"Dec4({self.raw})"
+        except ValueError:  # past ``int``'s digit limit
+            return "Dec4(<raw units past int's digit limit>)"
 
     def __eq__(self, other):
         return isinstance(other, Dec4) and self.raw == other.raw

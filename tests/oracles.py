@@ -44,7 +44,6 @@ from tagmon.interventions import (
 )
 from tagmon.monitoring import JudgementSet, PredicateFamily, Record
 from tagmon.scenario_file import (
-    Diagnostic,
     EntityConfig,
     RuleConfig,
     ScenarioConfig,
@@ -795,5 +794,4 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (ScheduleConfig, ["uploads", "days", ("line", _line())]),
     (RuleConfig, ["name", "labels", "field_name", ("line", _line())]),
     (ScenarioConfig, [("entities", ()), ("schedule", None), ("rules", ())]),
-    (Diagnostic, ["line", "message"]),
 ]}

@@ -292,22 +292,31 @@ expect_exit 2 keep tagmon run scenarios/alcohol_spike.scenario \
     --out "$RUNNER_TEMP/keep"
 cmp "$RUNNER_TEMP/keep.records" "$RUNNER_TEMP/keep/records.log"
 # diagnostics print in file order, so a [policy] section on top
-# reports its rule first; exit 1
+# reports its rule first, and a fault in a trace is printed on its
+# entity's line with the trace's own line; run reports what validate
+# reports, exit 1, and writes no log
 f="$RUNNER_TEMP/first.scenario"
 printf '%s\n' '[policy]' 'rule = r: on purple set status' '' \
     '[entity A]' 'sentence = 0,2820,60,0.0200,0.0050' \
     'status = green' '# no trace' '' '[schedule]' \
     'uploads = 23:00,07:00' 'days = 2' '' '[entity B]' \
-    'curfew = 19:00,07:00' 'nights = 1' 'trace = presence.trace' \
-    > "$f"
+    'curfew = 19:00,07:00' 'nights = 1' 'trace = presence.trace' '' \
+    '[entity C]' 'sentence = 0,2820,60,0.0200,0.0050' \
+    'trace = refused.trace' > "$f"
+printf '%s\n' 'trace b decimal 0 3' '0,0.0100' '1,0.010' '2,0.0100' \
+    > "$RUNNER_TEMP/refused.trace"
 expect_exit 1 first tagmon validate "$f"
+c="$f:18: entity C: refused.trace:3: decimal '0.010' must have exactly"
 printf '%s\n' \
     "$f:2: rule r: labels ['purple'] match no entity's judgements" \
     "$f:4: entity A: missing trace" \
     "$f:9: upload times must be strictly increasing: (1380, 420)" \
     "$f:13: entity B: [schedule] applies to sentence entities only" \
-    > "$RUNNER_TEMP/first.expected"
+    "$c 4 fractional digits" > "$RUNNER_TEMP/first.expected"
 diff "$RUNNER_TEMP/first.expected" "$RUNNER_TEMP/first.err"
+expect_exit 1 first-run tagmon run "$f" --out "$RUNNER_TEMP/first-run"
+diff "$RUNNER_TEMP/first.expected" "$RUNNER_TEMP/first-run.err"
+test ! -e "$RUNNER_TEMP/first-run/records.log"
 # nights or days so large that the last cycle's tick has more digits than
 # str writes are a diagnostic on the entity's line, exit 1, with no logs
 nines=$(python -c "import sys; print('9' * (sys.get_int_max_str_digits() - 1))")

@@ -161,35 +161,51 @@ def test_missing_scenario_is_reported_alike(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# a fault on one line of a scenario or of the trace of its entity A:
+# name -> (trace line, edit of that line, fault as printed after the scenario)
+LINE_FAULTS = {
+    "scenario": (None, None, "3: non-ASCII byte 0xc3"),
+    "trace": (4, lambda line: line + b"\xe9",
+              "1: entity A: dry.trace:4: non-ASCII byte 0xe9"),
+    "tick": (4, lambda line: b"x" + line,
+             "1: entity A: dry.trace:4: non-integer tick 'x2'"),
+    "header": (1, lambda line: b"trace b decimal 0",
+               "1: entity A: dry.trace:1: bad header, expected "
+               "'trace <id> <kind> <start> <horizon>'"),
+    "bound": (1, lambda line: b"trace b decimal 00 721",
+              "1: entity A: dry.trace:1: window bound '00' must be written "
+              "'0'"),
+    "count": (1, lambda line: b"trace b decimal 0 722",
+              "1: entity A: dry.trace:1: expected 722 value lines, got 721"),
+    "order": (4, lambda line: b"3,0.0070",
+              "1: entity A: dry.trace:4: tick 3 out of order (expected 2)"),
+    "reading": (4, lambda line: b"2,0.007",
+                "1: entity A: dry.trace:4: decimal '0.007' must have "
+                "exactly 4 fractional digits"),
+}
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("bad_file", ["scenario", "trace", "tick"])
-def test_non_ascii_byte_is_a_line_diagnostic(scenarios_dir, tmp_path, capsys,
-                                             command, bad_file):
-    trace = (scenarios_dir / "traces" / "alcohol_dry.trace").read_bytes()
+@pytest.mark.parametrize("bad_file", LINE_FAULTS)
+def test_a_fault_is_reported_on_its_line(scenarios_dir, tmp_path, capsys,
+                                         command, bad_file):
+    """Both commands print a fault in a scenario on its line, and a fault in
+    a trace on its entity's line with the trace's own line."""
+    at, edit, fault = LINE_FAULTS[bad_file]
+    lines = (scenarios_dir / "traces" / "alcohol_dry.trace").read_bytes(
+        ).split(b"\n")
     comment = b"# ok\n"
-    if bad_file in ("trace", "tick"):
-        lines = trace.split(b"\n")
-        if bad_file == "trace":
-            lines[3] += b"\xe9"  # line 4 of the trace
-        else:
-            lines[3] = b"x" + lines[3]  # tick "x2" on line 4
-        trace = b"\n".join(lines)
-    else:
+    if at is None:
         comment = b"# caf\xc3\xa9\n"  # line 3 of the scenario
-    (tmp_path / "dry.trace").write_bytes(trace)
+    else:
+        lines[at - 1] = edit(lines[at - 1])
+    (tmp_path / "dry.trace").write_bytes(b"\n".join(lines))
     scenario = tmp_path / "bad.scenario"
     scenario.write_bytes(b"[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
                          + comment + b"trace = dry.trace\n")
     out = tmp_path / "out"
-    argv = [command, str(scenario)] + (["--out", str(out)]
-                                       if command == "run" else [])
-    assert main(argv) == EXIT_VALIDATION
-    expected = {
-        "trace": f"{scenario}:1: entity A: dry.trace:4: non-ASCII byte 0xe9",
-        "tick": f"{scenario}:1: entity A: dry.trace:4: non-integer tick 'x2'",
-        "scenario": f"{scenario}:3: non-ASCII byte 0xc3",
-    }[bad_file]
-    assert capsys.readouterr().err == expected + "\n"
+    assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"{scenario}:{fault}\n"
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Fuzz the input boundary: scenario and trace files from outside the program.
 
 Whatever the bytes, loading and validating either returns, reports
-diagnostics or raises MonitorError, and ``tagmon validate`` exits 0 or 1.
+faults or raises MonitorError, and ``tagmon validate`` exits 0 or 1; a
+trace's fault has its line, and ``tagmon run`` refuses exactly the scenarios
+that ``tagmon validate`` refuses, with the same report.
 Examples are derandomized and bounded so the suite stays deterministic and
 fast; generated ``days`` and ``nights`` stay at or below 10,000 so that a
 regression cannot exhaust memory.
@@ -12,11 +14,11 @@ import io
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tagmon.cli import EXIT_OK, EXIT_VALIDATION, main
-from tagmon.errors import MonitorError
+from tagmon.errors import MonitorError, TraceFormatError
 from tagmon.scenario_file import load_scenario, validate_scenario
 from tagmon.streams import load_trace
 
@@ -111,6 +113,14 @@ def fuzz_dir(tmp_path_factory, scenarios_dir):
     return base
 
 
+def _main(argv):
+    """``main``'s exit code and stderr, with stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def _check_scenario(directory, data: bytes):
     path = directory / "fuzz.scenario"
     path.write_bytes(data)
@@ -120,11 +130,9 @@ def _check_scenario(directory, data: bytes):
         pass
     else:
         assert isinstance(validate_scenario(config, base_dir), list)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["validate", str(path)])
+    code, err = _main(["validate", str(path)])
     assert code in (EXIT_OK, EXIT_VALIDATION)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 @FUZZ
@@ -147,5 +155,28 @@ def test_arbitrary_bytes_as_a_trace(fuzz_dir, data):
     path.write_bytes(data)
     try:
         load_trace(path)
+    except TraceFormatError as exc:
+        assert exc.line >= 1
     except MonitorError:
         pass
+
+
+@FUZZ
+@given(text=SCENARIO_TEXT)
+# drawn texts are nearly all faulty, so one that runs is given as well
+@example(text="[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
+         "trace = dry.trace\n[entity B]\ncurfew = 19:00,07:00\nnights = 7\n"
+         "trace = presence.trace\n[policy]\nrule = r: on red set status\n")
+def test_run_refuses_what_validate_refuses(fuzz_dir, text):
+    """``run`` exits 1 exactly when ``validate`` does, and then prints the
+    same faults and creates no output directory."""
+    path = fuzz_dir / "fuzz.scenario"
+    path.write_text(text)
+    out = fuzz_dir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    validated, validate_err = _main(["validate", str(path)])
+    ran, run_err = _main(["run", str(path), "--out", str(out)])
+    assert (validated == EXIT_VALIDATION) == (ran == EXIT_VALIDATION)
+    if ran == EXIT_VALIDATION:
+        assert run_err == validate_err
+        assert not out.exists()

@@ -10,9 +10,8 @@ import tagmon.scenario_file
 import tagmon.scenarios
 
 from oracles import reference_parse_scenario
-from tagmon.errors import ScenarioFormatError
+from tagmon.errors import ScenarioFormatError, TraceFormatError
 from tagmon.scenario_file import (
-    Diagnostic,
     EntityConfig,
     InvalidScenario,
     RuleConfig,
@@ -38,6 +37,11 @@ trace = traces/dry.trace
 [policy]
 rule = record-breach: on amber,red,absent set status
 """
+
+
+def _faults(faults):
+    """Each fault of a scenario as its (line, message) pair."""
+    return [(fault.line, fault.message) for fault in faults]
 
 
 def write_dry_trace(directory, minutes=720, name="dry.trace"):
@@ -310,8 +314,8 @@ def test_validate_trace_coverage(tmp_path):
 ], ids=["missing", "cut-at-hash"])
 def test_validate_missing_trace(tmp_path, path, fault):
     text = ALCOHOL_TEXT.replace("traces/dry.trace", path)
-    assert validate_scenario(parse_scenario(text), tmp_path) == [
-        Diagnostic(2, f"entity PID-7: {fault}")]
+    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
+        (2, f"entity PID-7: {fault}")]
 
 
 def test_validate_wrong_trace_kind(tmp_path):
@@ -340,16 +344,16 @@ nights = 1
 trace = traces/gone.trace
 
 [policy]""").replace("on amber,red,absent", "on red,violation")
-    assert validate_scenario(parse_scenario(text), tmp_path) == [
-        Diagnostic(7, "entity B: trace file not found: traces/gone.trace")]
+    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
+        (7, "entity B: trace file not found: traces/gone.trace")]
 
 
 def test_validate_repeated_rule_name(tmp_path):
     write_dry_trace(tmp_path)
     text = ALCOHOL_TEXT + "rule = b: on red set status\n" \
                           "rule = record-breach: on red set status\n"
-    assert validate_scenario(parse_scenario(text), tmp_path) == [
-        Diagnostic(10, "rule record-breach: duplicate rule name")]
+    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
+        (10, "rule record-breach: duplicate rule name")]
 
 
 @pytest.mark.parametrize("labels, repeated", [
@@ -360,9 +364,8 @@ def test_validate_reports_a_label_listed_twice(tmp_path, labels, repeated):
     """Each label that a rule lists more than once is reported once."""
     write_dry_trace(tmp_path)
     text = ALCOHOL_TEXT + f"rule = r: on {labels} set status\n"
-    assert validate_scenario(parse_scenario(text), tmp_path) == [
-        Diagnostic(9, f"rule r: label {label!r} listed twice")
-        for label in repeated]
+    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
+        (9, f"rule r: label {label!r} listed twice") for label in repeated]
 
 
 BAD_STATUS_TEXT = """\
@@ -388,7 +391,7 @@ def test_validate_reports_a_bad_status_once(tmp_path, short):
                Stream.of(0, [True] * (1800 if short else 1861)), "presence",
                "boolean")
     diagnostics = validate_scenario(parse_scenario(BAD_STATUS_TEXT), tmp_path)
-    messages = [(d.line, d.message) for d in diagnostics]
+    messages = _faults(diagnostics)
     status_lines = [
         (1, "entity PID-7: status 'purple' not in "
             "('green', 'amber', 'red', 'absent')"),
@@ -488,7 +491,7 @@ def test_validate_schedule_coverage_lists_no_upload(tmp_path, monkeypatch):
     text = (SCHEDULED_TEXT.format(span=f"0,{last}")
             .replace("days = 2", "days = 1000000"))
     diagnostics = validate_scenario(parse_scenario(text), tmp_path)
-    assert [(d.line, d.message) for d in diagnostics] == [
+    assert _faults(diagnostics) == [
         (1, f"entity PID-7: trace window [0, 721) does not cover [0, {last}]")]
 
 
@@ -526,7 +529,7 @@ def test_invalid_schedule_is_reported_for_each_sentence_entity(tmp_path):
     text = scheduled + scheduled.split("[schedule]")[0].replace("PID-7",
                                                                 "PID-8")
     diagnostics = validate_scenario(parse_scenario(text), tmp_path)
-    assert [(d.line, d.message) for d in diagnostics] == [
+    assert _faults(diagnostics) == [
         (1, "entity PID-7: need at least one day, got 0"),
         (6, "need at least one day, got 0"),
         (9, "entity PID-8: need at least one day, got 0")]
@@ -542,7 +545,7 @@ def test_build_scenario_raises_every_diagnostic(tmp_path):
     with pytest.raises(InvalidScenario) as err:
         build_scenario(config, tmp_path)
     assert isinstance(err.value, ScenarioFormatError)
-    assert err.value.diagnostics == diagnostics
+    assert _faults(err.value.faults) == _faults(diagnostics)
 
 
 def test_build_scenario_runs(tmp_path):
@@ -564,11 +567,16 @@ def test_build_scenario_without_policy_section(tmp_path):
 
 
 def test_diagnostic_render():
-    assert Diagnostic(3, "boom").render("x.scenario") == "x.scenario:3: boom"
+    for error in (ScenarioFormatError, TraceFormatError):
+        fault = error("boom", 3)
+        assert fault.render("x.scenario") == "x.scenario:3: boom"
+        assert str(fault) == "line 3: boom"
 
 
 def test_scenario_wide_diagnostic_has_no_line(tmp_path):
-    assert Diagnostic(0, "boom").render("x.scenario") == "x.scenario: boom"
+    fault = ScenarioFormatError("boom")
+    assert fault.render("x.scenario") == "x.scenario: boom"
+    assert str(fault) == "boom"
     with pytest.raises(InvalidScenario) as err:
         build_scenario(parse_scenario("[policy]\nrule = r: on red set x\n"),
                        tmp_path)

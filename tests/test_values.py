@@ -1,7 +1,11 @@
+import sys
+
 from hypothesis import given, strategies as st
 import pytest
 
-from tagmon.errors import DivisionByZero, KindMismatch
+from tagmon.errors import DivisionByZero, KindMismatch, TraceFormatError
+from tagmon.monitoring import Characteristics
+from tagmon.streams import Stream, format_trace
 from tagmon.values import (
     BOTTOM,
     Bottom,
@@ -30,6 +34,39 @@ def test_parse_and_format_thresholds_exactly():
     assert str(Dec4(150)) == "0.0150"
     assert str(Dec4(-150)) == "-0.0150"
     assert str(Dec4(12345)) == "1.2345"
+
+
+@pytest.mark.parametrize("lowered", [False, True])
+def test_a_decimal_past_the_digit_limit_has_a_repr_but_no_text(request,
+                                                               lowered):
+    """A Dec4 whose digits ``str`` would not write names the limit in its
+    repr, a Stream's repr too, and has no text: ``str`` and everything that
+    writes it fail as a MonitorError, under the default limit and the least
+    one.  The writer still refuses it as a trace reading."""
+    limit = (request.getfixturevalue("digit_limit") if lowered
+             else sys.get_int_max_str_digits())
+    most = 10 ** limit - 1  # the most raw units whose digits repr writes
+    assert repr(Dec4(-most)) == f"Dec4(-{'9' * limit})"
+    named = "Dec4(<raw units past int's digit limit>)"
+    for raw in (most + 1, -most - 1, 10 ** (limit + 4)):
+        assert repr(Dec4(raw)) == named
+        assert repr(Stream.of(0, [Dec4(raw)])) == (
+            f"Stream(window=Window(start=0, horizon=1), values=({named},))")
+    # the most raw units whose whole part ``str`` writes, and one more
+    widest = 10 ** (limit + 4) - 1
+    assert str(Dec4(-widest)) == f"-{'9' * limit}.9999"
+    for raw in (widest + 1, -widest - 1):
+        value = Dec4(raw)
+        for write in (str, format_value,
+                      lambda v: Characteristics.of(epsilon=v).fingerprint()):
+            with pytest.raises(KindMismatch) as err:
+                write(value)
+            assert str(err.value) == (
+                "a decimal past int's digit limit has no text")
+        with pytest.raises(TraceFormatError) as err:
+            format_trace(Stream.of(0, [value]), "b", "decimal")
+        assert str(err.value) == ("tick 0: decimal trace cannot hold a "
+                                  "number past int's digit limit")
 
 
 def test_parse_rejects_junk():
