@@ -19,12 +19,12 @@ BOTTOM, and an atomic test over BOTTOM raises BottomEncountered rather than
 inventing a truth value.  The monitoring layer routes that exception to the
 predicate family's one label for undefined data.
 
-Two leaf shapes read a parsed trace's column instead of stepping tick by
-tick: ``forall``/``exists k in lo .. hi : s[k] = c`` with c a boolean
-literal, over a boolean trace, and ``max``/``min(s, t1, t2, step)`` over a
-decimal trace.  Each gives what the loop gives, down to the error or BOTTOM
-it meets first.  Every other formula, and every stream built from values,
-takes the loop.
+Two leaf shapes are asked of the stream instead of stepped tick by tick
+here: ``forall``/``exists k in lo .. hi : s[k] = c`` with c a boolean
+literal, over a parsed boolean trace, which searches its codes, and
+``max``/``min(s, t1, t2, step)`` over any stream, which a parsed decimal
+trace answers on its texts.  Each gives what the loop gives, down to the
+error or BOTTOM it meets first.  Every other formula takes the loop.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     UnboundIdentifier,
     UnknownSymbol,
 )
-from .streams import OPERATIONS, Stream, _Booleans, _Decimals, check_arity
+from .streams import OPERATIONS, Stream, _Booleans, check_arity
 from .values import BOTTOM, CarrierValue, compare
 
 # -- terms --------------------------------------------------------------------
@@ -129,21 +129,18 @@ def _lookup(name: str, env: Environment):
         raise UnboundIdentifier(f"unbound identifier {name!r}") from None
 
 
-def _asked(env: Environment, column: Stream, query: str, *args):
-    """``column.<query>(*args)``, asked once per memo of ``env``: a column
-    never changes, so neither do its answers.  The key is the column's
+def _asked(env: Environment, stream: Stream, query: str, *args):
+    """``stream.<query>(*args)``, asked once per memo of ``env``: a stream
+    never changes, so neither do its answers.  The key is the stream's
     identity, never its hash, which would box every reading; the bindings
-    of the memo's environment hold the column, so the identity is not
+    of the memo's environment hold the stream, so the identity is not
     reused while the memo lives.  A query that raises is asked again next
     time."""
-    key = (query, id(column), *args)
+    key = (query, id(stream), *args)
     memo = env.memo
     if key not in memo:
-        memo[key] = getattr(column, query)(*args)
+        memo[key] = getattr(stream, query)(*args)
     return memo[key]
-
-
-_REDUCTIONS = {"max": max, "min": min}
 
 
 def _sampled_reduce(op: str, args, env: Environment):
@@ -162,15 +159,7 @@ def _sampled_reduce(op: str, args, env: Environment):
         raise KindMismatch(f"sample step must be positive, got {s}")
     if t2 < t1:
         raise KindMismatch(f"empty sample range [{t1}, {t2}]")
-    if isinstance(stream, _Decimals):
-        return _asked(env, stream, "reduce_samples", _REDUCTIONS[op], t1,
-                      t2, s)
-    samples = [stream.at(t) for t in range(t1, t2 + 1, s)]
-    if any(v is BOTTOM for v in samples):
-        return BOTTOM
-    if len(samples) == 1:
-        return samples[0]
-    return OPERATIONS[op].fn(*samples)
+    return _asked(env, stream, "reduce_samples", op, t1, t2, s)
 
 
 def eval_term(term: Term, env: Environment):

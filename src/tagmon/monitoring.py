@@ -119,9 +119,6 @@ class Characteristics(Frozen):
         """Canonical one-line text; also the records-file serialization."""
         return ";".join(f"{n}={format_field(v)}" for n, v in self.pairs)
 
-    def __repr__(self):
-        return f"Characteristics({self.fingerprint()})"
-
 
 def format_field(value) -> str:
     """Text of one field's value, in records and notifications alike: a

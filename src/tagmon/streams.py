@@ -18,18 +18,16 @@ its ``Relation`` (the comparisons of ``values.COMPARISONS``).  The liftings
 and quantified tests take any ``Operation`` or ``Relation``, declared there
 or not.
 
-Storage is not part of the algebra.  A decimal trace read from a file keeps
-its readings' texts, each NA or a decimal written as ``format_value`` writes
-it, joined into one string, with an array of the offsets where each one
-ends; a reading becomes a Dec4 only when it is read, and NA is read off its
-text.  A boolean trace is kept as one byte code per tick (false, true or
-NA).  ``at`` boxes the one reading it returns.  Two queries answer the
-formula evaluator's leaf shapes on the column itself, boxing at most one
-reading: ``first_other`` finds the first tick of a range whose boolean is
-not a given one, and ``reduce_samples`` takes the max or min of a decimal
-trace's readings at a fixed step, converting only those readings.  Streams
-built from values, and integer and label traces, keep a tuple of carrier
-values.
+Storage is not part of the algebra.  A trace read from a file keeps its
+readings' texts, each NA or written as ``format_value`` writes it, joined
+into one string, with an array of the offsets where each one ends, and
+converts a reading, by its kind's reader, only when it is read; a boolean
+trace keeps one byte code per tick instead (false, true or NA).  Streams
+built from values keep a tuple.  ``at`` boxes the one reading it returns.
+Every stream answers the evaluator's sampled max/min, ``reduce_samples``;
+a decimal trace does so on its texts, converting only the sampled
+readings.  A boolean trace answers ``first_other``, the first tick of a
+range whose boolean is not a given one, on its codes.
 
 ``parse_trace`` reads a trace's text in place, without a list of its lines:
 in chunks cut at the first line break past a fixed number of characters.
@@ -45,7 +43,7 @@ import functools
 import math
 import re
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ._frozen import Frozen
@@ -116,10 +114,9 @@ class Stream:
     """Total assignment of carrier values over a window.
 
     ``Stream(window, values)`` and ``Stream.of`` keep the readings as a
-    tuple, checked value by value.  ``parse_trace`` sets an integer or label
-    trace's tuple directly, and keeps a decimal or boolean trace as a column
-    instead (``_Decimals``, ``_Booleans``): its readings are checked by the
-    parser.  Either way ``at`` returns one boxed carrier value,
+    tuple, checked value by value.  ``parse_trace`` keeps a trace as a
+    column instead (``_Texts``, ``_Booleans``): its readings are checked by
+    the parser.  Either way ``at`` returns one boxed carrier value,
     ``values`` boxes every reading into a tuple, and equality and hashing go
     by the window and the readings, not the storage.
     """
@@ -155,6 +152,17 @@ class Stream:
             raise _outside(w, t)
         return self._readings[t - w.start]
 
+    def reduce_samples(self, op: str, t1: int, t2: int,
+                       s: int) -> CarrierValue:
+        """``op`` ("max" or "min") of the readings at t1, t1+s, ..., up to
+        t2, with t1 <= t2 and s >= 1: BOTTOM if any of them is, the one
+        sample if there is one, else ``OPERATIONS[op]`` of them.  The first
+        sample outside the window raises as ``at``."""
+        samples = [self.at(t) for t in range(t1, t2 + 1, s)]
+        if any(v is BOTTOM for v in samples):
+            return BOTTOM
+        return samples[0] if len(samples) == 1 else OPERATIONS[op].fn(*samples)
+
     def __eq__(self, other):
         if not isinstance(other, Stream):
             return NotImplemented
@@ -171,20 +179,21 @@ def _outside(w: Window, t: int) -> OutOfWindow:
     return OutOfWindow(f"t={t} outside window [{w.start}, {w.horizon})")
 
 
-class _Decimals(Stream):
-    """A decimal trace: its readings' texts joined into one string, reading
-    i at ``_ends[i]:_ends[i + 1]`` of it.
+class _Texts(Stream):
+    """A decimal, integer or label trace: its readings' texts joined into
+    one string, reading i at ``_ends[i]:_ends[i + 1]`` of it.
 
     ``parse_trace`` builds it from the texts of each chunk of plain value
-    lines.  Every text is NA or a decimal written as ``format_value``
-    writes it, so that a reading is converted to a Dec4 only when it is
-    read, and cannot fail then.
+    lines.  Every text is NA or a reading written as ``format_value``
+    writes it, so that a reading is converted, by its kind's reader, only
+    when it is read.  A read fails only on a number past ``int``'s digit
+    limit then in force (KindMismatch).
     """
 
-    __slots__ = ("_ends",)
+    __slots__ = ("_ends", "_read")
 
-    def __init__(self, window: Window, chunks: Iterable[List[str]],
-                 size: int):
+    def __init__(self, window: Window, kind: str,
+                 chunks: Iterable[List[str]], size: int):
         """``size``, at least the texts' total length, picks the offsets'
         item size, so that every trace a string can hold loads."""
         ends = array("I" if size < 1 << 8 * array("I").itemsize else "Q",
@@ -196,29 +205,28 @@ class _Decimals(Stream):
         self.window = window
         self._readings = "".join(parts)
         self._ends = ends
+        self._read = _READERS[kind]
 
     @property
     def values(self) -> tuple:
         ends = self._ends
-        return tuple(map(_decimal, map(self._readings.__getitem__,
-                                       map(slice, ends, ends[1:]))))
+        return tuple(map(self._read, map(self._readings.__getitem__,
+                                         map(slice, ends, ends[1:]))))
 
     def at(self, t: int) -> CarrierValue:
         w = self.window
         if not w.start <= t < w.horizon:
             raise _outside(w, t)
         i = t - w.start
-        return _decimal(self._readings[self._ends[i]:self._ends[i + 1]])
+        return self._read(self._readings[self._ends[i]:self._ends[i + 1]])
 
-    def reduce_samples(self, reduce: Callable, t1: int, t2: int,
+    def reduce_samples(self, op: str, t1: int, t2: int,
                        s: int) -> CarrierValue:
-        """``reduce`` (``max`` or ``min``) of the readings at t1, t1+s, ...,
-        up to t2, with t1 <= t2 and s >= 1: one Dec4, or BOTTOM if any of
-        them is NA.  The first sample outside the window raises as ``at``.
-
-        The samples' texts are cut out by strided slices of the offsets and
-        converted to raw units together; only the result is boxed.
-        """
+        """As ``Stream.reduce_samples``.  A decimal trace cuts the samples'
+        texts out by strided slices of the offsets and converts them to raw
+        units together; only the result is boxed."""
+        if self._read is not _decimal:
+            return super().reduce_samples(op, t1, t2, s)
         w = self.window
         if not w.start <= t1 < w.horizon:
             raise _outside(w, t1)
@@ -232,12 +240,29 @@ class _Decimals(Stream):
                                                       ends[lo + 1:hi + 1:s])])
         if "N" in picked:
             return BOTTOM
-        return Dec4(reduce(map(int, picked.replace(".", "").split(","))))
+        reduce = max if op == "max" else min
+        return Dec4(reduce(map(_int, picked.replace(".", "").split(","))))
 
 
 def _decimal(text: str) -> CarrierValue:
-    """The reading of a kept decimal text."""
-    return BOTTOM if text == "NA" else Dec4(int(text.replace(".", "")))
+    return BOTTOM if text == "NA" else Dec4(_int(text.replace(".", "")))
+
+
+def _int(digits: str, kind: str = DECIMAL) -> int:
+    """The number a kept text's digits spell.  The digit limit in force may
+    be below the one the trace was loaded under: past it, KindMismatch."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise KindMismatch(f"{kind} reading past int's digit limit of "
+                           f"{digit_limit()} cannot be read") from None
+
+
+# the reading of a kept text, by the trace's kind
+_READERS = {
+    DECIMAL: _decimal,
+    INTEGER: lambda text: BOTTOM if text == "NA" else _int(text, INTEGER),
+    LABEL: lambda text: BOTTOM if text == "NA" else text}
 
 
 _BOOLEAN_BOXES = (False, True, BOTTOM)
@@ -515,8 +540,8 @@ def parse_trace(text: str):
     (readings as ``format_value`` writes them, numbers within ``int``'s
     digit limit), and its ticks continue the window's cached tick column
     where the chunk before it left off.  Any other chunk is refused, with
-    the fault of its first faulty line.  A decimal or boolean trace is
-    stored as a column, an integer or label trace as a tuple.
+    the fault of its first faulty line.  A boolean trace is stored as its
+    readings' codes, any other as their texts.
     """
     if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
         text = re.sub(_LINE_BREAKS, "\n", text)
@@ -551,14 +576,9 @@ def parse_trace(text: str):
             f"expected {horizon - start} value lines, got {count}", 1)
     window = Window(start, horizon)
     chunks = _chunk_readings(text, end + 1, stop, kind, window)
-    if kind == DECIMAL:
-        return stream_id, kind, _Decimals(window, chunks, len(text))
     if kind == BOOLEAN:
         return stream_id, kind, _Booleans(window, chunks)
-    stream = Stream.__new__(Stream)
-    stream.window = window
-    stream._readings = tuple(chain.from_iterable(chunks))
-    return stream_id, kind, stream
+    return stream_id, kind, _Texts(window, kind, chunks, len(text))
 
 
 def _chunk_readings(text: str, pos: int, stop: int, kind: str,
@@ -593,17 +613,11 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
 
 def _split_cells(chunk: str, kind: str) -> Tuple[str, Sequence]:
     """A plain chunk's ticks, one per line, and its readings: a boolean
-    chunk itself, a decimal chunk's texts, an integer or label chunk's
-    values."""
+    chunk itself, any other chunk's texts."""
     if kind == BOOLEAN:
         return chunk.translate(_TO_TICKS), chunk
     cells = chunk.replace("\n", ",").split(",")
-    readings = cells[1::2]
-    if kind == INTEGER:
-        readings = [BOTTOM if s == "NA" else int(s) for s in readings]
-    elif kind == LABEL:
-        readings = [BOTTOM if s == "NA" else s for s in readings]
-    return "\n".join(cells[0::2]), readings
+    return "\n".join(cells[0::2]), cells[1::2]
 
 
 @functools.lru_cache(maxsize=4)

@@ -2,14 +2,16 @@
 
 A parsed boolean trace answers ``forall``/``exists k in lo .. hi : p[k] = c``
 with a search of its code bytes, and a parsed decimal trace answers
-``max``/``min(b, t1, t2, s)`` with strided slices of its raw units and
-missing mask.  Each example evaluates one formula or term on a parsed column
-and on ``Stream.of(column.values)``, a tuple copy that only the loop can
-read, and requires the same value, or the same exception type and message.
-On the column, ``at`` is patched to raise, so an example that passes has
-taken the column query; near-misses of the lowered shapes have the column
-query patched to raise instead, so they must take the loop.  A whole
-``tagmon run`` must also log the same with ``at`` disabled.
+``max``/``min(b, t1, t2, s)`` with strided slices of its texts.  Each example
+evaluates one formula or term on a parsed column and on
+``Stream.of(column.values)``, a tuple copy that only the loop can read, and
+requires the same value, or the same exception type and message.  On the
+column, ``at`` is patched to raise, so an example that passes has taken the
+column query; near-misses of the lowered shapes have the column query
+patched to raise instead, so they must take the loop.  A parsed integer or
+label trace takes the loop of ``max``/``min`` too, reading its texts, and
+must give what its tuple copy gives.  A whole ``tagmon run`` must also log
+the same with ``at`` disabled.
 """
 
 import contextlib
@@ -33,11 +35,11 @@ from tagmon.parser import parse_formula, parse_term
 from tagmon.streams import (
     Stream,
     _Booleans,
-    _Decimals,
+    _Texts,
     format_trace,
     parse_trace,
 )
-from tagmon.values import BOOLEAN, BOTTOM, DECIMAL, Dec4
+from tagmon.values import BOOLEAN, BOTTOM, DECIMAL, INTEGER, LABEL, Dec4
 
 COLUMN_QUERIES = settings(derandomize=True, database=None, deadline=None,
                           max_examples=300)
@@ -52,7 +54,7 @@ def parsed(kind, start, values):
     it, and a tuple copy of it."""
     _, _, column = parse_trace(
         format_trace(Stream.of(start, values), "s", kind))
-    assert isinstance(column, (_Booleans, _Decimals))
+    assert isinstance(column, (_Booleans, _Texts))
     return column, Stream.of(start, column.values)
 
 
@@ -66,10 +68,12 @@ def outcome(evaluate, node, variables, stream):
 
 def same_outcome(evaluate, text, variables, column, copy, disabled):
     """The outcome on ``column``, with the method ``disabled`` of a column
-    class raising, after checking that it equals the outcome on ``copy``."""
+    class raising, if one is given, after checking that it equals the
+    outcome on ``copy``."""
     parse = parse_formula if evaluate is eval_formula else parse_term
     node = parse(text)
-    with mock.patch.object(*disabled, _refuse):
+    with (mock.patch.object(*disabled, _refuse) if disabled
+          else contextlib.nullcontext()):
         on_column = outcome(evaluate, node, variables, column)
     assert on_column == outcome(evaluate, node, variables, copy)
     return on_column
@@ -96,14 +100,22 @@ BOOLEANS = st.sampled_from([True, False, BOTTOM])
 DECIMALS = st.one_of(st.integers(-99_999, 99_999).map(Dec4),
                      st.integers(-2 ** 70, 2 ** 70).map(Dec4),
                      st.just(BOTTOM))
+INTEGERS = st.one_of(st.integers(-99_999, 99_999),
+                     st.integers(-2 ** 70, 2 ** 70), st.just(BOTTOM))
 
 # each scan with the reading that lets it go on to the next tick
 SCANS = [("forall k in lo .. hi : p[k] = true", True),
          ("forall k in lo .. hi : p[k] = false", False),
          ("exists k in lo .. hi : p[k] = true", False),
          ("exists k in lo .. hi : p[k] = false", True)]
-AT = {BOOLEAN: (_Booleans, "at"), DECIMAL: (_Decimals, "at")}
+AT = {BOOLEAN: (_Booleans, "at"), DECIMAL: (_Texts, "at")}
 SCAN = (_Booleans, "first_other")
+# the readings of each kind whose sampled max/min is checked, and the
+# method of its column that must not be called: a decimal column answers
+# on its texts, any other through ``at``
+REDUCED = {DECIMAL: (DECIMALS, AT[DECIMAL]),
+           INTEGER: (INTEGERS, None),
+           LABEL: (st.sampled_from(["green", "amber", BOTTOM]), None)}
 
 
 # -- the night scan ------------------------------------------------------------
@@ -185,40 +197,45 @@ def test_a_boolean_literal_over_a_decimal_column_takes_the_loop(trace):
 
 # -- the sampled max and min ---------------------------------------------------
 
+@pytest.mark.parametrize("kind", sorted(REDUCED))
 @COLUMN_QUERIES
-@given(trace=gapped(DECIMALS), s=st.integers(0, 7),
+@given(data=st.data(), s=st.integers(0, 7),
        op=st.sampled_from(["max", "min"]))
-def test_sampled_reduction_of_a_decimal_column_matches_the_loop(trace, s,
-                                                                 op):
-    start, readings, t1, t2 = trace
-    column, copy = parsed(DECIMAL, start, readings)
+def test_sampled_reduction_of_a_parsed_trace_matches_the_loop(kind, data, s,
+                                                              op):
+    readings, disabled = REDUCED[kind]
+    start, readings, t1, t2 = data.draw(gapped(readings))
+    column, copy = parsed(kind, start, readings)
     same_outcome(eval_term, f"{op}(b, t1, t2, s)",
-                 {"t1": t1, "t2": t2, "s": s}, column, copy, AT[DECIMAL])
+                 {"t1": t1, "t2": t2, "s": s}, column, copy, disabled)
 
 
+@pytest.mark.parametrize("kind, box", [(DECIMAL, Dec4), (INTEGER, int)])
 @pytest.mark.parametrize("op", ["max", "min"])
 @pytest.mark.parametrize("t1, t2, s, expected", [
-    (103, 103, 1, Dec4(3)),   # one sample
-    (102, 108, 10, Dec4(2)),  # a step past t2: one sample
+    (103, 103, 1, 3),         # one sample
+    (102, 108, 10, 2),        # a step past t2: one sample
     (100, 109, 3, None),      # samples 100, 103, 106, 109
     (104, 106, 1, BOTTOM),    # the NA at 105
     (99, 102, 1, OutOfWindow),
     (106, 112, 2, OutOfWindow),
     (110, 110, 1, OutOfWindow),
 ])
-def test_sampled_reduction_edges(op, t1, t2, s, expected):
-    readings = [Dec4(unit) for unit in range(10)]
+def test_sampled_reduction_edges(kind, box, op, t1, t2, s, expected):
+    readings = [box(unit) for unit in range(10)]
     readings[5] = BOTTOM
-    column, copy = parsed(DECIMAL, 100, readings)
+    column, copy = parsed(kind, 100, readings)
     got = same_outcome(eval_term, f"{op}(b, t1, t2, s)",
                        {"t1": t1, "t2": t2, "s": s}, column, copy,
-                       AT[DECIMAL])
+                       REDUCED[kind][1])
     if expected is None:
-        assert got == (Dec4(9) if op == "max" else Dec4(0))
+        assert got == box(9 if op == "max" else 0)
     elif expected is OutOfWindow:
         assert got[0] is OutOfWindow
+    elif expected is BOTTOM:
+        assert got is BOTTOM
     else:
-        assert got == expected
+        assert got == box(expected)
 
 
 # -- a whole run ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from tagmon.monitoring import (
     Characteristics,
     JudgementSet,
     PredicateFamily,
+    Record,
     format_record,
     monitor,
     observe_family,
@@ -33,7 +34,7 @@ from tagmon.scenarios import (
 from tagmon.streams import (
     Stream,
     _Booleans,
-    _Decimals,
+    _Texts,
     format_trace,
     parse_trace,
 )
@@ -97,10 +98,30 @@ def test_characteristics_refuse_assignment_and_deletion():
     assert chi == SIGMA.characteristics("green")
 
 
-def test_characteristics_repr_is_the_fingerprint():
+def test_characteristics_repr_names_its_pairs():
     chi = SIGMA.characteristics("green")
-    assert repr(chi) == ("Characteristics(sentence=(t1=0,t2=120,s=30,"
-                         "epsilon=0.0200,delta=0.0050);status=green)")
+    assert repr(chi) == (
+        "Characteristics(pairs=(('sentence', Characteristics(pairs=("
+        "('t1', 0), ('t2', 120), ('s', 30), ('epsilon', Dec4(200)), "
+        "('delta', Dec4(50))))), ('status', 'green')))")
+
+
+@pytest.mark.parametrize("lowered", [False, True])
+def test_a_record_holding_a_number_past_the_digit_limit_has_a_repr(
+        request, lowered):
+    """A decimal that ``str`` cannot write, at the default digit limit or
+    under a lowered one, leaves the repr of its characteristics and of the
+    record that holds them to its Dec4's."""
+    if lowered:
+        request.getfixturevalue("digit_limit")
+    chi = Characteristics.of(x=Dec4(10 ** 5000), status="green")
+    expected = ("Characteristics(pairs=(('x', Dec4(<raw units past int's "
+                "digit limit>)), ('status', 'green')))")
+    assert repr(chi) == expected
+    record = Record("e", chi, "bac-band", "green", 7)
+    assert repr(record) == (
+        f"Record(entity='e', characteristics={expected}, "
+        "attribute='bac-band', judgement='green', evaluated_at=7)")
 
 
 def test_characteristics_refuse_a_repeated_or_non_carrier_field():
@@ -196,12 +217,12 @@ OVERLAP = bad_family("max(b, 0, 120, 30) >= 0.0000",
 
 @pytest.mark.parametrize("family, trace, params, query, outcome", [
     (alcohol_family(), parsed("decimal", bac_trace().values), {},
-     (_Decimals, "reduce_samples"), "green"),
+     (_Texts, "reduce_samples"), "green"),
     (alcohol_family(), parsed("decimal", bac_trace(peak_at=30,
                                                    peak=Dec4(200)).values),
-     {}, (_Decimals, "reduce_samples"), "amber"),
+     {}, (_Texts, "reduce_samples"), "amber"),
     (alcohol_family(), parsed("decimal", bac_trace(gap_at=60).values), {},
-     (_Decimals, "reduce_samples"), "absent"),
+     (_Texts, "reduce_samples"), "absent"),
     (curfew_family(), parsed("boolean", PRESENCE), {"wstart": 0, "wend": 29},
      (_Booleans, "first_other"), "compliant"),
     (curfew_family(), parsed("boolean", PRESENCE), {"wstart": 0, "wend": 35},
@@ -210,7 +231,7 @@ OVERLAP = bad_family("max(b, 0, 120, 30) >= 0.0000",
      {"wstart": 35, "wend": 45}, (_Booleans, "first_other"),
      "absent-signal"),
     (OVERLAP, parsed("decimal", bac_trace().values), {},
-     (_Decimals, "reduce_samples"), AmbiguousJudgement),
+     (_Texts, "reduce_samples"), AmbiguousJudgement),
 ])
 def test_observe_family_asks_a_leaf_query_once_and_evaluates_every_spec(
         monkeypatch, family, trace, params, query, outcome):

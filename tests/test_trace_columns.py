@@ -1,12 +1,12 @@
 """Traces read in chunks into columns, against the per-line reference parser.
 
 ``parse_trace`` reads the text in place, in chunks cut at a line break after
-a fixed number of characters.  It checks and converts plain value lines a
-chunk at a time, their ticks against a tick column cached per window, and
-stores decimal and boolean readings as columns that box a value only when it
-is read.  ``reference_parse_trace`` in ``oracles`` is the per-line parser it
-replaced; on any text, whatever its line breaks, both must return the same
-readings or raise the same fault on the same line.
+a fixed number of characters.  It checks plain value lines a chunk at a
+time, their ticks against a tick column cached per window, and stores a
+boolean trace's codes or any other trace's texts, boxing a value only when
+it is read.  ``reference_parse_trace`` in ``oracles`` is the per-line
+parser it replaced; on any text, whatever its line breaks, both must return
+the same readings or raise the same fault on the same line.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import reference_parse_trace
 from tagmon import streams
 from tagmon.cli import EXIT_OK, gen_trace, main
-from tagmon.errors import TraceFormatError
+from tagmon.errors import KindMismatch, TraceFormatError
 from tagmon.streams import (
     _CHUNK_CHARS,
     Stream,
@@ -32,7 +32,7 @@ from tagmon.streams import (
     parse_trace,
     save_trace,
 )
-from tagmon.values import BOTTOM, KINDS, Dec4
+from tagmon.values import BOTTOM, KINDS, Dec4, format_value
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
                         max_examples=150,
@@ -304,8 +304,30 @@ def test_a_number_past_the_digit_limit_is_refused_on_its_line(
     stream = parse_trace(text)[2]
     if kind == "decimal":
         value = Dec4(value)
-        assert stream.reduce_samples(max, i, i, 1) == value
+        assert stream.reduce_samples("max", i, i, 1) == value
     assert stream.at(i) == value
+
+
+@pytest.mark.parametrize("kind, reading, box", [
+    ("decimal", "9" * 700 + ".0000", Dec4), ("integer", "9" * 700, int)])
+def test_a_reading_past_a_lowered_digit_limit_is_a_kind_mismatch(
+        digit_limit, kind, reading, box):
+    """A trace loaded under a looser digit limit than the one in force when
+    it is read: each read of the long reading raises KindMismatch naming
+    the limit, and the other readings still read."""
+    sys.set_int_max_str_digits(0)
+    _, _, stream = parse_trace(f"trace b {kind} 0 3\n0,NA\n1,{reading}\n"
+                               f"2,{format_value(box(1))}\n")
+    sys.set_int_max_str_digits(digit_limit)
+    reads = (lambda: stream.at(1), lambda: stream.values,
+             lambda: stream.reduce_samples("max", 1, 2, 1))
+    for read in reads:
+        with pytest.raises(KindMismatch) as err:
+            read()
+        assert str(err.value) == (f"{kind} reading past int's digit limit "
+                                  f"of {digit_limit} cannot be read")
+    assert stream.at(0) is BOTTOM and stream.at(2) == box(1)
+    assert stream.reduce_samples("max", 2, 2, 1) == box(1)
 
 
 @pytest.mark.parametrize("lowered", [False, True])
@@ -426,10 +448,25 @@ def test_lines_that_pass_the_per_line_checks_are_still_refused(kind,
         "fault", streams._UNWORDED_FAULT, cut_lines(lines)[-1] + 3)
 
 
-def test_reading_a_long_trace_peaks_below_three_times_its_text():
-    """The 143,940-minute dry trace of ``extended_dry``, read with no tick
-    column cached: the reader holds no list of its lines or ticks."""
-    text = format_trace(gen_trace(143940, 42), "b", "decimal")
+def long_trace(kind):
+    """A 143,940-minute trace: the dry one of ``extended_dry``, or integer
+    readings from 0 to 99,999 or two labels, each with a run of missed
+    readings."""
+    n = 143940
+    if kind == "decimal":
+        return format_trace(gen_trace(n, 42), "b", kind)
+    readings = [str(t * 7919 % 100_000) if kind == "integer"
+                else ("green", "amber")[t // 90 % 2] for t in range(n)]
+    readings[5000:5060] = ["NA"] * 60
+    return f"trace b {kind} 0 {n}\n" + "".join(
+        f"{t},{reading}\n" for t, reading in enumerate(readings))
+
+
+@pytest.mark.parametrize("kind", ["decimal", "integer", "label"])
+def test_reading_a_long_trace_peaks_below_three_times_its_text(kind):
+    """A long trace read with no tick column cached: the reader holds no
+    list of its lines, ticks or boxed readings."""
+    text = long_trace(kind)
     _tick_column.cache_clear()
     tracemalloc.start()
     try:
@@ -445,6 +482,8 @@ def test_reading_a_long_trace_peaks_below_three_times_its_text():
                  Dec4(999999999999999990000)]),
     ("decimal", [Dec4(raw) for raw in range(-5, C // 4)]),
     ("boolean", [True, BOTTOM, False] * (C // 8)),
+    ("integer", [7, BOTTOM, 0, -15000, 10 ** 30] * (C // 16)),
+    ("label", ["green", BOTTOM, "amber"] * (C // 8)),
 ])
 def test_a_loaded_stream_equals_and_hashes_like_stream_of(kind, readings):
     expected = Stream.of(3, readings)
@@ -474,9 +513,9 @@ def test_a_decimal_trace_converts_a_reading_only_when_it_is_read(
     assert converted == []
     assert loaded.at(300) == Dec4(300) and len(converted) == 1
     assert loaded.at(40) is BOTTOM and len(converted) == 1
-    assert loaded.reduce_samples(max, 0, 720, 30) == Dec4(720)
+    assert loaded.reduce_samples("max", 0, 720, 30) == Dec4(720)
     assert len(converted) == 1 + 25
-    assert loaded.reduce_samples(max, 0, 720, 20) is BOTTOM
+    assert loaded.reduce_samples("max", 0, 720, 20) is BOTTOM
     assert len(converted) == 1 + 25
 
 
