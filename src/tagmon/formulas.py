@@ -23,8 +23,8 @@ Two leaf shapes are asked of the stream instead of stepped tick by tick
 here: ``forall``/``exists k in lo .. hi : s[k] = c`` with c a boolean
 literal, over a parsed boolean trace, which searches its codes, and
 ``max``/``min(s, t1, t2, step)`` over any stream, which a parsed decimal
-trace answers on its texts.  Each gives what the loop gives, down to the
-error or BOTTOM it meets first.  Every other formula takes the loop.
+trace answers on its texts, each only over a range its trace's window
+holds, as the loop would.  Every other formula or range takes the loop.
 """
 
 from __future__ import annotations
@@ -220,10 +220,10 @@ def _atom_value(term: Term, env: Environment):
     return v
 
 
-def _scanned_column(formula: Quant, env: Environment):
+def _scanned_column(formula: Quant, env: Environment, lo: int, hi: int):
     """The parsed boolean trace that ``k in lo .. hi : s[k] = c`` scans,
-    with c a boolean literal and s bound to that trace, not the quantified
-    variable; None for any other quantifier."""
+    with c a boolean literal and s that trace, not the quantified variable,
+    if its window holds lo and hi; None for any other quantifier or range."""
     body = formula.body
     if not (isinstance(body, Cmp) and body.op == "eq"
             and isinstance(body.lhs, StreamAt)
@@ -236,7 +236,8 @@ def _scanned_column(formula: Quant, env: Environment):
     if name == formula.var:
         return None
     stream = env.bindings.get(name)
-    return stream if isinstance(stream, _Booleans) else None
+    held = isinstance(stream, _Booleans) and lo in stream.window
+    return stream if held and hi in stream.window else None
 
 
 def eval_formula(formula: Formula, env: Environment) -> bool:
@@ -258,7 +259,7 @@ def eval_formula(formula: Formula, env: Environment) -> bool:
         lo = _int_bound(formula.lo, env)
         hi = _int_bound(formula.hi, env)
         forall = formula.quantifier == "forall"
-        column = _scanned_column(formula, env)
+        column = _scanned_column(formula, env, lo, hi)
         if column is not None:
             # the first tick that stops the loop below decides the result
             literal = formula.body.rhs.value

@@ -336,8 +336,10 @@ def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
         return None
     trace_path = base / ent.trace
     try:
-        if not trace_path.is_file():
+        if not trace_path.exists():
             raise ScenarioFormatError(f"trace file not found: {ent.trace}")
+        if not trace_path.is_file():  # never open a directory or a FIFO
+            raise OSError(0, "not a regular file")
         _, loaded, stream = load_trace(trace_path)
     except OSError as exc:
         raise ScenarioFormatError(

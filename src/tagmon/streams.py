@@ -24,10 +24,10 @@ into one string, with an array of the offsets where each one ends, and
 converts a reading, by its kind's reader, only when it is read; a boolean
 trace keeps one byte code per tick instead (false, true or NA).  Streams
 built from values keep a tuple.  ``at`` boxes the one reading it returns.
-Every stream answers the evaluator's sampled max/min, ``reduce_samples``;
-a decimal trace does so on its texts, converting only the sampled
-readings.  A boolean trace answers ``first_other``, the first tick of a
-range whose boolean is not a given one, on its codes.
+Every stream answers the evaluator's sampled max/min, ``reduce_samples``,
+tick by tick; a decimal trace answers it on its texts, and a boolean trace
+``first_other`` (the first tick of a range whose boolean is not a given
+one) on its codes, each only over a range its window holds.
 
 ``parse_trace`` reads a trace's text in place, without a list of its lines:
 in chunks cut at the first line break past a fixed number of characters.
@@ -222,26 +222,25 @@ class _Texts(Stream):
 
     def reduce_samples(self, op: str, t1: int, t2: int,
                        s: int) -> CarrierValue:
-        """As ``Stream.reduce_samples``.  A decimal trace cuts the samples'
-        texts out by strided slices of the offsets and converts them to raw
-        units together; only the result is boxed."""
-        if self._read is not _decimal:
-            return super().reduce_samples(op, t1, t2, s)
+        """As ``Stream.reduce_samples``.  A decimal trace answers a range
+        its window holds on its texts, any other query tick by tick."""
         w = self.window
-        if not w.start <= t1 < w.horizon:
-            raise _outside(w, t1)
-        last = t1 + (t2 - t1) // s * s
-        if last >= w.horizon:
-            # the first sample at or past the horizon
-            raise _outside(w, t1 - (t1 - w.horizon) // s * s)
-        lo, hi, ends = t1 - w.start, last - w.start + 1, self._ends
-        texts = self._readings
+        if self._read is _decimal and w.start <= t1 <= t2 < w.horizon:
+            return self._reduce_texts(op, t1 - w.start, t2 - w.start + 1, s)
+        return super().reduce_samples(op, t1, t2, s)
+
+    def _reduce_texts(self, op: str, lo: int, hi: int, s: int):
+        """The decimal ``op`` of readings lo, lo+s, ... below hi, by index:
+        their texts cut out by strided slices of the offsets, each reading
+        converted, then BOTTOM for an NA; only the result is boxed."""
+        ends, texts = self._ends, self._readings
         picked = ",".join([texts[a:b] for a, b in zip(ends[lo:hi:s],
                                                       ends[lo + 1:hi + 1:s])])
-        if "N" in picked:
+        digits = picked.replace(".", "").split(",")
+        raws = [_int(text) for text in digits if text != "NA"]
+        if len(raws) < len(digits):
             return BOTTOM
-        reduce = max if op == "max" else min
-        return Dec4(reduce(map(_int, picked.replace(".", "").split(","))))
+        return Dec4(max(raws) if op == "max" else min(raws))
 
 
 def _decimal(text: str) -> CarrierValue:
@@ -296,32 +295,20 @@ class _Booleans(Stream):
         return _BOOLEAN_BOXES[self._readings[t - w.start]]
 
     def first_other(self, keep: bool, lo: int, hi: int) -> CarrierValue:
-        """The reading at the first tick of [lo, hi] that does not hold
-        ``keep``: the other boolean or BOTTOM, or None if every tick holds
-        ``keep``.  A tick outside the window raises as ``at`` if the scan
-        reaches it.
+        """The reading at the first tick of [lo, hi], whose bounds the
+        window holds, that does not hold ``keep``: the other boolean or
+        BOTTOM, or None if every tick holds ``keep`` or the range is empty.
 
         ``bytearray.find`` looks for each other code in turn, each search
         ending where the one before it hit; nothing is copied or boxed.
         """
-        if hi < lo:
-            return None
-        w = self.window
-        if not w.start <= lo < w.horizon:
-            raise _outside(w, lo)
-        codes = self._readings
-        end = min(hi, w.horizon - 1) - w.start + 1
-        hit = end
-        for code, reading in enumerate(_BOOLEAN_BOXES):
-            if reading is not keep:
-                found = codes.find(code, lo - w.start, hit)
-                if found >= 0:
-                    hit = found
-        if hit < end:
-            return _BOOLEAN_BOXES[codes[hit]]
-        if hi >= w.horizon:
-            raise _outside(w, w.horizon)
-        return None
+        codes, start = self._readings, self.window.start
+        hit = end = hi - start + 1
+        for code in (not keep, 2):  # the other boolean's code, and NA's
+            found = codes.find(code, lo - start, hit)
+            if found >= 0:
+                hit = found
+        return _BOOLEAN_BOXES[codes[hit]] if hit < end else None
 
 
 # -- the signature ------------------------------------------------------------

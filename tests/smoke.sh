@@ -337,3 +337,16 @@ echo "$RUNNER_TEMP/mixed/days-huge.scenario:1: entity A: under [schedule]" \
     "the sentence must span 0 to the last upload, which days puts past" \
     "int's digit limit, got 0,720" | diff - "$RUNNER_TEMP/days-huge.err"
 test ! -e "$RUNNER_TEMP/days-huge/records.log"
+# a trace path that names a directory is never opened: validate and run
+# say it is no regular file, exit 1, with no logs
+mkdir "$RUNNER_TEMP/mixed/tracedir"
+printf '%s\n' '[entity A]' 'sentence = 0,720,30,0.0200,0.0050' \
+    'trace = tracedir' > "$RUNNER_TEMP/mixed/dir.scenario"
+echo "$RUNNER_TEMP/mixed/dir.scenario:1: entity A: cannot read trace" \
+    "tracedir: not a regular file" > "$RUNNER_TEMP/dir.expected"
+expect_exit 1 dir tagmon validate "$RUNNER_TEMP/mixed/dir.scenario"
+diff "$RUNNER_TEMP/dir.expected" "$RUNNER_TEMP/dir.err"
+expect_exit 1 dir-run tagmon run "$RUNNER_TEMP/mixed/dir.scenario" \
+    --out "$RUNNER_TEMP/dir-run"
+diff "$RUNNER_TEMP/dir.expected" "$RUNNER_TEMP/dir-run.err"
+test ! -e "$RUNNER_TEMP/dir-run/records.log"

@@ -5,13 +5,14 @@ with a search of its code bytes, and a parsed decimal trace answers
 ``max``/``min(b, t1, t2, s)`` with strided slices of its texts.  Each example
 evaluates one formula or term on a parsed column and on
 ``Stream.of(column.values)``, a tuple copy that only the loop can read, and
-requires the same value, or the same exception type and message.  On the
-column, ``at`` is patched to raise, so an example that passes has taken the
-column query; near-misses of the lowered shapes have the column query
-patched to raise instead, so they must take the loop.  A parsed integer or
-label trace takes the loop of ``max``/``min`` too, reading its texts, and
-must give what its tuple copy gives.  A whole ``tagmon run`` must also log
-the same with ``at`` disabled.
+requires the same value, or the same exception type and message.  A column
+query answers only a range its trace's window holds: for such a range,
+``at`` is patched to raise, so an example that passes has taken the column
+query; for any other range, and for near-misses of the lowered shapes, the
+column query is patched to raise instead, so they must take the loop.  A
+parsed integer or label trace takes the loop of ``max``/``min`` too,
+reading its texts, and must give what its tuple copy gives.  A whole
+``tagmon run`` must also log the same with ``at`` disabled.
 """
 
 import contextlib
@@ -109,13 +110,27 @@ SCANS = [("forall k in lo .. hi : p[k] = true", True),
          ("exists k in lo .. hi : p[k] = true", False),
          ("exists k in lo .. hi : p[k] = false", True)]
 AT = {BOOLEAN: (_Booleans, "at"), DECIMAL: (_Texts, "at")}
+# the column queries
 SCAN = (_Booleans, "first_other")
-# the readings of each kind whose sampled max/min is checked, and the
-# method of its column that must not be called: a decimal column answers
-# on its texts, any other through ``at``
-REDUCED = {DECIMAL: (DECIMALS, AT[DECIMAL]),
-           INTEGER: (INTEGERS, None),
-           LABEL: (st.sampled_from(["green", "amber", BOTTOM]), None)}
+TEXTS = (_Texts, "_reduce_texts")
+# the readings of each kind whose sampled max/min is checked
+REDUCED = {DECIMAL: DECIMALS, INTEGER: INTEGERS,
+           LABEL: st.sampled_from(["green", "amber", BOTTOM])}
+
+
+def path(column, lo, hi, query):
+    """The method an example over [lo, hi] disables: ``at`` if the
+    column's window holds lo and hi, so that the column query ``query``
+    must answer, else ``query``, so that the loop must."""
+    held = lo in column.window and hi in column.window
+    return (type(column), "at") if held else query
+
+
+def reduced_path(kind, column, t1, t2):
+    """What a sampled max/min over [t1, t2] disables: on a decimal column
+    as ``path`` says, on any other the decimal column query, which never
+    answers it."""
+    return path(column, t1, t2, TEXTS) if kind == DECIMAL else TEXTS
 
 
 # -- the night scan ------------------------------------------------------------
@@ -126,7 +141,7 @@ def test_scan_of_a_boolean_column_matches_the_loop(trace, scan):
     start, readings, lo, hi = trace
     column, copy = parsed(BOOLEAN, start, readings)
     same_outcome(eval_formula, scan[0], {"lo": lo, "hi": hi}, column, copy,
-                 AT[BOOLEAN])
+                 path(column, lo, hi, SCAN))
 
 
 @pytest.mark.parametrize("scan, keep", SCANS)
@@ -141,22 +156,26 @@ def test_scan_meets_a_missed_reading_at_either_end(scan, keep, gap):
 
 
 @pytest.mark.parametrize("scan, keep", SCANS)
-@pytest.mark.parametrize("lo, hi, expected", [
-    (105, 108, "all kept"),
-    (98, 105, OutOfWindow),   # starts before the window
-    (105, 110, OutOfWindow),  # runs past its last tick
-    (120, 125, OutOfWindow),  # entirely after it
-    (105, 104, "all kept"),   # empty range
-    (50, 40, "all kept"),     # empty range outside the window
+@pytest.mark.parametrize("lo, hi, stop, expected", [
+    (105, 108, None, "all kept"),
+    (98, 105, None, OutOfWindow),   # starts before the window
+    (105, 110, None, OutOfWindow),  # runs past its last tick
+    (105, 112, 108, "stopped"),     # runs past it, but stops inside it
+    (120, 125, None, OutOfWindow),  # entirely after it
+    (105, 104, None, "all kept"),   # empty range
+    (50, 40, None, "all kept"),     # empty range outside the window
 ])
-def test_scan_bounds_against_the_window(scan, keep, lo, hi, expected):
-    column, copy = parsed(BOOLEAN, 100, [keep] * 10)
+def test_scan_bounds_against_the_window(scan, keep, lo, hi, stop, expected):
+    readings = [keep] * 10
+    if stop is not None:
+        readings[stop - 100] = not keep
+    column, copy = parsed(BOOLEAN, 100, readings)
     got = same_outcome(eval_formula, scan, {"lo": lo, "hi": hi}, column,
-                       copy, AT[BOOLEAN])
+                       copy, path(column, lo, hi, SCAN))
     if expected is OutOfWindow:
         assert got[0] is OutOfWindow
     else:
-        assert got is scan.startswith("forall")
+        assert got is (scan.startswith("forall") == (expected == "all kept"))
 
 
 NEAR_MISSES = [
@@ -203,11 +222,11 @@ def test_a_boolean_literal_over_a_decimal_column_takes_the_loop(trace):
        op=st.sampled_from(["max", "min"]))
 def test_sampled_reduction_of_a_parsed_trace_matches_the_loop(kind, data, s,
                                                               op):
-    readings, disabled = REDUCED[kind]
-    start, readings, t1, t2 = data.draw(gapped(readings))
+    start, readings, t1, t2 = data.draw(gapped(REDUCED[kind]))
     column, copy = parsed(kind, start, readings)
     same_outcome(eval_term, f"{op}(b, t1, t2, s)",
-                 {"t1": t1, "t2": t2, "s": s}, column, copy, disabled)
+                 {"t1": t1, "t2": t2, "s": s}, column, copy,
+                 reduced_path(kind, column, t1, t2))
 
 
 @pytest.mark.parametrize("kind, box", [(DECIMAL, Dec4), (INTEGER, int)])
@@ -215,7 +234,8 @@ def test_sampled_reduction_of_a_parsed_trace_matches_the_loop(kind, data, s,
 @pytest.mark.parametrize("t1, t2, s, expected", [
     (103, 103, 1, 3),         # one sample
     (102, 108, 10, 2),        # a step past t2: one sample
-    (100, 109, 3, None),      # samples 100, 103, 106, 109
+    (100, 109, 3, (0, 9)),    # samples 100, 103, 106, 109: (min, max)
+    (106, 110, 3, (6, 9)),    # t2 past the window, samples 106, 109 in it
     (104, 106, 1, BOTTOM),    # the NA at 105
     (99, 102, 1, OutOfWindow),
     (106, 112, 2, OutOfWindow),
@@ -227,9 +247,9 @@ def test_sampled_reduction_edges(kind, box, op, t1, t2, s, expected):
     column, copy = parsed(kind, 100, readings)
     got = same_outcome(eval_term, f"{op}(b, t1, t2, s)",
                        {"t1": t1, "t2": t2, "s": s}, column, copy,
-                       REDUCED[kind][1])
-    if expected is None:
-        assert got == box(9 if op == "max" else 0)
+                       reduced_path(kind, column, t1, t2))
+    if isinstance(expected, tuple):
+        assert got == box(expected[op == "max"])
     elif expected is OutOfWindow:
         assert got[0] is OutOfWindow
     elif expected is BOTTOM:

@@ -311,8 +311,11 @@ def test_validate_trace_coverage(tmp_path):
     ("traces/dry.trace", "trace file not found: traces/dry.trace"),
     # '#' starts a comment anywhere on a line, a value's middle too
     ("traces/alc#x.trace", "trace file not found: traces/alc"),
-], ids=["missing", "cut-at-hash"])
+    # a path that is there but is no regular file is never opened
+    ("traces", "cannot read trace traces: not a regular file"),
+], ids=["missing", "cut-at-hash", "directory"])
 def test_validate_missing_trace(tmp_path, path, fault):
+    (tmp_path / "traces").mkdir()
     text = ALCOHOL_TEXT.replace("traces/dry.trace", path)
     assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
         (2, f"entity PID-7: {fault}")]

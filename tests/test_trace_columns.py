@@ -320,7 +320,9 @@ def test_a_reading_past_a_lowered_digit_limit_is_a_kind_mismatch(
                                f"2,{format_value(box(1))}\n")
     sys.set_int_max_str_digits(digit_limit)
     reads = (lambda: stream.at(1), lambda: stream.values,
-             lambda: stream.reduce_samples("max", 1, 2, 1))
+             lambda: stream.reduce_samples("max", 1, 2, 1),
+             # the NA before it does not hide it: every sample is read
+             lambda: stream.reduce_samples("max", 0, 2, 1))
     for read in reads:
         with pytest.raises(KindMismatch) as err:
             read()
@@ -498,7 +500,8 @@ def test_a_loaded_stream_equals_and_hashes_like_stream_of(kind, readings):
 def test_a_decimal_trace_converts_a_reading_only_when_it_is_read(
         monkeypatch):
     """Loading keeps the readings' texts; ``at`` converts the one it reads
-    and ``reduce_samples`` the samples it takes, NA none."""
+    and ``reduce_samples`` every sample it takes but NA, before it answers
+    BOTTOM for an NA, as the per-tick path reads them."""
     readings = [Dec4(raw) for raw in range(721)]
     readings[40] = BOTTOM
     text = format_trace(Stream.of(0, readings), "b", "decimal")
@@ -516,7 +519,7 @@ def test_a_decimal_trace_converts_a_reading_only_when_it_is_read(
     assert loaded.reduce_samples("max", 0, 720, 30) == Dec4(720)
     assert len(converted) == 1 + 25
     assert loaded.reduce_samples("max", 0, 720, 20) is BOTTOM
-    assert len(converted) == 1 + 25
+    assert len(converted) == 1 + 25 + 36
 
 
 # each kind's readings as written, and near misses of their spelling
