@@ -14,20 +14,21 @@ characteristics reproduces byte-identical logs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ._frozen import Frozen
 from .errors import KindMismatch, MonitorError, UnknownJudgement
 from .monitoring import (
     Characteristics,
     JudgementSet,
-    PredicateFamily,
     Record,
     format_field,
     monitor,
 )
-from .streams import Stream
 from .values import CarrierValue, is_carrier
+
+if TYPE_CHECKING:
+    from .scenarios import EntityRun
 
 TAXONOMY = ("access-control", "permission", "penalty", "incentive",
             "recommendation", "social-support")
@@ -166,12 +167,12 @@ class RunResult:
 
 def run_cycle(params_by_entity: Mapping[str, Mapping],
               characteristics: Mapping[str, Characteristics],
-              streams: Mapping[str, Stream],
-              families: Mapping[str, PredicateFamily],
+              entities: Mapping[str, EntityRun],
               policy: Policy,
               now: int) -> RunResult:
     """Monitor each entity of ``params_by_entity`` at one time point, with
-    its template parameters, and apply the policy.
+    its template parameters and its row's family and stream, and apply the
+    policy.
 
     A failing entity is recorded and skipped; the cycle continues for the
     others.  Updated characteristics feed the next cycle through the returned
@@ -180,9 +181,9 @@ def run_cycle(params_by_entity: Mapping[str, Mapping],
     cycle = RunResult(dict(characteristics), [], [], [])
     for entity in sorted(params_by_entity):
         try:
-            rec = monitor(entity, cycle.characteristics[entity],
-                          families[entity], streams[entity], now,
-                          params_by_entity[entity])
+            row = entities[entity]
+            rec = monitor(entity, cycle.characteristics[entity], row.family,
+                          row.stream, now, params_by_entity[entity])
             _, chi, notes = apply_policy(rec, policy)
         except MonitorError as exc:
             cycle.errors.append((now, entity, exc))

@@ -33,7 +33,7 @@ upload, (days-1)*1440 + the last upload time.
 
 ``parse_scenario`` and ``format_scenario`` read one table of sections and
 keys, and round-trip structurally.  One pass checks and builds each section
-in one place: it loads each trace and builds each entity's run once, and
+in one place: it loads each trace and builds each entity's row once, and
 makes each rule its intervention as it checks it.  Each fault is one
 ``ScenarioFormatError`` on its line, and the faults come in file order:
 ``validate_scenario`` returns them instead of raising, so a command line
@@ -66,19 +66,17 @@ from .scenarios import (
     CURFEW_JUDGEMENTS,
     GREEN,
     CurfewOrder,
-    Intervention,
-    Policy,
+    EntityRun,
     ReportSchedule,
     ScenarioRun,
     Sentence,
-    Trigger,
     build_alcohol_scenario,
     build_curfew_scenario,
     build_extended_scenario,
     judgement_union,
     merge_runs,
 )
-from .interventions import Action
+from .interventions import Action, Intervention, Policy, Trigger
 from .streams import load_trace, read_ascii
 from .values import (
     BOOLEAN,
@@ -292,10 +290,10 @@ _KINDS = {
 }
 
 
-def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
+def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
                 schedule: Union[None, ReportSchedule, MonitorError],
-                faults: List[str]) -> Optional[ScenarioRun]:
-    """An entity's run, or a MonitorError at the first fault that stops it.
+                faults: List[str]) -> Optional[EntityRun]:
+    """An entity's row, or a MonitorError at the first fault that stops it.
 
     ``kind`` is the entity's row of ``_KINDS``, or None if it has none.
     ``schedule`` is the scenario's [schedule], or the fault that built none,
@@ -363,9 +361,9 @@ def _entity_run(ent: EntityConfig, kind: Optional[tuple], base: Path,
 
 
 def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
-        List[ScenarioFormatError], List[ScenarioRun], Policy]:
+        List[ScenarioFormatError], List[EntityRun], Policy]:
     """The one pass over a config: its faults, stably sorted by line, the
-    runs of its sound entities and the policy of its sound rules, the last
+    rows of its sound entities and the policy of its sound rules, the last
     two complete only when there are no faults.
 
     Each section is checked and built in one place, and each fault of an
@@ -387,7 +385,7 @@ def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
             schedule = exc
             found.append(ScenarioFormatError(str(exc), config.schedule.line))
 
-    runs: List[ScenarioRun] = []
+    rows: List[EntityRun] = []
     judgement_sets: List[JudgementSet] = []
     for ent in config.entities:
         kind = _KINDS.get((ent.sentence is not None, ent.curfew is not None))
@@ -395,12 +393,12 @@ def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
             judgement_sets.append(kind[0])
         faults: List[str] = []
         try:
-            run = _entity_run(ent, kind, base, schedule, faults)
+            row = _entity_row(ent, kind, base, schedule, faults)
         except MonitorError as exc:
             faults.append(str(exc))
         else:
-            if run is not None:
-                runs.append(run)
+            if row is not None:
+                rows.append(row)
         if schedule is not None and ent.curfew is not None:
             faults.append("[schedule] applies to sentence entities only")
         found += [ScenarioFormatError(f"entity {ent.entity}: {fault}",
@@ -428,7 +426,7 @@ def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
                 Action.set_from_judgement(rule.field_name)))
 
     found.sort(key=lambda fault: fault.line)
-    return found, runs, Policy(tuple(interventions))
+    return found, rows, Policy(tuple(interventions))
 
 
 def validate_scenario(config: ScenarioConfig, base_dir
@@ -453,10 +451,10 @@ def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:
     in file order, each trigger is total over the union of the entities'
     judgement sets, and without the section no rule fires.
     """
-    faults, runs, policy = _check_and_build(config, base_dir)
+    faults, rows, policy = _check_and_build(config, base_dir)
     if faults:
         raise InvalidScenario(faults)
-    return merge_runs(runs, policy)
+    return merge_runs(rows, policy)
 
 
 def load_scenario(path):

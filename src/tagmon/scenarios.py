@@ -21,10 +21,10 @@ every minute of the wrapped 19:00-07:00 window.  The extended alcohol
 scenario evaluates at scheduled daily upload times, each upload covering the
 readings since the previous one (the first window of a run starts at t=0).
 
-Each builder returns a one-entity run under its kind's default policy,
-``ALCOHOL_POLICY`` or ``CURFEW_POLICY``, which records a breach judgement as
-the entity's status.  ``merge_runs`` combines such runs under the one policy
-it is given; a scenario file passes its ``[policy]`` section there.
+A run is one row per entity, its ``EntityRun``, under one policy over all
+of them.  Each builder returns its entity's row; ``merge_runs`` puts the rows
+under the policy it is given, and a scenario file passes its ``[policy]``
+section there.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from ._frozen import Frozen
 from .errors import KindMismatch, WindowTooShort
 from .formulas import AttributeSpec
-from .interventions import (
-    Action,
-    Intervention,
-    Policy,
-    RunResult,
-    Trigger,
-    run_cycle,
-)
+from .interventions import Policy, RunResult, run_cycle
 from .monitoring import (
     Characteristics,
     JudgementSet,
@@ -201,48 +194,41 @@ def curfew_family() -> PredicateFamily:
                            _specs(rows), undefined=ABSENT_SIGNAL)
 
 
-# Default policies of the builders, shared like the families: on a breach,
-# record the judgement as the entity's status.
-ALCOHOL_POLICY = Policy((Intervention(
-    "record-breach",
-    Trigger(ALCOHOL_JUDGEMENTS, frozenset((AMBER, RED, ABSENT))),
-    Action.set_from_judgement("status")),))
-CURFEW_POLICY = Policy((Intervention(
-    "curfew-breach",
-    Trigger(CURFEW_JUDGEMENTS, frozenset((VIOLATION, ABSENT_SIGNAL))),
-    Action.set_from_judgement("status")),))
-
-
 # -- configured runs ----------------------------------------------------------
 
+class EntityRun(Frozen):
+    """One entity's part of a run: its characteristics, its behaviour
+    stream, its predicate family and its cycles (evaluation instant -> the
+    family's template parameters then)."""
+
+    entity: str
+    characteristics: Characteristics
+    stream: Stream
+    family: PredicateFamily
+    cycles: Dict[int, Mapping]
+
+
 class ScenarioRun(Frozen):
-    """A fully wired engine run: three tables of the same entities (their
-    characteristics, behaviour streams and predicate families), the policy
-    and the schedule (evaluation instant -> template parameters of each
-    entity monitored then).  An intervention changes what a later cycle
-    judges only through the characteristics, never through the stream."""
+    """A fully wired engine run: one row per entity, keyed by the entity,
+    and the policy over all of them.  An intervention changes what a later
+    cycle judges only through the characteristics, never through the
+    stream."""
 
-    characteristics: Dict[str, Characteristics]
-    streams: Dict[str, Stream]
-    families: Dict[str, PredicateFamily]
+    entities: Dict[str, EntityRun]
     policy: Policy
-    cycles: Dict[int, Mapping[str, Mapping]]
-
-    def __post_init__(self):
-        entities = self.characteristics.keys()
-        if not entities == self.streams.keys() == self.families.keys():
-            raise KindMismatch("characteristics, streams and families name "
-                               "different entities")
-        for now, params in self.cycles.items():
-            if params.keys() - entities:
-                raise KindMismatch(f"cycle at {now} names unknown entities "
-                                   f"{sorted(params.keys() - entities)}")
 
     def execute(self) -> RunResult:
-        run = RunResult(dict(self.characteristics), [], [], [])
-        for now in sorted(self.cycles):
-            cycle = run_cycle(self.cycles[now], run.characteristics,
-                              self.streams, self.families, self.policy, now)
+        """Run one cycle per distinct instant of the rows, in time order,
+        over the entities that have a cycle then."""
+        due: Dict[int, Dict[str, Mapping]] = {}
+        for entity, row in self.entities.items():
+            for now, params in row.cycles.items():
+                due.setdefault(now, {})[entity] = params
+        run = RunResult({entity: row.characteristics
+                         for entity, row in self.entities.items()}, [], [], [])
+        for now in sorted(due):
+            cycle = run_cycle(due[now], run.characteristics, self.entities,
+                              self.policy, now)
             run.characteristics = cycle.characteristics
             run.records += cycle.records
             run.notifications += cycle.notifications
@@ -256,42 +242,30 @@ def judgement_union(sets: Iterable[JudgementSet]) -> JudgementSet:
         label for judgements in sets for label in judgements)))
 
 
-def merge_runs(runs: List[ScenarioRun], policy: Policy) -> ScenarioRun:
-    """Combine per-entity runs into one under ``policy``; cycles at equal
-    times coalesce.
+def merge_runs(rows: List[EntityRun], policy: Policy) -> ScenarioRun:
+    """Put entities' rows into one run under ``policy``.
 
-    ``policy`` is the merged run's whole policy and the runs' own policies
-    are not consulted.  Its triggers should be total on every judgement the
-    merged families give, which a trigger over ``judgement_union`` of them
-    is; any other judgement is a cycle error for its entity.
+    ``policy``'s triggers should be total on every judgement the rows'
+    families give, which a trigger over ``judgement_union`` of them is; any
+    other judgement is a cycle error for its entity.
     """
-    if not runs:
+    if not rows:
         raise KindMismatch("nothing to merge")
-    chi: Dict[str, Characteristics] = {}
-    streams: Dict[str, Stream] = {}
-    families: Dict[str, PredicateFamily] = {}
-    cycles: Dict[int, Dict[str, Mapping]] = {}
-    for run in runs:
-        for entity in run.characteristics:
-            if entity in chi:
-                raise KindMismatch(f"duplicate entity {entity!r}")
-        chi.update(run.characteristics)
-        streams.update(run.streams)
-        families.update(run.families)
-        for now, params in run.cycles.items():
-            cycles.setdefault(now, {}).update(params)
-    return ScenarioRun(chi, streams, families, policy, cycles)
+    entities: Dict[str, EntityRun] = {}
+    for row in rows:
+        if row.entity in entities:
+            raise KindMismatch(f"duplicate entity {row.entity!r}")
+        entities[row.entity] = row
+    return ScenarioRun(entities, policy)
 
 
 def build_alcohol_scenario(sigma: Sentence, initial_status: str,
                            trace: Stream, entity: str = "PID-1"
-                           ) -> ScenarioRun:
-    """Single reporting window over [t1, t2], evaluated at t2."""
+                           ) -> EntityRun:
+    """The entity's row: one window over [t1, t2], evaluated at t2."""
     _require_cover(trace, sigma.t1, sigma.t2, "trace")
-    chi = sigma.characteristics(initial_status)
-    return ScenarioRun({entity: chi}, {entity: trace},
-                       {entity: alcohol_family()}, ALCOHOL_POLICY,
-                       {sigma.t2: {entity: {}}})
+    return EntityRun(entity, sigma.characteristics(initial_status), trace,
+                     alcohol_family(), {sigma.t2: {}})
 
 
 class CurfewOrder(Frozen):
@@ -335,16 +309,15 @@ class CurfewOrder(Frozen):
 
 
 def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
-                          initial_status: str = COMPLIANT) -> ScenarioRun:
-    """One cycle per night, evaluated at the morning report tick."""
+                          initial_status: str = COMPLIANT) -> EntityRun:
+    """The entity's row: one cycle per night, at the morning report tick."""
     _require_cover(order.presence, order.night_window(1)[0],
                    order.night_window(order.nights)[1], "presence", "nights ")
-    chi = order.characteristics(initial_status)
-    cycles = {order.report_tick(night): {entity: dict(
-                  zip(("wstart", "wend"), order.night_window(night)))}
+    cycles = {order.report_tick(night):
+              dict(zip(("wstart", "wend"), order.night_window(night)))
               for night in range(1, order.nights + 1)}
-    return ScenarioRun({entity: chi}, {entity: order.presence},
-                       {entity: curfew_family()}, CURFEW_POLICY, cycles)
+    return EntityRun(entity, order.characteristics(initial_status),
+                     order.presence, curfew_family(), cycles)
 
 
 class ReportSchedule(Frozen):
@@ -378,8 +351,9 @@ class ReportSchedule(Frozen):
 def build_extended_scenario(schedule: ReportSchedule, interval: int,
                             epsilon: Dec4, delta: Dec4, trace: Stream,
                             entity: str = "PID-1",
-                            initial_status: str = GREEN) -> ScenarioRun:
-    """Scheduled uploads: each covers the readings since the previous upload.
+                            initial_status: str = GREEN) -> EntityRun:
+    """The entity's row of scheduled uploads, each covering the readings
+    since the previous upload.
 
     The very first window starts at t = 0; afterwards window i is
     [upload_{i-1}, upload_i] with samples every ``interval`` minutes from the
@@ -397,7 +371,6 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     chi = Characteristics.of(s=interval, epsilon=epsilon, delta=delta,
                              days=schedule.days, status=initial_status)
     ticks = schedule.upload_ticks()
-    cycles = {now: {entity: {"t1": t1, "t2": now}}
+    cycles = {now: {"t1": t1, "t2": now}
               for t1, now in zip([0] + ticks, ticks)}
-    return ScenarioRun({entity: chi}, {entity: trace},
-                       {entity: alcohol_family()}, ALCOHOL_POLICY, cycles)
+    return EntityRun(entity, chi, trace, alcohol_family(), cycles)

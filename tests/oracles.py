@@ -52,9 +52,11 @@ from tagmon.scenario_file import (
 )
 from tagmon.scenarios import (
     CurfewOrder,
+    EntityRun,
     ReportSchedule,
     ScenarioRun,
     Sentence,
+    merge_runs,
 )
 from tagmon.streams import OPERATIONS, Operation, Relation, Stream, Window
 from tagmon.values import BOTTOM, KINDS, Dec4, format_value, parse_value
@@ -140,6 +142,26 @@ def band_oracle(sample_raws, eps_raw, delta_raw):
     if peak > eps_raw + delta_raw:
         return "red"
     return "amber"
+
+
+# -- one entity's row, run alone ----------------------------------------------
+#
+# The [policy] rule that the shipped scenarios declare for each family's
+# entities: alcohol_*.scenario's record-breach and curfew.scenario's
+# curfew-breach.  Each records a breach judgement as the entity's status.
+SHIPPED_RULES = {
+    "bac-band": ("record-breach", ("amber", "red", "absent")),
+    "curfew-presence": ("curfew-breach", ("violation", "absent-signal")),
+}
+
+
+def execute_alone(row: EntityRun):
+    """Execute one entity's row under its family's shipped rule."""
+    name, labels = SHIPPED_RULES[row.family.name]
+    rule = Intervention(name, Trigger(row.family.judgements,
+                                      frozenset(labels)),
+                        Action.set_from_judgement("status"))
+    return merge_runs([row], Policy((rule,))).execute()
 
 
 # -- trace files ----------------------------------------------------------------
@@ -783,8 +805,9 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (Notification, ["entity", "rule", "judgement", "evaluated_at", "before",
                     "after"]),
     (Sentence, ["t1", "t2", "s", "epsilon", "delta"]),
-    (ScenarioRun, ["characteristics", "streams", "families", "policy",
-                   "cycles"]),
+    (EntityRun, ["entity", "characteristics", "stream", "family",
+                 "cycles"]),
+    (ScenarioRun, ["entities", "policy"]),
     (CurfewOrder, ["presence", "nights", ("start_minute", 1140),
                    ("end_minute", 420)]),
     (ReportSchedule, ["uploads", "days"]),

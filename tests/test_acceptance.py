@@ -34,8 +34,8 @@ from tagmon.streams import (
 )
 from tagmon.values import BOTTOM, Dec4
 
-from oracles import brute_formula, count_samples, random_formula, \
-    random_int_stream
+from oracles import brute_formula, count_samples, execute_alone, \
+    random_formula, random_int_stream
 
 EPS = Dec4.parse("0.0200")
 DELTA = Dec4.parse("0.0050")
@@ -210,9 +210,9 @@ def test_criterion_7_extended_schedule(capsys):
         values = tuple(Dec4(rng.randrange(0, 150)) for _ in range(horizon))
         trace = Stream.of(0, values)
         schedule = ReportSchedule((420, 900, 1380), 100)
-        run = build_extended_scenario(schedule, 60, EPS, DELTA, trace,
+        row = build_extended_scenario(schedule, 60, EPS, DELTA, trace,
                                       "PID-7")
-        result = run.execute()
+        result = execute_alone(row)
         assert not result.errors
         assert len(result.records) == 300
         assert {r.judgement for r in result.records} == {"green"}

@@ -19,7 +19,7 @@ from tagmon.monitoring import (
     Record,
     format_record,
 )
-from tagmon.scenarios import Sentence, alcohol_family
+from tagmon.scenarios import EntityRun, Sentence, alcohol_family
 from tagmon.streams import Stream
 from tagmon.values import BOTTOM, Dec4
 
@@ -182,18 +182,21 @@ def test_format_notification_lists_a_field_whose_text_changes():
         "5|PID-7|r|red|flag=true->1"]
 
 
+def alcohol_row(entity, trace):
+    return EntityRun(entity, SIGMA.characteristics("green"), trace,
+                     alcohol_family(), {120: {}})
+
+
 def cycle_inputs(trace):
-    chi = {"PID-7": SIGMA.characteristics("green")}
-    streams = {"PID-7": trace}
-    families = {"PID-7": alcohol_family()}
+    rows = {"PID-7": alcohol_row("PID-7", trace)}
+    chi = {"PID-7": rows["PID-7"].characteristics}
     policy = Policy((status_rule(),))
-    return chi, streams, families, policy
+    return chi, rows, policy
 
 
 def test_run_cycle_green():
-    chi, streams, families, policy = cycle_inputs(bac_trace())
-    result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
-                       now=120)
+    chi, rows, policy = cycle_inputs(bac_trace())
+    result = run_cycle({"PID-7": {}}, chi, rows, policy, now=120)
     assert len(result.records) == 1
     assert result.records[0].judgement == "green"
     assert result.notifications == []
@@ -202,17 +205,15 @@ def test_run_cycle_green():
 
 
 def test_run_cycle_red():
-    chi, streams, families, policy = cycle_inputs(
-        bac_trace(peak_at=60, peak=Dec4(400)))
-    result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
-                       now=120)
+    chi, rows, policy = cycle_inputs(bac_trace(peak_at=60, peak=Dec4(400)))
+    result = run_cycle({"PID-7": {}}, chi, rows, policy, now=120)
     assert len(result.records) == 1
     assert len(result.notifications) == 1
     assert result.characteristics["PID-7"].get("status") == "red"
 
 
 def test_run_cycle_no_entities():
-    result = run_cycle({}, {}, {}, {}, Policy(()), now=0)
+    result = run_cycle({}, {}, {}, Policy(()), now=0)
     assert result.records == [] and result.notifications == []
     assert result.characteristics == {} and result.errors == []
 
@@ -220,13 +221,11 @@ def test_run_cycle_no_entities():
 def test_run_cycle_isolates_entity_errors():
     # PID-9's trace ends before its sentence's t2, so only its observation
     # fails; PID-7, judged red, still gets its record and its update
-    chi, streams, families, policy = cycle_inputs(
-        bac_trace(peak_at=60, peak=Dec4(400)))
-    chi["PID-9"] = SIGMA.characteristics("green")
-    streams["PID-9"] = Stream.of(0, [Dec4(100)] * 100)
-    families["PID-9"] = alcohol_family()
-    result = run_cycle({"PID-9": {}, "PID-7": {}}, chi, streams, families,
-                       policy, now=120)
+    chi, rows, policy = cycle_inputs(bac_trace(peak_at=60, peak=Dec4(400)))
+    rows["PID-9"] = alcohol_row("PID-9", Stream.of(0, [Dec4(100)] * 100))
+    chi["PID-9"] = rows["PID-9"].characteristics
+    result = run_cycle({"PID-9": {}, "PID-7": {}}, chi, rows, policy,
+                       now=120)
     assert [r.entity for r in result.records] == ["PID-7"]
     assert [n.entity for n in result.notifications] == ["PID-7"]
     assert [(now, e, type(exc)) for now, e, exc in result.errors] == [
@@ -242,9 +241,8 @@ def test_firing_soundness_on_random_cycles():
         values = [Dec4(rng.randrange(0, 400)) for _ in range(121)]
         if rng.random() < 0.3:
             values[rng.randrange(121)] = BOTTOM
-        chi, streams, families, _ = cycle_inputs(Stream.of(0, values))
-        result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
-                       now=120)
+        chi, rows, _ = cycle_inputs(Stream.of(0, values))
+        result = run_cycle({"PID-7": {}}, chi, rows, policy, now=120)
         fired = result.records[0].judgement != "green"
         assert (len(result.notifications) == 1) == fired
 
@@ -254,10 +252,9 @@ def test_replaying_a_cycle_is_deterministic():
     from tagmon.monitoring import format_record as fmt_rec
 
     def lines():
-        chi, streams, families, policy = cycle_inputs(
+        chi, rows, policy = cycle_inputs(
             bac_trace(peak_at=30, peak=Dec4(210)))
-        result = run_cycle({"PID-7": {}}, chi, streams, families, policy,
-                       now=120)
+        result = run_cycle({"PID-7": {}}, chi, rows, policy, now=120)
         return ([fmt_rec(r) for r in result.records],
                 [fmt_note(n) for n in result.notifications])
 

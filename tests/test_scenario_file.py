@@ -9,7 +9,7 @@ import tagmon.monitoring
 import tagmon.scenario_file
 import tagmon.scenarios
 
-from oracles import reference_parse_scenario
+from oracles import SHIPPED_RULES, reference_parse_scenario
 from tagmon.errors import ScenarioFormatError, TraceFormatError
 from tagmon.scenario_file import (
     EntityConfig,
@@ -83,6 +83,19 @@ def test_parse_alcohol_scenario():
         rules=(RuleConfig("record-breach", ("amber", "red", "absent"),
                           "status"),),
     )
+
+
+def test_the_shipped_rules_are_the_shipped_scenarios_rules(scenarios_dir):
+    # the tests that execute a builder's row alone use SHIPPED_RULES
+    declared = set()
+    for path in scenarios_dir.glob("*.scenario"):
+        config = parse_scenario(path.read_text())
+        family = ("curfew-presence" if config.entities[0].curfew
+                  else "bac-band")
+        declared |= {(family, rule.name, rule.labels, rule.field_name)
+                     for rule in config.rules}
+    assert declared == {(family, name, labels, "status")
+                        for family, (name, labels) in SHIPPED_RULES.items()}
 
 
 def test_parse_schedule_and_curfew():

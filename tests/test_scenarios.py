@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tagmon.scenarios
 from tagmon.errors import KindMismatch, WindowTooShort
 from tagmon.interventions import Action, Intervention, Policy, Trigger
 from tagmon.monitoring import Characteristics, observe_family
@@ -9,8 +10,8 @@ from tagmon.scenarios import (
     ALCOHOL_JUDGEMENTS,
     CURFEW_JUDGEMENTS,
     CurfewOrder,
+    EntityRun,
     ReportSchedule,
-    ScenarioRun,
     Sentence,
     alcohol_family,
     build_alcohol_scenario,
@@ -27,7 +28,7 @@ from tagmon.scenarios import (
 from tagmon.streams import Stream, Window
 from tagmon.values import BOTTOM, Dec4
 
-from oracles import band_oracle, count_samples
+from oracles import band_oracle, count_samples, execute_alone
 
 EPS = Dec4.parse("0.0200")
 DELTA = Dec4.parse("0.0050")
@@ -169,8 +170,8 @@ WORKED_SIGMA = Sentence(0, 720, 30, EPS, DELTA)
 
 
 def test_alcohol_run_green():
-    run = build_alcohol_scenario(WORKED_SIGMA, "green", full_trace(), "PID-7")
-    result = run.execute()
+    row = build_alcohol_scenario(WORKED_SIGMA, "green", full_trace(), "PID-7")
+    result = execute_alone(row)
     assert not result.errors
     assert [r.judgement for r in result.records] == ["green"]
     assert result.notifications == []
@@ -180,17 +181,17 @@ def test_alcohol_run_green():
 
 def test_alcohol_run_red():
     trace = full_trace(peak_at=600, peak=Dec4.parse("0.0300"))
-    run = build_alcohol_scenario(WORKED_SIGMA, "green", trace, "PID-7")
-    result = run.execute()
+    row = build_alcohol_scenario(WORKED_SIGMA, "green", trace, "PID-7")
+    result = execute_alone(row)
     assert [r.judgement for r in result.records] == ["red"]
     assert len(result.notifications) == 1
     assert result.characteristics["PID-7"].get("status") == "red"
 
 
 def test_alcohol_run_absent():
-    run = build_alcohol_scenario(WORKED_SIGMA, "green",
+    row = build_alcohol_scenario(WORKED_SIGMA, "green",
                                  full_trace(gap=(60, 120)), "PID-7")
-    result = run.execute()
+    result = execute_alone(row)
     assert [r.judgement for r in result.records] == ["absent"]
     assert len(result.notifications) == 1
     assert result.characteristics["PID-7"].get("status") == "absent"
@@ -226,8 +227,8 @@ def test_curfew_order_wraps_720_minutes():
 
 
 def test_curfew_all_present():
-    run = build_curfew_scenario(CurfewOrder(presence_trace(), 7), "PID-9")
-    result = run.execute()
+    row = build_curfew_scenario(CurfewOrder(presence_trace(), 7), "PID-9")
+    result = execute_alone(row)
     assert [r.judgement for r in result.records] == ["compliant"] * 7
     assert result.notifications == []
 
@@ -235,8 +236,8 @@ def test_curfew_all_present():
 def test_curfew_absence_and_gap_nights():
     # night 3 absence 02:00-03:00; night 5 signal gap
     trace = presence_trace(absence=(4440, 4500), gap=(7000, 7060))
-    run = build_curfew_scenario(CurfewOrder(trace, 7), "PID-9")
-    result = run.execute()
+    row = build_curfew_scenario(CurfewOrder(trace, 7), "PID-9")
+    result = execute_alone(row)
     assert [(r.evaluated_at, r.judgement) for r in result.records] == [
         (1860, "compliant"),
         (3300, "compliant"),
@@ -273,9 +274,9 @@ def test_report_schedule_validation():
 
 def test_extended_record_count_and_order():
     schedule = ReportSchedule((420, 900, 1380), 3)
-    run = build_extended_scenario(schedule, 60, EPS, DELTA,
+    row = build_extended_scenario(schedule, 60, EPS, DELTA,
                                   dry_extended_trace(3))
-    result = run.execute()
+    result = execute_alone(row)
     assert len(result.records) == 9
     assert [r.evaluated_at for r in result.records] == schedule.upload_ticks()
     assert {r.judgement for r in result.records} == {"green"}
@@ -286,9 +287,9 @@ def test_extended_hot_reading_lands_in_one_window():
     # hot reading at 10:00 on day 2 (0-based): only the 15:00 upload sees it
     hot_tick = 2 * 1440 + 600
     schedule = ReportSchedule((420, 900, 1380), 3)
-    run = build_extended_scenario(schedule, 60, EPS, DELTA,
+    row = build_extended_scenario(schedule, 60, EPS, DELTA,
                                   dry_extended_trace(3, hot_at=hot_tick))
-    result = run.execute()
+    result = execute_alone(row)
     reds = [(r.evaluated_at, r.judgement) for r in result.records
             if r.judgement != "green"]
     assert reds == [(2 * 1440 + 900, "red")]
@@ -301,9 +302,9 @@ def test_extended_windows_are_independent_after_gap():
     values = list(trace.values)
     values[120] = BOTTOM
     schedule = ReportSchedule((420, 900, 1380), 2)
-    run = build_extended_scenario(schedule, 60, EPS, DELTA,
+    row = build_extended_scenario(schedule, 60, EPS, DELTA,
                                   Stream.of(0, tuple(values)))
-    result = run.execute()
+    result = execute_alone(row)
     assert [r.judgement for r in result.records] == [
         "absent", "green", "green", "green", "green", "green"]
 
@@ -325,8 +326,8 @@ def test_extended_windows_agree_with_compliance_judgement():
                                       len(values))):
                 values[t] = BOTTOM
         trace = Stream.of(0, values)
-        result = build_extended_scenario(schedule, s, EPS, DELTA,
-                                         trace).execute()
+        result = execute_alone(build_extended_scenario(schedule, s, EPS,
+                                                       DELTA, trace))
         assert not result.errors
         previous = 0
         for now, rec in zip(ticks, result.records, strict=True):
@@ -402,43 +403,32 @@ def test_merge_runs_mixes_entity_types():
     assert set(merged.policy.rules[0].trigger.domain.labels) == labels
 
 
-def test_merge_runs_coalesces_cycles_and_refuses_a_repeated_entity():
+def test_merge_runs_coalesces_cycles_and_refuses_a_repeated_entity(
+        monkeypatch):
     a = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-1")
     b = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-2")
     c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-3")
     merged = merge_runs([a, b, c], Policy(()))
-    assert merged.cycles == {120: {"PID-1": {}, "PID-2": {}},
-                             1860: {"PID-3": {"wstart": 1140, "wend": 1859}}}
-    assert merged.streams == {**a.streams, **b.streams, **c.streams}
+    calls = []
+    run_cycle = tagmon.scenarios.run_cycle
+
+    def counted(params_by_entity, characteristics, entities, policy, now):
+        calls.append(now)
+        return run_cycle(params_by_entity, characteristics, entities, policy,
+                         now)
+
+    monkeypatch.setattr(tagmon.scenarios, "run_cycle", counted)
+    result = merged.execute()
+    assert calls == [120, 1860]  # one cycle per instant, not per entity
+    assert [(r.evaluated_at, r.entity) for r in result.records] == [
+        (120, "PID-1"), (120, "PID-2"), (1860, "PID-3")]
     with pytest.raises(KindMismatch, match="duplicate entity 'PID-1'"):
         merge_runs([a, b, a], Policy(()))
     with pytest.raises(KindMismatch, match="nothing to merge"):
         merge_runs([], Policy(()))
-
-
-def test_scenario_run_refuses_tables_of_different_entities():
-    run = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-7")
-    chi, streams, families = (run.characteristics, run.streams,
-                              run.families)
-    other = {"PID-8": full_trace()}
-    for tables in [(chi, {}, families), (chi, streams, {}),
-                   ({}, streams, families),
-                   (chi, {**streams, **other}, families),
-                   (chi, other, families)]:
-        with pytest.raises(KindMismatch, match="name different entities"):
-            ScenarioRun(*tables, run.policy, run.cycles)
-    # a run with no cycles is a valid run that judges nothing
-    empty = ScenarioRun(chi, streams, families, run.policy, {})
-    assert empty.execute().records == []
-
-
-def test_scenario_run_refuses_a_cycle_of_an_unknown_entity():
-    run = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-7")
-    cycles = {120: {"PID-7": {}}, 240: {"PID-8": {}, "PID-7": {}}}
-    with pytest.raises(KindMismatch, match=r"cycle at 240 names unknown "
-                                           r"entities \['PID-8'\]"):
-        ScenarioRun(run.characteristics, run.streams, run.families,
-                    run.policy, cycles)
+    # a row with no cycles is a valid row that judges nothing
+    idle = EntityRun("PID-4", a.characteristics, a.stream, a.family, {})
+    assert merge_runs([idle], Policy(())).execute().records == []
 
 
 def test_judgement_union_keeps_first_seen_order():
@@ -530,6 +520,6 @@ def test_entities_of_one_kind_share_one_family():
     a = build_alcohol_scenario(WORKED_SIGMA, "green", full_trace(), "PID-1")
     b = build_extended_scenario(ReportSchedule((420,), 1), 60, EPS, DELTA,
                                 full_trace(), "PID-2")
-    assert a.families["PID-1"] is b.families["PID-2"] is alcohol_family()
+    assert a.family is b.family is alcohol_family()
     c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-9")
-    assert c.families["PID-9"] is curfew_family()
+    assert c.family is curfew_family()

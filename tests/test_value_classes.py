@@ -158,11 +158,11 @@ def test_default_dicts_are_not_shared():
 
 def test_importing_the_cli_loads_no_dataclasses():
     # pins the start-up gain: a @dataclass anywhere in tagmon brings these
-    # modules back
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, tagmon.cli; print(sorted({'dataclasses', "
-            "'inspect', 'ast'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    # modules back.  Under -S no site module imports any of them first.
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = ("import sys, tagmon.cli; tagmon.cli.build_arg_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+            "'tokenize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
     assert out == "[]\n"
