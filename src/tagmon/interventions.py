@@ -1,8 +1,9 @@
 """Trigger->action intervention rules and the per-cycle engine loop.
 
 An intervention inspects the judgement in a monitoring record and, when its
-trigger fires, transforms the entity's characteristics and emits a
-notification to whatever infrastructure sits outside the data stack.  A
+trigger fires, transforms the entity's characteristics, setting one field to
+the judgement, and emits a notification to whatever infrastructure sits
+outside the data stack.  A
 policy is an ordered list of interventions applied sequentially, each to the
 characteristics the previous one produced; updates take effect from the next
 monitoring cycle, never retroactively.
@@ -14,7 +15,7 @@ characteristics reproduces byte-identical logs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from ._frozen import Frozen
 from .errors import KindMismatch, MonitorError, UnknownJudgement
@@ -25,17 +26,9 @@ from .monitoring import (
     format_field,
     monitor,
 )
-from .values import CarrierValue, is_carrier
 
 if TYPE_CHECKING:
     from .scenarios import EntityRun
-
-TAXONOMY = ("access-control", "permission", "penalty", "incentive",
-            "recommendation", "social-support")
-
-_NULL = "null"
-_SET_FIELD = "set-field"
-_SET_FROM_JUDGEMENT = "set-from-judgement"
 
 
 class Trigger(Frozen):
@@ -59,59 +52,25 @@ class Trigger(Frozen):
 
 
 class Action(Frozen):
-    """Characteristics transformer; the null action is the identity."""
+    """Characteristics transformer: sets ``field`` to the judgement."""
 
-    kind: str
-    field: Optional[str] = None
-    value: Optional[CarrierValue] = None
-
-    def __post_init__(self):
-        if self.kind not in (_NULL, _SET_FIELD, _SET_FROM_JUDGEMENT):
-            raise KindMismatch(f"unknown action kind {self.kind!r}")
-        if self.kind != _NULL and not self.field:
-            raise KindMismatch(f"{self.kind} action needs a field name")
-        if self.kind == _SET_FIELD and not is_carrier(self.value):
-            raise KindMismatch(f"set-field value {self.value!r} is not "
-                               "a carrier value")
-
-    @classmethod
-    def null(cls) -> "Action":
-        return cls(_NULL)
-
-    @classmethod
-    def set_field(cls, field: str, value: CarrierValue) -> "Action":
-        return cls(_SET_FIELD, field, value)
+    field: str
 
     @classmethod
     def set_from_judgement(cls, field: str) -> "Action":
-        return cls(_SET_FROM_JUDGEMENT, field)
+        return cls(field)
 
     def apply(self, chi: Characteristics, judgement: str) -> Characteristics:
-        if self.kind == _NULL:
-            return chi
-        if self.kind == _SET_FIELD:
-            return chi.with_field(self.field, self.value)
         return chi.with_field(self.field, judgement)
 
 
 class Intervention(Frozen):
-    """A named trigger->action rule with a purpose tag.
-
-    The tag classifies what the rule is for (penalty, incentive, ...) and is
-    metadata only.  ``notify_always`` opts a rule into emitting a heartbeat
-    notification even on cycles where its trigger does not fire.
-    """
+    """A named trigger->action rule: when the trigger fires on a record's
+    judgement, the action sets its field from that judgement."""
 
     name: str
     trigger: Trigger
     action: Action
-    tag: str = "penalty"
-    notify_always: bool = False
-
-    def __post_init__(self):
-        if self.tag not in TAXONOMY:
-            raise KindMismatch(
-                f"intervention tag {self.tag!r} not in {TAXONOMY}")
 
 
 class Policy(Frozen):
@@ -133,20 +92,17 @@ class Notification(Frozen):
 
 def apply_policy(rec: Record, policy: Policy
                  ) -> Tuple[str, Characteristics, List[Notification]]:
-    """Apply every rule in order, threading characteristics through.
-
-    One notification is emitted per fired rule; rules marked notify_always
-    emit even when they do not fire.
-    """
+    """Apply every rule in order, threading characteristics through; each
+    rule that fires emits one notification."""
     chi = rec.characteristics
     notifications = []
     for rule in policy.rules:
-        fired = rule.trigger.fires(rec.judgement)
-        new_chi = rule.action.apply(chi, rec.judgement) if fired else chi
-        if fired or rule.notify_always:
-            notifications.append(Notification(
-                entity=rec.entity, rule=rule.name, judgement=rec.judgement,
-                evaluated_at=rec.evaluated_at, before=chi, after=new_chi))
+        if not rule.trigger.fires(rec.judgement):
+            continue
+        new_chi = rule.action.apply(chi, rec.judgement)
+        notifications.append(Notification(
+            entity=rec.entity, rule=rule.name, judgement=rec.judgement,
+            evaluated_at=rec.evaluated_at, before=chi, after=new_chi))
         chi = new_chi
     return rec.entity, chi, notifications
 

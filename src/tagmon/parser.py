@@ -1,4 +1,4 @@
-"""Concrete syntax for attribute formulas: tokenizer, parser and printer.
+"""Concrete syntax for attribute formulas: tokenizer and parser.
 
     formula    := not_f (("and" | "or") not_f)*
     not_f      := "not" not_f | quantified | atom
@@ -18,9 +18,9 @@ fixed-point value with at most four fractional digits.  ``#`` starts a
 comment that runs to the end of the line.
 
 Call syntax is checked against ``streams.OPERATIONS``: an identifier applied
-to arguments must be a declared operation, and is a term.  The relations of
-``streams.RELATIONS`` are written as comparisons only, spelt as the printer
-spells them, so ``lt(a, b)`` is an unknown operation, not a test.  Bare identifiers are
+to arguments must be a declared operation, and is a term.  The comparisons of
+``values.COMPARISONS`` are written with the comparison operators only, so
+``lt(a, b)`` is an unknown operation, not a test.  Bare identifiers are
 quantified variables, template parameters bound as variables, or stream
 names, all resolved at evaluation time.
 """
@@ -46,7 +46,7 @@ from .formulas import (
     Var,
 )
 from .streams import OPERATIONS
-from .values import BOTTOM, Dec4, format_value
+from .values import Dec4
 
 # the binary operators: spelling -> (the connective it builds or the term
 # operation it applies, precedence); a higher precedence binds tighter.  A
@@ -55,11 +55,9 @@ _MINUS = "-"  # also negation, before an operand
 _BINARY = {"or": (Or, 1), "and": (And, 2),
            "+": ("add", 1), _MINUS: ("sub", 1), "*": ("mul", 2),
            "/": ("div", 2)}
-# the precedence of "not" and of negation
-_PREFIX = 1 + max(prec for _, prec in _BINARY.values())
-_CMP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=",
-             "gt": ">", "ge": ">="}
-_CMP_OPS = {text: name for name, text in _CMP_TEXT.items()}
+# each comparison's spelling -> its name in ``values.COMPARISONS``
+_CMP_OPS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt",
+            ">=": "ge"}
 _QUANTIFIERS = ("forall", "exists")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = {"true", "false", "not", "in", *_QUANTIFIERS,
@@ -271,74 +269,3 @@ def _check_bound(t: Term, side: str) -> None:
                                or not isinstance(t.value, int)):
         raise KindMismatch(f"{side} quantifier bound must be an integer term")
 
-
-# ``_BINARY`` read the other way: connective or operation -> (its spelling
-# between spaces, precedence)
-_INFIX = {node: (f" {text} ", prec) for text, (node, prec) in _BINARY.items()}
-
-
-def print_formula(formula: Formula) -> str:
-    """Canonical concrete syntax; parse(print(f)) reproduces f structurally.
-
-    A tree that no text parses back to, such as one with a label literal or
-    a keyword for a name, raises KindMismatch.
-    """
-    return _pf(formula, 0)
-
-
-def _pf(f: Formula, req: int) -> str:
-    if isinstance(f, BoolLit):
-        return "true" if f.value else "false"
-    if isinstance(f, Cmp):
-        if f.op not in _CMP_TEXT:
-            raise KindMismatch(f"no formula text for {f!r}")
-        return f"{_pt(f.lhs, 1)} {_CMP_TEXT[f.op]} {_pt(f.rhs, 1)}"
-    if isinstance(f, Not):
-        s = "not " + _pf(f.body, _PREFIX)
-        return f"({s})" if req > _PREFIX else s
-    if type(f) in _INFIX:
-        text, prec = _INFIX[type(f)]
-        s = _pf(f.lhs, prec) + text + _pf(f.rhs, prec + 1)
-        return f"({s})" if req > prec else s
-    if isinstance(f, Quant):
-        if f.quantifier not in _QUANTIFIERS:
-            raise KindMismatch(f"no formula text for {f!r}")
-        _check_bound(f.lo, "lower")
-        _check_bound(f.hi, "upper")
-        s = (f"{f.quantifier} {_name(f.var)} in {_pt(f.lo, 0)}"
-             f" .. {_pt(f.hi, 0)} : {_pf(f.body, 0)}")
-        return f"({s})" if req > 0 else s
-    raise KindMismatch(f"not a formula: {f!r}")
-
-
-def _pt(t: Term, req: int) -> str:
-    if isinstance(t, Lit):
-        if isinstance(t.value, str) or t.value is BOTTOM:  # would be a name
-            raise KindMismatch(f"no formula text for {t!r}")
-        return format_value(t.value)
-    if isinstance(t, Var):
-        return _name(t.name)
-    if isinstance(t, StreamAt):
-        return f"{_name(t.stream)}[{_pt(t.index, 0)}]"
-    if isinstance(t, Apply):
-        if t.op not in OPERATIONS or not t.args:
-            raise KindMismatch(f"no formula text for {t!r}")
-        if t.op in _INFIX and len(t.args) == 2:
-            text, prec = _INFIX[t.op]
-            s = _pt(t.args[0], prec) + text + _pt(t.args[1], prec + 1)
-            return f"({s})" if req > prec else s
-        # the parser folds "-" and a number into one literal, so neg of a
-        # numeric literal is spelt as a call
-        if (t.op == "neg" and len(t.args) == 1
-                and not _numeric_lit(t.args[0])):
-            s = _MINUS + _pt(t.args[0], _PREFIX)
-            return f"({s})" if req > _PREFIX else s
-        return f"{t.op}({', '.join(_pt(a, 0) for a in t.args)})"
-    raise KindMismatch(f"not a term: {t!r}")
-
-
-def _name(name: str) -> str:
-    """``name``, if the parser reads it as an identifier."""
-    if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
-        raise KindMismatch(f"no formula text for the name {name!r}")
-    return name

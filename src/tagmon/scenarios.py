@@ -219,17 +219,20 @@ class ScenarioRun(Frozen):
 
     def execute(self) -> RunResult:
         """Run one cycle per distinct instant of the rows, in time order,
-        over the entities that have a cycle then."""
+        over the entities that have a cycle then; each cycle is given, and
+        gives back, the characteristics of those entities only."""
         due: Dict[int, Dict[str, Mapping]] = {}
         for entity, row in self.entities.items():
             for now, params in row.cycles.items():
                 due.setdefault(now, {})[entity] = params
         run = RunResult({entity: row.characteristics
                          for entity, row in self.entities.items()}, [], [], [])
+        chi = run.characteristics
         for now in sorted(due):
-            cycle = run_cycle(due[now], run.characteristics, self.entities,
-                              self.policy, now)
-            run.characteristics = cycle.characteristics
+            cycle = run_cycle(due[now], {entity: chi[entity]
+                                         for entity in due[now]},
+                              self.entities, self.policy, now)
+            chi.update(cycle.characteristics)
             run.records += cycle.records
             run.notifications += cycle.notifications
             run.errors += cycle.errors

@@ -12,11 +12,10 @@ prefix).  Undefined readings propagate strictly through lifted operations and
 abort quantified tests with BottomEncountered, so a missed reading can never
 silently pass for a truth value.
 
-The symbols of the formula language are declared once, in two tables:
-``OPERATIONS`` maps a name to its ``Operation`` and ``RELATIONS`` a name to
-its ``Relation`` (the comparisons of ``values.COMPARISONS``).  The liftings
-and quantified tests take any ``Operation`` or ``Relation``, declared there
-or not.
+The operations of the formula language are declared once, in
+``OPERATIONS``, which maps a name to its ``Operation``; its comparisons are
+``values.COMPARISONS``.  The liftings and quantified tests take any
+``Operation`` or ``Relation``, declared or not.
 
 Storage is not part of the algebra.  A trace read from a file keeps its
 readings' texts, each NA or written as ``format_value`` writes it, joined
@@ -60,7 +59,6 @@ from .errors import (
 from .values import (
     BOOLEAN,
     BOTTOM,
-    COMPARISONS,
     DECIMAL,
     INTEGER,
     KINDS,
@@ -70,7 +68,6 @@ from .values import (
     Dec4,
     _LABEL_RE,
     add_values,
-    compare,
     digit_limit,
     div_values,
     floor_value,
@@ -322,15 +319,15 @@ class Operation(Frozen):
 
 
 class Relation(Frozen):
-    """Declared test symbol: value arguments in, boolean out."""
+    """Test symbol: value arguments in, boolean out."""
 
     name: str
     arity: Optional[int]
     fn: Callable[..., bool]
 
 
-# the formula language's signature: arithmetic, floor, max and min, and the
-# six comparison tests; no name is both an operation and a test
+# the formula language's operations: arithmetic, floor, max and min; its six
+# comparison tests are ``values.COMPARISONS``, and no name is both
 OPERATIONS = {op.name: op for op in (
     Operation("add", 2, add_values),
     Operation("sub", 2, sub_values),
@@ -341,8 +338,6 @@ OPERATIONS = {op.name: op for op in (
     Operation("max", None, max_values),
     Operation("min", None, min_values),
 )}
-RELATIONS = {name: Relation(name, 2, functools.partial(compare, name))
-             for name in COMPARISONS}
 
 
 # -- stream-building operations ----------------------------------------------

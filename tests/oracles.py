@@ -798,9 +798,8 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (Record, ["entity", "characteristics", "attribute", "judgement",
               "evaluated_at"]),
     (Trigger, ["domain", "fires_on"]),
-    (Action, ["kind", ("field", None), ("value", None)]),
-    (Intervention, ["name", "trigger", "action", ("tag", "penalty"),
-                    ("notify_always", False)]),
+    (Action, ["field"]),
+    (Intervention, ["name", "trigger", "action"]),
     (Policy, [("rules", ())]),
     (Notification, ["entity", "rule", "judgement", "evaluated_at", "before",
                     "after"]),

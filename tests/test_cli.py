@@ -1,7 +1,9 @@
 import errno
+import os
 import pathlib
 import random
 import shutil
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -929,3 +931,42 @@ def test_run_scheduled_scenario_golden_logs(tmp_path, capsys):
         SCHEDULED_RECORDS.encode("ascii")
     assert (out / "notifications.log").read_bytes() == \
         SCHEDULED_NOTIFICATIONS.encode("ascii")
+
+
+HASH_SEED_TEXT = """\
+[entity PID-7]
+sentence = 0,720,30,0.0200,0.0050
+status = green
+trace = {traces}/alcohol_spike.trace
+
+[entity PID-9]
+curfew = 19:00,07:00
+nights = 7
+status = compliant
+trace = {traces}/curfew_presence.trace
+
+[policy]
+rule = breach: on amber,red,absent,violation,absent-signal set status
+"""
+
+
+def test_logs_do_not_depend_on_the_hash_seed(scenarios_dir, tmp_path):
+    # a set or dict ordered by string hashes would reorder lines between
+    # processes; the benchmark fixes one seed, so it would not notice
+    scenario = tmp_path / "mixed.scenario"
+    scenario.write_text(HASH_SEED_TEXT.format(traces=scenarios_dir / "traces"))
+    path = os.pathsep.join(filter(None, (str(scenarios_dir.parent / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "tagmon", "run", str(scenario), "--out",
+             str(out)], env=env, capture_output=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append((done.stdout, done.stderr,
+                        (out / "records.log").read_bytes(),
+                        (out / "notifications.log").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b"PID-7" in outputs[0][2] and b"PID-9" in outputs[0][3]

@@ -4,9 +4,9 @@ import pytest
 
 from tagmon.errors import KindMismatch, OutOfWindow, UnknownJudgement
 from tagmon.interventions import (
-    TAXONOMY,
     Action,
     Intervention,
+    Notification,
     Policy,
     Trigger,
     apply_policy,
@@ -36,13 +36,11 @@ def record(judgement, chi=None, at=120):
     return Record("PID-7", chi, "bac-band", judgement, at)
 
 
-def status_rule(name="record-breach", action=None, fires=None,
-                notify_always=False):
+def status_rule(name="record-breach", action=None, fires=None):
     return Intervention(
         name=name,
         trigger=Trigger(JS, frozenset(fires or {"amber", "red", "absent"})),
-        action=action or Action.set_from_judgement("status"),
-        tag="penalty", notify_always=notify_always)
+        action=action or Action.set_from_judgement("status"))
 
 
 def bac_trace(level=Dec4(100), peak_at=None, peak=None, gap_at=None):
@@ -64,22 +62,10 @@ def test_trigger_totality_and_errors():
         Trigger(JS, frozenset({"purple"}))
 
 
-def test_action_kinds():
+def test_action_sets_its_field_from_the_judgement():
     chi = Characteristics.of(status="green", count=0)
-    assert Action.null().apply(chi, "red") == chi
-    assert Action.set_field("count", 2).apply(chi, "red").get("count") == 2
-    assert Action.set_from_judgement("status").apply(
-        chi, "red").get("status") == "red"
-    with pytest.raises(KindMismatch):
-        Action("paint")
-    with pytest.raises(KindMismatch):
-        Action.set_field("count", object())
-
-
-def test_intervention_tag_must_be_in_taxonomy():
-    assert len(TAXONOMY) == 6
-    with pytest.raises(KindMismatch):
-        Intervention("x", breach_trigger(), Action.null(), tag="bribery")
+    after = Action.set_from_judgement("status").apply(chi, "red")
+    assert after == Characteristics.of(status="red", count=0)
 
 
 def test_apply_intervention_green_is_identity():
@@ -97,7 +83,7 @@ def test_apply_intervention_red_updates_status():
 
 def test_apply_intervention_never_firing_trigger_is_identity():
     rule = Intervention("noop", Trigger(JS, frozenset()),
-                        Action.set_from_judgement("status"), tag="penalty")
+                        Action.set_from_judgement("status"))
     for judgement in JS:
         _, chi, _ = apply_policy(record(judgement), Policy((rule,)))
         assert chi == record(judgement).characteristics
@@ -123,20 +109,16 @@ def test_apply_policy_threads_characteristics_in_order():
     assert notes[0].after.get("status") == "red"
 
 
-def test_apply_policy_null_actions_notify_per_fired_trigger():
-    rules = (status_rule("audit-1", action=Action.null()),
-             status_rule("audit-2", action=Action.null()))
+def test_apply_policy_notifies_per_fired_trigger():
+    # audit-2 finds status already set, and still notifies; a rule whose
+    # trigger does not fire does not
+    rules = (status_rule("audit-1"), status_rule("audit-2"),
+             status_rule("quiet", fires={"red"}))
     rec = record("amber")
     _, chi, notes = apply_policy(rec, Policy(rules))
-    assert chi == rec.characteristics
+    assert chi.get("status") == "amber"
     assert [n.rule for n in notes] == ["audit-1", "audit-2"]
-
-
-def test_notify_always_emits_without_firing():
-    rule = status_rule("heartbeat", action=Action.null(), fires={"red"},
-                       notify_always=True)
-    _, _, notes = apply_policy(record("green"), Policy((rule,)))
-    assert [n.rule for n in notes] == ["heartbeat"]
+    assert notes[1].before == notes[1].after == chi
 
 
 def test_action_idempotence():
@@ -158,13 +140,14 @@ def test_format_notification_prints_a_sub_record_as_records_do():
     """A replaced sub-record prints as in records.log, in parentheses with
     commas, so that ';' only separates the changes of the line."""
     rec = record("red", at=720)
-    wipe = status_rule(name="wipe", action=Action.set_field("sentence", 0),
+    wipe = status_rule(name="wipe",
+                       action=Action.set_from_judgement("sentence"),
                        fires={"red"})
     _, chi, notes = apply_policy(rec, Policy((wipe, status_rule())))
-    assert chi.get("sentence") == 0
+    assert chi.get("sentence") == "red"
     terms = "t1=0,t2=120,s=30,epsilon=0.0200,delta=0.0050"
     assert [format_notification(n) for n in notes] == [
-        f"720|PID-7|wipe|red|sentence=({terms})->0",
+        f"720|PID-7|wipe|red|sentence=({terms})->red",
         "720|PID-7|record-breach|red|status=green->red"]
     assert format_record(rec).endswith(f"|sentence=({terms});status=green")
 
@@ -172,14 +155,11 @@ def test_format_notification_prints_a_sub_record_as_records_do():
 def test_format_notification_lists_a_field_whose_text_changes():
     """true and 1 are equal in Python, but a field that goes from true to 1
     is written differently, so the notification lists the change."""
-    chi = Characteristics.of(flag=True, status="green")
-    rec = Record("PID-7", chi, "bac-band", "red", 5)
-    rule = status_rule(name="r", action=Action.set_field("flag", 1),
-                       fires={"red"})
-    _, after, notes = apply_policy(rec, Policy((rule,)))
-    assert after.fingerprint() == "flag=1;status=green"
-    assert [format_notification(n) for n in notes] == [
-        "5|PID-7|r|red|flag=true->1"]
+    before = Characteristics.of(flag=True, status="green")
+    after = Characteristics.of(flag=1, status="green")
+    assert before == after
+    note = Notification("PID-7", "r", "red", 5, before, after)
+    assert format_notification(note) == "5|PID-7|r|red|flag=true->1"
 
 
 def alcohol_row(entity, trace):

@@ -431,6 +431,35 @@ def test_merge_runs_coalesces_cycles_and_refuses_a_repeated_entity(
     assert merge_runs([idle], Policy(())).execute().records == []
 
 
+def test_each_cycle_is_given_only_its_due_entities_characteristics(
+        monkeypatch):
+    # a copy of every entity's characteristics per instant would make a
+    # run cost entities x instants
+    a = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-1")
+    b = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-2")
+    c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-3")
+    union = judgement_union((ALCOHOL_JUDGEMENTS, CURFEW_JUDGEMENTS))
+    always = Intervention("always", Trigger(union, frozenset(union)),
+                          Action.set_from_judgement("status"))
+    given = []
+    run_cycle = tagmon.scenarios.run_cycle
+
+    def recorded(params_by_entity, characteristics, entities, policy, now):
+        given.append((now, sorted(params_by_entity), sorted(characteristics)))
+        return run_cycle(params_by_entity, characteristics, entities, policy,
+                         now)
+
+    monkeypatch.setattr(tagmon.scenarios, "run_cycle", recorded)
+    result = merge_runs([a, b, c], Policy((always,))).execute()
+    assert given == [(120, ["PID-1", "PID-2"], ["PID-1", "PID-2"]),
+                     (1860, ["PID-3"], ["PID-3"])]
+    # every entity's update still reaches the run's characteristics
+    assert {entity: chi.get("status")
+            for entity, chi in result.characteristics.items()} == {
+        rec.entity: rec.judgement for rec in result.records}
+    assert len(result.records) == 3
+
+
 def test_judgement_union_keeps_first_seen_order():
     union = judgement_union((CURFEW_JUDGEMENTS, ALCOHOL_JUDGEMENTS,
                              CURFEW_JUDGEMENTS))

@@ -15,7 +15,6 @@ from tagmon.errors import (
 )
 from tagmon.streams import (
     OPERATIONS,
-    RELATIONS,
     Operation,
     Relation,
     Stream,
@@ -32,14 +31,14 @@ from tagmon.streams import (
     save_trace,
     shift,
 )
-from tagmon.values import BOTTOM, Dec4
+from tagmon.values import BOTTOM, Dec4, compare
 
 from oracles import random_int_stream
 
 MAX_OP = OPERATIONS["max"]
 ADD_OP = OPERATIONS["add"]
-LT_TEST = RELATIONS["lt"]
-EQ_TEST = RELATIONS["eq"]
+LT_TEST = Relation("lt", 2, lambda a, b: compare("lt", a, b))
+EQ_TEST = Relation("eq", 2, lambda a, b: compare("eq", a, b))
 
 int_streams = st.integers(0, 5).flatmap(
     lambda start: st.lists(st.integers(-9, 9), min_size=1, max_size=16).map(
