@@ -56,10 +56,6 @@ class Action(Frozen):
 
     field: str
 
-    @classmethod
-    def set_from_judgement(cls, field: str) -> "Action":
-        return cls(field)
-
     def apply(self, chi: Characteristics, judgement: str) -> Characteristics:
         return chi.with_field(self.field, judgement)
 

@@ -61,18 +61,18 @@ from .monitoring import JudgementSet
 # module's name.
 from .monitoring import observe_family  # noqa: F401
 from .scenarios import (
-    ALCOHOL_JUDGEMENTS,
     COMPLIANT,
-    CURFEW_JUDGEMENTS,
     GREEN,
     CurfewOrder,
     EntityRun,
     ReportSchedule,
     ScenarioRun,
     Sentence,
+    alcohol_family,
     build_alcohol_scenario,
     build_curfew_scenario,
     build_extended_scenario,
+    curfew_family,
     judgement_union,
     merge_runs,
 )
@@ -283,10 +283,11 @@ class InvalidScenario(ScenarioFormatError):
         self.faults = faults
 
 
-# (has a sentence, has a curfew) -> judgement set, default status, trace kind
+# (has a sentence, has a curfew) -> predicate family, default status, trace
+# kind; the family is stored as its function, so importing parses no formula
 _KINDS = {
-    (True, False): (ALCOHOL_JUDGEMENTS, GREEN, DECIMAL),
-    (False, True): (CURFEW_JUDGEMENTS, COMPLIANT, BOOLEAN),
+    (True, False): (alcohol_family, GREEN, DECIMAL),
+    (False, True): (curfew_family, COMPLIANT, BOOLEAN),
 }
 
 
@@ -307,7 +308,8 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
     if kind is None:
         raise ScenarioFormatError("needs exactly one of sentence/curfew")
     alcohol = ent.sentence is not None
-    judgements, status, trace_kind = kind
+    family, status, trace_kind = kind
+    judgements = family().judgements
     if ent.status in judgements:
         status = ent.status
     elif ent.status is not None:
@@ -336,8 +338,6 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
     try:
         if not trace_path.exists():
             raise ScenarioFormatError(f"trace file not found: {ent.trace}")
-        if not trace_path.is_file():  # never open a directory or a FIFO
-            raise OSError(0, "not a regular file")
         _, loaded, stream = load_trace(trace_path)
     except OSError as exc:
         raise ScenarioFormatError(
@@ -390,7 +390,7 @@ def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
     for ent in config.entities:
         kind = _KINDS.get((ent.sentence is not None, ent.curfew is not None))
         if kind is not None:
-            judgement_sets.append(kind[0])
+            judgement_sets.append(kind[0]().judgements)
         faults: List[str] = []
         try:
             row = _entity_row(ent, kind, base, schedule, faults)
@@ -423,7 +423,7 @@ def _check_and_build(config: ScenarioConfig, base_dir) -> Tuple[
         if not faults:
             interventions.append(Intervention(
                 rule.name, Trigger(labels, frozenset(rule.labels)),
-                Action.set_from_judgement(rule.field_name)))
+                Action(rule.field_name)))
 
     found.sort(key=lambda fault: fault.line)
     return found, rows, Policy(tuple(interventions))

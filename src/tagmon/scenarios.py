@@ -48,11 +48,9 @@ from .values import BOTTOM, Dec4, past_digit_limit
 MINUTES_PER_DAY = 1440
 
 GREEN, AMBER, RED, ABSENT = "green", "amber", "red", "absent"
-ALCOHOL_JUDGEMENTS = JudgementSet((GREEN, AMBER, RED, ABSENT))
 
 COMPLIANT, VIOLATION, ABSENT_SIGNAL = ("compliant", "violation",
                                        "absent-signal")
-CURFEW_JUDGEMENTS = JudgementSet((COMPLIANT, VIOLATION, ABSENT_SIGNAL))
 
 
 def _require_status(status: str, judgements: JudgementSet) -> None:
@@ -90,7 +88,7 @@ class Sentence(Frozen):
         _require_margin(self.epsilon, self.delta)
 
     def characteristics(self, status: str = GREEN) -> Characteristics:
-        _require_status(status, ALCOHOL_JUDGEMENTS)
+        _require_status(status, alcohol_family().judgements)
         terms = Characteristics.of(t1=self.t1, t2=self.t2, s=self.s,
                                    epsilon=self.epsilon, delta=self.delta)
         return Characteristics.of(sentence=terms, status=status)
@@ -305,7 +303,7 @@ class CurfewOrder(Frozen):
         return night * MINUTES_PER_DAY + self.end_minute
 
     def characteristics(self, status: str = COMPLIANT) -> Characteristics:
-        _require_status(status, CURFEW_JUDGEMENTS)
+        _require_status(status, curfew_family().judgements)
         return Characteristics.of(curfew_start=self.start_minute,
                                   curfew_end=self.end_minute,
                                   nights=self.nights, status=status)
@@ -370,7 +368,7 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     _require_margin(epsilon, delta)
     # the trace bounds the number of upload ticks listed below
     _require_cover(trace, 0, schedule.last_upload, "trace")
-    _require_status(initial_status, ALCOHOL_JUDGEMENTS)
+    _require_status(initial_status, alcohol_family().judgements)
     chi = Characteristics.of(s=interval, epsilon=epsilon, delta=delta,
                              days=schedule.days, status=initial_status)
     ticks = schedule.upload_ticks()

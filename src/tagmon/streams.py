@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
+import stat
 from array import array
 from itertools import accumulate
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -657,7 +659,11 @@ def save_trace(path, stream: Stream, stream_id: str, kind: str):
 
 def read_ascii(path, error) -> str:
     """A text file's content; a non-ASCII byte raises ``error(message, line)``
-    with the 1-based line of the byte, counted as the parsers count lines."""
+    with the 1-based line of the byte, counted as the parsers count lines.
+    A path that is no regular file, such as a directory or a FIFO, is never
+    opened: it raises ``OSError`` with the reason ``not a regular file``."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(0, "not a regular file")
     with open(path, "rb") as fh:
         data = fh.read()
     try:

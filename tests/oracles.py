@@ -160,7 +160,7 @@ def execute_alone(row: EntityRun):
     name, labels = SHIPPED_RULES[row.family.name]
     rule = Intervention(name, Trigger(row.family.judgements,
                                       frozenset(labels)),
-                        Action.set_from_judgement("status"))
+                        Action("status"))
     return merge_runs([row], Policy((rule,))).execute()
 
 

@@ -1,4 +1,5 @@
 import errno
+import functools
 import os
 import pathlib
 import random
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -26,6 +28,8 @@ from tagmon.cli import (
 from tagmon.errors import BadParams, OutOfWindow
 from tagmon.streams import load_trace
 from tagmon.values import BOTTOM, Dec4
+
+SCENARIOS = pathlib.Path(__file__).parents[1] / "scenarios"
 
 
 def test_validate_ok_and_failure(scenarios_dir, tmp_path, capsys):
@@ -231,21 +235,21 @@ def test_over_long_trace_path_is_a_diagnostic(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-def test_a_reading_past_the_digit_limit_is_a_diagnostic(tmp_path, capsys,
-                                                        command):
-    reading = "9" * 5000 + ".0000"
-    lines = [f"{t},0.0100" for t in range(3000)]
-    lines[2498] = f"2498,{reading}"
+@pytest.mark.parametrize("kind, reading, fault", [
+    ("decimal", "9" * 5000 + ".0000", "not a fixed-point decimal"),
+    ("integer", "9" * 5000, "not an integer"),
+], ids=["decimal", "integer"])
+def test_a_reading_past_the_digit_limit_is_a_diagnostic(
+        tmp_path, capsys, command, kind, reading, fault):
+    filler = {"decimal": "0.0100", "integer": "6"}[kind]
     (tmp_path / "long.trace").write_text(
-        "\n".join(["trace b decimal 0 3000"] + lines) + "\n")
+        _trace(kind, filler, 2500, f"2498,{reading}"))
     scenario = tmp_path / "long.scenario"
-    scenario.write_text("[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
-                        "trace = long.trace\n")
+    scenario.write_text(_sentence("long.trace"))
     out = tmp_path / "out"
     assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        f"{scenario}:1: entity A: long.trace:2500: not a fixed-point "
-        f"decimal: {reading!r}\n")
+        f"{scenario}:1: entity A: long.trace:2500: {fault}: {reading!r}\n")
     assert not out.exists()
 
 
@@ -525,7 +529,10 @@ def test_validate_reads_no_trace_of_a_curfew_entity_under_schedule(
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_diagnostics_come_in_file_order(tmp_path, capsys, command):
-    # the [policy] section comes first, so its rule's fault does too
+    # the [policy] section comes first, so its rule's fault does too, and a
+    # fault in a trace is printed on its entity's line
+    (tmp_path / "refused.trace").write_text(
+        "trace b decimal 0 3\n0,0.0100\n1,0.010\n2,0.0100\n")
     scenario = tmp_path / "first.scenario"
     scenario.write_text("""\
 [policy]
@@ -544,6 +551,10 @@ days = 2
 curfew = 19:00,07:00
 nights = 1
 trace = presence.trace
+
+[entity C]
+sentence = 0,2820,60,0.0200,0.0050
+trace = refused.trace
 """)
     out = tmp_path / "out"
     assert main(_argv(command, scenario, out)) == EXIT_VALIDATION
@@ -552,7 +563,9 @@ trace = presence.trace
             "2: rule r: labels ['purple'] match no entity's judgements",
             "4: entity A: missing trace",
             "9: upload times must be strictly increasing: (1380, 420)",
-            "13: entity B: [schedule] applies to sentence entities only"])
+            "13: entity B: [schedule] applies to sentence entities only",
+            "18: entity C: refused.trace:3: decimal '0.010' must have exactly "
+            "4 fractional digits"])
     assert not out.exists()
 
 
@@ -950,23 +963,298 @@ rule = breach: on amber,red,absent,violation,absent-signal set status
 """
 
 
+def _child(argv, **env):
+    """``python -m tagmon`` with ``argv`` in a child process that imports
+    tagmon from this checkout, stopped after 10 s."""
+    path = os.pathsep.join(filter(None, (str(SCENARIOS.parent / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "tagmon", *map(str, argv)], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, **env), timeout=10)
+
+
 def test_logs_do_not_depend_on_the_hash_seed(scenarios_dir, tmp_path):
     # a set or dict ordered by string hashes would reorder lines between
     # processes; the benchmark fixes one seed, so it would not notice
     scenario = tmp_path / "mixed.scenario"
     scenario.write_text(HASH_SEED_TEXT.format(traces=scenarios_dir / "traces"))
-    path = os.pathsep.join(filter(None, (str(scenarios_dir.parent / "src"),
-                                         os.environ.get("PYTHONPATH"))))
     outputs = []
     for seed in ("0", "1"):
         out = tmp_path / f"seed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-m", "tagmon", "run", str(scenario), "--out",
-             str(out)], env=env, capture_output=True)
+        done = _child(["run", scenario, "--out", out], PYTHONHASHSEED=seed)
         assert done.returncode == EXIT_OK, done.stderr
         outputs.append((done.stdout, done.stderr,
                         (out / "records.log").read_bytes(),
                         (out / "notifications.log").read_bytes()))
     assert outputs[0] == outputs[1]
     assert b"PID-7" in outputs[0][2] and b"PID-9" in outputs[0][3]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fifo", ["scenario", "trace"])
+def test_a_fifo_is_never_opened(tmp_path, command, fifo):
+    # opening a FIFO blocks until a writer opens it too, so a command that
+    # opened one would never end
+    os.mkfifo(tmp_path / f"fifo.{fifo}")
+    scenario = tmp_path / "fifo.scenario"
+    fault = str(scenario)
+    if fifo == "trace":
+        scenario = tmp_path / "a.scenario"
+        scenario.write_text(_sentence("fifo.trace"))
+        fault = f"{scenario}:1: entity A: cannot read trace fifo.trace"
+    out = tmp_path / "out"
+    done = _child(_argv(command, scenario, out))
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
+        EXIT_VALIDATION, "", f"{fault}: not a regular file\n")
+    assert not out.exists()
+
+
+# -- command lines with their files and exact output --------------------------
+
+class Case(NamedTuple):
+    """A command line, run in a directory that holds ``files``, and what it
+    must give.  ``files`` maps a relative path to its text, to a file to
+    copy, or to a tuple of ``gen-trace`` arguments whose trace is copied;
+    ``after`` maps a relative path to its exact text after the command, or
+    to None when nothing may be there."""
+
+    files: dict
+    argv: str
+    code: int = EXIT_OK
+    out: str = ""
+    err: str = ""
+    after: dict = {}
+
+
+def _traces(*names, at="traces/"):
+    """Shipped traces, copied to the directory ``at``."""
+    return {f"{at}{name}.trace": SCENARIOS / "traces" / f"{name}.trace"
+            for name in names}
+
+
+def _shipped(name, *traces):
+    """A shipped scenario and the shipped traces it names."""
+    return {f"{name}.scenario": SCENARIOS / f"{name}.scenario",
+            **_traces(*traces)}
+
+
+def _summary(*entities, notifications=0, first="none"):
+    """What ``run`` prints after a run that exits 0."""
+    return "".join(f"entity {e}\n" for e in entities) + (
+        f"notifications: {notifications}\nfirst violation: {first}\n"
+        "exit status: 0\n")
+
+
+def _sentence(trace):
+    """A scenario of one sentence entity A, judged on ``trace``."""
+    return f"[entity A]\nsentence = 0,720,30,0.0200,0.0050\ntrace = {trace}\n"
+
+
+def _trace(kind, reading, line, text, ticks=3000):
+    """A trace of ``reading`` at ticks 0 to ``ticks - 1`` whose ``line``
+    (the header is line 1) is ``text``."""
+    lines = [f"trace b {kind} 0 {ticks}"] + [
+        f"{t},{reading}" for t in range(ticks)]
+    lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+def _crlf(trace):
+    """A shipped trace with each line ended by "\\r\\n"."""
+    return (SCENARIOS / "traces" / trace).read_text().replace("\n", "\r\n")
+
+
+# the 100-day traces of extended_dry.scenario, dry and with a spike at 10:00
+# on day 1, which makes the upload at 15:00 (t=900) red
+EXTENDED_DRY = ("--kind", "dry", "--minutes", "143940", "--seed", "42")
+EXTENDED_SPIKE = ("--kind", "spike", "--minutes", "143940", "--seed", "42",
+                  "--spike-at", "10:00", "--spike-value", "0.0300")
+CURFEW_RECORDS = "".join(
+    f"{tick}|PID-9|curfew-presence|{judgement}|curfew_start=1140;"
+    f"curfew_end=420;nights=7;status={status}\n"
+    for tick, judgement, status in [
+        (1860, "compliant", "compliant"), (3300, "compliant", "compliant"),
+        (4740, "violation", "compliant"), (6180, "compliant", "violation"),
+        (7620, "absent-signal", "violation"),
+        (9060, "compliant", "absent-signal"),
+        (10500, "compliant", "absent-signal")])
+# one rule over the labels of both kinds, on the shipped traces
+BREACH_TEXT = """\
+[entity PID-7]
+sentence = 0,720,30,0.0200,0.0050
+trace = alcohol_spike.trace
+[entity PID-9]
+curfew = 19:00,07:00
+nights = 7
+trace = curfew_presence.trace
+[policy]
+rule = breach: on red,violation,absent-signal set status
+"""
+BREACH_LOGS = {
+    "out/records.log": "720|PID-7|bac-band|red|sentence=(t1=0,t2=720,s=30,"
+                       "epsilon=0.0200,delta=0.0050);status=green\n"
+                       + CURFEW_RECORDS,
+    "out/notifications.log": "720|PID-7|breach|red|status=green->red\n"
+    "4740|PID-9|breach|violation|status=compliant->violation\n"
+    "7620|PID-9|breach|absent-signal|status=violation->absent-signal\n",
+}
+BREACH_STDOUT = _summary("PID-7: cycles=1 red=1",
+                         "PID-9: cycles=7 absent-signal=1 compliant=5 "
+                         "violation=1", notifications=3, first="t=720")
+CLI_CASES = {
+    **{f"validate-{name}": Case(_shipped(name, trace),
+                                f"validate {name}.scenario",
+                                out=f"{name}.scenario: ok\n")
+       for name, trace in [("alcohol_dry", "alcohol_dry"),
+                           ("alcohol_gap", "alcohol_gap"),
+                           ("alcohol_spike", "alcohol_spike"),
+                           ("curfew", "curfew_presence")]},
+    "run-alcohol_dry": Case(
+        _shipped("alcohol_dry", "alcohol_dry"),
+        "run alcohol_dry.scenario --out out",
+        out=_summary("PID-7: cycles=1 green=1")),
+    "run-alcohol_gap": Case(
+        _shipped("alcohol_gap", "alcohol_gap"),
+        "run alcohol_gap.scenario --out out",
+        out=_summary("PID-7: cycles=1 absent=1", notifications=1,
+                     first="t=720")),
+    "run-alcohol_spike": Case(
+        _shipped("alcohol_spike", "alcohol_spike"),
+        "run alcohol_spike.scenario --out out",
+        out=_summary("PID-7: cycles=1 red=1", notifications=1,
+                     first="t=720")),
+    # the seven nights: a violation on night 3, no signal on night 5
+    "run-curfew": Case(
+        _shipped("curfew", "curfew_presence"), "run curfew.scenario --out out",
+        out=_summary("PID-9: cycles=7 absent-signal=1 compliant=5 "
+                     "violation=1", notifications=2, first="t=4740"),
+        after={"out/records.log": CURFEW_RECORDS}),
+    "run-extended_dry": Case(
+        {**_shipped("extended_dry"),
+         "traces/extended_dry.trace": EXTENDED_DRY},
+        "run extended_dry.scenario --out out",
+        out=_summary("PID-7: cycles=300 green=300"),
+        after={"out/notifications.log": ""}),
+    "run-extended_dry-spike": Case(
+        {**_shipped("extended_dry"),
+         "traces/extended_dry.trace": EXTENDED_SPIKE},
+        "run extended_dry.scenario --out out",
+        out=_summary("PID-7: cycles=300 green=299 red=1", notifications=1,
+                     first="t=900"),
+        after={"out/notifications.log":
+               "900|PID-7|record-breach|red|status=green->red\n"}),
+    "run-breach": Case(
+        {"breach.scenario": BREACH_TEXT,
+         **_traces("alcohol_spike", "curfew_presence", at="")},
+        "run breach.scenario --out out", out=BREACH_STDOUT, after=BREACH_LOGS),
+    # the same run on copies of its traces with "\r\n" line endings
+    "run-breach-crlf": Case(
+        {"breach.scenario": BREACH_TEXT,
+         "alcohol_spike.trace": _crlf("alcohol_spike.trace"),
+         "curfew_presence.trace": _crlf("curfew_presence.trace")},
+        "run breach.scenario --out out", out=BREACH_STDOUT, after=BREACH_LOGS),
+    # faults on lines the trace reader reaches after its first chunk
+    "validate-long": Case(
+        {"long.scenario": _sentence("long.trace"),
+         "long.trace": _trace("decimal", "0.0100", 2500, "2498,0.010")},
+        "validate long.scenario", EXIT_VALIDATION,
+        err="long.scenario:1: entity A: long.trace:2500: decimal '0.010' "
+            "must have exactly 4 fractional digits\n"),
+    "validate-zero": Case(
+        {"zero.scenario": _sentence("zero.trace"),
+         "zero.trace": _trace("decimal", "0.0100", 2500, "2498,00.0100")},
+        "validate zero.scenario", EXIT_VALIDATION,
+        err="zero.scenario:1: entity A: zero.trace:2500: decimal '00.0100' "
+            "must be written '0.0100'\n"),
+    "validate-int": Case(
+        {"int.scenario": _sentence("int.trace"),
+         "int.trace": _trace("integer", "6", 2500, "2499,6")},
+        "validate int.scenario", EXIT_VALIDATION,
+        err="int.scenario:1: entity A: int.trace:2500: tick 2499 out of "
+            "order (expected 2498)\n"),
+    # a tick written as a prefix of itself on the last line of the first
+    # chunk the trace reader reads
+    "validate-cut": Case(
+        {"cut.scenario": "[entity A]\ncurfew = 19:00,07:00\nnights = 1\n"
+                         "trace = cut.trace\n",
+         "cut.trace": _trace("boolean", "true", 1751, "174,true")},
+        "validate cut.scenario", EXIT_VALIDATION,
+        err="cut.scenario:1: entity A: cut.trace:1751: tick 174 out of "
+            "order (expected 1749)\n"),
+    "validate-tick": Case(
+        {"tick.scenario": _sentence("tick.trace"),
+         "tick.trace": _trace("decimal", "0.0100", 3, "01,0.0100", 721)},
+        "validate tick.scenario", EXIT_VALIDATION,
+        err="tick.scenario:1: entity A: tick.trace:3: tick '01' must be "
+            "written '1'\n"),
+    # a decimal is ASCII digits with an optional "-"
+    "validate-plus": Case(
+        {"plus.scenario": _sentence("alcohol_dry.trace").replace(
+            "0.0200", "+0.0200")},
+        "validate plus.scenario", EXIT_VALIDATION,
+        err="plus.scenario:2: bad sentence '0,720,30,+0.0200,0.0050'\n"),
+    # a directory named as a trace is never opened
+    **{f"{command}-dir": Case(
+        {"dir.scenario": _sentence("traces"), **_traces("alcohol_dry")},
+        " ".join(_argv(command, "dir.scenario", "out")), EXIT_VALIDATION,
+        err="dir.scenario:1: entity A: cannot read trace traces: not a "
+            "regular file\n", after={"out": None})
+       for command in ("validate", "run")},
+    # and neither is a directory named as the scenario
+    **{f"{command}-dir-scenario": Case(
+        _traces("alcohol_dry"), " ".join(_argv(command, "traces", "out")),
+        EXIT_VALIDATION, err="traces: not a regular file\n",
+        after={"out": None})
+       for command in ("validate", "run")},
+    # a gap outside the trace is refused before a reading is drawn
+    "gen-trace-far": Case(
+        {}, "gen-trace --kind gap --minutes 1440000 --gap 5 2 --out far.trace",
+        EXIT_VALIDATION, err="gen-trace failed: gap [5, 2] outside "
+                             "[0, 1440000]\n", after={"far.trace": None}),
+}
+
+
+@pytest.fixture(scope="session")
+def generated_trace(tmp_path_factory):
+    """The trace ``gen-trace`` writes for a tuple of its arguments, written
+    once per session."""
+    @functools.cache
+    def generate(args):
+        path = tmp_path_factory.mktemp("gen-trace") / "gen.trace"
+        assert main(["gen-trace", *args, "--out", str(path)]) == EXIT_OK
+        return path
+    return generate
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_command_line(name, tmp_path, monkeypatch, capsys, generated_trace):
+    case = CLI_CASES[name]
+    for relative, source in case.files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(source, str):
+            path.write_bytes(source.encode("ascii"))
+        else:
+            shutil.copy(generated_trace(source) if isinstance(source, tuple)
+                        else source, path)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(case.argv.split()) == case.code
+    assert capsys.readouterr() == (case.out, case.err)
+    for relative, text in case.after.items():
+        if text is None:
+            assert not (tmp_path / relative).exists()
+        else:
+            assert (tmp_path / relative).read_bytes() == text.encode("ascii")
+
+
+def test_each_shipped_scenario_is_run_by_a_case():
+    # a scenario added to scenarios/ with no row in CLI_CASES fails here
+    run = set()
+    for case in CLI_CASES.values():
+        command, scenario = case.argv.split()[:2]
+        if (command == "run"
+                and case.files.get(scenario) == SCENARIOS / scenario):
+            run.add(scenario)
+    assert run == {path.name for path in SCENARIOS.glob("*.scenario")}

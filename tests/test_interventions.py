@@ -40,7 +40,7 @@ def status_rule(name="record-breach", action=None, fires=None):
     return Intervention(
         name=name,
         trigger=Trigger(JS, frozenset(fires or {"amber", "red", "absent"})),
-        action=action or Action.set_from_judgement("status"))
+        action=action or Action("status"))
 
 
 def bac_trace(level=Dec4(100), peak_at=None, peak=None, gap_at=None):
@@ -64,7 +64,7 @@ def test_trigger_totality_and_errors():
 
 def test_action_sets_its_field_from_the_judgement():
     chi = Characteristics.of(status="green", count=0)
-    after = Action.set_from_judgement("status").apply(chi, "red")
+    after = Action("status").apply(chi, "red")
     assert after == Characteristics.of(status="red", count=0)
 
 
@@ -83,7 +83,7 @@ def test_apply_intervention_red_updates_status():
 
 def test_apply_intervention_never_firing_trigger_is_identity():
     rule = Intervention("noop", Trigger(JS, frozenset()),
-                        Action.set_from_judgement("status"))
+                        Action("status"))
     for judgement in JS:
         _, chi, _ = apply_policy(record(judgement), Policy((rule,)))
         assert chi == record(judgement).characteristics
@@ -122,7 +122,7 @@ def test_apply_policy_notifies_per_fired_trigger():
 
 
 def test_action_idempotence():
-    act = Action.set_from_judgement("status")
+    act = Action("status")
     chi = SIGMA.characteristics("green")
     once = act.apply(chi, "red")
     twice = act.apply(once, "red")
@@ -141,7 +141,7 @@ def test_format_notification_prints_a_sub_record_as_records_do():
     commas, so that ';' only separates the changes of the line."""
     rec = record("red", at=720)
     wipe = status_rule(name="wipe",
-                       action=Action.set_from_judgement("sentence"),
+                       action=Action("sentence"),
                        fires={"red"})
     _, chi, notes = apply_policy(rec, Policy((wipe, status_rule())))
     assert chi.get("sentence") == "red"

@@ -24,8 +24,6 @@ from tagmon.monitoring import (
 )
 from tagmon.parser import parse_formula
 from tagmon.scenarios import (
-    ALCOHOL_JUDGEMENTS,
-    CURFEW_JUDGEMENTS,
     Sentence,
     alcohol_family,
     compliance_judgement,
@@ -178,12 +176,6 @@ def test_observe_family_reports_overlap_and_gaps():
         observe_family(bad_family("true", "true"), "e", chi, bac_trace())
     with pytest.raises(NoJudgement):
         observe_family(bad_family("false", "false"), "e", chi, bac_trace())
-
-
-def test_family_judgements_are_its_labels_then_undefined():
-    # judgement sets are equal only with their labels in the same order
-    assert alcohol_family().judgements == ALCOHOL_JUDGEMENTS
-    assert curfew_family().judgements == CURFEW_JUDGEMENTS
 
 
 @pytest.mark.parametrize("params, stream_name", [

@@ -7,8 +7,6 @@ from tagmon.errors import KindMismatch, WindowTooShort
 from tagmon.interventions import Action, Intervention, Policy, Trigger
 from tagmon.monitoring import Characteristics, observe_family
 from tagmon.scenarios import (
-    ALCOHOL_JUDGEMENTS,
-    CURFEW_JUDGEMENTS,
     CurfewOrder,
     EntityRun,
     ReportSchedule,
@@ -336,7 +334,7 @@ def test_extended_windows_agree_with_compliance_judgement():
                 Sentence(previous, now, s, EPS, DELTA), trace)
             seen.add(rec.judgement)
             previous = now
-    assert seen == set(ALCOHOL_JUDGEMENTS)
+    assert seen == set(alcohol_family().judgements)
 
 
 def test_builders_reject_an_unknown_status():
@@ -384,11 +382,12 @@ def test_merge_runs_mixes_entity_types():
         "PID-7")
     curfew = build_curfew_scenario(
         CurfewOrder(presence_trace(absence=(4440, 4500)), 7), "PID-9")
-    union = judgement_union((ALCOHOL_JUDGEMENTS, CURFEW_JUDGEMENTS))
+    union = judgement_union((alcohol_family().judgements,
+                             curfew_family().judgements))
     breach = Intervention(
         "breach", Trigger(union, frozenset(("amber", "red", "absent",
                                             "violation", "absent-signal"))),
-        Action.set_from_judgement("status"))
+        Action("status"))
     merged = merge_runs([alcohol, curfew], Policy((breach,)))
     result = merged.execute()
     assert not result.errors
@@ -399,7 +398,8 @@ def test_merge_runs_mixes_entity_types():
     assert by_entity["PID-9"].count("violation") == 1
     assert result.characteristics["PID-7"].get("status") == "red"
     assert result.characteristics["PID-9"].get("status") == "violation"
-    labels = set(ALCOHOL_JUDGEMENTS) | set(CURFEW_JUDGEMENTS)
+    labels = (set(alcohol_family().judgements)
+              | set(curfew_family().judgements))
     assert set(merged.policy.rules[0].trigger.domain.labels) == labels
 
 
@@ -438,9 +438,10 @@ def test_each_cycle_is_given_only_its_due_entities_characteristics(
     a = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-1")
     b = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-2")
     c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-3")
-    union = judgement_union((ALCOHOL_JUDGEMENTS, CURFEW_JUDGEMENTS))
+    union = judgement_union((alcohol_family().judgements,
+                             curfew_family().judgements))
     always = Intervention("always", Trigger(union, frozenset(union)),
-                          Action.set_from_judgement("status"))
+                          Action("status"))
     given = []
     run_cycle = tagmon.scenarios.run_cycle
 
@@ -461,9 +462,9 @@ def test_each_cycle_is_given_only_its_due_entities_characteristics(
 
 
 def test_judgement_union_keeps_first_seen_order():
-    union = judgement_union((CURFEW_JUDGEMENTS, ALCOHOL_JUDGEMENTS,
-                             CURFEW_JUDGEMENTS))
-    assert union.labels == CURFEW_JUDGEMENTS.labels + ALCOHOL_JUDGEMENTS.labels
+    alcohol, curfew = alcohol_family().judgements, curfew_family().judgements
+    union = judgement_union((curfew, alcohol, curfew))
+    assert union.labels == curfew.labels + alcohol.labels
 
 
 # -- predicate family partition ----------------------------------------------------
@@ -502,7 +503,7 @@ def test_alcohol_family_partitions_like_compliance_judgement():
             got = observe_family(family, "PID-1", chi, trace)
             assert got == compliance_judgement(sigma, trace)
             seen.add(got)
-    assert seen == set(ALCOHOL_JUDGEMENTS)
+    assert seen == set(alcohol_family().judgements)
 
 
 def first_non_true_oracle(values):
@@ -542,7 +543,7 @@ def test_curfew_family_partitions_like_first_non_true_minute():
                                                "wend": wstart + length - 1})
             assert got == first_non_true_oracle(values)
             seen.add(got)
-    assert seen == set(CURFEW_JUDGEMENTS)
+    assert seen == set(curfew_family().judgements)
 
 
 def test_entities_of_one_kind_share_one_family():
