@@ -7,11 +7,11 @@
 
 A run executes every monitoring cycle in time order over recorded traces and
 writes records.log and notifications.log to the output directory, replacing
-both or, if writing or moving either fails, neither.  Outputs are
-deterministic: rerunning the same scenario and traces reproduces the
-files byte for byte.  gen-trace checks every option before it draws a
-reading.  ``validate`` and ``run`` print each fault of a scenario, or of a
-trace it names, as one stderr line that the fault words itself (``render``).
+both or, if writing or moving either fails, neither, as gen-trace replaces
+its trace.  Outputs are deterministic: rerunning the same scenario and
+traces reproduces the files byte for byte.  gen-trace checks every option
+before it draws a reading.  ``validate`` and ``run`` print each fault of a
+scenario, or of a trace it names, as one stderr line (``render``).
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -36,7 +36,7 @@ from .scenario_file import (
     parse_clock,
     validate_scenario,
 )
-from .streams import Stream, Window, save_trace
+from .streams import Stream, Window, format_trace
 from .values import BOTTOM, Dec4, parse_int
 
 EXIT_OK = 0
@@ -130,40 +130,40 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if faults else EXIT_OK
 
 
-def _write_logs(out_dir, texts: Dict[str, str]) -> None:
-    """Write each named log into ``out_dir``, replacing all or none of them.
+def _write_files(out_dir, texts: Dict[str, str]) -> None:
+    """Write each named file into ``out_dir``, replacing all or none of them.
 
-    Every text goes to a temporary file in the directory first, and each
-    previous log is kept under a hard link to a backup name; the files are
-    moved into place only once all are written.  On failure the temporary
-    files are removed, each log already moved is put back from its backup
-    or, if there was no previous log, removed, and the error is raised.  A
-    kill between two moves can still leave a mixed pair: the standard
-    library has no atomic swap of two files.
+    A path that exists and is not a regular file (a directory, a FIFO, a
+    device, a symlink) is refused: ``OSError`` ``not a regular file``.  Each
+    previous file is kept under a hard link to a backup name, and every text
+    goes to a temporary file in the directory; the files are moved into place
+    only once all are written.  On failure the temporary files are removed,
+    each file already moved is put back from its backup or, if there was none,
+    removed, and the error is raised.  A kill between two moves can still
+    leave a mixed pair: the standard library has no atomic swap of two files.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pid = os.getpid()
-    logs = [(out / name, out / f".{name}.{pid}.tmp",
-             out / f".{name}.{pid}.bak") for name in texts]
+    files = [(out / name, out / f".{name}.{pid}.tmp",
+              out / f".{name}.{pid}.bak") for name in texts]
     kept, moved = set(), set()
     try:
-        for (_, temp, _), text in zip(logs, texts.values()):
-            temp.write_text(text, encoding="ascii")
-        for final, _, backup in logs:
+        for final, _, backup in files:
             backup.unlink(missing_ok=True)  # left by a killed run
             try:
-                # a directory is never replaced, so it needs no backup
-                if not stat.S_ISDIR(os.lstat(final).st_mode):
-                    os.link(final, backup, follow_symlinks=False)
-                    kept.add(final)
+                if not stat.S_ISREG(os.lstat(final).st_mode):
+                    raise OSError(0, "not a regular file")
+                os.link(final, backup, follow_symlinks=False)
+                kept.add(final)
             except FileNotFoundError:
-                pass  # no previous log
-        for final, temp, _ in logs:
+                pass  # no previous file
+        for (_, temp, _), text in zip(files, texts.values()):
+            temp.write_text(text, encoding="ascii")
+        for final, temp, _ in files:
             os.replace(temp, final)
             moved.add(final)
     except BaseException:
-        for final, temp, backup in logs:
+        for final, temp, backup in files:
             temp.unlink(missing_ok=True)
             if final not in moved:
                 backup.unlink(missing_ok=True)
@@ -172,7 +172,7 @@ def _write_logs(out_dir, texts: Dict[str, str]) -> None:
             else:
                 final.unlink()
         raise
-    for _, _, backup in logs:
+    for _, _, backup in files:
         backup.unlink(missing_ok=True)
 
 
@@ -184,7 +184,8 @@ def execute_scenario(config, base_dir, out_dir) -> RunResult:
     """
     run = build_scenario(config, base_dir)
     result = run.execute()
-    _write_logs(out_dir, {
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    _write_files(out_dir, {
         "records.log": "".join(format_record(r) + "\n"
                                for r in result.records),
         "notifications.log": "".join(format_notification(n) + "\n"
@@ -251,7 +252,8 @@ def cmd_gen_trace(args) -> int:
         spike = (None if args.spike_value is None
                  else (args.spike_at, Dec4.parse(args.spike_value)))
         stream = gen_trace(args.minutes, args.seed, spike, args.gap)
-        save_trace(args.out, stream, "b", "decimal")
+        _write_files(args.out.parent, {
+            args.out.name: format_trace(stream, "b", "decimal")})
     except MonitorError as exc:
         print(f"gen-trace failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -297,7 +299,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # only stdout's: each command reports its files'
+        print(f"tagmon: cannot write standard output: {exc.strerror}",
+              file=sys.stderr)
+        # so that the interpreter's last flush of stdout succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_RUNTIME
+    return status
 
 
 if __name__ == "__main__":

@@ -650,13 +650,6 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
                 f"{kind} {value_s!r} must be written '{written}'", i)
 
 
-def save_trace(path, stream: Stream, stream_id: str, kind: str):
-    """Write a trace; a refused stream leaves the file as it was."""
-    text = format_trace(stream, stream_id, kind)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
-
-
 def read_ascii(path, error) -> str:
     """A text file's content; a non-ASCII byte raises ``error(message, line)``
     with the 1-based line of the byte, counted as the parsers count lines.

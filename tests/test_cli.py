@@ -4,6 +4,7 @@ import os
 import pathlib
 import random
 import shutil
+import stat
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -640,30 +641,76 @@ def test_failed_log_write_keeps_the_previous_logs(scenarios_dir, tmp_path,
     assert {p.name: p.read_text() for p in out.iterdir()} == previous
 
 
+def _tree(root):
+    """Every path under ``root``: a symlink's target, a regular file's
+    bytes, or the file type of a directory or a FIFO."""
+    return {str(p.relative_to(root)): ("->", os.readlink(p)) if p.is_symlink()
+            else p.read_bytes() if p.is_file()
+            else stat.S_IFMT(os.lstat(p).st_mode)
+            for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("previous", [False, True])
 @pytest.mark.parametrize("taken", ["records.log", "notifications.log"])
 def test_failed_log_move_keeps_the_previous_logs(scenarios_dir, tmp_path,
-                                                 capsys, taken, previous):
-    # a directory in one log's place fails that log's move; records.log is
-    # moved first, so with notifications.log taken it must be put back, or
-    # removed if there was no records.log before
+                                                 capsys, monkeypatch, taken,
+                                                 previous):
+    # records.log is moved first, so when notifications.log's move fails it
+    # must be put back, or removed if there was no records.log before
     out = tmp_path / "out"
-    (out / taken).mkdir(parents=True)
-    (out / taken / "inside").write_text("kept\n")
+    out.mkdir()
     if previous:
-        for name in {"records.log", "notifications.log"} - {taken}:
+        for name in ("records.log", "notifications.log"):
             (out / name).write_text(f"old {name}\n")
+    original = os.replace
 
-    def files():
-        return {str(p.relative_to(out)): p.is_file() and p.read_bytes()
-                for p in out.rglob("*")}
-    before = files()
+    def taken_move_fails(source, target):
+        if source.suffix == ".tmp" and target.name == taken:
+            raise OSError(errno.EIO, "Input/output error")
+        return original(source, target)
+
+    before = _tree(out)
+    monkeypatch.setattr(os, "replace", taken_move_fails)
     assert main(["run", str(scenarios_dir / "alcohol_spike.scenario"),
                  "--out", str(out)]) == EXIT_RUNTIME
+    monkeypatch.undo()
     captured = capsys.readouterr()
-    assert captured.err == f"run failed: {out}: Is a directory\n"
+    assert captured.err == f"run failed: {out}: Input/output error\n"
     assert captured.out == ""
-    assert files() == before
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("what", ["directory", "symlink"])
+@pytest.mark.parametrize("command, taken", [
+    ("run", "out/records.log"),
+    ("run", "out/notifications.log"),
+    ("gen-trace", "x.trace"),
+])
+def test_a_target_that_is_no_regular_file_is_refused(
+        scenarios_dir, tmp_path, capsys, command, taken, what):
+    # refused before anything is written: a directory is not replaced and a
+    # symlink is neither replaced nor written through
+    target = tmp_path / taken
+    if command == "run":
+        out = target.parent
+        out.mkdir()
+        for name in {"records.log", "notifications.log"} - {target.name}:
+            (out / name).write_text(f"old {name}\n")
+        argv = ["run", str(scenarios_dir / "alcohol_spike.scenario")]
+    else:
+        out = target
+        argv = ["gen-trace", "--kind", "dry", "--minutes", "10"]
+    if what == "directory":
+        target.mkdir()
+        (target / "inside").write_text("kept\n")
+    else:
+        (tmp_path / "target").write_text("kept\n")
+        target.symlink_to(tmp_path / "target")
+    before = _tree(tmp_path)
+    assert main(argv + ["--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr() == (
+        "", f"{command} failed: {out}: not a regular file\n")
+    assert _tree(tmp_path) == before
 
 
 # -- trace generation -----------------------------------------------------------
@@ -851,6 +898,28 @@ def test_gen_trace_into_a_missing_directory_is_a_runtime_failure(tmp_path,
     assert not out.parent.exists()
 
 
+def test_gen_trace_keeps_the_previous_trace_when_its_write_fails(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.trace"
+    assert main(["gen-trace", "--kind", "dry", "--minutes", "10",
+                 "--out", str(out)]) == EXIT_OK
+    before = _tree(tmp_path)
+    original = pathlib.Path.write_text
+
+    def write_fails(self, data, *args, **kwargs):
+        original(self, data[:10], *args, **kwargs)  # a partial file
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_fails)
+    capsys.readouterr()
+    assert main(["gen-trace", "--kind", "dry", "--minutes", "20",
+                 "--out", str(out)]) == EXIT_RUNTIME
+    monkeypatch.undo()
+    assert capsys.readouterr() == (
+        "", f"gen-trace failed: {out}: No space left on device\n")
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("kind", ["dry", "spike", "gap"])
 def test_gen_trace_rejects_too_many_minutes(tmp_path, capsys, monkeypatch,
                                             kind):
@@ -963,14 +1032,17 @@ rule = breach: on amber,red,absent,violation,absent-signal set status
 """
 
 
-def _child(argv, **env):
+def _child(argv, stdout=subprocess.PIPE, **env):
     """``python -m tagmon`` with ``argv`` in a child process that imports
-    tagmon from this checkout, stopped after 10 s."""
+    tagmon from this checkout, stopped after 10 s.  An ``env`` entry of
+    None is taken out of the child's environment."""
     path = os.pathsep.join(filter(None, (str(SCENARIOS.parent / "src"),
                                          os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
-        [sys.executable, "-m", "tagmon", *map(str, argv)], capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path, **env), timeout=10)
+        [sys.executable, "-m", "tagmon", *map(str, argv)], stdout=stdout,
+        stderr=subprocess.PIPE, timeout=10,
+        env={name: value for name, value in env.items() if value is not None})
 
 
 def test_logs_do_not_depend_on_the_hash_seed(scenarios_dir, tmp_path):
@@ -1008,6 +1080,64 @@ def test_a_fifo_is_never_opened(tmp_path, command, fifo):
     assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
         EXIT_VALIDATION, "", f"{fault}: not a regular file\n")
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command", ["run", "gen-trace"])
+def test_a_fifo_is_never_written(tmp_path, command):
+    # opening a FIFO for writing blocks until a reader opens it too
+    if command == "run":
+        (tmp_path / "a.scenario").write_text(_sentence("alcohol_dry.trace"))
+        shutil.copy(SCENARIOS / "traces" / "alcohol_dry.trace", tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "notifications.log")
+        argv = ["run", tmp_path / "a.scenario", "--out", out]
+    else:
+        out = tmp_path / "x.trace"
+        os.mkfifo(out)
+        argv = ["gen-trace", "--kind", "dry", "--minutes", "10", "--out", out]
+    before = _tree(tmp_path)
+    done = _child(argv)
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
+        EXIT_RUNTIME, "", f"{command} failed: {out}: not a regular file\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("command", ["validate", "run", "gen-trace"])
+def test_an_unwritable_stdout_is_a_runtime_failure(
+        scenarios_dir, tmp_path, capsys, command, stdout, unbuffered):
+    # one stderr line and exit 2, whether print fails (stdout unbuffered)
+    # or the last flush does; the command's files are written all the same
+    if stdout == "/dev/full" and not os.path.exists(stdout):
+        pytest.skip("needs /dev/full")
+    argv = {"validate": f"validate {scenarios_dir}/alcohol_spike.scenario",
+            "run": f"run {scenarios_dir}/alcohol_spike.scenario --out {{}}",
+            "gen-trace": "gen-trace --kind dry --minutes 10 --out {}",
+            }[command]
+    child, plain = tmp_path / "child", tmp_path / "plain"
+    child.mkdir()
+    plain.mkdir()
+    if stdout == "/dev/full":
+        with open(stdout, "wb") as full:
+            done = _child(argv.format(child / "out").split(), stdout=full,
+                          PYTHONUNBUFFERED=unbuffered)
+    else:
+        read, write = os.pipe()
+        os.close(read)  # so that every write to the pipe fails
+        try:
+            done = _child(argv.format(child / "out").split(), stdout=write,
+                          PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+    reason = {"closed pipe": "Broken pipe",
+              "/dev/full": "No space left on device"}[stdout]
+    assert (done.returncode, done.stderr.decode()) == (
+        EXIT_RUNTIME, f"tagmon: cannot write standard output: {reason}\n")
+    assert main(argv.format(plain / "out").split()) == EXIT_OK
+    assert _tree(child) == _tree(plain)
 
 
 # -- command lines with their files and exact output --------------------------

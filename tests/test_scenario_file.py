@@ -24,7 +24,7 @@ from tagmon.scenario_file import (
     parse_scenario,
     validate_scenario,
 )
-from tagmon.streams import Stream, save_trace
+from tagmon.streams import Stream, format_trace
 from tagmon.values import Dec4
 
 ALCOHOL_TEXT = """\
@@ -47,8 +47,8 @@ def _faults(faults):
 def write_dry_trace(directory, minutes=720, name="dry.trace"):
     (directory / "traces").mkdir(exist_ok=True)
     path = directory / "traces" / name
-    save_trace(path, Stream.of(0, [Dec4(100)] * (minutes + 1)), "b",
-               "decimal")
+    path.write_text(format_trace(Stream.of(0, [Dec4(100)] * (minutes + 1)),
+                                 "b", "decimal"))
     return path
 
 
@@ -336,8 +336,8 @@ def test_validate_missing_trace(tmp_path, path, fault):
 
 def test_validate_wrong_trace_kind(tmp_path):
     (tmp_path / "traces").mkdir()
-    save_trace(tmp_path / "traces" / "dry.trace",
-               Stream.of(0, [True] * 721), "b", "boolean")
+    (tmp_path / "traces" / "dry.trace").write_text(
+        format_trace(Stream.of(0, [True] * 721), "b", "boolean"))
     diagnostics = validate_scenario(parse_scenario(ALCOHOL_TEXT), tmp_path)
     assert any("expected 'decimal'" in d.message for d in diagnostics)
 
@@ -403,9 +403,9 @@ def test_validate_reports_a_bad_status_once(tmp_path, short):
     # the entity is still built, with its kind's default status, so a
     # too-short trace is reported as well
     write_dry_trace(tmp_path, minutes=500 if short else 720)
-    save_trace(tmp_path / "traces" / "presence.trace",
-               Stream.of(0, [True] * (1800 if short else 1861)), "presence",
-               "boolean")
+    (tmp_path / "traces" / "presence.trace").write_text(format_trace(
+        Stream.of(0, [True] * (1800 if short else 1861)), "presence",
+        "boolean"))
     diagnostics = validate_scenario(parse_scenario(BAD_STATUS_TEXT), tmp_path)
     messages = _faults(diagnostics)
     status_lines = [

@@ -28,7 +28,6 @@ from tagmon.streams import (
     lift_test,
     merge,
     parse_trace,
-    save_trace,
     shift,
 )
 from tagmon.values import BOTTOM, Dec4, compare
@@ -390,12 +389,11 @@ def test_the_writer_refuses_what_the_reader_refuses(kind, readings, message):
     (Stream.of(0, [Dec4(1)]), "float"),
     (Stream.of(0, [True]), "decimal"),
 ])
-def test_a_refused_trace_leaves_the_file_as_it_was(tmp_path, stream, kind):
-    path = tmp_path / "b.trace"
-    path.write_text("trace b decimal 0 1\n0,0.0001\n")
+def test_a_refused_trace_is_a_trace_format_error(stream, kind):
+    # raised before any file is opened; that a failed write leaves the file
+    # as it was is test_cli.py's test_gen_trace_keeps_the_previous_trace_*
     with pytest.raises(TraceFormatError):
-        save_trace(path, stream, "b", kind)
-    assert path.read_text() == "trace b decimal 0 1\n0,0.0001\n"
+        format_trace(stream, "b", kind)
 
 
 @pytest.mark.parametrize("mangle, message", [

@@ -16,6 +16,8 @@ with logs the model builds from the readings alone:
 Scenarios mix alcohol and curfew entities, or run alcohol entities under a
 2-day ``[schedule]`` (a curfew entity under a schedule is a diagnostic).
 Examples are derandomized and small, so the test is deterministic and fast.
+The same scenarios check the slicing law: each entity's row executed alone
+under the run's policy gives that entity's part of the whole run.
 """
 
 import contextlib
@@ -29,7 +31,10 @@ from hypothesis import strategies as st
 
 from oracles import band_oracle
 from tagmon.cli import EXIT_OK, main
-from tagmon.scenarios import Sentence, compliance_judgement
+from tagmon.interventions import RunResult, format_notification
+from tagmon.monitoring import format_record
+from tagmon.scenario_file import build_scenario, load_scenario
+from tagmon.scenarios import Sentence, compliance_judgement, merge_runs
 from tagmon.streams import Stream, Window
 from tagmon.values import BOTTOM, Dec4
 
@@ -281,6 +286,28 @@ def _write_and_model(spec, directory: Path):
     return records, notifications
 
 
+def _lines(result):
+    """A run's records, notifications and cycle errors as log lines."""
+    return ([format_record(r) for r in result.records],
+            [format_notification(n) for n in result.notifications],
+            [f"{now}|{entity}|{type(exc).__name__}: {exc}"
+             for now, entity, exc in result.errors])
+
+
+def _merge_of_rows_alone(run):
+    """Each entity's row executed alone under the run's policy, the results
+    merged by (now, entity); a stable sort keeps each entity's own order."""
+    alone = [merge_runs([row], run.policy).execute()
+             for row in run.entities.values()]
+    return RunResult(
+        {},
+        sorted((r for a in alone for r in a.records),
+               key=lambda r: (r.evaluated_at, r.entity)),
+        sorted((n for a in alone for n in a.notifications),
+               key=lambda n: (n.evaluated_at, n.entity)),
+        sorted((e for a in alone for e in a.errors), key=lambda e: e[:2]))
+
+
 @WHOLE_RUN
 @given(spec=scenarios())
 def test_whole_run_matches_the_model(spec):
@@ -296,3 +323,7 @@ def test_whole_run_matches_the_model(spec):
         assert (out / "records.log").read_text().splitlines() == records
         assert (out / "notifications.log").read_text().splitlines() \
             == notifications
+        run = build_scenario(*load_scenario(directory / "run.scenario"))
+    # the slicing law: entities do not interact, so the whole run is the
+    # merge of its rows' runs
+    assert _lines(run.execute()) == _lines(_merge_of_rows_alone(run))
