@@ -30,10 +30,11 @@ one) on its codes, each only over a range its window holds.
 
 ``parse_trace`` reads a trace's text in place, without a list of its lines:
 in chunks cut at the first line break past a fixed number of characters.
-One rule accepts a chunk, whatever the trace's kind: one match of the kind's
-plain pattern, and one comparison of its ticks with the window's tick
-column, which a small cache keeps for a fleet's traces.  Any other chunk is
-refused; the per-line checks only word its fault.
+A chunk is accepted when its lines are plain and its ticks continue the
+window's tick column, which a small cache keeps for a fleet's traces.  A
+boolean chunk is checked by exact byte replacement of its three readings,
+at half a pattern's cost; any other by one match of its kind's pattern.
+Any chunk that fails is refused; the per-line checks only word its fault.
 """
 
 from __future__ import annotations
@@ -264,24 +265,17 @@ _READERS = {
 
 
 _BOOLEAN_BOXES = (False, True, BOTTOM)
-# the text of plain boolean lines, turned by ``str.translate`` into the
-# readings' codes (the first letters of false, true and NA differ, and the
-# other letters are in no other reading) or into the ticks, one per line
-_TO_CODES = str.maketrans("ftN", "\x00\x01\x02", "0123456789,\nrueaslA")
-_TO_TICKS = str.maketrans("", "", ",truefalsNA")
 
 
 class _Booleans(Stream):
     """A boolean trace: one byte code per tick, 0 false, 1 true, 2 NA,
-    read off each chunk of plain value lines by ``_TO_CODES``."""
+    joined from the codes ``parse_trace`` gives for each chunk."""
 
     __slots__ = ()
 
-    def __init__(self, window: Window, chunks: Iterable[str]):
+    def __init__(self, window: Window, chunks: Iterable[bytes]):
         self.window = window
-        self._readings = bytearray()
-        for chunk in chunks:
-            self._readings += chunk.translate(_TO_CODES).encode("ascii")
+        self._readings = bytearray().join(chunks)
 
     @property
     def values(self) -> tuple:
@@ -469,19 +463,22 @@ _UNWORDED_FAULT = "value lines not written as a trace writes them"
 # a chunk of value lines ends at the first line break this many characters
 # or more past its start
 _CHUNK_CHARS = 16384
-# ticks turned into strings at a time when a window's tick column is built
+# ticks formatted at a time when a window's tick column is built
 _COLUMN_BLOCK = 4096
-# value lines written as ``format_trace`` writes them, but for their ticks,
-# which must also continue the window's tick column; ``{more}`` is filled
-# in, and the pattern compiled (and cached by ``re``), when a trace is read
+# decimal, integer and label lines as ``format_trace`` writes them, but for
+# their ticks, which must also continue the window's tick column; ``{more}``
+# is filled in, and the pattern compiled (and cached by ``re``), when read
 _PLAIN_LINES = {
     kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
     for kind, reading in (
         (DECIMAL,
          r"(?:(?:0|-?[1-9][0-9]{{0,{more}}}|-0(?!\.0000))\.[0-9]{{4}}|NA)"),
-        (BOOLEAN, r"(?:true|false|NA)"),
         (INTEGER, r"(?:0|-?[1-9][0-9]{{0,{more}}}|NA)"),
         (LABEL, f"(?:{LABEL_PATTERN})"))}  # which also spells NA
+# a boolean reading's text, as ``_marked_cells`` replaces it, and its marker
+_MARKS = ((b",true\n", b"\x81"), (b",false\n", b"\x80"), (b",NA\n", b"\x82"))
+_MARKS_TO_TICKS = bytes.maketrans(b"\x80\x81\x82\n", b"\n\n\n,")
+_MARKS_TO_CODES = bytes.maketrans(b"\x80\x81\x82", b"\x00\x01\x02")
 # the line breaks that ``str.splitlines`` honours besides \n, and the
 # ASCII ones among them
 _LINE_BREAKS = r"\r\n?|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
@@ -520,12 +517,13 @@ def parse_trace(text: str):
     ``\\n`` is first rewritten to ``\\n``.  The value lines are read in
     place, in chunks that end at the first ``\\n`` at least
     ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk is accepted
-    by one rule, for every kind: its lines match the kind's plain pattern
-    (readings as ``format_value`` writes them, numbers within ``int``'s
-    digit limit), and its ticks continue the window's cached tick column
-    where the chunk before it left off.  Any other chunk is refused, with
-    the fault of its first faulty line.  A boolean trace is stored as its
-    readings' codes, any other as their texts.
+    when its lines are plain (readings as ``format_value`` writes them,
+    numbers within ``int``'s digit limit), as ``_marked_cells`` reads a
+    boolean chunk and the kind's plain pattern matches any other, and its
+    ticks continue the window's cached tick column where the chunk before
+    it left off.  Any other chunk is refused, with the fault of its first
+    faulty line.  A boolean trace is stored as its readings' codes, any
+    other as their texts.
     """
     if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
         text = re.sub(_LINE_BREAKS, "\n", text)
@@ -571,49 +569,66 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
     ``text[pos:stop]`` up to the first chunk that is not plain or whose
     ticks do not continue the tick column, which raises its first faulty
     line's fault or, should the per-line checks find none, one fault."""
-    # a number has no more digits than ``int`` reads, a decimal's 4
-    # fractional ones included
-    limit = digit_limit()
-    more = limit - (5 if kind == DECIMAL else 1) if limit else ""
-    plain = re.compile(_PLAIN_LINES[kind].format(more=more))
     column = _tick_column(window.start, window.horizon)
+    if kind != BOOLEAN:
+        # a number has no more digits than ``int`` reads, a decimal's 4
+        # fractional ones included
+        limit = digit_limit()
+        more = limit - (5 if kind == DECIMAL else 1) if limit else ""
+        plain = re.compile(_PLAIN_LINES[kind].format(more=more))
     first, at = pos, 0
     while pos <= stop:
         cut = text.find("\n", min(pos + _CHUNK_CHARS, stop), stop)
         if cut < 0:
             cut = stop
         chunk = text[pos:cut]
-        if plain.fullmatch(chunk):
-            ticks, readings = _split_cells(chunk, kind)
-            if column.startswith(ticks + "\n", at):
-                yield readings
-                at, pos = at + len(ticks) + 1, cut + 1
-                continue
+        if kind == BOOLEAN:
+            ticks, readings = _marked_cells(chunk)
+        elif plain.fullmatch(chunk):
+            cells = chunk.replace("\n", ",").split(",")
+            ticks = ("\n".join(cells[0::2]) + "\n").encode()
+            readings = cells[1::2]
+        else:
+            ticks = None
+        if ticks and column.startswith(ticks, at):
+            yield readings
+            at, pos = at + len(ticks), cut + 1
+            continue
         done = text.count("\n", first, pos)
         _checked_readings(kind, chunk.split("\n"), window.start + done,
                           done + 2)
         raise TraceFormatError(_UNWORDED_FAULT, done + 2)
 
 
-def _split_cells(chunk: str, kind: str) -> Tuple[str, Sequence]:
-    """A plain chunk's ticks, one per line, and its readings: a boolean
-    chunk itself, any other chunk's texts."""
-    if kind == BOOLEAN:
-        return chunk.translate(_TO_TICKS), chunk
-    cells = chunk.replace("\n", ",").split(",")
-    return "\n".join(cells[0::2]), cells[1::2]
+def _marked_cells(chunk: str) -> Tuple[Optional[bytes], bytes]:
+    """A boolean chunk's ticks and codes, read by exact byte replacement:
+    each ``,true\\n``, ``,false\\n`` and ``,NA\\n`` of the chunk and a
+    closing \\n becomes its marker, and the ticks are what is left, each
+    marker turned into \\n and each \\n left into a byte no tick column
+    holds.  The replaced texts start with "," and end with \\n, and the
+    markers are not ASCII: no marker comes from the text, and no later
+    replacement matches across one.  The column holds only digits and \\n,
+    so ticks that continue it come only from plain lines, and a line of a
+    tick alone keeps its \\n.  A non-ASCII chunk has no ticks."""
+    if not chunk.isascii():
+        return None, b""
+    marked = (chunk + "\n").encode()
+    for reading, mark in _MARKS:
+        marked = marked.replace(reading, mark)
+    return (marked.translate(_MARKS_TO_TICKS),
+            marked.translate(_MARKS_TO_CODES, b"0123456789"))
 
 
 @functools.lru_cache(maxsize=4)
-def _tick_column(start: int, horizon: int) -> str:
-    """The window's ticks, each ended by ``\\n``, built a block of ticks at
-    a time.  Cached, as a fleet's traces share a window (building each
-    chunk's ticks afresh costs ~2 ms per 10,500-tick trace); built in blocks,
-    as one ``join`` over 143,940 ticks peaks at over 5 times that trace's
-    text under ``tracemalloc``."""
+def _tick_column(start: int, horizon: int) -> bytes:
+    """The window's ticks in ASCII bytes, each ended by ``\\n``, built a
+    block of ticks at a time.  Cached, as a fleet's traces share a window
+    (building each chunk's ticks afresh costs ~2 ms per 10,500-tick trace);
+    built in blocks, as one ``join`` over 143,940 ticks peaks at over 5
+    times that trace's text under ``tracemalloc``."""
     blocks = (range(t, min(t + _COLUMN_BLOCK, horizon))
               for t in range(start, horizon, _COLUMN_BLOCK))
-    return "".join(("%d\n" * len(ticks)) % tuple(ticks) for ticks in blocks)
+    return b"".join((b"%d\n" * len(ticks)) % tuple(ticks) for ticks in blocks)
 
 
 def _checked_readings(kind: str, lines: List[str], expected_t: int,

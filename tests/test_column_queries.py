@@ -42,8 +42,7 @@ from tagmon.streams import (
 )
 from tagmon.values import BOOLEAN, BOTTOM, DECIMAL, INTEGER, LABEL, Dec4
 
-COLUMN_QUERIES = settings(derandomize=True, database=None, deadline=None,
-                          max_examples=300)
+COLUMN_QUERIES = settings(max_examples=300)
 
 
 def _refuse(*args):

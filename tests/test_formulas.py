@@ -611,8 +611,7 @@ FORMULAS = st.recursive(
 
 
 # one failure is shrunk, not each of many, so that a regression fails fast
-@settings(derandomize=True, max_examples=300, deadline=None,
-          report_multiple_bugs=False)
+@settings(max_examples=300, report_multiple_bugs=False)
 @given(f=FORMULAS)
 def test_print_formula_refuses_or_round_trips(f):
     try:

@@ -24,8 +24,7 @@ from tagmon.errors import MonitorError, TraceFormatError
 from tagmon.scenario_file import load_scenario, validate_scenario
 from tagmon.streams import load_trace
 
-FUZZ = settings(derandomize=True, database=None, deadline=None,
-                max_examples=80,
+FUZZ = settings(max_examples=80,
                 suppress_health_check=[HealthCheck.too_slow])
 
 SHORT_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126),

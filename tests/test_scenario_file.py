@@ -240,7 +240,7 @@ def _parsed(parse, text):
             [r.line for r in config.rules])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@settings(max_examples=1000)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_parse_matches_the_reference_parser(seed):
     text = random_scenario_text(random.Random(seed))

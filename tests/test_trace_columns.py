@@ -33,8 +33,7 @@ from tagmon.streams import (
 )
 from tagmon.values import BOTTOM, KINDS, Dec4, format_value
 
-DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
-                        max_examples=150,
+DIFFERENTIAL = settings(max_examples=150,
                         suppress_health_check=[HealthCheck.too_slow])
 
 C = _CHUNK_CHARS
@@ -94,6 +93,11 @@ LINE_MANGLES = (
     lambda t, v: f"{t},9x",
     lambda t, v: f"{t}," + "0.0100".translate(ARABIC_DIGITS),
     lambda t, v: f"{t},{v}\r{t + 1},{v}",
+    lambda t, v: f"{t}",
+    lambda t, v: f"{t},tr1ue",
+    lambda t, v: f"{t},{v}{t + 1},{v}",
+    lambda t, v: f"{t}\x01",
+    lambda t, v: f"{t}\x81",
 )
 HEADER_MANGLES = (
     lambda h: "",
@@ -259,6 +263,37 @@ def test_a_fault_in_any_chunk_keeps_its_message_and_line(kind, i, line,
     assert (err.value.message, err.value.line) == (message, i + 2)
 
 
+BOOLEAN_MANGLES = {
+    "a tick alone": lambda t: f"{t}",
+    "a digit in a reading": lambda t: f"{t},tr1ue",
+    "a reading glued to the next tick": lambda t: f"{t},true{t + 1},true",
+    "two readings": lambda t: f"{t},false,true",
+    "a control character": lambda t: f"{t}\x01",
+    "a non-ASCII character": lambda t: f"{t}\x81",
+}
+
+
+@pytest.mark.parametrize("mangle", BOOLEAN_MANGLES.values(),
+                         ids=BOOLEAN_MANGLES.keys())
+@pytest.mark.parametrize("where", ["first", "before cut", "cut", "last"])
+@pytest.mark.parametrize("ending", ["", "\n"])
+def test_a_boolean_line_the_byte_rule_must_refuse(mangle, where, ending):
+    """Lines that byte replacement could take for plain ones if it kept a
+    line break or a character it does not replace: each is refused with
+    the per-line reference's fault and line, in any chunk, and whether or
+    not the trace ends with a line break.  A non-ASCII character, which
+    only a string given to ``parse_trace`` holds, is refused on its line
+    too, never with an encoding error."""
+    lines = LONG_LINES["boolean"].copy()
+    i = {"first": 0, "before cut": BOOLEAN_CUT - 1, "cut": BOOLEAN_CUT,
+         "last": len(lines) - 1}[where]
+    lines[i] = mangle(i)
+    text = "\n".join([f"trace b boolean 0 {len(lines)}"] + lines) + ending
+    outcome = _outcome(parse_trace, text)
+    assert outcome == _outcome(reference_parse_trace, text)
+    assert outcome[0] == "fault" and outcome[2] == i + 2
+
+
 @pytest.mark.parametrize("reading", ["1" * 5000, "-" + "9" * 5000])
 def test_an_integer_past_the_digit_limit_is_refused_on_its_line(reading):
     """An integer reading that the plain pattern matches but ``int`` does
@@ -369,11 +404,11 @@ def test_a_tick_column_answers_only_for_its_window(first, second):
 
 @pytest.mark.parametrize("start", [0, 1, 9, 10, 11, 99, 100, 101, 10**20 - 1])
 def test_the_tick_column(start):
-    """The column is the window's ticks, each ended by a line break, over
-    more than one block of ticks."""
+    """The column is the window's ticks in ASCII, each ended by a line
+    break, over more than one block of ticks."""
     horizon = start + 9000
     assert _tick_column(start, horizon) == "".join(
-        f"{t}\n" for t in range(start, horizon))
+        f"{t}\n" for t in range(start, horizon)).encode()
 
 
 @pytest.mark.parametrize("kind", sorted(READINGS))
@@ -556,7 +591,7 @@ def spelt_traces(draw):
     return "".join(map(str.__add__, lines, breaks))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(text=spelt_traces())
 def test_an_accepted_trace_is_written_back_as_it_was_read(text):
     """Every number of a trace has one spelling: whatever text the reader

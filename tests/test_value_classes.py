@@ -59,7 +59,7 @@ def _hash(obj):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_repr_equality_and_hash_match_the_twin(cls, data):
     ours, twin = UNCHECKED[cls], VALUE_CLASS_TWINS[cls]
@@ -84,7 +84,7 @@ def test_repr_equality_and_hash_match_the_twin(cls, data):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(derandomize=True, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_bad_construction_fails_as_the_twin_does(cls, data):
     ours, twin = UNCHECKED[cls], VALUE_CLASS_TWINS[cls]
@@ -120,7 +120,7 @@ def test_assignment_fails_as_the_twin_does(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_construction_keeps_each_field_by_identity(cls, data):
     names = _names(cls)
@@ -138,7 +138,7 @@ SAME_WIDTH = [(a, b) for a in CLASSES for b in CLASSES
               if a is not b and len(_names(a)) == len(_names(b))]
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_instances_of_different_classes_are_never_equal(data):
     assert Lit("x") != Var("x")

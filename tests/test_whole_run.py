@@ -38,8 +38,7 @@ from tagmon.scenarios import Sentence, compliance_judgement, merge_runs
 from tagmon.streams import Stream, Window
 from tagmon.values import BOTTOM, Dec4
 
-WHOLE_RUN = settings(derandomize=True, database=None, deadline=None,
-                     max_examples=40,
+WHOLE_RUN = settings(max_examples=40,
                      suppress_health_check=[HealthCheck.too_slow])
 
 DAY = 1440
