@@ -77,7 +77,7 @@ from .scenarios import (
     merge_runs,
 )
 from .interventions import Action, Intervention, Policy, Trigger
-from .streams import load_trace, read_ascii
+from .streams import check_ascii, load_trace, read_file
 from .values import (
     BOOLEAN,
     DECIMAL,
@@ -459,5 +459,6 @@ def build_scenario(config: ScenarioConfig, base_dir) -> ScenarioRun:
 
 def load_scenario(path):
     """Parse a scenario file; returns (config, base_dir for trace paths)."""
-    p = Path(path)
-    return parse_scenario(read_ascii(p, ScenarioFormatError)), p.parent
+    data = read_file(path)
+    check_ascii(data, ScenarioFormatError)
+    return parse_scenario(data.decode("ascii")), Path(path).parent

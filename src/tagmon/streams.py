@@ -19,7 +19,7 @@ The operations of the formula language are declared once, in
 
 Storage is not part of the algebra.  A trace read from a file keeps its
 readings' texts, each NA or written as ``format_value`` writes it, joined
-into one string, with an array of the offsets where each one ends, and
+into one bytes string, with an array of the offsets where each one ends, and
 converts a reading, by its kind's reader, only when it is read; a boolean
 trace keeps one byte code per tick instead (false, true or NA).  Streams
 built from values keep a tuple.  ``at`` boxes the one reading it returns.
@@ -28,13 +28,14 @@ tick by tick; a decimal trace answers it on its texts, and a boolean trace
 ``first_other`` (the first tick of a range whose boolean is not a given
 one) on its codes, each only over a range its window holds.
 
-``parse_trace`` reads a trace's text in place, without a list of its lines:
-in chunks cut at the first line break past a fixed number of characters.
-A chunk is accepted when its lines are plain and its ticks continue the
-window's tick column, which a small cache keeps for a fleet's traces.  A
-boolean chunk is checked by exact byte replacement of its three readings,
-at half a pattern's cost; any other by one match of its kind's pattern.
-Any chunk that fails is refused; the per-line checks only word its fault.
+``parse_trace`` refuses a trace file's bytes at a non-ASCII byte, then reads
+them in place, without decoding them or listing their lines: in chunks cut
+at the first line break past a fixed number of bytes.  A chunk is accepted
+when its lines are plain and its ticks continue the window's tick column,
+which a small cache keeps for a fleet's traces.  A boolean chunk is checked
+by exact byte replacement of its three readings, at half a pattern's cost;
+any other by one match of its kind's pattern.  Any chunk that fails is
+refused; the per-line checks only word its fault.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .values import (
     INTEGER,
     KINDS,
     LABEL,
-    LABEL_PATTERN,
     CarrierValue,
     Dec4,
     _LABEL_RE,
@@ -181,29 +181,29 @@ def _outside(w: Window, t: int) -> OutOfWindow:
 
 class _Texts(Stream):
     """A decimal, integer or label trace: its readings' texts joined into
-    one string, reading i at ``_ends[i]:_ends[i + 1]`` of it.
+    one bytes string, reading i at ``_ends[i]:_ends[i + 1]`` of it.
 
     ``parse_trace`` builds it from the texts of each chunk of plain value
     lines.  Every text is NA or a reading written as ``format_value``
-    writes it, so that a reading is converted, by its kind's reader, only
-    when it is read.  A read fails only on a number past ``int``'s digit
-    limit then in force (KindMismatch).
+    writes it, and is converted (a label decoded) by its kind's reader only
+    when read.  A read fails only on a number past ``int``'s digit limit
+    then in force (KindMismatch).
     """
 
     __slots__ = ("_ends", "_read")
 
     def __init__(self, window: Window, kind: str,
-                 chunks: Iterable[List[str]], size: int):
+                 chunks: Iterable[List[bytes]], size: int):
         """``size``, at least the texts' total length, picks the offsets'
-        item size, so that every trace a string can hold loads."""
+        item size, so that every trace a bytes string can hold loads."""
         ends = array("I" if size < 1 << 8 * array("I").itemsize else "Q",
                      [0])
         parts = []
         for texts in chunks:
-            parts.append("".join(texts))
+            parts.append(b"".join(texts))
             ends.extend(accumulate(map(len, texts), initial=ends.pop()))
         self.window = window
-        self._readings = "".join(parts)
+        self._readings = b"".join(parts)
         self._ends = ends
         self._read = _READERS[kind]
 
@@ -234,20 +234,20 @@ class _Texts(Stream):
         their texts cut out by strided slices of the offsets, each reading
         converted, then BOTTOM for an NA; only the result is boxed."""
         ends, texts = self._ends, self._readings
-        picked = ",".join([texts[a:b] for a, b in zip(ends[lo:hi:s],
-                                                      ends[lo + 1:hi + 1:s])])
-        digits = picked.replace(".", "").split(",")
-        raws = [_int(text) for text in digits if text != "NA"]
+        picked = b",".join([texts[a:b] for a, b in zip(ends[lo:hi:s],
+                                                       ends[lo + 1:hi + 1:s])])
+        digits = picked.replace(b".", b"").split(b",")
+        raws = [_int(text) for text in digits if text != b"NA"]
         if len(raws) < len(digits):
             return BOTTOM
         return Dec4(max(raws) if op == "max" else min(raws))
 
 
-def _decimal(text: str) -> CarrierValue:
-    return BOTTOM if text == "NA" else Dec4(_int(text.replace(".", "")))
+def _decimal(text: bytes) -> CarrierValue:
+    return BOTTOM if text == b"NA" else Dec4(_int(text.replace(b".", b"")))
 
 
-def _int(digits: str, kind: str = DECIMAL) -> int:
+def _int(digits: bytes, kind: str = DECIMAL) -> int:
     """The number a kept text's digits spell.  The digit limit in force may
     be below the one the trace was loaded under: past it, KindMismatch."""
     try:
@@ -260,8 +260,8 @@ def _int(digits: str, kind: str = DECIMAL) -> int:
 # the reading of a kept text, by the trace's kind
 _READERS = {
     DECIMAL: _decimal,
-    INTEGER: lambda text: BOTTOM if text == "NA" else _int(text, INTEGER),
-    LABEL: lambda text: BOTTOM if text == "NA" else text}
+    INTEGER: lambda text: BOTTOM if text == b"NA" else _int(text, INTEGER),
+    LABEL: lambda text: BOTTOM if text == b"NA" else text.decode("ascii")}
 
 
 _BOOLEAN_BOXES = (False, True, BOTTOM)
@@ -460,29 +460,27 @@ def exists_before(ts: Relation, t: int, args: Sequence[Stream]) -> bool:
 _STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 # the fault of a refused chunk whose lines pass every per-line check
 _UNWORDED_FAULT = "value lines not written as a trace writes them"
-# a chunk of value lines ends at the first line break this many characters
-# or more past its start
-_CHUNK_CHARS = 16384
+# a chunk of value lines ends at the first line break this many bytes or
+# more past its start
+_CHUNK_BYTES = 16384
 # ticks formatted at a time when a window's tick column is built
 _COLUMN_BLOCK = 4096
 # decimal, integer and label lines as ``format_trace`` writes them, but for
-# their ticks, which must also continue the window's tick column; ``{more}``
-# is filled in, and the pattern compiled (and cached by ``re``), when read
+# their ticks, which must also continue the window's tick column; ``m`` (a
+# number's most digits after its first) is filled in, and compiled, when read
 _PLAIN_LINES = {
-    kind: rf"[0-9]+,{reading}(?:\n[0-9]+,{reading})*"
+    kind: rb"[0-9]+,(?:%b)(?:\n[0-9]+,(?:%b))*" % (reading, reading)
     for kind, reading in (
-        (DECIMAL,
-         r"(?:(?:0|-?[1-9][0-9]{{0,{more}}}|-0(?!\.0000))\.[0-9]{{4}}|NA)"),
-        (INTEGER, r"(?:0|-?[1-9][0-9]{{0,{more}}}|NA)"),
-        (LABEL, f"(?:{LABEL_PATTERN})"))}  # which also spells NA
+        (DECIMAL, rb"(?:0|-?[1-9][0-9]{0,%(m)b}|-0(?!\.0000))\.[0-9]{4}|NA"),
+        (INTEGER, rb"0|-?[1-9][0-9]{0,%(m)b}|NA"),
+        (LABEL, rb"[A-Za-z][A-Za-z0-9_-]*"))}  # LABEL_PATTERN, which spells NA
 # a boolean reading's text, as ``_marked_cells`` replaces it, and its marker
 _MARKS = ((b",true\n", b"\x81"), (b",false\n", b"\x80"), (b",NA\n", b"\x82"))
 _MARKS_TO_TICKS = bytes.maketrans(b"\x80\x81\x82\n", b"\n\n\n,")
 _MARKS_TO_CODES = bytes.maketrans(b"\x80\x81\x82", b"\x00\x01\x02")
-# the line breaks that ``str.splitlines`` honours besides \n, and the
-# ASCII ones among them
-_LINE_BREAKS = r"\r\n?|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
-_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# ASCII line breaks that ``str.splitlines`` honours besides \n (\r\n is one)
+_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+_BREAKS_TO_NEWLINES = bytes.maketrans(_LINE_BREAKS, b"\n" * len(_LINE_BREAKS))
 
 
 def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
@@ -510,30 +508,30 @@ def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str):
-    """Parse trace text; returns (stream_id, kind, Stream).
+def parse_trace(data: bytes):
+    """Parse a trace file's bytes; returns (stream_id, kind, Stream).
 
-    Lines end as ``str.splitlines`` ends them; any line break other than
-    ``\\n`` is first rewritten to ``\\n``.  The value lines are read in
-    place, in chunks that end at the first ``\\n`` at least
-    ``_CHUNK_CHARS`` characters past the chunk's start.  A chunk is accepted
-    when its lines are plain (readings as ``format_value`` writes them,
-    numbers within ``int``'s digit limit), as ``_marked_cells`` reads a
-    boolean chunk and the kind's plain pattern matches any other, and its
-    ticks continue the window's cached tick column where the chunk before
-    it left off.  Any other chunk is refused, with the fault of its first
-    faulty line.  A boolean trace is stored as its readings' codes, any
-    other as their texts.
+    A non-ASCII byte is refused on its line (``check_ascii``); lines end as
+    ``str.splitlines`` ends ASCII text.  The value lines are read in place,
+    undecoded, in chunks that end at the first ``\\n`` at least
+    ``_CHUNK_BYTES`` bytes past the chunk's start.  A chunk is accepted when
+    its lines are plain (readings as ``format_value`` writes them, numbers
+    within ``int``'s digit limit), as ``_marked_cells`` reads a boolean chunk
+    and the kind's plain pattern matches any other, and its ticks continue the
+    window's cached tick column where the chunk before it left off.  Any other
+    chunk is refused, with the fault of its first faulty line.  A boolean trace
+    is stored as its readings' codes, any other as their texts.
     """
-    if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
-        text = re.sub(_LINE_BREAKS, "\n", text)
-    if not text:
+    check_ascii(data, TraceFormatError)
+    if any(brk in data for brk in _LINE_BREAKS):
+        data = data.replace(b"\r\n", b"\n").translate(_BREAKS_TO_NEWLINES)
+    if not data:
         raise TraceFormatError("empty trace", 1)
-    stop = len(text) - text.endswith("\n")
-    end = text.find("\n", 0, stop)
+    stop = len(data) - data.endswith(b"\n")
+    end = data.find(b"\n", 0, stop)
     if end < 0:
         end = stop
-    head = text[:end].split(" ")
+    head = data[:end].decode("ascii").split(" ")
     if len(head) != 5 or head[0] != "trace":
         raise TraceFormatError("bad header, expected "
                                "'trace <id> <kind> <start> <horizon>'", 1)
@@ -552,41 +550,40 @@ def parse_trace(text: str):
                 f"window bound {bound_s!r} must be written '{bound}'", 1)
     if start < 0 or start >= horizon:
         raise TraceFormatError(f"bad window [{start}, {horizon})", 1)
-    count = text.count("\n", end, stop)
+    count = data.count(b"\n", end, stop)
     if count != horizon - start:
         raise TraceFormatError(
             f"expected {horizon - start} value lines, got {count}", 1)
     window = Window(start, horizon)
-    chunks = _chunk_readings(text, end + 1, stop, kind, window)
+    chunks = _chunk_readings(data, end + 1, stop, kind, window)
     if kind == BOOLEAN:
         return stream_id, kind, _Booleans(window, chunks)
-    return stream_id, kind, _Texts(window, kind, chunks, len(text))
+    return stream_id, kind, _Texts(window, kind, chunks, len(data))
 
 
-def _chunk_readings(text: str, pos: int, stop: int, kind: str,
+def _chunk_readings(data: bytes, pos: int, stop: int, kind: str,
                     window: Window):
     """Yield the readings of each chunk of the value lines in
-    ``text[pos:stop]`` up to the first chunk that is not plain or whose
+    ``data[pos:stop]`` up to the first chunk that is not plain or whose
     ticks do not continue the tick column, which raises its first faulty
     line's fault or, should the per-line checks find none, one fault."""
     column = _tick_column(window.start, window.horizon)
     if kind != BOOLEAN:
-        # a number has no more digits than ``int`` reads, a decimal's 4
-        # fractional ones included
+        # at most the digits ``int`` reads, a decimal's 4 fractional ones too
         limit = digit_limit()
-        more = limit - (5 if kind == DECIMAL else 1) if limit else ""
-        plain = re.compile(_PLAIN_LINES[kind].format(more=more))
+        more = b"%d" % (limit - 1 - 4 * (kind == DECIMAL)) if limit else b""
+        plain = re.compile(_PLAIN_LINES[kind] % {b"m": more})
     first, at = pos, 0
     while pos <= stop:
-        cut = text.find("\n", min(pos + _CHUNK_CHARS, stop), stop)
+        cut = data.find(b"\n", min(pos + _CHUNK_BYTES, stop), stop)
         if cut < 0:
             cut = stop
-        chunk = text[pos:cut]
+        chunk = data[pos:cut]
         if kind == BOOLEAN:
             ticks, readings = _marked_cells(chunk)
         elif plain.fullmatch(chunk):
-            cells = chunk.replace("\n", ",").split(",")
-            ticks = ("\n".join(cells[0::2]) + "\n").encode()
+            cells = chunk.replace(b"\n", b",").split(b",")
+            ticks = b"\n".join(cells[0::2]) + b"\n"
             readings = cells[1::2]
         else:
             ticks = None
@@ -594,25 +591,23 @@ def _chunk_readings(text: str, pos: int, stop: int, kind: str,
             yield readings
             at, pos = at + len(ticks), cut + 1
             continue
-        done = text.count("\n", first, pos)
-        _checked_readings(kind, chunk.split("\n"), window.start + done,
-                          done + 2)
+        done = data.count(b"\n", first, pos)
+        _checked_readings(kind, chunk.decode("ascii").split("\n"),
+                          window.start + done, done + 2)
         raise TraceFormatError(_UNWORDED_FAULT, done + 2)
 
 
-def _marked_cells(chunk: str) -> Tuple[Optional[bytes], bytes]:
+def _marked_cells(chunk: bytes) -> Tuple[bytes, bytes]:
     """A boolean chunk's ticks and codes, read by exact byte replacement:
     each ``,true\\n``, ``,false\\n`` and ``,NA\\n`` of the chunk and a
     closing \\n becomes its marker, and the ticks are what is left, each
     marker turned into \\n and each \\n left into a byte no tick column
     holds.  The replaced texts start with "," and end with \\n, and the
-    markers are not ASCII: no marker comes from the text, and no later
-    replacement matches across one.  The column holds only digits and \\n,
-    so ticks that continue it come only from plain lines, and a line of a
-    tick alone keeps its \\n.  A non-ASCII chunk has no ticks."""
-    if not chunk.isascii():
-        return None, b""
-    marked = (chunk + "\n").encode()
+    markers are not ASCII, which ``parse_trace`` refuses before any chunk:
+    no marker comes from the data, and no later replacement matches across
+    one.  The column holds only digits and \\n, so ticks that continue it
+    come only from plain lines, and a line of a tick alone keeps its \\n."""
+    marked = chunk + b"\n"
     for reading, mark in _MARKS:
         marked = marked.replace(reading, mark)
     return (marked.translate(_MARKS_TO_TICKS),
@@ -665,22 +660,26 @@ def _checked_readings(kind: str, lines: List[str], expected_t: int,
                 f"{kind} {value_s!r} must be written '{written}'", i)
 
 
-def read_ascii(path, error) -> str:
-    """A text file's content; a non-ASCII byte raises ``error(message, line)``
-    with the 1-based line of the byte, counted as the parsers count lines.
-    A path that is no regular file, such as a directory or a FIFO, is never
-    opened: it raises ``OSError`` with the reason ``not a regular file``."""
+def check_ascii(data: bytes, error):
+    """Raise ``error(message, line)`` at a file's first non-ASCII byte, on
+    its line as the parsers count lines: found a block at a time and its
+    line counted in place, so that no copy of ``data`` is made."""
+    if not data.isascii():
+        at = next(i for i in range(0, len(data), _CHUNK_BYTES)
+                  if not data[i:i + _CHUNK_BYTES].isascii())
+        at = re.compile(rb"[\x80-\xff]").search(data, at).start()
+        breaks = sum(data.count(brk, 0, at) for brk in b"\n" + _LINE_BREAKS)
+        raise error(f"non-ASCII byte 0x{data[at]:02x}",
+                    breaks - data.count(b"\r\n", 0, at) + 1)
+
+
+def read_file(path) -> bytes:
+    """A regular file's bytes; any other path raises, never opened."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise OSError(0, "not a regular file")
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start].decode("ascii")
-        raise error(f"non-ASCII byte 0x{data[exc.start]:02x}",
-                    len((before + "x").splitlines())) from None
+        return fh.read()
 
 
 def load_trace(path):
-    return parse_trace(read_ascii(path, TraceFormatError))
+    return parse_trace(read_file(path))

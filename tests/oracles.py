@@ -170,6 +170,25 @@ _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _STRICT_DEC_RE = re.compile(r"-?[0-9]+\.[0-9]{4}\Z")
 
 
+def reference_load_trace(data: bytes):
+    """Read a trace file's bytes line by line; returns (stream_id, kind,
+    Stream).
+
+    Each byte becomes the character of its code (latin-1), and the lines
+    are split as ``str.splitlines`` splits them, each kept with its break:
+    the first line that holds a character past ASCII, its break included,
+    is the line of the file's first non-ASCII byte, which is refused there.
+    An ASCII file is decoded and read by ``reference_parse_trace``.
+    """
+    lines = data.decode("latin-1").splitlines(keepends=True)
+    for lineno, line in enumerate(lines, start=1):
+        for char in line:
+            if char > "\x7f":
+                raise TraceFormatError(f"non-ASCII byte 0x{ord(char):02x}",
+                                       lineno)
+    return reference_parse_trace(data.decode("ascii"))
+
+
 def reference_parse_trace(text: str):
     """Parse trace text line by line; returns (stream_id, kind, Stream).
 

@@ -237,10 +237,10 @@ def test_criterion_8_determinism_and_round_trips(scenarios_dir, tmp_path,
 
         # trace files: parse -> print -> parse, byte-stable and structural
         for trace_file in sorted((scenarios_dir / "traces").iterdir()):
-            text = trace_file.read_text()
-            stream_id, kind, stream = parse_trace(text)
-            printed = format_trace(stream, stream_id, kind)
-            assert printed == text
+            data = trace_file.read_bytes()
+            stream_id, kind, stream = parse_trace(data)
+            printed = format_trace(stream, stream_id, kind).encode()
+            assert printed == data
             assert parse_trace(printed) == (stream_id, kind, stream)
 
         # scenario files: parse -> print -> parse, structurally equal

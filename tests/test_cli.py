@@ -287,10 +287,10 @@ def test_nights_or_days_past_the_digit_limit_is_a_diagnostic(
 def test_unreadable_trace_is_a_diagnostic(scenarios_dir, tmp_path, capsys,
                                           monkeypatch, command):
     # root reads a mode-000 file, so the refusal is injected instead
-    def refuse(path, error):
+    def refuse(path):
         raise PermissionError(errno.EACCES, "Permission denied", str(path))
 
-    monkeypatch.setattr(tagmon.streams, "read_ascii", refuse)
+    monkeypatch.setattr(tagmon.streams, "read_file", refuse)
     shutil.copy(scenarios_dir / "traces" / "alcohol_dry.trace", tmp_path)
     scenario = tmp_path / "locked.scenario"
     scenario.write_text("[entity A]\nsentence = 0,720,30,0.0200,0.0050\n"
@@ -1144,8 +1144,9 @@ def test_an_unwritable_stdout_is_a_runtime_failure(
 
 class Case(NamedTuple):
     """A command line, run in a directory that holds ``files``, and what it
-    must give.  ``files`` maps a relative path to its text, to a file to
-    copy, or to a tuple of ``gen-trace`` arguments whose trace is copied;
+    must give.  ``files`` maps a relative path to its text, to its bytes,
+    to a file to copy, or to a tuple of ``gen-trace`` arguments whose trace
+    is copied;
     ``after`` maps a relative path to its exact text after the command, or
     to None when nothing may be there."""
 
@@ -1312,6 +1313,28 @@ CLI_CASES = {
         "validate cut.scenario", EXIT_VALIDATION,
         err="cut.scenario:1: entity A: cut.trace:1751: tick 174 out of "
             "order (expected 1749)\n"),
+    # the byte rule's own marker for ",true\n" in place of ",true": the
+    # ASCII check refuses it before the rule reads its chunk
+    **{f"{command}-marker": Case(
+        {"marker.scenario": "[entity A]\ncurfew = 19:00,07:00\nnights = 1\n"
+                            "trace = marker.trace\n",
+         "marker.trace": _trace("boolean", "true", 1001, "999\x81",
+                                1751).encode("latin-1")},
+        " ".join(_argv(command, "marker.scenario", "out")), EXIT_VALIDATION,
+        err="marker.scenario:1: entity A: marker.trace:1001: non-ASCII byte "
+            "0x81\n", after={"out": None})
+       for command in ("validate", "run")},
+    # a late non-ASCII byte in a "\r\n"-ended trace with one "\x1c" break:
+    # each break counts once
+    **{f"{command}-late-byte": Case(
+        {"late.scenario": _sentence("late.trace"),
+         "late.trace": _trace("decimal", "0.0100", 700, "698,0.01\xe9", 721
+                              ).replace("\n", "\r\n").replace(
+                                  "\r\n9,", "\x1c9,", 1).encode("latin-1")},
+        " ".join(_argv(command, "late.scenario", "out")), EXIT_VALIDATION,
+        err="late.scenario:1: entity A: late.trace:700: non-ASCII byte "
+            "0xe9\n", after={"out": None})
+       for command in ("validate", "run")},
     "validate-tick": Case(
         {"tick.scenario": _sentence("tick.trace"),
          "tick.trace": _trace("decimal", "0.0100", 3, "01,0.0100", 721)},
@@ -1364,7 +1387,9 @@ def test_command_line(name, tmp_path, monkeypatch, capsys, generated_trace):
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(source, str):
-            path.write_bytes(source.encode("ascii"))
+            source = source.encode("ascii")
+        if isinstance(source, bytes):
+            path.write_bytes(source)
         else:
             shutil.copy(generated_trace(source) if isinstance(source, tuple)
                         else source, path)

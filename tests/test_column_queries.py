@@ -53,7 +53,7 @@ def parsed(kind, start, values):
     """The trace of ``values`` from tick ``start`` as ``parse_trace`` stores
     it, and a tuple copy of it."""
     _, _, column = parse_trace(
-        format_trace(Stream.of(start, values), "s", kind))
+        format_trace(Stream.of(start, values), "s", kind).encode())
     assert isinstance(column, (_Booleans, _Texts))
     return column, Stream.of(start, column.values)
 

@@ -199,7 +199,8 @@ GAP_SPEC = AttributeSpec("no", parse_formula("max(b, 0, 120, 30) < 0.0000"))
 
 def parsed(kind, values):
     """``Stream.of(0, values)`` as ``parse_trace`` stores it: a column."""
-    return parse_trace(format_trace(Stream.of(0, values), "b", kind))[2]
+    return parse_trace(
+        format_trace(Stream.of(0, values), "b", kind).encode())[2]
 
 
 PRESENCE = [True] * 30 + [False] + [True] * 9 + [BOTTOM] + [True] * 9

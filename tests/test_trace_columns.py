@@ -1,12 +1,13 @@
 """Traces read in chunks into columns, against the per-line reference parser.
 
-``parse_trace`` reads the text in place, in chunks cut at a line break after
-a fixed number of characters.  It checks plain value lines a chunk at a
-time, their ticks against a tick column cached per window, and stores a
-boolean trace's codes or any other trace's texts, boxing a value only when
-it is read.  ``reference_parse_trace`` in ``oracles`` is the per-line
-parser it replaced; on any text, whatever its line breaks, both must return
-the same readings or raise the same fault on the same line.
+``parse_trace`` reads a trace file's bytes in place, after refusing any
+non-ASCII byte, in chunks cut at a line break after a fixed number of bytes.
+It checks plain value lines a chunk at a time, their ticks against a tick
+column cached per window, and stores a boolean trace's codes or any other
+trace's texts, boxing a value only when it is read.
+``reference_load_trace`` in ``oracles`` is the per-line reader it replaced;
+on any bytes, whatever their line breaks, both must return the same
+readings or raise the same fault on the same line.
 """
 
 import contextlib
@@ -20,23 +21,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_parse_trace
+from oracles import reference_load_trace
 from tagmon import streams
 from tagmon.cli import EXIT_OK, gen_trace, main
 from tagmon.errors import KindMismatch, TraceFormatError
 from tagmon.streams import (
-    _CHUNK_CHARS,
+    _CHUNK_BYTES,
     Stream,
     _tick_column,
     format_trace,
     parse_trace,
 )
-from tagmon.values import BOTTOM, KINDS, Dec4, format_value
+from tagmon.values import BOTTOM, KINDS, LABEL_PATTERN, Dec4, format_value
 
 DIFFERENTIAL = settings(max_examples=150,
                         suppress_health_check=[HealthCheck.too_slow])
 
-C = _CHUNK_CHARS
+C = _CHUNK_BYTES
 READINGS = {
     "decimal": ("0.0100", "0.0250", "NA", "-0.0000", "12.3456", "-1.5000",
                 "007.0000", "922337203685477.5807", "922337203685477.5808",
@@ -98,6 +99,10 @@ LINE_MANGLES = (
     lambda t, v: f"{t},{v}{t + 1},{v}",
     lambda t, v: f"{t}\x01",
     lambda t, v: f"{t}\x81",
+    # raw bytes past ASCII: the markers of ",false\n" and ",NA\n", and 0xff
+    lambda t, v: f"{t}\udc80",
+    lambda t, v: f"{t}\udc82",
+    lambda t, v: f"{t},{v}\udcff",
 )
 HEADER_MANGLES = (
     lambda h: "",
@@ -121,9 +126,16 @@ LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029")
 
 
+def raw(text):
+    """``text`` as a file's bytes: UTF-8, with each lone surrogate from
+    U+DC80 to U+DCFF as the raw byte 0x80 to 0xff it stands for, as the
+    "surrogateescape" error handler writes it."""
+    return text.encode("utf-8", "surrogateescape")
+
+
 def cut_lines(lines):
     """The indices of the value lines that hold a chunk's cut: each chunk
-    ends with the first line that takes it past ``_CHUNK_CHARS`` characters,
+    ends with the first line that takes it past ``_CHUNK_BYTES`` bytes,
     line breaks included."""
     cuts, size = [], 0
     for i, line in enumerate(lines):
@@ -190,8 +202,9 @@ def trace_texts(draw):
 
 
 def _outcome(parse, text):
+    """What ``parse`` makes of ``text`` as a file holds it (``raw``)."""
     try:
-        stream_id, kind, stream = parse(text)
+        stream_id, kind, stream = parse(raw(text))
     except TraceFormatError as exc:
         return ("fault", exc.message, exc.line)
     return ("ok", stream_id, kind, stream.window,
@@ -201,7 +214,7 @@ def _outcome(parse, text):
 @DIFFERENTIAL
 @given(text=trace_texts())
 def test_parse_trace_matches_the_per_line_reference(text):
-    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+    assert _outcome(parse_trace, text) == _outcome(reference_load_trace,
                                                    text)
 
 
@@ -229,10 +242,11 @@ BOOLEAN_CUT = cut_lines(LONG_LINES["boolean"])[0]
     ("decimal", 0, "0_0,0.0100", "non-integer tick '0_0'"),
     ("decimal", CUT + 2, f"+{CUT + 2},0.0100",
      f"non-integer tick '+{CUT + 2}'"),
+    # a digit past ASCII, refused at the first byte of its UTF-8 spelling
     ("decimal", CUT + 2, f"{CUT + 2}".translate(ARABIC_DIGITS) + ",0.0100",
-     f"non-integer tick '{CUT + 2}'".translate(ARABIC_DIGITS)),
+     "non-ASCII byte 0xd9"),
     ("decimal", CUT, f"{CUT}," + "0.0100".translate(ARABIC_DIGITS),
-     "decimal '٠.٠١٠٠' must have exactly 4 fractional digits"),
+     "non-ASCII byte 0xd9"),
     ("decimal", 0, "-0,0.0100", "tick '-0' must be written '0'"),
     ("decimal", 0, "00,0.0100", "tick '00' must be written '0'"),
     ("decimal", 1, "01,0.0100", "tick '01' must be written '1'"),
@@ -259,7 +273,7 @@ def test_a_fault_in_any_chunk_keeps_its_message_and_line(kind, i, line,
     assert cut_lines(lines)[0] == cut_lines(LONG_LINES[kind])[0]
     text = ending.join([f"trace b {kind} 0 {len(lines)}"] + lines) + ending
     with pytest.raises(TraceFormatError) as err:
-        parse_trace(text)
+        parse_trace(raw(text))
     assert (err.value.message, err.value.line) == (message, i + 2)
 
 
@@ -270,6 +284,7 @@ BOOLEAN_MANGLES = {
     "two readings": lambda t: f"{t},false,true",
     "a control character": lambda t: f"{t}\x01",
     "a non-ASCII character": lambda t: f"{t}\x81",
+    "a marker byte": lambda t: f"{t}\udc81",
 }
 
 
@@ -281,16 +296,17 @@ def test_a_boolean_line_the_byte_rule_must_refuse(mangle, where, ending):
     """Lines that byte replacement could take for plain ones if it kept a
     line break or a character it does not replace: each is refused with
     the per-line reference's fault and line, in any chunk, and whether or
-    not the trace ends with a line break.  A non-ASCII character, which
-    only a string given to ``parse_trace`` holds, is refused on its line
-    too, never with an encoding error."""
+    not the trace ends with a line break.  A non-ASCII character, and the
+    byte rule's own marker for ``,true\\n`` in place of ``,true``, are
+    refused on their line as non-ASCII bytes, before the byte rule reads
+    their chunk, never with an encoding error."""
     lines = LONG_LINES["boolean"].copy()
     i = {"first": 0, "before cut": BOOLEAN_CUT - 1, "cut": BOOLEAN_CUT,
          "last": len(lines) - 1}[where]
     lines[i] = mangle(i)
     text = "\n".join([f"trace b boolean 0 {len(lines)}"] + lines) + ending
     outcome = _outcome(parse_trace, text)
-    assert outcome == _outcome(reference_parse_trace, text)
+    assert outcome == _outcome(reference_load_trace, text)
     assert outcome[0] == "fault" and outcome[2] == i + 2
 
 
@@ -303,7 +319,7 @@ def test_an_integer_past_the_digit_limit_is_refused_on_its_line(reading):
     i = cut_lines(lines)[0] + 1
     lines[i] = f"{i},{reading}"
     text = "\n".join([f"trace b integer 0 {len(lines)}"] + lines)
-    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+    assert _outcome(parse_trace, text) == _outcome(reference_load_trace,
                                                    text)
     assert _outcome(parse_trace, text) == (
         "fault", f"not an integer: {reading!r}", i + 2)
@@ -328,14 +344,14 @@ def test_a_number_past_the_digit_limit_is_refused_on_its_line(
     i = cut_lines(lines)[0] + 1
     lines[i] = f"{i},{reading}"
     text = "\n".join([f"trace b {kind} 0 {len(lines)}"] + lines)
-    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+    assert _outcome(parse_trace, text) == _outcome(reference_load_trace,
                                                    text)
     if past:
         assert _outcome(parse_trace, text) == (
             "fault", f"{fault}: {reading!r}", i + 2)
         sys.set_int_max_str_digits(0)
     value = int(f"{sign}{whole}0000")
-    stream = parse_trace(text)[2]
+    stream = parse_trace(raw(text))[2]
     if kind == "decimal":
         value = Dec4(value)
         assert stream.reduce_samples("max", i, i, 1) == value
@@ -350,8 +366,8 @@ def test_a_reading_past_a_lowered_digit_limit_is_a_kind_mismatch(
     it is read: each read of the long reading raises KindMismatch naming
     the limit, and the other readings still read."""
     sys.set_int_max_str_digits(0)
-    _, _, stream = parse_trace(f"trace b {kind} 0 3\n0,NA\n1,{reading}\n"
-                               f"2,{format_value(box(1))}\n")
+    _, _, stream = parse_trace(raw(f"trace b {kind} 0 3\n0,NA\n"
+                                   f"1,{reading}\n2,{format_value(box(1))}\n"))
     sys.set_int_max_str_digits(digit_limit)
     reads = (lambda: stream.at(1), lambda: stream.values,
              lambda: stream.reduce_samples("max", 1, 2, 1),
@@ -378,7 +394,7 @@ def test_the_writer_refuses_a_number_the_reader_would_refuse(
              else sys.get_int_max_str_digits())
     largest = Stream.of(5, [BOTTOM, box(sign * (10 ** limit - 1))])
     text = format_trace(largest, "b", kind)
-    assert parse_trace(text) == ("b", kind, largest)
+    assert parse_trace(raw(text)) == ("b", kind, largest)
     past = Stream.of(5, [BOTTOM, box(sign * 10 ** limit)])
     for written in KINDS:
         with pytest.raises(TraceFormatError) as err:
@@ -396,7 +412,7 @@ def test_a_tick_column_answers_only_for_its_window(first, second):
     for start in (first, second):
         text = "\n".join([f"trace b boolean {start} {start + len(lines)}"]
                          + lines)
-        assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+        assert _outcome(parse_trace, text) == _outcome(reference_load_trace,
                                                        text)
     assert _outcome(parse_trace, text) == (
         "fault", f"tick {first} out of order (expected {second})", 2)
@@ -427,7 +443,7 @@ def test_a_plain_trace_takes_no_per_line_check(kind, start, ending,
         raise AssertionError("a plain chunk took the per-line checks")
 
     monkeypatch.setattr(streams, "_checked_readings", refuse)
-    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace,
+    assert _outcome(parse_trace, text) == _outcome(reference_load_trace,
                                                    text)
 
 
@@ -451,7 +467,11 @@ def test_an_integer_or_label_trace_checks_no_reading_again(kind,
     parsed = _outcome(parse_trace, text)
     assert parsed[0] == "ok" and checked == []
     monkeypatch.undo()
-    assert parsed == _outcome(reference_parse_trace, text)
+    assert parsed == _outcome(reference_load_trace, text)
+
+
+def test_plain_label_lines_spell_a_label_as_values_does():
+    assert raw(LABEL_PATTERN) in streams._PLAIN_LINES["label"]
 
 
 @DIFFERENTIAL
@@ -461,7 +481,7 @@ def test_every_refusal_is_worded_by_a_per_line_check(text):
     fault: no text of the differential corpus gets the fault of a chunk
     whose lines pass them all."""
     try:
-        parse_trace(text)
+        parse_trace(raw(text))
     except TraceFormatError as exc:
         assert exc.message != streams._UNWORDED_FAULT
 
@@ -498,15 +518,34 @@ def long_trace(kind):
 def test_reading_a_long_trace_peaks_below_three_times_its_text(kind):
     """A long trace read with no tick column cached: the reader holds no
     list of its lines, ticks or boxed readings."""
-    text = long_trace(kind)
+    data = raw(long_trace(kind))
     _tick_column.cache_clear()
     tracemalloc.start()
     try:
-        parse_trace(text)
+        parse_trace(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * len(text)
+    assert peak < 3 * len(data)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_a_late_non_ascii_byte_is_worded_without_a_copy(ending):
+    """The line of a non-ASCII byte near the end of a 3.5 MB trace is
+    counted in place: wording it peaks below a tenth of the trace."""
+    n = 300_000
+    data = raw(ending.join([f"trace b boolean 0 {n}"] + [
+        f"{t},true" for t in range(n - 1)] + [f"{n - 1},tru\udce9"]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.message, err.value.line) == ("non-ASCII byte 0xe9",
+                                                   n + 1)
+    assert peak < len(data) / 10
 
 
 @pytest.mark.parametrize("kind, readings", [
@@ -519,7 +558,7 @@ def test_reading_a_long_trace_peaks_below_three_times_its_text(kind):
 ])
 def test_a_loaded_stream_equals_and_hashes_like_stream_of(kind, readings):
     expected = Stream.of(3, readings)
-    _, _, loaded = parse_trace(format_trace(expected, "b", kind))
+    _, _, loaded = parse_trace(raw(format_trace(expected, "b", kind)))
     assert loaded == expected and expected == loaded
     assert hash(loaded) == hash(expected)
     assert [loaded.at(t) for t in loaded.window.ticks()] == readings
@@ -542,7 +581,7 @@ def test_a_decimal_trace_converts_a_reading_only_when_it_is_read(
         return int(text)
 
     monkeypatch.setattr(streams, "int", counted_int, raising=False)
-    _, _, loaded = parse_trace(text)
+    _, _, loaded = parse_trace(raw(text))
     assert converted == []
     assert loaded.at(300) == Dec4(300) and len(converted) == 1
     assert loaded.at(40) is BOTTOM and len(converted) == 1
@@ -597,7 +636,7 @@ def test_an_accepted_trace_is_written_back_as_it_was_read(text):
     """Every number of a trace has one spelling: whatever text the reader
     accepts, the writer gives back, with each line ended by \\n."""
     try:
-        stream_id, kind, stream = parse_trace(text)
+        stream_id, kind, stream = parse_trace(raw(text))
     except TraceFormatError:
         return
     assert format_trace(stream, stream_id, kind) == "".join(
