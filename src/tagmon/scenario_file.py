@@ -301,9 +301,9 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
     or None without the section.  The faults that do not stop the build, a
     status outside the kind's judgements and nights on a sentence entity, go
     to ``faults``, and the entity is built with its kind's default status.
-    A curfew entity under a [schedule] gets every check that needs no trace
-    and then None: the scenario's "[schedule] applies to sentence entities
-    only" fault rejects it, so its trace is not read.
+    A curfew order and, without a [schedule], a sentence are checked before
+    the trace is read; under a [schedule] a curfew entity then gets None,
+    as the "[schedule] applies to sentence entities only" fault rejects it.
     """
     if kind is None:
         raise ScenarioFormatError("needs exactly one of sentence/curfew")
@@ -330,6 +330,8 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
                 f"got {ent.sentence[0]},{ent.sentence[1]}")
     elif ent.nights is None:
         raise ScenarioFormatError("curfew needs nights")
+    else:
+        order = CurfewOrder(ent.nights, *ent.curfew)
     if ent.trace is None:
         raise ScenarioFormatError("missing trace")
     if not alcohol and schedule is not None:
@@ -349,8 +351,7 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
         raise ScenarioFormatError(
             f"trace kind {loaded!r}, expected {trace_kind!r}")
     if not alcohol:
-        order = CurfewOrder(stream, ent.nights, ent.curfew[0], ent.curfew[1])
-        return build_curfew_scenario(order, ent.entity, status)
+        return build_curfew_scenario(order, stream, ent.entity, status)
     if schedule is None:
         return build_alcohol_scenario(sentence, status, stream, ent.entity)
     if isinstance(schedule, MonitorError):

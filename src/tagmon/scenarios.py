@@ -270,14 +270,10 @@ def build_alcohol_scenario(sigma: Sentence, initial_status: str,
 
 
 class CurfewOrder(Frozen):
-    """Home-detention terms: a wrapped nightly window and a duration.
+    """Home-detention terms, which hold no stream: a nightly window that
+    wraps midnight exactly once, so start > end (19:00 = 1140 to 07:00 =
+    420 by default), and a number of nights."""
 
-    The presence stream is boolean, true when the tag is in range of the home
-    receiver.  Clock minutes wrap midnight exactly once, so start > end
-    (19:00 = 1140 wraps to 07:00 = 420 by default).
-    """
-
-    presence: Stream
     nights: int
     start_minute: int = 1140
     end_minute: int = 420
@@ -309,16 +305,19 @@ class CurfewOrder(Frozen):
                                   nights=self.nights, status=status)
 
 
-def build_curfew_scenario(order: CurfewOrder, entity: str = "PID-1",
+def build_curfew_scenario(order: CurfewOrder, presence: Stream,
+                          entity: str = "PID-1",
                           initial_status: str = COMPLIANT) -> EntityRun:
-    """The entity's row: one cycle per night, at the morning report tick."""
-    _require_cover(order.presence, order.night_window(1)[0],
+    """The entity's row on its boolean ``presence`` stream, true when the
+    tag is in range of the home receiver: one cycle per night, at the
+    morning report tick."""
+    _require_cover(presence, order.night_window(1)[0],
                    order.night_window(order.nights)[1], "presence", "nights ")
     cycles = {order.report_tick(night):
               dict(zip(("wstart", "wend"), order.night_window(night)))
               for night in range(1, order.nights + 1)}
     return EntityRun(entity, order.characteristics(initial_status),
-                     order.presence, curfew_family(), cycles)
+                     presence, curfew_family(), cycles)
 
 
 class ReportSchedule(Frozen):

@@ -826,8 +826,7 @@ VALUE_CLASS_TWINS = {cls: _twin(cls, *fields) for cls, fields in [
     (EntityRun, ["entity", "characteristics", "stream", "family",
                  "cycles"]),
     (ScenarioRun, ["entities", "policy"]),
-    (CurfewOrder, ["presence", "nights", ("start_minute", 1140),
-                   ("end_minute", 420)]),
+    (CurfewOrder, ["nights", ("start_minute", 1140), ("end_minute", 420)]),
     (ReportSchedule, ["uploads", "days"]),
     (EntityConfig, ["entity", ("sentence", None), ("curfew", None),
                     ("nights", None), ("status", None), ("trace", None),

@@ -299,129 +299,6 @@ def test_format_parse_round_trip_full():
     assert parse_scenario(format_scenario(config)) == config
 
 
-def test_validate_clean_scenario(tmp_path):
-    write_dry_trace(tmp_path)
-    config = parse_scenario(ALCOHOL_TEXT)
-    assert validate_scenario(config, tmp_path) == []
-
-
-def test_validate_sentence_invariant(tmp_path):
-    write_dry_trace(tmp_path)
-    bad = ALCOHOL_TEXT.replace("0,720,30,", "0,720,900,")
-    diagnostics = validate_scenario(parse_scenario(bad), tmp_path)
-    assert len(diagnostics) == 1
-    assert "sample interval" in diagnostics[0].message
-    assert diagnostics[0].line == 2
-
-
-def test_validate_trace_coverage(tmp_path):
-    write_dry_trace(tmp_path, minutes=500)
-    diagnostics = validate_scenario(parse_scenario(ALCOHOL_TEXT), tmp_path)
-    assert any("does not cover" in d.message for d in diagnostics)
-
-
-@pytest.mark.parametrize("path, fault", [
-    ("traces/dry.trace", "trace file not found: traces/dry.trace"),
-    # '#' starts a comment anywhere on a line, a value's middle too
-    ("traces/alc#x.trace", "trace file not found: traces/alc"),
-    # a path that is there but is no regular file is never opened
-    ("traces", "cannot read trace traces: not a regular file"),
-], ids=["missing", "cut-at-hash", "directory"])
-def test_validate_missing_trace(tmp_path, path, fault):
-    (tmp_path / "traces").mkdir()
-    text = ALCOHOL_TEXT.replace("traces/dry.trace", path)
-    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
-        (2, f"entity PID-7: {fault}")]
-
-
-def test_validate_wrong_trace_kind(tmp_path):
-    (tmp_path / "traces").mkdir()
-    (tmp_path / "traces" / "dry.trace").write_text(
-        format_trace(Stream.of(0, [True] * 721), "b", "boolean"))
-    diagnostics = validate_scenario(parse_scenario(ALCOHOL_TEXT), tmp_path)
-    assert any("expected 'decimal'" in d.message for d in diagnostics)
-
-
-def test_validate_unknown_rule_labels(tmp_path):
-    write_dry_trace(tmp_path)
-    bad = ALCOHOL_TEXT.replace("on amber,red,absent", "on amber,purple")
-    diagnostics = validate_scenario(parse_scenario(bad), tmp_path)
-    assert any("purple" in d.message for d in diagnostics)
-
-
-def test_rule_labels_are_checked_against_the_entities_kinds(tmp_path):
-    # B's trace is missing, so B builds no run, yet its kind's labels are
-    # known from the config: the rule's "violation" is no fault
-    write_dry_trace(tmp_path)
-    text = ALCOHOL_TEXT.replace("[policy]", """\
-[entity B]
-curfew = 19:00,07:00
-nights = 1
-trace = traces/gone.trace
-
-[policy]""").replace("on amber,red,absent", "on red,violation")
-    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
-        (7, "entity B: trace file not found: traces/gone.trace")]
-
-
-def test_validate_repeated_rule_name(tmp_path):
-    write_dry_trace(tmp_path)
-    text = ALCOHOL_TEXT + "rule = b: on red set status\n" \
-                          "rule = record-breach: on red set status\n"
-    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
-        (10, "rule record-breach: duplicate rule name")]
-
-
-@pytest.mark.parametrize("labels, repeated", [
-    ("red,red", ["red"]),
-    ("amber, red ,amber,red,amber", ["amber", "red"]),
-])
-def test_validate_reports_a_label_listed_twice(tmp_path, labels, repeated):
-    """Each label that a rule lists more than once is reported once."""
-    write_dry_trace(tmp_path)
-    text = ALCOHOL_TEXT + f"rule = r: on {labels} set status\n"
-    assert _faults(validate_scenario(parse_scenario(text), tmp_path)) == [
-        (9, f"rule r: label {label!r} listed twice") for label in repeated]
-
-
-BAD_STATUS_TEXT = """\
-[entity PID-7]
-sentence = 0,720,30,0.0200,0.0050
-status = purple
-trace = traces/dry.trace
-
-[entity PID-9]
-curfew = 19:00,07:00
-nights = 1
-status = green
-trace = traces/presence.trace
-"""
-
-
-@pytest.mark.parametrize("short", [False, True])
-def test_validate_reports_a_bad_status_once(tmp_path, short):
-    # the entity is still built, with its kind's default status, so a
-    # too-short trace is reported as well
-    write_dry_trace(tmp_path, minutes=500 if short else 720)
-    (tmp_path / "traces" / "presence.trace").write_text(format_trace(
-        Stream.of(0, [True] * (1800 if short else 1861)), "presence",
-        "boolean"))
-    diagnostics = validate_scenario(parse_scenario(BAD_STATUS_TEXT), tmp_path)
-    messages = _faults(diagnostics)
-    status_lines = [
-        (1, "entity PID-7: status 'purple' not in "
-            "('green', 'amber', 'red', 'absent')"),
-        (6, "entity PID-9: status 'green' not in "
-            "('compliant', 'violation', 'absent-signal')")]
-    if not short:
-        assert messages == status_lines
-        return
-    assert [messages[0], messages[2]] == status_lines
-    assert messages[1][0] == 1 and "does not cover" in messages[1][1]
-    assert messages[3][0] == 6 and "does not cover" in messages[3][1]
-    assert len(messages) == 4
-
-
 def test_validate_evaluates_no_formula(scenarios_dir, tmp_path, monkeypatch):
     calls = []
 
@@ -461,13 +338,6 @@ rule = breach: on red,violation set status
     assert calls.count("eval_formula") > 0
 
 
-def test_validate_status_outside_judgements(tmp_path):
-    write_dry_trace(tmp_path)
-    bad = ALCOHOL_TEXT.replace("status = green", "status = compliant")
-    diagnostics = validate_scenario(parse_scenario(bad), tmp_path)
-    assert any("'compliant' not in" in d.message for d in diagnostics)
-
-
 SCHEDULED_TEXT = """\
 [entity PID-7]
 sentence = {span},60,0.0200,0.0050
@@ -478,20 +348,6 @@ trace = traces/dry.trace
 uploads = 07:00,15:00,23:00
 days = 2
 """
-
-
-@pytest.mark.parametrize("span", ["900,5", "0,2760", "60,2820"])
-def test_validate_schedule_sentence_span(tmp_path, span):
-    # under [schedule] t1,t2 must be 0 and the last upload, 1440 + 23:00
-    write_dry_trace(tmp_path, minutes=2820)
-    good = parse_scenario(SCHEDULED_TEXT.format(span="0,2820"))
-    assert validate_scenario(good, tmp_path) == []
-    bad = parse_scenario(SCHEDULED_TEXT.format(span=span))
-    diagnostics = validate_scenario(bad, tmp_path)
-    assert len(diagnostics) == 1
-    assert diagnostics[0].line == 1  # the entity's section header
-    assert "must span 0,2820" in diagnostics[0].message
-    assert f"got {span}" in diagnostics[0].message
 
 
 def test_validate_schedule_coverage_lists_no_upload(tmp_path, monkeypatch):
@@ -536,19 +392,6 @@ def test_build_makes_each_sentence_and_schedule_once(tmp_path, monkeypatch):
         scheduled + scheduled.split("[schedule]")[0].replace("PID-7", "PID-8")),
         tmp_path)
     assert (len(sentences), len(schedules)) == (0, 1)
-
-
-def test_invalid_schedule_is_reported_for_each_sentence_entity(tmp_path):
-    write_dry_trace(tmp_path, minutes=2820)
-    scheduled = SCHEDULED_TEXT.format(span="0,2820").replace("days = 2",
-                                                             "days = 0")
-    text = scheduled + scheduled.split("[schedule]")[0].replace("PID-7",
-                                                                "PID-8")
-    diagnostics = validate_scenario(parse_scenario(text), tmp_path)
-    assert _faults(diagnostics) == [
-        (1, "entity PID-7: need at least one day, got 0"),
-        (6, "need at least one day, got 0"),
-        (9, "entity PID-8: need at least one day, got 0")]
 
 
 def test_build_scenario_raises_every_diagnostic(tmp_path):

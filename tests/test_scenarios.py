@@ -216,16 +216,16 @@ def presence_trace(nights=7, absence=None, gap=None):
 
 
 def test_curfew_order_wraps_720_minutes():
-    order = CurfewOrder(presence_trace(1), 1)
+    order = CurfewOrder(1)
     assert order.night_length == 720
     assert order.night_window(1) == (1140, 1859)
     assert order.report_tick(1) == 1860
     with pytest.raises(KindMismatch):
-        CurfewOrder(presence_trace(1), 1, start_minute=420, end_minute=1140)
+        CurfewOrder(1, start_minute=420, end_minute=1140)
 
 
 def test_curfew_all_present():
-    row = build_curfew_scenario(CurfewOrder(presence_trace(), 7), "PID-9")
+    row = build_curfew_scenario(CurfewOrder(7), presence_trace(), "PID-9")
     result = execute_alone(row)
     assert [r.judgement for r in result.records] == ["compliant"] * 7
     assert result.notifications == []
@@ -234,7 +234,7 @@ def test_curfew_all_present():
 def test_curfew_absence_and_gap_nights():
     # night 3 absence 02:00-03:00; night 5 signal gap
     trace = presence_trace(absence=(4440, 4500), gap=(7000, 7060))
-    row = build_curfew_scenario(CurfewOrder(trace, 7), "PID-9")
+    row = build_curfew_scenario(CurfewOrder(7), trace, "PID-9")
     result = execute_alone(row)
     assert [(r.evaluated_at, r.judgement) for r in result.records] == [
         (1860, "compliant"),
@@ -343,7 +343,7 @@ def test_builders_reject_an_unknown_status():
         lambda status: build_alcohol_scenario(
             SIGMA, status, Stream.of(0, [Dec4(0)] * 121)),
         lambda status: build_curfew_scenario(
-            CurfewOrder(presence_trace(1), 1), "PID-9", status),
+            CurfewOrder(1), presence_trace(1), "PID-9", status),
         lambda status: build_extended_scenario(
             schedule, 60, EPS, DELTA, dry_extended_trace(1),
             initial_status=status),
@@ -362,7 +362,7 @@ def test_window_too_short_messages():
         (lambda: build_alcohol_scenario(SIGMA, "green", short),
          "trace window [10, 110) does not cover [0, 120]"),
         (lambda: build_curfew_scenario(
-            CurfewOrder(Stream.of(0, [True] * 3000), 2)),
+            CurfewOrder(2), Stream.of(0, [True] * 3000)),
          "presence window [0, 3000) does not cover nights [1140, 3299]"),
         (lambda: build_extended_scenario(
             ReportSchedule((420, 1380), 2), 60, EPS, DELTA, short),
@@ -381,7 +381,7 @@ def test_merge_runs_mixes_entity_types():
         WORKED_SIGMA, "green", full_trace(peak_at=600, peak=Dec4(400)),
         "PID-7")
     curfew = build_curfew_scenario(
-        CurfewOrder(presence_trace(absence=(4440, 4500)), 7), "PID-9")
+        CurfewOrder(7), presence_trace(absence=(4440, 4500)), "PID-9")
     union = judgement_union((alcohol_family().judgements,
                              curfew_family().judgements))
     breach = Intervention(
@@ -407,7 +407,7 @@ def test_merge_runs_coalesces_cycles_and_refuses_a_repeated_entity(
         monkeypatch):
     a = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-1")
     b = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-2")
-    c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-3")
+    c = build_curfew_scenario(CurfewOrder(1), presence_trace(1), "PID-3")
     merged = merge_runs([a, b, c], Policy(()))
     calls = []
     run_cycle = tagmon.scenarios.run_cycle
@@ -437,7 +437,7 @@ def test_each_cycle_is_given_only_its_due_entities_characteristics(
     # run cost entities x instants
     a = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-1")
     b = build_alcohol_scenario(SIGMA, "green", full_trace(), "PID-2")
-    c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-3")
+    c = build_curfew_scenario(CurfewOrder(1), presence_trace(1), "PID-3")
     union = judgement_union((alcohol_family().judgements,
                              curfew_family().judgements))
     always = Intervention("always", Trigger(union, frozenset(union)),
@@ -551,5 +551,5 @@ def test_entities_of_one_kind_share_one_family():
     b = build_extended_scenario(ReportSchedule((420,), 1), 60, EPS, DELTA,
                                 full_trace(), "PID-2")
     assert a.family is b.family is alcohol_family()
-    c = build_curfew_scenario(CurfewOrder(presence_trace(1), 1), "PID-9")
+    c = build_curfew_scenario(CurfewOrder(1), presence_trace(1), "PID-9")
     assert c.family is curfew_family()
