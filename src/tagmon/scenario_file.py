@@ -75,6 +75,7 @@ from .scenarios import (
     curfew_family,
     judgement_union,
     merge_runs,
+    require_scheduled_terms,
 )
 from .interventions import Action, Intervention, Policy, Trigger
 from .streams import check_ascii, load_trace, read_file
@@ -301,9 +302,10 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
     or None without the section.  The faults that do not stop the build, a
     status outside the kind's judgements and nights on a sentence entity, go
     to ``faults``, and the entity is built with its kind's default status.
-    A curfew order and, without a [schedule], a sentence are checked before
-    the trace is read; under a [schedule] a curfew entity then gets None,
-    as the "[schedule] applies to sentence entities only" fault rejects it.
+    A curfew order and a sentence's terms (under a [schedule], its span,
+    interval and margin) are checked before the trace is read; under a
+    [schedule] a curfew entity then gets None, as the "[schedule] applies to
+    sentence entities only" fault rejects it.
     """
     if kind is None:
         raise ScenarioFormatError("needs exactly one of sentence/curfew")
@@ -319,15 +321,17 @@ def _entity_row(ent: EntityConfig, kind: Optional[tuple], base: Path,
             faults.append("nights applies to curfew entities only")
         if schedule is None:
             sentence = Sentence(*ent.sentence)
-        elif (not isinstance(schedule, MonitorError)
-              and ent.sentence[:2] != (0, schedule.last_upload)):
-            last = schedule.last_upload
-            span = ("0 to the last upload, which days puts past int's digit "
-                    "limit" if past_digit_limit(last)
-                    else f"0,{last} (t=0 to the last upload)")
-            raise ScenarioFormatError(
-                f"under [schedule] the sentence must span {span}, "
-                f"got {ent.sentence[0]},{ent.sentence[1]}")
+        else:
+            if (not isinstance(schedule, MonitorError)
+                    and ent.sentence[:2] != (0, schedule.last_upload)):
+                last = schedule.last_upload
+                span = ("0 to the last upload, which days puts past int's "
+                        "digit limit" if past_digit_limit(last)
+                        else f"0,{last} (t=0 to the last upload)")
+                raise ScenarioFormatError(
+                    f"under [schedule] the sentence must span {span}, "
+                    f"got {ent.sentence[0]},{ent.sentence[1]}")
+            require_scheduled_terms(*ent.sentence[2:])
     elif ent.nights is None:
         raise ScenarioFormatError("curfew needs nights")
     else:

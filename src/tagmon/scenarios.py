@@ -348,6 +348,15 @@ class ReportSchedule(Frozen):
                 for day in range(self.days) for u in self.uploads]
 
 
+def require_scheduled_terms(interval: int, epsilon: Dec4,
+                            delta: Dec4) -> None:
+    """Refuse a scheduled sentence's sample interval or margin, as
+    ``build_extended_scenario`` would, without its trace."""
+    if interval < 1:
+        raise KindMismatch(f"sample interval must be positive: {interval}")
+    _require_margin(epsilon, delta)
+
+
 def build_extended_scenario(schedule: ReportSchedule, interval: int,
                             epsilon: Dec4, delta: Dec4, trace: Stream,
                             entity: str = "PID-1",
@@ -362,9 +371,7 @@ def build_extended_scenario(schedule: ReportSchedule, interval: int,
     carry its window as t1/t2 to ``alcohol_family``; the characteristics hold
     no t1/t2 of their own.
     """
-    if interval < 1:
-        raise KindMismatch(f"sample interval must be positive: {interval}")
-    _require_margin(epsilon, delta)
+    require_scheduled_terms(interval, epsilon, delta)
     # the trace bounds the number of upload ticks listed below
     _require_cover(trace, 0, schedule.last_upload, "trace")
     _require_status(initial_status, alcohol_family().judgements)

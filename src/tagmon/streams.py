@@ -22,11 +22,12 @@ readings' texts, each NA or written as ``format_value`` writes it, joined
 into one bytes string, with an array of the offsets where each one ends, and
 converts a reading, by its kind's reader, only when it is read; a boolean
 trace keeps one byte code per tick instead (false, true or NA).  Streams
-built from values keep a tuple.  ``at`` boxes the one reading it returns.
-Every stream answers the evaluator's sampled max/min, ``reduce_samples``,
-tick by tick; a decimal trace answers it on its texts, and a boolean trace
-``first_other`` (the first tick of a range whose boolean is not a given
-one) on its codes, each only over a range its window holds.
+built from values keep a tuple.  Each storage boxes its i-th reading in one
+place, ``_reading(i)``, the one read path of ``at`` and ``values``.  Every
+stream answers the evaluator's sampled max/min, ``reduce_samples``, tick by
+tick; a decimal trace answers it on its texts, and a boolean trace
+``first_other`` (the first tick of a range whose boolean is not a given one)
+on its codes, each only over a range its window holds.
 
 ``parse_trace`` refuses a trace file's bytes at a non-ASCII byte, then reads
 them in place, without decoding them or listing their lines: in chunks cut
@@ -116,9 +117,10 @@ class Stream:
     ``Stream(window, values)`` and ``Stream.of`` keep the readings as a
     tuple, checked value by value.  ``parse_trace`` keeps a trace as a
     column instead (``_Texts``, ``_Booleans``): its readings are checked by
-    the parser.  Either way ``at`` returns one boxed carrier value,
-    ``values`` boxes every reading into a tuple, and equality and hashing go
-    by the window and the readings, not the storage.
+    the parser.  Each storage gives its i-th reading, boxed, by
+    ``_reading(i)``, the one read path: ``at`` checks the window and reads
+    one reading, ``values`` reads every one into a tuple.  Equality and
+    hashing go by the window and the readings, not the storage.
     """
 
     __slots__ = ("window", "_readings")
@@ -139,18 +141,19 @@ class Stream:
     def of(cls, start: int, values: Sequence[CarrierValue]) -> "Stream":
         return cls(Window(start, start + len(values)), tuple(values))
 
+    def _reading(self, i: int) -> CarrierValue:
+        return self._readings[i]
+
     @property
     def values(self) -> tuple:
-        return self._readings
+        return tuple(map(self._reading, range(self.window.length)))
 
     def at(self, t: int) -> CarrierValue:
         """The stored value at tick t (the algebra's evaluation function)."""
-        # the column subclasses repeat this check inline: a read is one
-        # Python call, which the formula evaluator makes per quantifier step
         w = self.window
         if not w.start <= t < w.horizon:
             raise _outside(w, t)
-        return self._readings[t - w.start]
+        return self._reading(t - w.start)
 
     def reduce_samples(self, op: str, t1: int, t2: int,
                        s: int) -> CarrierValue:
@@ -185,9 +188,9 @@ class _Texts(Stream):
 
     ``parse_trace`` builds it from the texts of each chunk of plain value
     lines.  Every text is NA or a reading written as ``format_value``
-    writes it, and is converted (a label decoded) by its kind's reader only
-    when read.  A read fails only on a number past ``int``'s digit limit
-    then in force (KindMismatch).
+    writes it, and ``_reading`` converts it (decodes a label) by its kind's
+    reader only when it is read.  A read fails only on a number past
+    ``int``'s digit limit then in force (KindMismatch).
     """
 
     __slots__ = ("_ends", "_read")
@@ -207,17 +210,7 @@ class _Texts(Stream):
         self._ends = ends
         self._read = _READERS[kind]
 
-    @property
-    def values(self) -> tuple:
-        ends = self._ends
-        return tuple(map(self._read, map(self._readings.__getitem__,
-                                         map(slice, ends, ends[1:]))))
-
-    def at(self, t: int) -> CarrierValue:
-        w = self.window
-        if not w.start <= t < w.horizon:
-            raise _outside(w, t)
-        i = t - w.start
+    def _reading(self, i: int) -> CarrierValue:
         return self._read(self._readings[self._ends[i]:self._ends[i + 1]])
 
     def reduce_samples(self, op: str, t1: int, t2: int,
@@ -269,7 +262,8 @@ _BOOLEAN_BOXES = (False, True, BOTTOM)
 
 class _Booleans(Stream):
     """A boolean trace: one byte code per tick, 0 false, 1 true, 2 NA,
-    joined from the codes ``parse_trace`` gives for each chunk."""
+    joined from the codes ``parse_trace`` gives for each chunk; ``_reading``
+    boxes one code."""
 
     __slots__ = ()
 
@@ -277,15 +271,8 @@ class _Booleans(Stream):
         self.window = window
         self._readings = bytearray().join(chunks)
 
-    @property
-    def values(self) -> tuple:
-        return tuple(map(_BOOLEAN_BOXES.__getitem__, self._readings))
-
-    def at(self, t: int) -> CarrierValue:
-        w = self.window
-        if not w.start <= t < w.horizon:
-            raise _outside(w, t)
-        return _BOOLEAN_BOXES[self._readings[t - w.start]]
+    def _reading(self, i: int) -> CarrierValue:
+        return _BOOLEAN_BOXES[self._readings[i]]
 
     def first_other(self, keep: bool, lo: int, hi: int) -> CarrierValue:
         """The reading at the first tick of [lo, hi], whose bounds the
@@ -494,8 +481,9 @@ def format_trace(stream: Stream, stream_id: str, kind: str) -> str:
     # in magnitude; neither ``str`` nor ``repr`` writes a larger integer
     limit = digit_limit()
     bound = 10 ** limit if limit else math.inf
-    for t in stream.window.ticks():
-        value = stream.at(t)
+    # boxed one at a time: the collector would walk a tuple of them all
+    readings = map(stream._reading, range(stream.window.length))
+    for t, value in zip(stream.window.ticks(), readings):
         if value is not BOTTOM:
             if (isinstance(value, (int, Dec4))
                     and not -bound < getattr(value, "raw", value) < bound):

@@ -345,9 +345,9 @@ DIAGNOSTIC_TRACES = {
 
 def test_validate_reads_no_trace_of_a_curfew_entity_under_schedule(
         scenarios_dir, tmp_path, monkeypatch, capsys):
-    # in the "schedule" scenario A fails before its trace is read and D is
-    # the curfew entity the [schedule] diagnostic rejects, so only B and C
-    # read theirs
+    # in the "schedule" scenario A and C fail before their traces are read
+    # and D is the curfew entity the [schedule] diagnostic rejects, so only
+    # B reads its own
     traces = scenarios_dir / "traces"
     shutil.copy(traces / "alcohol_dry.trace", tmp_path / "dry.trace")
     shutil.copy(traces / "curfew_presence.trace", tmp_path / "presence.trace")
@@ -362,7 +362,7 @@ def test_validate_reads_no_trace_of_a_curfew_entity_under_schedule(
     assert main(["validate", str(scenario)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "".join(
         f"{scenario}:{line}\n" for line in GOLDEN_DIAGNOSTICS["schedule"])
-    assert read == ["dry.trace", "dry.trace"]
+    assert read == ["dry.trace"]
 
 
 def test_cycle_error_names_its_tick(scenarios_dir, tmp_path, monkeypatch,
@@ -900,8 +900,8 @@ def _sentence(trace):
     return f"[entity A]\nsentence = 0,720,30,0.0200,0.0050\ntrace = {trace}\n"
 
 
-def _curfew(terms, trace="missing.trace"):
-    """A scenario of one curfew entity A with ``terms`` on its lines."""
+def _entity(terms, trace="missing.trace"):
+    """A scenario of one entity A with ``terms`` on its lines."""
     return f"[entity A]\n{terms}\ntrace = {trace}\n"
 
 
@@ -1123,21 +1123,54 @@ trace = refused.trace
                                            "trace = missing.trace\n"},
               "bad.scenario",
               "1: entity A: sample interval 900 outside [1, 720]"),
-    *_refused("curfew-window", {"c.scenario": _curfew(
+    *_refused("curfew-window", {"c.scenario": _entity(
         "curfew = 07:00,19:00\nnights = 1")}, "c.scenario",
         "1: entity A: curfew window must wrap midnight once, got 420..1140"),
-    *_refused("curfew-nights", {"c.scenario": _curfew(
+    *_refused("curfew-nights", {"c.scenario": _entity(
         "curfew = 19:00,07:00\nnights = -2")}, "c.scenario",
         "1: entity A: need at least one night, got -2"),
-    *_refused("curfew-window-schedule", {"c.scenario": _curfew(
+    *_refused("curfew-window-schedule", {"c.scenario": _entity(
         "curfew = 07:00,19:00\nnights = 0")
         + "[schedule]\nuploads = 07:00\ndays = 1\n"}, "c.scenario",
         "1: entity A: curfew window must wrap midnight once, got 420..1140",
         "1: entity A: [schedule] applies to sentence entities only"),
-    *_refused("no-nights", {"c.scenario": _curfew(
+    *_refused("no-nights", {"c.scenario": _entity(
         "curfew = 19:00,07:00\nnights = 0", "curfew_presence.trace"),
         **_traces("curfew_presence", at="")}, "c.scenario",
         "1: entity A: need at least one night, got 0"),
+    # a scheduled sentence's interval and margin too, under a [schedule]
+    # with or without a fault of its own
+    *[row for name, terms, days, *faults in [
+        ("schedule-interval", "0,420,0,0.0050,0.0200", 1,
+         "1: entity A: sample interval must be positive: 0"),
+        ("schedule-margin", "0,420,30,0.0050,0.0200", 1,
+         "1: entity A: need 0 < delta < epsilon, got delta=0.0200, "
+         "epsilon=0.0050"),
+        ("schedule-margin-no-days", "0,420,30,0.0050,0.0200", 0,
+         "1: entity A: need 0 < delta < epsilon, got delta=0.0200, "
+         "epsilon=0.0050", "5: need at least one day, got 0")]
+      for row in _refused(name, {"s.scenario": _entity(
+          f"sentence = {terms}") + f"\n[schedule]\nuploads = 07:00\n"
+                                   f"days = {days}\n"}, "s.scenario",
+          *faults)],
+    # faults of a scenario's lines
+    *[row for name, text, *faults in [
+        ("outside", "status = green\n" + _sentence("x.trace"),
+         "1: key 'status' outside any section"),
+        ("unknown-key", _entity("sentence = 0,720,30,0.0200,0.0050\n"
+                                "colour = red"),
+         "3: unknown entity key 'colour'"),
+        ("status-twice", _entity("sentence = 0,720,30,0.0200,0.0050\n"
+                                 "status = green\nstatus = red"),
+         "4: duplicate key 'status'"),
+        ("nights-values", _entity("curfew = 19:00,07:00\nnights = 1,2"),
+         "3: expected 1 comma-separated values, got 2")]
+      for row in _refused(name, {"l.scenario": text}, "l.scenario",
+                          *faults)],
+    *_refused("no-uploads", {"u.scenario": _sentence("alcohol_dry.trace")
+                             + "[schedule]\ndays = 1\n", **DRY}, "u.scenario",
+              "1: entity A: need at least one upload time per day",
+              "4: need at least one upload time per day"),
     *_refused("no-kind", {"bad.scenario": "[entity A]\nstatus = green\n"
                                           "trace = x.trace\n"},
               "bad.scenario", "1: entity A: needs exactly one of "
@@ -1238,7 +1271,7 @@ trace = refused.trace
     # a tick written as a prefix of itself on the last line of the first
     # chunk the trace reader reads
     *_refused("cut", {
-        "cut.scenario": _curfew("curfew = 19:00,07:00\nnights = 1",
+        "cut.scenario": _entity("curfew = 19:00,07:00\nnights = 1",
                                 "cut.trace"),
         "cut.trace": _trace("boolean", "true", 3000, 1751, "174,true")},
         "cut.scenario", "1: entity A: cut.trace:1751: tick 174 out of "
@@ -1246,7 +1279,7 @@ trace = refused.trace
     # the byte rule's own marker for ",true\n" in place of ",true": the
     # ASCII check refuses it before the rule reads its chunk
     *_refused("marker", {
-        "marker.scenario": _curfew("curfew = 19:00,07:00\nnights = 1",
+        "marker.scenario": _entity("curfew = 19:00,07:00\nnights = 1",
                                    "marker.trace"),
         "marker.trace": _trace("boolean", "true", 1751, 1001,
                                "999\x81").encode("latin-1")},
@@ -1270,7 +1303,16 @@ trace = refused.trace
         ("empty-trace", "", "1: empty trace"),
         ("stream-id", "trace 9b decimal 0 3", "1: malformed stream id '9b'"),
         ("window-5-3", "trace b decimal 5 3", "1: bad window [5, 3)"),
-        ("window--1-3", "trace b decimal -1 3", "1: bad window [-1, 3)")]
+        ("window--1-3", "trace b decimal -1 3", "1: bad window [-1, 3)"),
+        ("kind", "trace b float 0 3", "1: unknown stream kind 'float'"),
+        ("bounds", "trace b decimal 0 x", "1: non-integer window bounds"),
+        # and of a value line
+        ("comma", _trace("decimal", "0.0100", 3, 3, "1;0.0100"),
+         "3: expected '<t>,<value>'"),
+        ("boolean", _trace("boolean", "true", 3, 3, "1,TRUE"),
+         "3: not a boolean: 'TRUE'"),
+        ("label", _trace("label", "green", 3, 3, "1,9x"),
+         "3: not a label: '9x'")]
       for row in _refused(name, {"e.scenario": _sentence("e.trace"),
                                  "e.trace": trace}, "e.scenario",
                           f"1: entity A: e.trace:{fault}")],
@@ -1315,6 +1357,20 @@ trace = refused.trace
       for name, value in [("plus", "+0.0300"), ("arabic", "\u0660.\u0663"),
                           ("spaced", "0.0100 "),
                           ("long", "9" * 5000 + ".0")]],
+    *[(f"gen-trace-{name}", Case(
+        {}, f"gen-trace {args} --out x.trace", EXIT_VALIDATION,
+        err=f"gen-trace failed: {fault}\n", after={"x.trace": None}))
+      for name, args, fault in [
+          ("no-minutes", "--kind dry --minutes 0",
+           "minutes must be positive, got 0"),
+          ("seed", "--kind dry --minutes 5 --seed 18446744073709551616",
+           "seed must be a 64-bit unsigned integer: 18446744073709551616"),
+          ("spike-late", "--kind spike --minutes 720 --spike-at 900 "
+                         "--spike-value 0.0300",
+           "spike-at 900 outside [0, 720]"),
+          ("spike-negative", "--kind spike --minutes 720 --spike-at 600 "
+                             "--spike-value -0.0001",
+           "negative spike value -0.0001")]],
     ("gen-trace-missing-dir", Case(
         {}, "gen-trace --kind dry --minutes 10 --out missing/x.trace",
         EXIT_RUNTIME,

@@ -108,7 +108,8 @@ SCANS = [("forall k in lo .. hi : p[k] = true", True),
          ("forall k in lo .. hi : p[k] = false", False),
          ("exists k in lo .. hi : p[k] = true", False),
          ("exists k in lo .. hi : p[k] = false", True)]
-AT = {BOOLEAN: (_Booleans, "at"), DECIMAL: (_Texts, "at")}
+# each column's one read path, which ``at`` and ``values`` both take
+AT = {BOOLEAN: (_Booleans, "_reading"), DECIMAL: (_Texts, "_reading")}
 # the column queries
 SCAN = (_Booleans, "first_other")
 TEXTS = (_Texts, "_reduce_texts")
@@ -118,11 +119,11 @@ REDUCED = {DECIMAL: DECIMALS, INTEGER: INTEGERS,
 
 
 def path(column, lo, hi, query):
-    """The method an example over [lo, hi] disables: ``at`` if the
+    """The method an example over [lo, hi] disables: ``_reading`` if the
     column's window holds lo and hi, so that the column query ``query``
     must answer, else ``query``, so that the loop must."""
     held = lo in column.window and hi in column.window
-    return (type(column), "at") if held else query
+    return (type(column), "_reading") if held else query
 
 
 def reduced_path(kind, column, t1, t2):

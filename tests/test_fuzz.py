@@ -212,8 +212,8 @@ def test_arbitrary_bytes_as_a_trace(fuzz_dir, data):
          "trace = presence.trace\n[policy]\nrule = r: on red set status\n")
 def test_run_refuses_what_validate_refuses(fuzz_dir, text):
     """``run`` exits 1 exactly when ``validate`` does, and then prints the
-    same faults and creates no output directory.  A scenario that runs
-    validates, and a second run writes the same logs."""
+    same faults and creates no output directory.  A scenario runs with exit
+    0 exactly when it validates, and a second run writes the same logs."""
     path = fuzz_dir / "fuzz.scenario"
     path.write_text(text)
     out, again = fuzz_dir / "out", fuzz_dir / "again"
@@ -222,6 +222,8 @@ def test_run_refuses_what_validate_refuses(fuzz_dir, text):
     validated, validate_err = _main(["validate", str(path)])
     ran, run_err = _main(["run", str(path), "--out", str(out)])
     assert (validated == EXIT_VALIDATION) == (ran == EXIT_VALIDATION)
+    if validated == EXIT_OK:
+        assert ran == EXIT_OK
     if ran == EXIT_VALIDATION:
         assert run_err == validate_err
         assert not out.exists()

@@ -28,6 +28,8 @@ from tagmon.errors import KindMismatch, TraceFormatError
 from tagmon.streams import (
     _CHUNK_BYTES,
     Stream,
+    _Booleans,
+    _Texts,
     _tick_column,
     format_trace,
     parse_trace,
@@ -645,8 +647,9 @@ def test_an_accepted_trace_is_written_back_as_it_was_read(text):
 
 def test_a_run_boxes_readings_only_when_it_reads_them(
         scenarios_dir, tmp_path, monkeypatch):
-    """A mixed alcohol and curfew run never asks a stream for all its
-    values, and writes the same logs as a run that may."""
+    """A mixed alcohol and curfew run never boxes a reading of a trace
+    column, one tick or all of them, and writes the same logs as a run
+    that may."""
     traces = scenarios_dir / "traces"
     for name in ("alcohol_spike.trace", "alcohol_gap.trace",
                  "curfew_presence.trace"):
@@ -670,11 +673,11 @@ def test_a_run_boxes_readings_only_when_it_reads_them(
 
     boxed = run(tmp_path / "boxed")
 
-    def refuse(stream):
-        raise AssertionError("the run boxed a whole stream")
+    def refuse(stream, i):
+        raise AssertionError("the run boxed a reading of a trace column")
 
-    for storage in (Stream, *Stream.__subclasses__()):
-        monkeypatch.setattr(storage, "values", property(refuse))
+    for column in (_Texts, _Booleans):
+        monkeypatch.setattr(column, "_reading", refuse)
     lazy = run(tmp_path / "lazy")
     assert lazy == boxed
     assert "PID-7|breach|red" in boxed[2] and "PID-9" in boxed[2]
